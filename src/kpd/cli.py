@@ -22,10 +22,7 @@ coefficients, and the value, checkable by ``kpd verify``.
 
 Exit status: 0 for a completed analysis (a mathematical FAIL is still a
 completed analysis), 2 for configuration errors, 3 for numerical
-diagnostics or a failed certificate replay.  The environment variable
-KPD_THREADS caps worker parallelism; the current implementation is
-single-threaded, so any cap is trivially honored (it is echoed in the
-metadata for reproducibility).
+diagnostics or a failed certificate replay.
 """
 
 import argparse
@@ -33,7 +30,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -49,7 +45,6 @@ from .kernel import (
     PointConfig,
     abs_term_scale,
     gram_matrix,
-    kernel_matrix,
     quadratic_form,
     resolve_form_sign,
 )
@@ -67,10 +62,7 @@ from .witness import (
 from .fracpow import validate_representation
 from .spectral import (
     NEGATIVE_FOUND,
-    build_scheme,
-    cell_quadrature,
     min_operator_eigenvalue,
-    nystrom_matrix,
     open_problem_sweep,
     sweep_rows,
 )
@@ -120,7 +112,6 @@ class RunRecord:
     payload: dict
     wall_ms: float
     timestamp: str
-    threads: int | None = None
     version: str = field(default=__version__)
 
     def as_dict(self) -> dict:
@@ -130,7 +121,6 @@ class RunRecord:
             "metadata": {
                 "wall_ms": self.wall_ms,
                 "timestamp": self.timestamp,
-                "threads": self.threads,
             },
             "payload": self.payload,
         }
@@ -390,6 +380,8 @@ def _cmd_fracpow(cfg: RunConfig) -> dict:
 
 
 def _report_dict(report) -> dict:
+    """A spectral report's payload; a NEGATIVE_FOUND verdict embeds its
+    node certificate as kind gram, replayable by ``kpd verify``."""
     out = {
         "levels": [
             {
@@ -409,21 +401,12 @@ def _report_dict(report) -> dict:
         out["certificate_value"] = _num(report.certificate.value)
         out["certificate_error_bound"] = _num(report.certificate.error_bound)
         out["certificate_conclusive"] = report.certificate.conclusive
+    if report.verdict == NEGATIVE_FOUND:
+        cert, params = report.certificate, report.params
+        out["certificate"] = _certificate(
+            "gram", cert.config, cert.value, dps=17, t=params.t, a=params.a
+        )
     return out
-
-
-def _spectral_point_certificate(params: KernelParams, node_count: int, half_width: float) -> dict:
-    """Re-derive the refined direction as an explicit point/coefficient
-    quadratic form so the record's certificate replays through kernel
-    arithmetic alone."""
-    scheme = build_scheme(node_count, half_width)
-    matrix = nystrom_matrix(params, scheme)
-    _, vecs = np.linalg.eigh(matrix)
-    u = vecs[:, 0] / np.sqrt(scheme.weights)
-    pts, wts = cell_quadrature(scheme, u, degree=4)
-    config = PointConfig(tuple(float(x) for x in pts), tuple(float(v) for v in wts))
-    value = float(wts @ kernel_matrix(params, pts, pts) @ wts)
-    return _certificate("gram", config, value, dps=17, t=params.t, a=params.a)
 
 
 def _cmd_spectrum(cfg: RunConfig) -> dict:
@@ -433,17 +416,12 @@ def _cmd_spectrum(cfg: RunConfig) -> dict:
     half_width = p.get("half_width", 20.0)
     ladder = [(n, half_width) for n in nodes]
     report = min_operator_eigenvalue(params, ladder)
-    payload = {
+    return {
         "schema": SCHEMA_VERSION,
         "t": _num(params.t),
         "a": _num(params.a),
         **_report_dict(report),
     }
-    if report.verdict == NEGATIVE_FOUND:
-        payload["certificate"] = _spectral_point_certificate(
-            params, *ladder[-1]
-        )
-    return payload
 
 
 def _cmd_sweep(cfg: RunConfig) -> dict:
@@ -478,10 +456,6 @@ def _cmd_sweep(cfg: RunConfig) -> dict:
             rec["error"] = entry["error"]
         else:
             rec.update(_report_dict(entry["report"]))
-            if entry["report"].verdict == NEGATIVE_FOUND:
-                rec["certificate"] = _spectral_point_certificate(
-                    KernelParams(t=t, a=entry["a"]), *ladder[-1]
-                )
         payload["reports"].append(rec)
     return payload
 
@@ -506,13 +480,11 @@ def run(config: RunConfig) -> RunRecord:
     with mp.workdps(max(config.precision, 15)):
         payload = _COMMANDS[config.command](config)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    threads = os.environ.get("KPD_THREADS")
     return RunRecord(
         config=config,
         payload=payload,
         wall_ms=wall_ms,
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        threads=int(threads) if threads else None,
     )
 
 
@@ -556,9 +528,12 @@ def verify_certificate(record_path: str) -> dict:
 
     The stored quadratic form (kinds gram/f), distance-form value (cnd),
     or two-point margin configuration (g) is recomputed from the raw
-    points and coefficients using kernel arithmetic only, and the sign is
-    compared with the stored value.  Any disagreement is flagged loudly
-    as MISMATCH; it would indicate a numerical bug, not a math result.
+    points and coefficients using kernel arithmetic only.  Each kind
+    claims a sign: the kernel forms of gram, f and g are negative, and the
+    cnd distance form exceeds the record's tolerance.  A certificate is
+    CONFIRMED only when both its stored and its replayed value make that
+    claim, and MISMATCH otherwise.  A malformed certificate raises
+    KpdError.
     """
     with open(record_path, "r", encoding="utf-8") as fh:
         record = json.load(fh)
@@ -567,6 +542,7 @@ def verify_certificate(record_path: str) -> dict:
         payload = record["payload"]
     except (KeyError, TypeError) as exc:
         raise KpdError(f"record at {record_path} lacks config/payload: {exc}") from exc
+    cnd_tolerance = float(record["config"].get("tolerance", 0.0))
     certificates = _find_certificates(payload)
     if not certificates:
         raise KpdError(f"no certificate payload found in {record_path}")
@@ -578,24 +554,28 @@ def verify_certificate(record_path: str) -> dict:
         a = cert.get("a", cmd_params.get("a"))
         if t is None or a is None:
             raise KpdError(f"certificate at {path} lacks kernel parameters")
-        params = KernelParams(t=float(t), a=float(a))
-        with mp.workdps(60):
-            points = tuple(mp.mpf(p) for p in cert["points"])
-            coeffs = tuple(mp.mpf(c) for c in cert["coeffs"])
-            stored = mp.mpf(cert["value"])
-        config = PointConfig(points, coeffs)
+        try:
+            params = KernelParams(t=float(t), a=float(a))
+            with mp.workdps(60):
+                points = tuple(mp.mpf(p) for p in cert["points"])
+                coeffs = tuple(mp.mpf(c) for c in cert["coeffs"])
+                stored = mp.mpf(cert["value"])
+            config = PointConfig(points, coeffs)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise KpdError(f"certificate at {path} is malformed: {exc!r}") from exc
         if cert["kind"] == "cnd":
             replayed = _replay_cnd_form(params, config)
+            claim_holds = stored > cnd_tolerance and replayed > cnd_tolerance
         else:
             replayed = _replay_quadratic_form(params, config)
-        same_sign = (float(replayed) < 0) == (float(stored) < 0)
+            claim_holds = stored < 0 and replayed < 0
         results.append(
             {
                 "path": path,
                 "kind": cert["kind"],
                 "stored_value": float(stored),
                 "replayed_value": float(replayed),
-                "verdict": "CONFIRMED" if same_sign else "MISMATCH",
+                "verdict": "CONFIRMED" if claim_holds else "MISMATCH",
             }
         )
     overall = "CONFIRMED" if all(r["verdict"] == "CONFIRMED" for r in results) else "MISMATCH"

@@ -2,12 +2,13 @@
 
 The operator is truncated to [-L, L] and discretized by a symmetrized
 Nystrom rule M[i,j] = sqrt(w_i w_j) K(x_i, x_j) over a composite
-Gauss-Legendre scheme.  Discrete negative directions are never reported
-as operator facts directly: they must first be refined into an explicit
-piecewise-constant L2 function whose continuous quadratic form, evaluated
-by an independent quadrature with a reported error bar, is negative with
-the bar excluding zero.  Everything else is resolution-qualified
-evidence, not a claim.
+Gauss-Legendre scheme.  A negative eigenvalue is reported as a fact
+only through a finite certificate: the eigenvector, rescaled by sqrt(w),
+is a coefficient vector at the final rung's own nodes, and its kernel
+quadratic form equals the eigenvalue.  NEGATIVE_FOUND requires that form
+to be negative beyond an a-priori rounding-error bound; a negative form
+at finitely many points already proves that the kernel is not positive
+definite.  Everything else is resolution-qualified evidence, not a claim.
 """
 
 import math
@@ -15,16 +16,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EigensolverError
-from .kernel import KernelParams, kernel_matrix
-from .quadrature import composite_rule, unit_rule
+from .errors import DomainError, EigensolverError, KpdError
+from .kernel import (
+    KernelParams,
+    PointConfig,
+    abs_term_scale,
+    kernel_matrix,
+    quadratic_form,
+)
+from .quadrature import composite_rule
 
 __all__ = [
     "QuadratureScheme",
-    "RefinedCertificate",
+    "NodeCertificate",
     "SpectralReport",
     "build_scheme",
-    "cell_quadrature",
     "nystrom_matrix",
     "certify_negative_direction",
     "min_operator_eigenvalue",
@@ -38,6 +44,9 @@ NEGATIVE_FOUND = "NEGATIVE_FOUND"
 NO_NEGATIVE_AT_RESOLUTION = "NO_NEGATIVE_AT_RESOLUTION"
 
 PANEL_DEGREE = 16
+# Certification is attempted when the final-rung minimum eigenvalue lies
+# below -ATTEMPT_FACTOR * max(diag).
+ATTEMPT_FACTOR = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,10 +108,11 @@ def truncation_tail_bound(params: KernelParams, half_width: float) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class RefinedCertificate:
-    """Continuous quadratic form of a piecewise-constant refinement of a
-    discrete direction, with its quadrature error bar."""
+class NodeCertificate:
+    """A finite point/coefficient configuration, its float kernel quadratic
+    form, and an a-priori bound on the rounding error of that value."""
 
+    config: PointConfig
     value: float
     error_bound: float
 
@@ -115,52 +125,55 @@ class RefinedCertificate:
         return self.value < 0 and self.value + self.error_bound < 0
 
 
-def cell_quadrature(scheme: QuadratureScheme, u: np.ndarray, degree: int):
-    """Quadrature points and u-weighted weights for the piecewise-constant
-    function taking value u[i] on the cell around node i.
-
-    The double integral of K c c then equals wts @ K(pts, pts) @ wts: an
-    explicit point/coefficient quadratic form, replayable with kernel
-    arithmetic alone."""
-    mids = 0.5 * (scheme.nodes[1:] + scheme.nodes[:-1])
-    edges = np.concatenate(([-scheme.half_width], mids, [scheme.half_width]))
-    gx, gw = unit_rule(degree)
-    lo = edges[:-1][:, None]
-    hi = edges[1:][:, None]
-    pts = 0.5 * (hi - lo) * gx[None, :] + 0.5 * (hi + lo)
-    wts = 0.5 * (hi - lo) * gw[None, :] * u[:, None]
-    return pts.ravel(), wts.ravel()
+def _gamma(k: float) -> float:
+    """Higham's gamma_k = k u / (1 - k u) for binary64 (u = 2^-53)."""
+    ku = k * 2.0**-53
+    return ku / (1.0 - ku)
 
 
 def certify_negative_direction(
     params: KernelParams, scheme: QuadratureScheme, eigvec: np.ndarray
-) -> RefinedCertificate:
-    """Refine a discrete direction into a genuine L2 quadratic form value.
+) -> NodeCertificate:
+    """Turn a discrete direction into a finite kernel quadratic form.
 
-    The discrete vector v (in the symmetrized coordinates) becomes the
-    piecewise-constant function c = sum_i (v_i / sqrt(w_i)) 1_cell_i; the
-    double integral of K c c over [-L, L]^2 is evaluated with per-cell
-    Gauss rules of degree 4 and 8 -- independent of the Nystrom rule --
-    and the difference between the two provides the error bar.
+    For an eigenvector v of the Nystrom matrix sqrt(w_i w_j) K(x_i, x_j),
+    the coefficients c_i = sqrt(w_i) v_i at the nodes x_i give
+    sum_jk c_j c_k K(x_j, x_k) = v^T M v = lambda.  A negative value of
+    this finite form already proves that K is not positive definite, so
+    the certificate is that configuration and ``value`` is its float
+    quadratic form: exactly what ``kpd verify`` replays.
+
+    Error bound.  Nodes and coefficients are binary64 numbers, so the
+    stored configuration is the certified one; only the evaluation
+    rounds.  With u = 2^-53 and gamma_k = k u / (1 - k u):
+
+    * each kernel entry 1/(pi (1 + (x-y)^2 + a (x^2+y^2)^t)) carries a
+      relative error of at most eta = gamma_(2 ceil(t) + 7): two roundings
+      in x^2 + y^2, raised to the power t (gamma_(2 ceil(t))), pow itself
+      (within one ulp, gamma_2), the product with a, the two additions of
+      nonnegative terms, the binary64 pi and its product, and the
+      reciprocal;
+    * the form is two dot products of length n, each within gamma_(n+1)
+      of the exact sum of absolute terms (below 65 points it is one
+      compensated sum of n^2 products, whose error is smaller still).
+
+    Hence |value - sum c_j c_k K| <= e S with
+    e = 2 gamma_(n+1) + gamma_(n+1)^2 + eta (1 + gamma_(n+1))^2 and
+    S = sum |c_j c_k| K(x_j, x_k).  The float scale S' =
+    ``abs_term_scale`` satisfies S <= S' / (1 - e), and the factor
+    (1 + 16 u) covers the roundings made in evaluating the bound.
     """
     v = np.asarray(eigvec, dtype=float)
     if v.shape != (scheme.node_count,):
         raise DomainError(
             f"eigvec must have length {scheme.node_count}, got {v.shape}"
         )
-    if not np.any(v):
-        return RefinedCertificate(value=0.0, error_bound=0.0)
-    u = v / np.sqrt(scheme.weights)
-
-    values = {}
-    for degree in (4, 8):
-        pts, wts = cell_quadrature(scheme, u, degree)
-        kern = kernel_matrix(params, pts, pts)
-        values[degree] = float(wts @ kern @ wts)
-        if degree == 8:
-            scale = float(np.abs(wts) @ kern @ np.abs(wts))
-    error = 2.0 * abs(values[8] - values[4]) + 1e-13 * scale
-    return RefinedCertificate(value=values[8], error_bound=error)
+    coeffs = np.sqrt(scheme.weights) * v
+    config = PointConfig(tuple(scheme.nodes.tolist()), tuple(coeffs.tolist()))
+    g = _gamma(config.n + 1)
+    e = 2.0 * g + g * g + _gamma(2 * math.ceil(params.t) + 7) * (1.0 + g) ** 2
+    bound = e / (1.0 - e) * abs_term_scale(params, config) * (1.0 + 16 * 2.0**-53)
+    return NodeCertificate(config, quadratic_form(params, config), bound)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,9 +182,12 @@ class SpectralReport:
 
     ``levels`` records (node_count, half_width, min_eigenvalue) per rung;
     ``smallest_eigenvalues`` holds the six smallest at the final rung.
-    The verdict is resolution-qualified by design: NEGATIVE_FOUND is
-    issued only when the refined certificate is negative with its error
-    bar excluding zero, and NO_NEGATIVE_AT_RESOLUTION never claims
+    ``certificate`` is the final rung's eigenvector as a finite node
+    configuration (see :func:`certify_negative_direction`), present
+    whenever certification was attempted.  The verdict is
+    resolution-qualified by design: NEGATIVE_FOUND is issued only when
+    that configuration's quadratic form is negative with its error bound
+    excluding zero, and NO_NEGATIVE_AT_RESOLUTION never claims
     positive-definiteness.
     """
 
@@ -179,7 +195,7 @@ class SpectralReport:
     levels: tuple
     smallest_eigenvalues: tuple
     verdict: str
-    certificate: RefinedCertificate | None
+    certificate: NodeCertificate | None
     tail_bound: float
 
     @property
@@ -187,17 +203,13 @@ class SpectralReport:
         return self.levels[-1][2]
 
 
-def min_operator_eigenvalue(
-    params: KernelParams,
-    ladder,
-    attempt_factor: float = 1e-8,
-) -> SpectralReport:
+def min_operator_eigenvalue(params: KernelParams, ladder) -> SpectralReport:
     """Minimum Nystrom eigenvalue across a refinement ladder.
 
     ``ladder`` is a nonempty sequence of (node_count, half_width) with
     nondecreasing node counts.  Certification is attempted when the
     final-level minimum eigenvalue is more negative than
-    -attempt_factor * max(diag); only a conclusive negative certificate
+    -ATTEMPT_FACTOR * max(diag); only a conclusive negative certificate
     yields NEGATIVE_FOUND.
     """
     ladder = [(int(n), float(L)) for n, L in ladder]
@@ -207,8 +219,6 @@ def min_operator_eigenvalue(
         raise DomainError("ladder node counts must be nondecreasing")
 
     levels = []
-    final_scheme = None
-    final_vals = final_vecs = None
     for node_count, half_width in ladder:
         scheme = build_scheme(node_count, half_width)
         matrix = nystrom_matrix(params, scheme)
@@ -222,7 +232,7 @@ def min_operator_eigenvalue(
 
     certificate = None
     verdict = NO_NEGATIVE_AT_RESOLUTION
-    if final_vals[0] < -attempt_factor * final_max_diag:
+    if final_vals[0] < -ATTEMPT_FACTOR * final_max_diag:
         certificate = certify_negative_direction(
             params, final_scheme, final_vecs[:, 0]
         )
@@ -244,8 +254,9 @@ def open_problem_sweep(a_grid, ladder, t: float = 2.0) -> list[dict]:
 
     The open region is 0 < a <= threshold(2) = 12; grid entries outside
     it are allowed but labeled as controls.  Each entry yields a
-    SpectralReport; failures are recorded per point and do not abort the
-    sweep.  Output ordering follows the grid.
+    SpectralReport; kpd diagnostics (KpdError) are recorded per point and
+    do not abort the sweep, while any other exception propagates.  Output
+    ordering follows the grid.
     """
     results = []
     for a in a_grid:
@@ -255,7 +266,7 @@ def open_problem_sweep(a_grid, ladder, t: float = 2.0) -> list[dict]:
             entry["report"] = min_operator_eigenvalue(
                 KernelParams(t=float(t), a=a), ladder
             )
-        except Exception as exc:  # noqa: BLE001 - sweep must survive points
+        except KpdError as exc:
             entry["error"] = repr(exc)
         results.append(entry)
     return results

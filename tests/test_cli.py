@@ -134,13 +134,20 @@ class TestSweepCommand:
 
 class TestDeterminism:
     def test_identical_config_identical_payload(self):
-        cfg = RunConfig(
-            command="identities",
-            params={"n_max": 2, "m_max": 2, "samples": 2},
-            seed=7,
+        configs = (
+            RunConfig(
+                command="identities",
+                params={"n_max": 2, "m_max": 2, "samples": 2},
+                seed=7,
+            ),
+            RunConfig(
+                command="spectrum",
+                params={"t": 2.0, "a": 13.0, "nodes": (48, 96), "half_width": 5.0},
+            ),
         )
-        r1, r2 = run(cfg), run(cfg)
-        assert r1.payload_json() == r2.payload_json()
+        for cfg in configs:
+            r1, r2 = run(cfg), run(cfg)
+            assert r1.payload_json() == r2.payload_json()
 
     def test_seed_changes_payload_inputs_not_schema(self):
         base = dict(command="identities", params={"n_max": 2, "m_max": 1, "samples": 1})
@@ -177,6 +184,41 @@ class TestVerify:
         assert code == 3
         assert "MISMATCH" in out
 
+    def test_forged_positive_gram_record_mismatches(self, capsys, tmp_path):
+        # a gram certificate claims a negative form; this one replays to +0.367
+        rec = tmp_path / "f.json"
+        rec.write_text(json.dumps({
+            "config": {"command": "gram", "params": {"t": 2.0, "a": 13.0}},
+            "payload": {"certificate": {
+                "kind": "gram", "points": ["0", "1"], "coeffs": ["1", "1"],
+                "value": "0.5",
+            }},
+        }))
+        code, out = run_cli(capsys, "verify", str(rec))
+        assert code == 3
+        assert "MISMATCH" in out
+
+    @pytest.mark.parametrize(
+        "cert",
+        [
+            {"kind": "gram", "points": ["0", "1"], "value": "-0.5"},
+            {"kind": "gram", "points": ["x", "1"], "coeffs": ["1", "-1"], "value": "-0.5"},
+        ],
+        ids=["no-coeffs", "bad-point"],
+    )
+    def test_malformed_certificate_errors(self, capsys, tmp_path, cert):
+        rec = tmp_path / "m.json"
+        rec.write_text(json.dumps({
+            "config": {"command": "gram", "params": {"t": 2.0, "a": 13.0}},
+            "payload": {"certificate": cert},
+        }))
+        with pytest.raises(KpdError):
+            verify_certificate(str(rec))
+        code = main(["verify", str(rec)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error: ")
+
     def test_record_without_certificate_errors(self, capsys, tmp_path):
         rec = tmp_path / "n.json"
         assert main(["boundary", "--t", "2", "--out", str(rec)]) == 0
@@ -197,6 +239,7 @@ class TestVerify:
         cert = payload["certificate"]
         assert cert["kind"] == "gram"
         assert float(cert["value"]) < 0
+        assert len(cert["points"]) == len(cert["coeffs"]) == 96  # final rung
         outcome = verify_certificate(str(rec))
         assert outcome["verdict"] == "CONFIRMED"
 

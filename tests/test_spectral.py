@@ -8,7 +8,6 @@ from kpd import (
     KernelParams,
     NEGATIVE_FOUND,
     NO_NEGATIVE_AT_RESOLUTION,
-    PointConfig,
     build_scheme,
     certify_negative_direction,
     min_operator_eigenvalue,
@@ -16,7 +15,7 @@ from kpd import (
     open_problem_sweep,
     quadratic_form,
 )
-from kpd.spectral import cell_quadrature, sweep_rows, truncation_tail_bound
+from kpd.spectral import sweep_rows, truncation_tail_bound
 
 
 class TestScheme:
@@ -91,17 +90,17 @@ class TestCertification:
         assert cert.value + cert.error_bound < 0
 
     def test_certificate_matches_explicit_quadratic_form(self):
-        # the refined value is literally a kernel quadratic form
+        # the certificate is the eigenvector on the nodes: its stored value
+        # is the float form that a replay computes, and equals lambda_min
         params = KernelParams(2.0, 13.0)
         s = build_scheme(48, 5.0)
         m = nystrom_matrix(params, s)
-        _, vecs = np.linalg.eigh(m)
-        u = vecs[:, 0] / np.sqrt(s.weights)
-        pts, wts = cell_quadrature(s, u, degree=8)
-        cfg = PointConfig(tuple(float(x) for x in pts), tuple(float(w) for w in wts))
-        replay = quadratic_form(params, cfg)
+        vals, vecs = np.linalg.eigh(m)
         cert = certify_negative_direction(params, s, vecs[:, 0])
-        assert replay == pytest.approx(cert.value, rel=1e-10)
+        assert cert.config.points == tuple(s.nodes)
+        assert quadratic_form(params, cert.config) == cert.value
+        assert cert.value == pytest.approx(vals[0], rel=1e-10)
+        assert cert.error_bound < abs(cert.value)
 
     def test_wrong_length_rejected(self):
         s = build_scheme(8, 1.0)
@@ -189,3 +188,11 @@ class TestSweep:
         res = open_problem_sweep([1.0, -2.0], [(32, 6.0)])
         assert "report" in res[0]
         assert "error" in res[1]
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(params, ladder):
+            raise TypeError("bug")
+
+        monkeypatch.setattr("kpd.spectral.min_operator_eigenvalue", broken)
+        with pytest.raises(TypeError):
+            open_problem_sweep([1.0], [(32, 6.0)])
