@@ -77,7 +77,12 @@ def schwarz_margin(z: float, t: float, a: float, allow_small_t: bool = False) ->
     z = float(z)
     if z < 0 or not math.isfinite(z):
         raise DomainError(f"z must be >= 0 and finite, got {z!r}")
-    zt = nonneg_power(z, t)
+    return _margin(z, t, a)
+
+
+def _margin(z, t: float, a: float):
+    """The margin formula for z >= 0, a float or a numpy array."""
+    zt = z**t
     return (1.0 + z) ** 2 - 1.0 + 2.0 * a * zt * ((1.0 + z) - 2.0 ** (t - 1.0)) + (a * zt) ** 2
 
 
@@ -237,7 +242,7 @@ def find_schwarz_violation(
 
     # Log-spaced scan evidence over (0, z_tangent]; also the fallback search.
     zs = np.exp(np.linspace(math.log(z0 * 1e-12), math.log(z0), scan_points))
-    gs = np.array([schwarz_margin(z, t, a) for z in zs])
+    gs = _margin(zs, t, a)
     argmin = int(np.argmin(gs))
     scan_meta = dict(
         scan_lo=float(zs[0]),

@@ -14,15 +14,21 @@ Subcommands map one-to-one onto the library modules:
 
 Every run emits a JSON record {version, config, metadata, payload}; the
 payload is a pure function of the config (seed included), so identical
-configs produce byte-identical payloads.  Timestamps and wall time live
-only in the metadata block.  Numeric payload values carry both a decimal
-string at full working precision and a binary64 convenience field.
+configs produce byte-identical payloads on a fixed BLAS thread count (the
+``eigh`` behind spectrum and sweep rounds differently with more threads).
+Timestamps and wall time live only in the metadata block.  Numeric
+payload values carry both a decimal string at full working precision and
+a binary64 convenience field.
 Negative/FAIL verdicts embed replayable certificates: points,
-coefficients, and the value, checkable by ``kpd verify``.
+coefficients, and the value, checkable by ``kpd verify``.  The replay
+decides each sign from the error enclosure of
+:func:`kpd.kernel.form_enclosure`, escalating precision as needed; a
+certificate is CONFIRMED, MISMATCH, or UNRESOLVED when no precision up to
+the cap separates its form from the side it claims.
 
 Exit status: 0 for a completed analysis (a mathematical FAIL is still a
 completed analysis), 2 for configuration errors, 3 for numerical
-diagnostics or a failed certificate replay.
+diagnostics or a replay that is not CONFIRMED.
 """
 
 import argparse
@@ -39,11 +45,11 @@ import mpmath as mp
 import numpy as np
 
 from . import __version__
-from .errors import KpdError
+from .errors import KpdError, ToleranceError
 from .kernel import (
+    DPS_CAP,
     KernelParams,
     PointConfig,
-    abs_term_scale,
     gram_matrix,
     quadratic_form,
     resolve_form_sign,
@@ -506,34 +512,22 @@ def _find_certificates(node, path="payload"):
     return found
 
 
-def _replay_quadratic_form(params: KernelParams, config: PointConfig):
-    """Float-first replay with noise gating; escalate to mpmath only when
-    the float value cannot be distinguished from rounding noise."""
-    value = quadratic_form(params, config)
-    noise = 1e-13 * abs_term_scale(params, config)
-    if abs(value) > noise:
-        return value
-    resolved, _ = resolve_form_sign(params, config, dps_start=50)
-    return resolved
-
-
-def _replay_cnd_form(params: KernelParams, config: PointConfig):
-    from .definiteness import _cnd_form_mp
-
-    return _cnd_form_mp(params, config, dps=50)
-
-
 def verify_certificate(record_path: str) -> dict:
     """Re-evaluate every certificate stored in a run record.
 
-    The stored quadratic form (kinds gram/f), distance-form value (cnd),
-    or two-point margin configuration (g) is recomputed from the raw
-    points and coefficients using kernel arithmetic only.  Each kind
-    claims a sign: the kernel forms of gram, f and g are negative, and the
-    cnd distance form exceeds the record's tolerance.  A certificate is
-    CONFIRMED only when both its stored and its replayed value make that
-    claim, and MISMATCH otherwise.  A malformed certificate raises
-    KpdError.
+    Each kind claims a sign: the kernel forms of gram, f and g are
+    negative, and the cnd distance form exceeds the record's tolerance.
+    The form of the stored points and coefficients, read as exact
+    decimals, is replayed with :func:`~kpd.kernel.resolve_form_sign`
+    (binary64 first, then mpmath from the certificate's ``dps_used``, or
+    50 digits).  A certificate is CONFIRMED when both its stored value and
+    the replay make the claim, MISMATCH when either contradicts it, and
+    UNRESOLVED when the stored value makes the claim but no precision up
+    to the cap separates the replayed form from the threshold.  The
+    record's verdict is MISMATCH if any certificate mismatches, else
+    UNRESOLVED if any is unresolved, else CONFIRMED.  A malformed
+    certificate, one with a ``dps_used`` outside [15, DPS_CAP] among
+    them, raises KpdError.
     """
     with open(record_path, "r", encoding="utf-8") as fh:
         record = json.load(fh)
@@ -556,29 +550,40 @@ def verify_certificate(record_path: str) -> dict:
             raise KpdError(f"certificate at {path} lacks kernel parameters")
         try:
             params = KernelParams(t=float(t), a=float(a))
-            with mp.workdps(60):
-                points = tuple(mp.mpf(p) for p in cert["points"])
-                coeffs = tuple(mp.mpf(c) for c in cert["coeffs"])
-                stored = mp.mpf(cert["value"])
-            config = PointConfig(points, coeffs)
-        except (KeyError, TypeError, ValueError) as exc:
+            config = PointConfig(
+                tuple(Fraction(p) for p in cert["points"]),
+                tuple(Fraction(c) for c in cert["coeffs"]),
+            )
+            stored = mp.mpf(cert["value"])  # only its sign and magnitude matter
+            dps_start = int(cert.get("dps_used", 50))
+            if not 15 <= dps_start <= DPS_CAP:
+                raise ValueError(f"dps_used {dps_start} is outside [15, {DPS_CAP}]")
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise KpdError(f"certificate at {path} is malformed: {exc!r}") from exc
-        if cert["kind"] == "cnd":
-            replayed = _replay_cnd_form(params, config)
-            claim_holds = stored > cnd_tolerance and replayed > cnd_tolerance
+        distance = cert["kind"] == "cnd"
+        threshold = cnd_tolerance if distance else 0.0
+        side = 1 if distance else -1  # the claim: side * (value - threshold) > 0
+        try:
+            replayed, _ = resolve_form_sign(
+                params, config, dps_start, distance=distance, threshold=threshold
+            )
+        except ToleranceError:
+            replayed = None
+        if not all(side * (v - threshold) > 0 for v in (stored, replayed) if v is not None):
+            verdict = "MISMATCH"
         else:
-            replayed = _replay_quadratic_form(params, config)
-            claim_holds = stored < 0 and replayed < 0
+            verdict = "UNRESOLVED" if replayed is None else "CONFIRMED"
         results.append(
             {
                 "path": path,
                 "kind": cert["kind"],
                 "stored_value": float(stored),
-                "replayed_value": float(replayed),
-                "verdict": "CONFIRMED" if claim_holds else "MISMATCH",
+                "replayed_value": math.nan if replayed is None else float(replayed),
+                "verdict": verdict,
             }
         )
-    overall = "CONFIRMED" if all(r["verdict"] == "CONFIRMED" for r in results) else "MISMATCH"
+    verdicts = {r["verdict"] for r in results}
+    overall = next((v for v in ("MISMATCH", "UNRESOLVED") if v in verdicts), "CONFIRMED")
     return {"record": record_path, "results": results, "verdict": overall}
 
 

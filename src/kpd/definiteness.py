@@ -11,7 +11,6 @@ arithmetic alone.
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .errors import EigensolverError, DomainError, PreconditionError
@@ -19,10 +18,9 @@ from .kernel import (
     GramMatrix,
     KernelParams,
     PointConfig,
-    _as_mpf,
-    _distance_form_mp,
-    distance_form,
+    distance_matrix,
     gram_matrix,
+    resolve_form_sign,
 )
 
 __all__ = [
@@ -103,40 +101,16 @@ def pd_check(gram: GramMatrix, tolerance: float | None = None) -> DefinitenessVe
     return DefinitenessVerdict(PASS, min_eig, tolerance, boundary=min_eig < 0.0)
 
 
-def _cnd_form_values(params: KernelParams, config: PointConfig) -> tuple[float, float]:
-    """Zero-sum quadratic form of the distance form, with its |term| scale."""
-    pts, c = config.as_float_arrays()
-    n = config.n
-    base = np.empty((n, n))
-    for j in range(n):
-        for k in range(j, n):
-            base[j, k] = base[k, j] = distance_form(params, pts[j], pts[k])
-    terms = [c[j] * c[k] * base[j, k] for j in range(n) for k in range(n)]
-    return math.fsum(terms), math.fsum(abs(t) for t in terms)
-
-
-def _cnd_form_mp(params: KernelParams, config: PointConfig, dps: int) -> float:
-    with mp.workdps(dps):
-        pts = [_as_mpf(p) for p in config.points]
-        cfs = [_as_mpf(c) for c in config.coeffs]
-        n = config.n
-        total = mp.fsum(
-            cfs[j] * cfs[k] * _distance_form_mp(params, pts[j], pts[k])
-            for j in range(n)
-            for k in range(n)
-        )
-        return float(total)
-
-
 def cnd_check(
     params: KernelParams, config: PointConfig, tolerance: float
 ) -> DefinitenessVerdict:
     """PASS iff the zero-sum quadratic form of the distance form is <= tolerance.
 
     Preconditions: n >= 2 and sum(c) = 0 to within 1e-12 of the
-    coefficient scale.  When the float value lands inside the estimated
-    rounding-noise band the form is re-evaluated in extended precision
-    before the verdict is drawn.
+    coefficient scale.  The side of the tolerance is decided by
+    :func:`~kpd.kernel.resolve_form_sign`, whose error enclosure must
+    exclude it; a form it cannot separate from the tolerance raises
+    ToleranceError.
     """
     if config.n < 2:
         raise PreconditionError("cnd_check needs at least two points")
@@ -152,11 +126,8 @@ def cnd_check(
         )
     if tolerance < 0:
         raise DomainError(f"tolerance must be >= 0, got {tolerance}")
-    value, scale = _cnd_form_values(params, config)
-    noise = 1e-13 * scale
-    if tolerance < value <= noise + tolerance:
-        # Verdict is inside the float rounding band; settle it properly.
-        value = _cnd_form_mp(params, config, dps=40)
+    value, _ = resolve_form_sign(params, config, distance=True, threshold=tolerance)
+    value = float(value)
     if value > tolerance:
         return DefinitenessVerdict(FAIL, -value, tolerance, config)
     return DefinitenessVerdict(PASS, -value, tolerance, boundary=value > 0.0)
@@ -175,13 +146,9 @@ def inverse_family_check(
     if not (r > 0) or not math.isfinite(r):
         raise DomainError(f"r must be finite and > 0, got {r}")
     pts, _ = config.as_float_arrays()
-    n = config.n
-    entries = np.empty((n, n))
-    for j in range(n):
-        for k in range(j, n):
-            v = 1.0 / (r + distance_form(params, pts[j], pts[k]))
-            entries[j, k] = entries[k, j] = v
-    return pd_check(GramMatrix(order=n, entries=entries, points=tuple(pts)), tolerance)
+    full = 1.0 / (r + distance_matrix(params, pts, pts))
+    entries = np.triu(full) + np.triu(full, 1).T
+    return pd_check(GramMatrix(order=config.n, entries=entries, points=tuple(pts)), tolerance)
 
 
 def random_zero_sum_config(
@@ -213,13 +180,11 @@ def randomized_pd_search(
     if n_max < 1 or trials < 1:
         raise DomainError("n_max and trials must both be >= 1")
     rng = np.random.default_rng(seed)
-    worst: DefinitenessVerdict | None = None
+    verdicts = []
     for _ in range(trials):
         n = int(rng.integers(1, n_max + 1))
         pts = rng.uniform(-coordinate_range, coordinate_range, size=n)
         config = PointConfig(tuple(float(p) for p in pts), (1.0,) * n)
-        verdict = pd_check(gram_matrix(params, config), tolerance)
-        if worst is None or verdict.statistic < worst.statistic:
-            worst = verdict
-    assert worst is not None
-    return worst
+        verdicts.append(pd_check(gram_matrix(params, config), tolerance))
+    # min keeps the first of equal statistics, as the seeded results expect
+    return min(verdicts, key=lambda v: v.statistic)

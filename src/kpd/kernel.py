@@ -18,20 +18,20 @@ Conventions
   (see :func:`nonneg_power`); this is applied globally.
 * All operations are pure functions of immutable inputs and are safe for
   concurrent use.
-* Quadratic forms are accumulated with compensated summation
-  (``math.fsum``), and optionally in arbitrary precision via mpmath, so
-  that heavily cancelling witness configurations can be resolved.
+* A form's sign is claimed only from an enclosure: :func:`form_enclosure`
+  returns the form together with an a-priori bound on its rounding error,
+  and :func:`resolve_form_sign` escalates from binary64 through mpmath
+  precisions until the enclosure excludes the threshold in question.
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from numbers import Rational
 
 import mpmath as mp
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ToleranceError
 
 __all__ = [
     "KernelParams",
@@ -41,11 +41,21 @@ __all__ = [
     "eval_kernel",
     "distance_form",
     "gram_matrix",
+    "distance_matrix",
     "kernel_matrix",
+    "form_enclosure",
     "quadratic_form",
-    "abs_term_scale",
     "resolve_form_sign",
 ]
+
+UNIT_ROUNDOFF = 2.0**-53
+# The default precision cap, in decimal digits, of resolve_form_sign.
+DPS_CAP = 800
+# np.power and mpmath's pow need not be correctly rounded; the error bound
+# allows them this many ulps.
+POW_ULPS = 4
+# Nonzero binary64 inputs below this magnitude could underflow when squared.
+_TINY = 2.0**-511
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -53,13 +63,6 @@ def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value
-
-
-def _as_float(value) -> float:
-    # Fractions and mpfs are allowed in configs; collapse to float here.
-    if isinstance(value, Rational):
-        return float(value)
-    return float(value)
 
 
 def _as_mpf(value) -> mp.mpf:
@@ -114,9 +117,9 @@ class PointConfig:
         if len(points) < 1:
             raise DomainError("a configuration needs at least one point")
         for v in points:
-            _require_finite("point", _as_float(v))
+            _require_finite("point", float(v))
         for v in coeffs:
-            _require_finite("coefficient", _as_float(v))
+            _require_finite("coefficient", float(v))
 
     @property
     def n(self) -> int:
@@ -124,8 +127,8 @@ class PointConfig:
 
     def as_float_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return (
-            np.array([_as_float(p) for p in self.points], dtype=float),
-            np.array([_as_float(c) for c in self.coeffs], dtype=float),
+            np.array([float(p) for p in self.points], dtype=float),
+            np.array([float(c) for c in self.coeffs], dtype=float),
         )
 
 
@@ -189,23 +192,26 @@ def eval_kernel(params: KernelParams, x: float, y: float) -> float:
     return 1.0 / (math.pi * (1.0 + distance_form(params, x, y)))
 
 
-def _distance_form_mp(params: KernelParams, x, y) -> mp.mpf:
-    xm, ym = _as_mpf(x), _as_mpf(y)
-    s = xm * xm + ym * ym
-    return (xm - ym) ** 2 + _as_mpf(params.a) * nonneg_power(s, params.t, use_mp=True)
+def _grid(values) -> np.ndarray:
+    values = np.asarray(values)
+    return values if values.dtype == object else values.astype(float)
 
 
-def _eval_kernel_mp(params: KernelParams, x, y) -> mp.mpf:
-    return 1 / (mp.pi * (1 + _distance_form_mp(params, x, y)))
+def distance_matrix(params: KernelParams, x, y) -> np.ndarray:
+    """Vectorized distance form d(x_i, y_j) on the grid ``x`` (rows) by
+    ``y`` (cols).  Object arrays of mpfs evaluate in mpmath at the working
+    precision, anything else in binary64."""
+    x, y = _grid(x), _grid(y)
+    diff = np.subtract.outer(x, y)
+    return diff * diff + params.a * np.power(np.add.outer(x * x, y * y), params.t)
 
 
-def kernel_matrix(params: KernelParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Vectorized kernel evaluation on the grid ``x`` (rows) by ``y`` (cols)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    s = np.add.outer(x * x, y * y)
-    d = np.subtract.outer(x, y)
-    return 1.0 / (np.pi * (1.0 + d * d + params.a * np.power(s, params.t)))
+def kernel_matrix(params: KernelParams, x, y) -> np.ndarray:
+    """Vectorized kernel 1 / (pi (1 + d)) on the grid ``x`` by ``y``."""
+    d = distance_matrix(params, x, y)
+    # the array goes left: mpf * ndarray would first try to convert the
+    # whole array through its repr
+    return 1 / ((1 + d) * (+mp.pi if d.dtype == object else np.pi))
 
 
 def gram_matrix(params: KernelParams, config: PointConfig) -> GramMatrix:
@@ -220,75 +226,154 @@ def gram_matrix(params: KernelParams, config: PointConfig) -> GramMatrix:
     return GramMatrix(order=config.n, entries=entries, points=tuple(pts))
 
 
+def _gamma(k, u=UNIT_ROUNDOFF):
+    """Higham's gamma_k = k u / (1 - k u)."""
+    return k * u / (1 - k * u)
+
+
+def _underflows(values, rounded: np.ndarray) -> bool:
+    """True if a nonzero input rounds to binary64 below _TINY in magnitude."""
+    tiny = (rounded != 0) & (np.abs(rounded) < _TINY)
+    return bool(np.any(tiny)) or np.count_nonzero(rounded) < sum(v != 0 for v in values)
+
+
+def form_enclosure(
+    params: KernelParams,
+    config: PointConfig,
+    dps: int | None = None,
+    distance: bool = False,
+) -> tuple:
+    """The kernel form sum_jk c_j c_k K(x_j, x_k), or with ``distance`` the
+    distance form sum_jk c_j c_k d(x_j, x_k), with a bound on its error.
+
+    Returns ``(value, bound)`` with |value - F| <= bound, where F is the
+    exact form of the configuration as given: the real numbers its floats,
+    Fractions or mpfs denote.  With ``dps=None`` the form is ``c @ M @ c``
+    in binary64; with an integer ``dps`` the same expression runs in
+    mpmath at that many digits.
+
+    The bound is a-priori (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 3).  Let u = 2^-53, or 2^(1-prec) in mpmath, and
+    gamma_k = k u / (1 - k u); X = max |x_j|, W = max x_j - min x_j.
+
+    * Inputs.  Rounding a point or coefficient to the working format (two
+      roundings for a Fraction in mpmath) moves it by a relative
+      delta <= gamma_2.  So x - y moves by at most e = 2 X delta,
+      (x - y)^2 by at most r = e (2W + e), and c_j c_k by gamma_4.
+    * Entries.  x^2 + y^2 carries gamma_6 (the input roundings, the squares,
+      the sum), its t-th power gamma_(6 ceil(t)); pow is allowed POW_ULPS
+      ulps, and the product with a and the sum with (x - y)^2 round once
+      each.  With g = gamma_(6 ceil(t) + 2 POW_ULPS + 2) the computed d'
+      satisfies |d' - d| <= g d + (1 + g) r <= g d' / (1 - g) + (1 + 2g) r.
+      For the kernel, 2|x - y| <= 1 + d gives r / (1 + d) <= e (1 + e), so
+      1 + d' = (1 + d)(1 + phi) with |phi| <= g + (1 + g) e (1 + e).  Adding
+      1, pi, its product and the reciprocal take gamma_4 more:
+      |K' - K| <= kappa K <= kappa K' / (1 - kappa) with
+      kappa = (gamma_4 + phi) / (1 - phi).
+    * Sum.  ``c @ M @ c`` is two dot products of length n, each within
+      gamma_n of its sum of absolute terms (in any summation order, with
+      or without FMA).  Collecting the three sources, with
+      S_M = sum_jk |c'_j| |M'_jk| |c'_k| and S = sum_j |c'_j|,
+      |value - F| <= gamma_(2n+8) S_M + (kappa / (1 - kappa) S_M, or for d
+      g / (1 - g) S_M + (1 + 2g) r S^2) / (1 - gamma_4).
+    * Evaluating that nonnegative sum in the same arithmetic loses less
+      than gamma_(2n+16), which the final division covers.
+    * The derivation needs every gamma_k and, for the kernel, kappa below
+      1; the code asks for 1/3 and 1/2, so that the few roundings in the
+      bound itself stay small.  Where that fails (too few digits for n or
+      t, or points so large that e is not small) the bound is infinite.
+
+    The rounding of inputs is the only term beyond the floating-point
+    model; it is what lets 17-digit decimal points, mpf points and
+    Fraction coefficients be certified as given.  mpmath neither
+    underflows nor overflows.  In binary64 each operation may also add an
+    absolute error of 2^-1075 by underflow; 2^-1020 ((1 + a) S^2 +
+    n (S + 1)) covers it as long as no nonzero input falls below 2^-511 in
+    magnitude (its square would underflow and pow amplifies that), and
+    such inputs get an infinite bound.  Overflow makes the value or the
+    bound infinite or NaN, which excludes nothing.
+    """
+    n = config.n
+    if dps is None:
+        x, c = config.as_float_arrays()
+        value, bound = _form_and_bound(params, x, c, UNIT_ROUNDOFF, distance)
+        if _underflows(config.points, x) or _underflows(config.coeffs, c):
+            return float(value), math.inf
+        s = float(np.sum(np.abs(c)))
+        slack = 2.0**-1020 * ((1.0 + params.a) * s * s + n * (s + 1.0))
+        return float(value), float(bound) + slack
+    with mp.workdps(dps):
+        x = np.array([_as_mpf(p) for p in config.points], dtype=object)
+        c = np.array([_as_mpf(v) for v in config.coeffs], dtype=object)
+        return _form_and_bound(params, x, c, mp.ldexp(1, 1 - mp.mp.prec), distance)
+
+
+def _form_and_bound(params: KernelParams, x, c, u, distance: bool):
+    """The form and its bound, as derived in :func:`form_enclosure`, in the
+    arithmetic of the arrays (binary64, or mpf objects at the working
+    precision) with unit roundoff ``u``."""
+    n = len(c)
+    m = distance_matrix(params, x, x) if distance else kernel_matrix(params, x, x)
+    value = c @ m @ c
+    k = 6 * math.ceil(params.t) + 2 * POW_ULPS + 2
+    if max(k, 2 * n + 16) >= 1 / (4 * u):  # some gamma_j would reach 1/3
+        return value, math.inf
+    e = 2 * np.abs(x).max() * _gamma(2, u)
+    g = _gamma(k, u)
+    ac = np.abs(c)
+    if distance:
+        rel = g / (1 - g)
+        absolute = e * (2 * (x.max() - x.min()) + e) * (1 + 2 * g) * ac.sum() ** 2
+    else:
+        phi = g + (1 + g) * e * (1 + e)
+        if not 2 * phi + _gamma(4, u) < 0.5:  # kappa would reach 1/2
+            return value, math.inf
+        kappa = (_gamma(4, u) + phi) / (1 - phi)
+        rel, absolute = kappa / (1 - kappa), 0
+    scale = ac @ np.abs(m) @ ac
+    bound = _gamma(2 * n + 8, u) * scale + (rel * scale + absolute) / (1 - _gamma(4, u))
+    return value, bound / (1 - _gamma(2 * n + 16, u))
+
+
 def quadratic_form(
     params: KernelParams, config: PointConfig, dps: int | None = None
 ) -> float | mp.mpf:
-    """The kernel quadratic form sum_jk c_j c_k K(x_j, x_k).
-
-    With ``dps=None`` the Gram matrix is built in float arithmetic and the
-    n^2 terms are combined row-major with compensated summation (numpy's
-    pairwise reduction takes over past 64 points, where building the term
-    list dominates).  With an integer ``dps`` everything is evaluated in
-    mpmath at that many decimal digits; points and coefficients given as
-    rationals convert exactly.
-    """
-    if dps is None:
-        gram = gram_matrix(params, config)
-        _, c = config.as_float_arrays()
-        if config.n > 64:
-            return float(c @ gram.entries @ c)
-        terms = [
-            c[j] * c[k] * gram.entries[j, k]
-            for j in range(config.n)
-            for k in range(config.n)
-        ]
-        return math.fsum(terms)
-    with mp.workdps(dps):
-        pts = [_as_mpf(p) for p in config.points]
-        cfs = [_as_mpf(c) for c in config.coeffs]
-        n = config.n
-        kern = [[mp.mpf(0)] * n for _ in range(n)]
-        for j in range(n):
-            for k in range(j, n):
-                v = _eval_kernel_mp(params, pts[j], pts[k])
-                kern[j][k] = kern[k][j] = v
-        return mp.fsum(
-            cfs[j] * cfs[k] * kern[j][k] for j in range(n) for k in range(n)
-        )
-
-
-def abs_term_scale(params: KernelParams, config: PointConfig) -> float:
-    """Sum of absolute term magnitudes |c_j c_k| K(x_j, x_k).
-
-    Used as the natural scale for rounding-noise estimates: the kernel is
-    strictly positive, so this equals the quadratic form with |c|.
-    """
-    pts, c = config.as_float_arrays()
-    abs_config = PointConfig(tuple(pts), tuple(np.abs(c)))
-    return float(quadratic_form(params, abs_config))
+    """The kernel quadratic form sum_jk c_j c_k K(x_j, x_k): the value of
+    :func:`form_enclosure`, in binary64 or (with ``dps``) in mpmath."""
+    return form_enclosure(params, config, dps)[0]
 
 
 def resolve_form_sign(
     params: KernelParams,
     config: PointConfig,
     dps_start: int = 30,
-    dps_cap: int = 800,
-) -> tuple[mp.mpf, int]:
-    """Evaluate the quadratic form at escalating precision until its sign
-    is resolved beyond the accumulated rounding noise.
+    dps_cap: int = DPS_CAP,
+    distance: bool = False,
+    threshold: float = 0.0,
+) -> tuple:
+    """Decide on which side of ``threshold`` the kernel form (or with
+    ``distance`` the distance form) lies.
 
-    Returns ``(value, dps_used)``.  If the cap is reached without
-    resolution the last value is returned; callers must treat a value
-    inside the noise band as "indistinguishable from zero", never as a
-    sign claim.
+    Tries binary64 first, reported as dps 17, then mpmath from
+    ``dps_start`` digits, doubling up to ``dps_cap``.  Returns
+    ``(value, dps)`` from the first stage whose :func:`form_enclosure`
+    excludes ``threshold``; raises ToleranceError if none does, so an
+    unresolved value is never read as a sign.
     """
-    abs_cfg = PointConfig(config.points, tuple(abs(_as_float(c)) for c in config.coeffs))
-    dps = dps_start
+    if dps_start < 1:
+        raise DomainError(f"dps_start must be >= 1, got {dps_start}")
+    dps = None
     while True:
-        value = quadratic_form(params, config, dps=dps)
-        with mp.workdps(dps):
-            scale = quadratic_form(params, abs_cfg, dps=dps)
-            noise = scale * mp.mpf(10) ** (5 - dps)
-        if abs(value) > noise or dps >= dps_cap:
-            return value, dps
-        dps = min(2 * dps, dps_cap)
+        value, bound = form_enclosure(params, config, dps, distance)
+        # Rounding is monotone and the bound is representable at the stage's
+        # precision, so a rounded difference above it is a true one.
+        with mp.workdps(dps or 15):
+            resolved = abs(value - threshold) > bound
+        if resolved:
+            return value, dps or 17
+        if dps is not None and dps >= dps_cap:
+            raise ToleranceError(
+                f"form {mp.nstr(value, 8)} is within its error bound "
+                f"{mp.nstr(bound, 3)} of {threshold} at dps {dps}"
+            )
+        dps = dps_start if dps is None else min(2 * dps, dps_cap)

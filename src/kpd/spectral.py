@@ -17,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EigensolverError, KpdError
-from .kernel import (
-    KernelParams,
-    PointConfig,
-    abs_term_scale,
-    kernel_matrix,
-    quadratic_form,
-)
+from .kernel import KernelParams, PointConfig, form_enclosure, kernel_matrix
 from .quadrature import composite_rule
 
 __all__ = [
@@ -125,12 +119,6 @@ class NodeCertificate:
         return self.value < 0 and self.value + self.error_bound < 0
 
 
-def _gamma(k: float) -> float:
-    """Higham's gamma_k = k u / (1 - k u) for binary64 (u = 2^-53)."""
-    ku = k * 2.0**-53
-    return ku / (1.0 - ku)
-
-
 def certify_negative_direction(
     params: KernelParams, scheme: QuadratureScheme, eigvec: np.ndarray
 ) -> NodeCertificate:
@@ -141,27 +129,9 @@ def certify_negative_direction(
     sum_jk c_j c_k K(x_j, x_k) = v^T M v = lambda.  A negative value of
     this finite form already proves that K is not positive definite, so
     the certificate is that configuration and ``value`` is its float
-    quadratic form: exactly what ``kpd verify`` replays.
-
-    Error bound.  Nodes and coefficients are binary64 numbers, so the
-    stored configuration is the certified one; only the evaluation
-    rounds.  With u = 2^-53 and gamma_k = k u / (1 - k u):
-
-    * each kernel entry 1/(pi (1 + (x-y)^2 + a (x^2+y^2)^t)) carries a
-      relative error of at most eta = gamma_(2 ceil(t) + 7): two roundings
-      in x^2 + y^2, raised to the power t (gamma_(2 ceil(t))), pow itself
-      (within one ulp, gamma_2), the product with a, the two additions of
-      nonnegative terms, the binary64 pi and its product, and the
-      reciprocal;
-    * the form is two dot products of length n, each within gamma_(n+1)
-      of the exact sum of absolute terms (below 65 points it is one
-      compensated sum of n^2 products, whose error is smaller still).
-
-    Hence |value - sum c_j c_k K| <= e S with
-    e = 2 gamma_(n+1) + gamma_(n+1)^2 + eta (1 + gamma_(n+1))^2 and
-    S = sum |c_j c_k| K(x_j, x_k).  The float scale S' =
-    ``abs_term_scale`` satisfies S <= S' / (1 - e), and the factor
-    (1 + 16 u) covers the roundings made in evaluating the bound.
+    quadratic form: exactly what ``kpd verify`` replays.  ``error_bound``
+    is the a-priori rounding-error bound of
+    :func:`~kpd.kernel.form_enclosure`.
     """
     v = np.asarray(eigvec, dtype=float)
     if v.shape != (scheme.node_count,):
@@ -170,10 +140,7 @@ def certify_negative_direction(
         )
     coeffs = np.sqrt(scheme.weights) * v
     config = PointConfig(tuple(scheme.nodes.tolist()), tuple(coeffs.tolist()))
-    g = _gamma(config.n + 1)
-    e = 2.0 * g + g * g + _gamma(2 * math.ceil(params.t) + 7) * (1.0 + g) ** 2
-    bound = e / (1.0 - e) * abs_term_scale(params, config) * (1.0 + 16 * 2.0**-53)
-    return NodeCertificate(config, quadratic_form(params, config), bound)
+    return NodeCertificate(config, *form_enclosure(params, config))
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,9 +21,10 @@ witness that the kernel is not positive-definite, for every a > 0.
 Arithmetic is hybrid by design: coefficients of pure integer powers are
 exact Fractions (the cancellation is an exact statement, not an
 approximate one), while coefficients involving z^t carry mpmath values at
-a configurable working precision.  Direct evaluation of f at small z is
-dominated by cancellation, so it escalates precision until the result
-clears the accumulated-rounding noise floor.
+a configurable working precision.  At small z the kernel form is
+dominated by cancellation, so the certificate search evaluates it with
+:func:`~kpd.kernel.form_enclosure` and escalates precision until the
+error bound excludes zero.
 """
 
 import math
@@ -36,7 +37,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import DomainError, PreconditionError, SizeCapError, ToleranceError
-from .kernel import KernelParams, PointConfig, _as_mpf, resolve_form_sign
+from .kernel import KernelParams, PointConfig, _as_mpf, form_enclosure
 
 __all__ = [
     "WitnessConfig",
@@ -287,68 +288,29 @@ def cleared_form_series(
     return PowerSeries(terms=terms, params=params, dps=dps)
 
 
-def _cleared_form_with_scale(params: KernelParams, w: WitnessConfig, z, dps: int):
-    """Direct product evaluation of f(z) plus the positive magnitude scale
-    sum_jk |c_j c_k| * prod(...), used for rounding-noise estimates."""
-    with mp.workdps(dps):
-        zm = _as_mpf(z)
-        t = _as_mpf(params.t)
-        zt = zm**t
-        A, B = _pair_data(params, w)
-        n = w.n
-        factors = {
-            pq: 1 + _as_mpf(A[pq]) * zm + B[pq] * zt for pq in A
-        }
-        full = mp.mpf(1)
-        for p in range(n):
-            for q in range(n):
-                full *= factors[(p, q)]
-        value = mp.mpf(0)
-        scale = mp.mpf(0)
-        for j in range(n):
-            for k in range(j, n):
-                mult = 1 if j == k else 2
-                prod = full / factors[(j, k)]
-                weight = mult * w.c[j] * w.c[k]
-                value += _as_mpf(weight) * prod
-                scale += abs(_as_mpf(weight)) * prod
-        return value, scale
-
-
 def cleared_form_value(
     params: KernelParams, w: WitnessConfig, z, dps: int | None = None
 ):
     """Evaluate f(z) directly from the product form, without expansion.
 
-    The float path is fine at moderate z; small z is cancellation-heavy
-    and should use the mpmath path (see :func:`find_negative_scale` for
-    the escalation policy).
+    With ``dps=None`` the arithmetic is binary64, fine at moderate z; with
+    an integer ``dps`` it is mpmath at that many digits, which small z
+    needs: there the terms cancel heavily (see :func:`find_negative_scale`).
     """
     if not (float(z) > 0):
         raise DomainError(f"z must be > 0, got {z!r}")
-    if dps is not None:
-        value, _ = _cleared_form_with_scale(params, w, z, dps)
-        return value
-    zf = float(z)
-    t, a = params.t, params.a
-    y = [float(v) for v in w.y]
-    c = [float(v) for v in w.c]
-    n = w.n
-    fac = {}
-    for p in range(n):
-        for q in range(n):
-            s = y[p] * y[p] + y[q] * y[q]
-            fac[(p, q)] = 1.0 + (y[p] - y[q]) ** 2 * zf + (a * s**t if s else 0.0) * zf**t
-    total = []
-    for j in range(n):
-        for k in range(j, n):
-            mult = 1.0 if j == k else 2.0
-            prod = mult * c[j] * c[k]
-            for pq, f in fac.items():
-                if pq != (j, k):
-                    prod *= f
-            total.append(prod)
-    return math.fsum(total)
+    num, total = (float, math.fsum) if dps is None else (_as_mpf, mp.fsum)
+    with mp.workdps(dps or 17):
+        A, B = _pair_data(params, w)
+        zv = num(z)
+        zt = zv ** num(params.t)
+        factors = {pq: 1 + num(A[pq]) * zv + num(B[pq]) * zt for pq in A}
+        full = math.prod(factors.values())
+        return total(
+            num((1 if j == k else 2) * w.c[j] * w.c[k]) * (full / factors[(j, k)])
+            for j in range(w.n)
+            for k in range(j, w.n)
+        )
 
 
 def t_power_coefficient(
@@ -413,14 +375,15 @@ def find_negative_scale(
     dps_start: int = 50,
     dps_cap: int = 400,
 ) -> NegativeScaleCertificate:
-    """Scan z = 2^-k until the cleared form is resolved negative.
+    """Scan z = 2^-k until the kernel form at the scaled points is
+    resolved negative.
 
-    Precondition: the z^t coefficient is negative (checked).  Each f(z)
-    is evaluated in mpmath, doubling the precision until the value clears
-    the accumulated-noise floor; unresolved points (f indistinguishable
-    from zero at the cap) are skipped rather than trusted.  The returned
-    configuration is independently replayed through the kernel quadratic
-    form before the certificate is issued.
+    Precondition: the z^t coefficient is negative (checked).  At each z
+    the points y_j sqrt(z) are built and the kernel form evaluated with
+    :func:`~kpd.kernel.form_enclosure`, doubling the precision until its
+    error bound excludes zero; a z unresolved at the cap is skipped, not
+    trusted.  The kernel form equals f(z) / (pi prod_pq (1 + D_pq)), so
+    the cleared form f(z), evaluated once at the end, must agree in sign.
     """
     kappa = t_power_coefficient(params, w, dps=dps_start)
     if not (kappa < 0):
@@ -432,31 +395,24 @@ def find_negative_scale(
         z = 2.0**-k
         dps = dps_start
         while True:
-            value, scale = _cleared_form_with_scale(params, w, z, dps)
-            with mp.workdps(dps):
-                noise = scale * mp.mpf(10) ** (5 - dps)
-            if abs(value) > noise:
-                break
-            if dps >= dps_cap:
-                value = None  # unresolved at the cap; skip this z
-                break
-            dps = min(2 * dps, dps_cap)
-        if value is not None and value < 0:
             with mp.workdps(dps):
                 sqrt_z = mp.sqrt(mp.mpf(z))
-                points = tuple(_as_mpf(yj) * sqrt_z for yj in w.y)
-            config = PointConfig(points, w.c)
-            q_value, q_dps = resolve_form_sign(
-                params, config, dps_start=dps, dps_cap=max(dps_cap, 2 * dps)
-            )
-            if not (q_value < 0):
+                config = PointConfig(tuple(_as_mpf(yj) * sqrt_z for yj in w.y), w.c)
+            q_value, bound = form_enclosure(params, config, dps=dps)
+            resolved = abs(q_value) > bound
+            if resolved or dps >= dps_cap:
+                break
+            dps = min(2 * dps, dps_cap)
+        if resolved and q_value < 0:
+            f_value = cleared_form_value(params, w, z, dps=dps)
+            if not (f_value < 0):
                 raise ToleranceError(
-                    f"internal replay disagreement at z=2^-{k}: f={mp.nstr(value, 8)} "
-                    f"but quadratic form={mp.nstr(q_value, 8)} (dps={q_dps})"
+                    f"internal disagreement at z=2^-{k}: kernel form "
+                    f"{mp.nstr(q_value, 8)} but f={mp.nstr(f_value, 8)} (dps={dps})"
                 )
             return NegativeScaleCertificate(
                 z=z,
-                f_value=value,
+                f_value=f_value,
                 config=config,
                 q_value=q_value,
                 dps=dps,

@@ -170,6 +170,16 @@ class TestViolationSearch:
         assert res.g_value < 0
         assert quadratic_form(KernelParams(2.0, 12.0), res.config) < 0
 
+    @pytest.mark.parametrize("t,a", [(2.0, 13.0), (2.5, 3.0)])
+    def test_vectorized_scan_matches_scalar_margins(self, t, a):
+        res = find_schwarz_violation(t, a)
+        z0 = tangency_z(t)
+        zs = np.exp(np.linspace(math.log(z0 * 1e-12), math.log(z0), res.scan_points))
+        gs = [schwarz_margin(float(z), t, a) for z in zs]
+        k = int(np.argmin(gs))
+        assert res.scan_min_g == pytest.approx(gs[k], rel=1e-12)
+        assert res.scan_argmin_z == pytest.approx(zs[k], rel=1e-12)
+
     def test_huge_weight_still_found(self):
         res = find_schwarz_violation(2.0, 1e8)
         assert res.found

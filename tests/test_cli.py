@@ -198,13 +198,61 @@ class TestVerify:
         assert code == 3
         assert "MISMATCH" in out
 
+    def test_zero_form_record_unresolved(self, capsys, tmp_path):
+        # K(1/2,1/2) - 2 K(1/2,1/2) + K(1/2,1/2) is exactly 0: no sign to confirm
+        rec = tmp_path / "z.json"
+        rec.write_text(json.dumps({
+            "config": {"command": "gram", "params": {"t": 2.0, "a": 13.0}},
+            "payload": {"certificate": {
+                "kind": "gram", "points": ["0.5", "0.5"], "coeffs": ["1", "-1"],
+                "value": "-1e-30",
+            }},
+        }))
+        code, out = run_cli(capsys, "verify", str(rec))
+        assert code == 3
+        assert out.strip().splitlines()[-1] == "UNRESOLVED"
+        assert verify_certificate(str(rec))["results"][0]["verdict"] == "UNRESOLVED"
+
+    def test_nan_stored_value_mismatches(self, capsys, tmp_path):
+        # the form replays to -3.2e-3; only the stored value fails the claim
+        rec = tmp_path / "nan.json"
+        rec.write_text(json.dumps({
+            "config": {"command": "gram", "params": {"t": 2.0, "a": 13.0}},
+            "payload": {"certificate": {
+                "kind": "gram", "points": ["0.4472135954999579", "0"],
+                "coeffs": ["-0.86666666", "0.49888766"],
+                "value": "nan",
+            }},
+        }))
+        assert verify_certificate(str(rec))["verdict"] == "MISMATCH"
+
+    def test_far_points_replay_beyond_binary64(self, capsys, tmp_path):
+        # binary64 reads this form as -2.2e-78; it is +4.5e-85
+        rec = tmp_path / "far.json"
+        rec.write_text(json.dumps({
+            "config": {"command": "gram", "params": {"t": 2.0, "a": 1.0}},
+            "payload": {"certificate": {
+                "kind": "gram", "points": ["2000000000000031", "2000000000007837"],
+                "coeffs": ["-1", "1"], "value": "-2.2e-78",
+            }},
+        }))
+        outcome = verify_certificate(str(rec))
+        assert outcome["verdict"] == "MISMATCH"
+        assert outcome["results"][0]["replayed_value"] > 0
+
     @pytest.mark.parametrize(
         "cert",
         [
             {"kind": "gram", "points": ["0", "1"], "value": "-0.5"},
             {"kind": "gram", "points": ["x", "1"], "coeffs": ["1", "-1"], "value": "-0.5"},
+            {"kind": "gram", "points": ["1e400", "1"], "coeffs": ["1", "-1"], "value": "-0.5"},
+        ]
+        + [
+            {"kind": "gram", "points": ["0", "1"], "coeffs": ["1", "-1"], "value": "-0.5",
+             "dps_used": dps}
+            for dps in (1, 0, -1, 801)
         ],
-        ids=["no-coeffs", "bad-point"],
+        ids=["no-coeffs", "bad-point", "huge-point", "dps-1", "dps-0", "dps-neg", "dps-801"],
     )
     def test_malformed_certificate_errors(self, capsys, tmp_path, cert):
         rec = tmp_path / "m.json"

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +11,7 @@ from kpd import (
     GramMatrix,
     KernelParams,
     PointConfig,
+    ToleranceError,
     distance_form,
     eval_kernel,
     gram_matrix,
@@ -18,6 +20,7 @@ from kpd import (
     quadratic_form,
     resolve_form_sign,
 )
+from kpd.kernel import distance_matrix, form_enclosure, kernel_matrix
 
 INV_PI = 1.0 / math.pi
 
@@ -161,9 +164,11 @@ class TestGramMatrix:
         params = KernelParams(1.7, 0.3)
         x = np.array([-2.0, 0.0, 0.5, 3.0])
         m = kernel_matrix(params, x, x)
+        d = distance_matrix(params, x, x)
         for i, xi in enumerate(x):
             for j, xj in enumerate(x):
                 assert m[i, j] == pytest.approx(eval_kernel(params, xi, xj), rel=1e-15)
+                assert d[i, j] == pytest.approx(distance_form(params, xi, xj), rel=1e-15)
 
 
 class TestQuadraticForm:
@@ -228,3 +233,85 @@ class TestQuadraticForm:
         value, dps = resolve_form_sign(params, cfg)
         assert value < 0
         assert dps >= 30
+        # an exactly zero form is never resolved, however far it escalates
+        zero = PointConfig((0.5, 0.5), (1, -1))
+        with pytest.raises(ToleranceError):
+            resolve_form_sign(params, zero, dps_cap=120)
+
+
+def _as_kind(kind, value):
+    """A float input as a Fraction near it, or as the mpf of a 17-digit
+    decimal string."""
+    if kind == "fraction":
+        return Fraction(value).limit_denominator(10**6)
+    if kind == "decimal":
+        with mp.workdps(60):
+            return mp.mpf(f"{value:.16e}")
+    return value
+
+
+class TestFormEnclosure:
+    @given(
+        params_st,
+        st.integers(min_value=1, max_value=80).flatmap(
+            lambda n: st.lists(
+                st.tuples(
+                    st.floats(min_value=-50, max_value=50),
+                    st.floats(min_value=-3, max_value=3),
+                ),
+                min_size=n,
+                max_size=n,
+            )
+        ),
+        st.sampled_from(["float", "fraction", "decimal"]),
+        st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_enclosure_contains_high_precision_form(self, params, pairs, kind, distance):
+        cfg = PointConfig(
+            tuple(_as_kind(kind, p) for p, _ in pairs),
+            tuple(_as_kind(kind, c) for _, c in pairs),
+        )
+        exact, exact_bound = form_enclosure(params, cfg, dps=120, distance=distance)
+        if not distance:
+            assert exact == quadratic_form(params, cfg, dps=120)
+        for dps in (None, 30):
+            value, bound = form_enclosure(params, cfg, dps=dps, distance=distance)
+            with mp.workdps(130):  # compare without rounding the difference
+                assert abs(value - exact) <= bound + exact_bound, (dps, value, bound)
+        # unless an input is tiny, the binary64 bound is within twice the
+        # leading terms of its derivation, plus an underflow allowance below
+        # 1e-290 here
+        x, c = cfg.as_float_arrays()
+        if any(0 < abs(v) < 2.0**-511 for v in (*x, *c)):
+            return
+        m = (distance_matrix if distance else kernel_matrix)(params, x, x)
+        scale = np.abs(c) @ np.abs(m) @ np.abs(c)
+        big_x, width = np.abs(x).max(), x.max() - x.min()
+        terms = (2 * cfg.n + 6 * math.ceil(params.t) + 22 + 4 * big_x) * scale
+        if distance:
+            terms += 8 * big_x * width * np.abs(c).sum() ** 2
+        assert form_enclosure(params, cfg, distance=distance)[1] <= 2 * terms * 2.0**-53 + 1e-290
+
+    def test_void_derivation_gets_infinite_bound(self):
+        params = KernelParams(2.0, 1.0)
+        cfg = PointConfig((0.0, 2.0), (1.0, 1.0))
+        # 7 bits or fewer: gamma_k or kappa would reach 1
+        for dps in (-1, 0, 1):
+            assert form_enclosure(params, cfg, dps=dps)[1] == math.inf
+        with pytest.raises(DomainError):
+            resolve_form_sign(params, cfg, dps_start=0)
+        # binary64 rounding of points near 2e15 moves x - y by about 1:
+        # the float value is -2.2e-78, the form +4.5e-85
+        far = PointConfig((2000000000000031.0, 2000000000007837.0), (-1.0, 1.0))
+        assert form_enclosure(params, far)[1] == math.inf
+        value, bound = form_enclosure(params, far, dps=50)
+        assert value > bound
+
+    def test_tiny_inputs_get_no_float_bound(self):
+        # 1e-200 squared underflows, so only the mpmath stages can certify
+        cfg = PointConfig((1e-200, 0.0), (1.0, -1.0))
+        _, bound = form_enclosure(KernelParams(0.1, 1.0), cfg, distance=True)
+        assert bound == math.inf
+        _, bound = form_enclosure(KernelParams(0.1, 1.0), cfg, dps=30, distance=True)
+        assert bound < 1e-40
