@@ -534,9 +534,9 @@ def verify_certificate(record_path: str) -> dict:
     try:
         cmd_params = record["config"]["params"]
         payload = record["payload"]
-    except (KeyError, TypeError) as exc:
-        raise KpdError(f"record at {record_path} lacks config/payload: {exc}") from exc
-    cnd_tolerance = float(record["config"].get("tolerance", 0.0))
+        cnd_tolerance = float(record["config"].get("tolerance", 0.0))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise KpdError(f"record at {record_path} has no valid config/payload: {exc!r}") from exc
     certificates = _find_certificates(payload)
     if not certificates:
         raise KpdError(f"no certificate payload found in {record_path}")
@@ -675,12 +675,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             params[key] = getattr(args, key)
     for key in ("nodes", "a_grid", "s_grid", "w_grid"):
         if hasattr(args, key) and getattr(args, key) is not None:
-            raw = getattr(args, key)
-            params[key] = (
-                tuple(int(float(v)) for v in raw.split(","))
-                if key == "nodes"
-                else tuple(float(v) for v in raw.split(","))
-            )
+            values = _parse_floats(getattr(args, key))
+            if key == "nodes" and not all(map(math.isfinite, values)):
+                raise KpdError(f"node counts must be finite, got {values}")
+            params[key] = tuple(map(int, values)) if key == "nodes" else values
     return RunConfig(
         command=args.command,
         params=params,

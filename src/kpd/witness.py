@@ -18,13 +18,16 @@ which for the binomial witnesses below is nonzero with the sign of
 (-1)^(T+1).  For odd T this makes f negative at small z, a replayable
 witness that the kernel is not positive-definite, for every a > 0.
 
-Arithmetic is hybrid by design: coefficients of pure integer powers are
-exact Fractions (the cancellation is an exact statement, not an
-approximate one), while coefficients involving z^t carry mpmath values at
-a configurable working precision.  At small z the kernel form is
-dominated by cancellation, so the certificate search evaluates it with
-:func:`~kpd.kernel.form_enclosure` and escalates precision until the
-error bound excludes zero.
+The series expansion keeps coefficients of pure integer powers as exact
+Fractions (the cancellation is an exact statement, not an approximate
+one), while coefficients involving z^t carry mpmath values at a
+configurable working precision.  Those are built in one product-rule
+pass whose partial sums mix the signs of c_j c_k, so their rounding error
+is relative to the same sum taken with |c_j c_k|, not to the coefficient
+itself; :func:`cleared_form_series` states the bound.  At small z the
+kernel form is dominated by cancellation, so the certificate search
+evaluates it with :func:`~kpd.kernel.form_enclosure` and escalates
+precision until the error bound excludes zero.
 """
 
 import math
@@ -58,8 +61,9 @@ __all__ = [
     "gaussian_weight_sum_max",
 ]
 
-# Beyond 8 points the ordered-pair product has > 63 trinomial factors and
-# the expansion stops being worth the wait.
+# The series expansion's cost grows about as n^6 (2n^2 trinomial multiplies
+# over O(n^4) keys).  At 50 digits on a 2-vCPU Xeon it took 1.0 s for n = 7,
+# 2.2 s for n = 8 and 4.4 s for n = 9.
 DEFAULT_MAX_POINTS = 8
 SERIES_DPS = 50
 INTEGER_GAP = 1e-9
@@ -124,9 +128,6 @@ class ExponentKey(NamedTuple):
     i: int
     j: int
 
-    def exponent(self, t: float) -> float:
-        return self.i + self.j * t
-
 
 def build_binomial_witness(order: int) -> WitnessConfig:
     """The alternating-binomial witness of a given moment order T.
@@ -153,29 +154,9 @@ def check_moments(w: WitnessConfig, l_max: int) -> list[Fraction]:
     ]
 
 
-# ---------------------------------------------------------------------------
-# Hybrid coefficient arithmetic: Fraction stays Fraction until an mpf enters.
-
-
-def _cmul(x, y):
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x * y
-    return _coeff_mpf(x) * _coeff_mpf(y)
-
-
-def _cadd(x, y):
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x + y
-    return _coeff_mpf(x) + _coeff_mpf(y)
-
-
-def _coeff_mpf(x):
-    return _as_mpf(x) if isinstance(x, Fraction) else x
-
-
 def _pair_data(params: KernelParams, w: WitnessConfig):
-    """A_pq (exact) and B_pq (mpf at the ambient precision) for all ordered
-    pairs, plus the trinomial factor map keyed by ordered pair."""
+    """A_pq (exact Fraction) and B_pq (mpf at the ambient precision),
+    each a dict keyed by the ordered pair (p, q)."""
     t = _as_mpf(params.t)
     a = _as_mpf(params.a)
     A: dict[tuple[int, int], Fraction] = {}
@@ -188,23 +169,14 @@ def _pair_data(params: KernelParams, w: WitnessConfig):
     return A, B
 
 
-def _poly_mul_trinomial(poly: dict, A: Fraction, B) -> dict:
-    """Multiply a keyed polynomial by (1 + A z + B z^t).
-
-    All coefficients entering the expansion are nonnegative, so these
-    accumulations never cancel: the exact Fractions stay exact and the
-    mpf parts keep full relative accuracy regardless of the factor count.
-    """
-    if A == 0 and B == 0:
-        return poly
-    out: dict[ExponentKey, object] = dict(poly)
-    for key, co in poly.items():
+def _times(poly: dict, A: Fraction, B) -> dict:
+    """poly * (1 + A z + B z^t), poly keyed by (i, j) for z^(i + j*t)."""
+    out = dict(poly)
+    for (i, j), co in poly.items():
         if A:
-            k1 = ExponentKey(key.i + 1, key.j)
-            out[k1] = _cadd(out.get(k1, Fraction(0)), _cmul(co, A))
-        if B != 0:
-            k2 = ExponentKey(key.i, key.j + 1)
-            out[k2] = _cadd(out.get(k2, Fraction(0)), _cmul(co, B))
+            out[i + 1, j] = out.get((i + 1, j), 0) + co * A
+        if B:
+            out[i, j + 1] = out.get((i, j + 1), 0) + co * B
     return out
 
 
@@ -224,67 +196,56 @@ class PowerSeries:
     def coefficient(self, i: int, j: int):
         return self.terms.get(ExponentKey(i, j), Fraction(0))
 
-    def sorted_keys(self) -> list[ExponentKey]:
-        t = self.params.t
-        return sorted(self.terms, key=lambda k: (k.exponent(t), k.i))
-
-    def evaluate(self, z, dps: int | None = None):
-        """Evaluate at z > 0; with ``dps`` the sum runs in mpmath."""
-        if dps is None:
-            zt = float(z) ** self.params.t
-            return math.fsum(
-                float(co) * float(z) ** k.i * zt**k.j
-                for k, co in sorted(self.terms.items())
-            )
+    def evaluate(self, z, dps: int):
+        """Evaluate at z > 0, summing in mpmath at ``dps`` digits."""
         with mp.workdps(dps):
             zm = _as_mpf(z)
             zt = zm ** _as_mpf(self.params.t)
             return mp.fsum(
-                _coeff_mpf(co) * zm**k.i * zt**k.j
-                for k, co in sorted(self.terms.items())
+                co * zm**k.i * zt**k.j for k, co in sorted(self.terms.items())
             )
 
 
 def cleared_form_series(
-    params: KernelParams,
-    w: WitnessConfig,
-    max_points: int = DEFAULT_MAX_POINTS,
-    dps: int = SERIES_DPS,
+    params: KernelParams, w: WitnessConfig, dps: int = SERIES_DPS
 ) -> PowerSeries:
     """Expand the cleared form into a keyed power series.
 
-    One keyed product of n^2 - 1 trinomials per *unordered* index pair
-    (ordered pairs (j, k) and (k, j) omit identical factors, so each
-    group is expanded once with multiplicity two).  Keyed accumulation
-    keeps the term count at O(n^4) instead of the 3^(n^2-1) raw products,
-    and since every partial product has nonnegative coefficients the
-    expansion itself is cancellation-free; the only cancellation happens
-    in the final weighted sum, exactly for the rational part.
+    One product-rule pass over the n^2 ordered pairs pq, with factors
+    g_pq = 1 + A_pq z + B_pq z^t.  P is the product of the factors folded
+    so far and D the cleared form over them; each pair sets
+    D <- D*g_pq + c_p c_q P, then P <- P*g_pq, so at the end D = f.
+    Keyed accumulation keeps the term count at O(n^4) instead of the
+    3^(n^2) raw products.
+
+    The j = 0 coefficients are exact Fractions, so the cancellation of
+    z^0..z^T is exact.  The mpf coefficients are not cancellation-free,
+    because D mixes the signs of the weights c_p c_q.  Every P coefficient
+    is a sum of nonnegative products, and every D coefficient is a sum of
+    c_p c_q times such products, so each rounds to within a small multiple
+    of n^2 * 10^-dps of the same sum taken with |c_p c_q|: the scale of
+    the final weighted sum in an expansion that cancels only there.
     """
     _check_noninteger_t(params.t)
     n = w.n
-    if n > max_points:
+    if n > DEFAULT_MAX_POINTS:
         keys = (n * n) * (n * n + 1) // 2
         raise SizeCapError(
-            f"witness has n={n} points (> cap {max_points}): the ordered-pair "
-            f"product would carry ~{keys} expansion keys"
+            f"witness has n={n} points (> cap {DEFAULT_MAX_POINTS}): the "
+            f"ordered-pair product would carry ~{keys} expansion keys"
         )
     with mp.workdps(dps):
         A, B = _pair_data(params, w)
-        pairs = [(p, q) for p in range(n) for q in range(n)]
-        acc: dict[ExponentKey, object] = {}
-        for j in range(n):
-            for k in range(j, n):
-                weight = w.c[j] * w.c[k] * (1 if j == k else 2)
-                if weight == 0:
-                    continue
-                prod: dict[ExponentKey, object] = {ExponentKey(0, 0): Fraction(1)}
-                for pq in pairs:
-                    if pq != (j, k):
-                        prod = _poly_mul_trinomial(prod, A[pq], B[pq])
-                for key, co in prod.items():
-                    acc[key] = _cadd(acc.get(key, Fraction(0)), _cmul(co, weight))
-        terms = {k: v for k, v in acc.items() if v != 0}
+        P: dict = {(0, 0): Fraction(1)}
+        D: dict = {}
+        for (p, q), A_pq in A.items():
+            D = _times(D, A_pq, B[p, q])
+            weight = w.c[p] * w.c[q]
+            if weight:
+                for key, co in P.items():
+                    D[key] = D.get(key, 0) + weight * co
+            P = _times(P, A_pq, B[p, q])
+        terms = {ExponentKey(*k): v for k, v in D.items() if v != 0}
     return PowerSeries(terms=terms, params=params, dps=dps)
 
 

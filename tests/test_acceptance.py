@@ -115,7 +115,7 @@ def test_criterion_3_pd_region_property_suite():
 
 
 def test_criterion_4_exact_cancellation():
-    with _Stopwatch(120.0) as sw:
+    with _Stopwatch(30.0) as sw:
         for order in range(6):
             w = build_binomial_witness(order)
             for frac in (0.25, 0.5, 0.75):

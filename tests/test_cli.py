@@ -267,6 +267,20 @@ class TestVerify:
         assert code == 3
         assert captured.err.startswith("error: ")
 
+    def test_unparsable_tolerance_errors(self, capsys, tmp_path):
+        rec = tmp_path / "tol.json"
+        rec.write_text(json.dumps({
+            "config": {"command": "cnd", "params": {"t": 3.0, "a": 1.0}, "tolerance": "x"},
+            "payload": {"certificate": {
+                "kind": "cnd", "points": ["0", "1", "4"], "coeffs": ["1", "-2", "1"],
+                "value": "0.5",
+            }},
+        }))
+        code = main(["verify", str(rec)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error: ")
+
     def test_record_without_certificate_errors(self, capsys, tmp_path):
         rec = tmp_path / "n.json"
         assert main(["boundary", "--t", "2", "--out", str(rec)]) == 0
@@ -322,6 +336,21 @@ class TestConfigValidation:
     def test_bad_tolerance_rejected(self, capsys):
         code, _ = run_cli(capsys, "boundary", "--t", "2", "--tol", "-1")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--a-grid", "1,x"),
+            ("spectrum", "--t", "2", "--a", "3", "--nodes", "10,y"),
+            ("spectrum", "--t", "2", "--a", "3", "--nodes", "10,inf"),
+        ],
+        ids=["a-grid", "nodes", "nodes-inf"],
+    )
+    def test_unparsable_list_rejected(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("configuration error: ")
 
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:

@@ -122,9 +122,22 @@ class TestSeriesExpansion:
         kappa = t_power_coefficient(params, w, dps=50)
         assert abs(s.coefficient(0, 1) - kappa) < mp.mpf("1e-40")
 
-    @pytest.mark.parametrize("order,t", [(0, 0.5), (1, 1.5), (2, 2.25), (3, 3.75)])
-    def test_series_matches_direct_evaluation(self, order, t):
-        w = build_binomial_witness(order)
+    @pytest.mark.parametrize(
+        "witness,t",
+        [(0, 0.5), (1, 1.5), (2, 2.25), (3, 3.75)]
+        + [
+            # non-integer y and mixed-sign c: only the zeroth moment vanishes
+            pytest.param(
+                WitnessConfig(
+                    y=(0, Fraction(1, 2), 2, Fraction(7, 3)), c=(1, -3, 5, -3), moment_order=0
+                ),
+                1.5,
+                id="rational-1.5",
+            )
+        ],
+    )
+    def test_series_matches_direct_evaluation(self, witness, t):
+        w = build_binomial_witness(witness) if isinstance(witness, int) else witness
         params = KernelParams(t, 1.0)
         s = cleared_form_series(params, w)
         for z in np.logspace(-3, 0, 20):
