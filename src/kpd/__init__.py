@@ -85,7 +85,7 @@ from .spectral import (
     NEGATIVE_FOUND,
     NO_NEGATIVE_AT_RESOLUTION,
     QuadratureScheme,
-    NodeCertificate,
+    GridCertificate,
     SpectralReport,
     build_scheme,
     certify_negative_direction,

@@ -15,7 +15,8 @@ Subcommands map one-to-one onto the library modules:
 Every run emits a JSON record {version, config, metadata, payload}; the
 payload is a pure function of the config (seed included), so identical
 configs produce byte-identical payloads on a fixed BLAS thread count (the
-``eigh`` behind spectrum and sweep rounds differently with more threads).
+Nystrom eigenvalues that spectrum and sweep report round differently with
+more threads; their certificates do not depend on it).
 Timestamps and wall time live only in the metadata block.  Numeric
 payload values carry both a decimal string at full working precision and
 a binary64 convenience field.
@@ -66,12 +67,7 @@ from .witness import (
     t_power_coefficient,
 )
 from .fracpow import validate_representation
-from .spectral import (
-    NEGATIVE_FOUND,
-    min_operator_eigenvalue,
-    open_problem_sweep,
-    sweep_rows,
-)
+from .spectral import min_operator_eigenvalue, open_problem_sweep, sweep_rows
 
 SCHEMA_VERSION = 1
 CSV_HEADER = ["t", "a", "level", "node_count", "L", "min_eigenvalue", "verdict"]
@@ -387,7 +383,7 @@ def _cmd_fracpow(cfg: RunConfig) -> dict:
 
 def _report_dict(report) -> dict:
     """A spectral report's payload; a NEGATIVE_FOUND verdict embeds its
-    node certificate as kind gram, replayable by ``kpd verify``."""
+    few-point grid certificate as kind gram, replayable by ``kpd verify``."""
     out = {
         "levels": [
             {
@@ -404,11 +400,10 @@ def _report_dict(report) -> dict:
         "certificate": None,
     }
     if report.certificate is not None:
-        out["certificate_value"] = _num(report.certificate.value)
-        out["certificate_error_bound"] = _num(report.certificate.error_bound)
-        out["certificate_conclusive"] = report.certificate.conclusive
-    if report.verdict == NEGATIVE_FOUND:
         cert, params = report.certificate, report.params
+        out["certificate_value"] = _num(cert.value)
+        out["certificate_error_bound"] = _num(cert.error_bound)
+        out["certificate_conclusive"] = cert.conclusive
         out["certificate"] = _certificate(
             "gram", cert.config, cert.value, dps=17, t=params.t, a=params.a
         )
@@ -676,8 +671,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     for key in ("nodes", "a_grid", "s_grid", "w_grid"):
         if hasattr(args, key) and getattr(args, key) is not None:
             values = _parse_floats(getattr(args, key))
-            if key == "nodes" and not all(map(math.isfinite, values)):
-                raise KpdError(f"node counts must be finite, got {values}")
+            if key == "nodes" and not all(v.is_integer() for v in values):
+                raise KpdError(f"node counts must be integers, got {values}")
             params[key] = tuple(map(int, values)) if key == "nodes" else values
     return RunConfig(
         command=args.command,

@@ -199,11 +199,12 @@ def _grid(values) -> np.ndarray:
 
 def distance_matrix(params: KernelParams, x, y) -> np.ndarray:
     """Vectorized distance form d(x_i, y_j) on the grid ``x`` (rows) by
-    ``y`` (cols).  Object arrays of mpfs evaluate in mpmath at the working
-    precision, anything else in binary64."""
-    x, y = _grid(x), _grid(y)
-    diff = np.subtract.outer(x, y)
-    return diff * diff + params.a * np.power(np.add.outer(x * x, y * y), params.t)
+    ``y`` (cols), broadcast over any leading axes: stacks of point sets
+    give stacks of matrices.  Object arrays of mpfs evaluate in mpmath at
+    the working precision, anything else in binary64."""
+    x, y = _grid(x)[..., :, None], _grid(y)[..., None, :]
+    diff = x - y
+    return diff * diff + params.a * np.power(x * x + y * y, params.t)
 
 
 def kernel_matrix(params: KernelParams, x, y) -> np.ndarray:

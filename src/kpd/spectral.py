@@ -2,13 +2,11 @@
 
 The operator is truncated to [-L, L] and discretized by a symmetrized
 Nystrom rule M[i,j] = sqrt(w_i w_j) K(x_i, x_j) over a composite
-Gauss-Legendre scheme.  A negative eigenvalue is reported as a fact
-only through a finite certificate: the eigenvector, rescaled by sqrt(w),
-is a coefficient vector at the final rung's own nodes, and its kernel
-quadratic form equals the eigenvalue.  NEGATIVE_FOUND requires that form
-to be negative beyond an a-priori rounding-error bound; a negative form
-at finitely many points already proves that the kernel is not positive
-definite.  Everything else is resolution-qualified evidence, not a claim.
+Gauss-Legendre scheme.  A negative eigenvalue is evidence that prompts a
+search for a certificate: a few grid points with dyadic coefficients whose
+kernel form is negative beyond an a-priori rounding-error bound.  Such a
+form at finitely many points proves that the kernel is not positive
+definite, and only it yields NEGATIVE_FOUND; the rest is evidence.
 """
 
 import math
@@ -22,7 +20,7 @@ from .quadrature import composite_rule
 
 __all__ = [
     "QuadratureScheme",
-    "NodeCertificate",
+    "GridCertificate",
     "SpectralReport",
     "build_scheme",
     "nystrom_matrix",
@@ -41,6 +39,11 @@ PANEL_DEGREE = 16
 # Certification is attempted when the final-rung minimum eigenvalue lies
 # below -ATTEMPT_FACTOR * max(diag).
 ATTEMPT_FACTOR = 1e-8
+# The certificate search: grids of up to SEARCH_MAX_POINTS points with
+# spacings j/128, j = 2..192, and coefficients in multiples of COEFF_QUANTUM.
+SEARCH_MAX_POINTS = 8
+SEARCH_SPACINGS = np.arange(2, 193) / 128.0
+COEFF_QUANTUM = 2.0**-16
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +105,7 @@ def truncation_tail_bound(params: KernelParams, half_width: float) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class NodeCertificate:
+class GridCertificate:
     """A finite point/coefficient configuration, its float kernel quadratic
     form, and an a-priori bound on the rounding error of that value."""
 
@@ -119,28 +122,33 @@ class NodeCertificate:
         return self.value < 0 and self.value + self.error_bound < 0
 
 
-def certify_negative_direction(
-    params: KernelParams, scheme: QuadratureScheme, eigvec: np.ndarray
-) -> NodeCertificate:
-    """Turn a discrete direction into a finite kernel quadratic form.
+def certify_negative_direction(params: KernelParams) -> GridCertificate | None:
+    """Search few-point configurations for a certified negative kernel form.
 
-    For an eigenvector v of the Nystrom matrix sqrt(w_i w_j) K(x_i, x_j),
-    the coefficients c_i = sqrt(w_i) v_i at the nodes x_i give
-    sum_jk c_j c_k K(x_j, x_k) = v^T M v = lambda.  A negative value of
-    this finite form already proves that K is not positive definite, so
-    the certificate is that configuration and ``value`` is its float
-    quadratic form: exactly what ``kpd verify`` replays.  ``error_bound``
-    is the a-priori rounding-error bound of
-    :func:`~kpd.kernel.form_enclosure`.
+    For m = 2..SEARCH_MAX_POINTS the candidates are the symmetric grids
+    x_k = (k - (m-1)/2) h over the spacings SEARCH_SPACINGS.  The spacing
+    whose Gram matrix has the most negative lambda_min / lambda_max wins;
+    its lowest eigenvector, scaled so that its largest entry is 1 and
+    rounded to multiples of COEFF_QUANTUM, gives the coefficients.  The
+    first m whose configuration is negative beyond the rounding-error
+    bound of :func:`~kpd.kernel.form_enclosure` is returned, else None.
+    Points and coefficients are dyadic, so the decimals that ``repr``
+    prints are exactly the configuration certified, and ``value`` is the
+    float form that ``kpd verify`` replays.
     """
-    v = np.asarray(eigvec, dtype=float)
-    if v.shape != (scheme.node_count,):
-        raise DomainError(
-            f"eigvec must have length {scheme.node_count}, got {v.shape}"
-        )
-    coeffs = np.sqrt(scheme.weights) * v
-    config = PointConfig(tuple(scheme.nodes.tolist()), tuple(coeffs.tolist()))
-    return NodeCertificate(config, *form_enclosure(params, config))
+    for m in range(2, SEARCH_MAX_POINTS + 1):
+        grids = SEARCH_SPACINGS[:, None] * (np.arange(m) - (m - 1) / 2)
+        grams = kernel_matrix(params, grids, grids)
+        vals = np.linalg.eigvalsh(grams)
+        best = int(np.argmin(vals[:, 0] / vals[:, -1]))
+        vec = np.linalg.eigh(grams[best])[1][:, 0]
+        vec = vec / vec[np.argmax(np.abs(vec))]
+        coeffs = np.round(vec / COEFF_QUANTUM) * COEFF_QUANTUM
+        config = PointConfig(tuple(grids[best].tolist()), tuple(coeffs.tolist()))
+        cert = GridCertificate(config, *form_enclosure(params, config))
+        if cert.certified_negative:
+            return cert
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,11 +157,10 @@ class SpectralReport:
 
     ``levels`` records (node_count, half_width, min_eigenvalue) per rung;
     ``smallest_eigenvalues`` holds the six smallest at the final rung.
-    ``certificate`` is the final rung's eigenvector as a finite node
-    configuration (see :func:`certify_negative_direction`), present
-    whenever certification was attempted.  The verdict is
-    resolution-qualified by design: NEGATIVE_FOUND is issued only when
-    that configuration's quadratic form is negative with its error bound
+    ``certificate`` is the few-point grid configuration found by
+    :func:`certify_negative_direction`, or None.  The verdict is
+    resolution-qualified by design: NEGATIVE_FOUND is issued only with a
+    certificate whose quadratic form is negative with its error bound
     excluding zero, and NO_NEGATIVE_AT_RESOLUTION never claims
     positive-definiteness.
     """
@@ -162,7 +169,7 @@ class SpectralReport:
     levels: tuple
     smallest_eigenvalues: tuple
     verdict: str
-    certificate: NodeCertificate | None
+    certificate: GridCertificate | None
     tail_bound: float
 
     @property
@@ -174,9 +181,9 @@ def min_operator_eigenvalue(params: KernelParams, ladder) -> SpectralReport:
     """Minimum Nystrom eigenvalue across a refinement ladder.
 
     ``ladder`` is a nonempty sequence of (node_count, half_width) with
-    nondecreasing node counts.  Certification is attempted when the
+    nondecreasing node counts.  The certificate search runs when the
     final-level minimum eigenvalue is more negative than
-    -ATTEMPT_FACTOR * max(diag); only a conclusive negative certificate
+    -ATTEMPT_FACTOR * max(diag); only a certified negative certificate
     yields NEGATIVE_FOUND.
     """
     ladder = [(int(n), float(L)) for n, L in ladder]
@@ -187,29 +194,22 @@ def min_operator_eigenvalue(params: KernelParams, ladder) -> SpectralReport:
 
     levels = []
     for node_count, half_width in ladder:
-        scheme = build_scheme(node_count, half_width)
-        matrix = nystrom_matrix(params, scheme)
+        matrix = nystrom_matrix(params, build_scheme(node_count, half_width))
         try:
-            vals, vecs = np.linalg.eigh(matrix)
+            vals = np.linalg.eigvalsh(matrix)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
             raise EigensolverError(f"Nystrom eigensolver failed: {exc}") from exc
         levels.append((node_count, half_width, float(vals[0])))
-        final_scheme, final_vals, final_vecs = scheme, vals, vecs
-        final_max_diag = float(np.max(np.diag(matrix)))
 
     certificate = None
-    verdict = NO_NEGATIVE_AT_RESOLUTION
-    if final_vals[0] < -ATTEMPT_FACTOR * final_max_diag:
-        certificate = certify_negative_direction(
-            params, final_scheme, final_vecs[:, 0]
-        )
-        if certificate.certified_negative:
-            verdict = NEGATIVE_FOUND
+    if vals[0] < -ATTEMPT_FACTOR * float(np.max(np.diag(matrix))):
+        certificate = certify_negative_direction(params)
+    verdict = NO_NEGATIVE_AT_RESOLUTION if certificate is None else NEGATIVE_FOUND
 
     return SpectralReport(
         params=params,
         levels=tuple(levels),
-        smallest_eigenvalues=tuple(float(v) for v in final_vals[:6]),
+        smallest_eigenvalues=tuple(float(v) for v in vals[:6]),
         verdict=verdict,
         certificate=certificate,
         tail_bound=truncation_tail_bound(params, ladder[-1][1]),

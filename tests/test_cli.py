@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -148,6 +152,22 @@ class TestDeterminism:
         for cfg in configs:
             r1, r2 = run(cfg), run(cfg)
             assert r1.payload_json() == r2.payload_json()
+
+    def test_spectrum_certificate_independent_of_blas_threads(self):
+        # the Nystrom eigenvalues may round differently with more threads;
+        # the grid certificate must not
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        certificates = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "kpd.cli", "spectrum", "--t", "2", "--a", "13"],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            )
+            payload = json.loads(proc.stdout)["payload"]
+            assert payload["verdict"] == "NEGATIVE_FOUND"
+            certificates.append(json.dumps(payload["certificate"], sort_keys=True))
+        assert certificates[0] == certificates[1]
 
     def test_seed_changes_payload_inputs_not_schema(self):
         base = dict(command="identities", params={"n_max": 2, "m_max": 1, "samples": 1})
@@ -301,9 +321,24 @@ class TestVerify:
         cert = payload["certificate"]
         assert cert["kind"] == "gram"
         assert float(cert["value"]) < 0
-        assert len(cert["points"]) == len(cert["coeffs"]) == 96  # final rung
+        assert len(cert["points"]) == len(cert["coeffs"]) <= 8  # a grid search
+        for text in cert["points"] + cert["coeffs"]:
+            assert Fraction(text) == Fraction(float(text))  # stored exactly
         outcome = verify_certificate(str(rec))
         assert outcome["verdict"] == "CONFIRMED"
+
+    def test_tampered_spectrum_coefficient_mismatches(self, capsys, tmp_path):
+        rec = tmp_path / "s.json"
+        assert main(["spectrum", "--t", "2", "--a", "13", "--out", str(rec)]) == 0
+        capsys.readouterr()
+        record = json.loads(rec.read_text())
+        coeffs = record["payload"]["certificate"]["coeffs"]
+        coeffs[coeffs.index("1.0")] = "-1.0"  # the largest is scaled to 1
+        assert all(c.startswith("-") for c in coeffs)  # so the form is positive
+        rec.write_text(json.dumps(record))
+        code, out = run_cli(capsys, "verify", str(rec))
+        assert code == 3
+        assert "MISMATCH" in out
 
     def test_cnd_certificate_confirms(self, capsys, tmp_path):
         rec = tmp_path / "c.json"
@@ -343,8 +378,9 @@ class TestConfigValidation:
             ("sweep", "--a-grid", "1,x"),
             ("spectrum", "--t", "2", "--a", "3", "--nodes", "10,y"),
             ("spectrum", "--t", "2", "--a", "3", "--nodes", "10,inf"),
+            ("spectrum", "--t", "2", "--a", "3", "--nodes", "10,2.5"),
         ],
-        ids=["a-grid", "nodes", "nodes-inf"],
+        ids=["a-grid", "nodes", "nodes-inf", "nodes-fraction"],
     )
     def test_unparsable_list_rejected(self, capsys, argv):
         code = main(list(argv))

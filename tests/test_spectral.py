@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,12 @@ from kpd import (
     open_problem_sweep,
     quadratic_form,
 )
-from kpd.spectral import sweep_rows, truncation_tail_bound
+from kpd.spectral import (
+    COEFF_QUANTUM,
+    SEARCH_MAX_POINTS,
+    sweep_rows,
+    truncation_tail_bound,
+)
 
 
 class TestScheme:
@@ -66,46 +72,38 @@ class TestNystromMatrix:
 
 
 class TestCertification:
-    def test_zero_vector(self):
-        s = build_scheme(32, 5.0)
-        cert = certify_negative_direction(KernelParams(1.0, 1.0), s, np.zeros(32))
-        assert cert.value == 0.0
-
-    def test_constant_function_positive(self):
-        # u = 1 on every cell: the integral of K over the box is positive
-        s = build_scheme(64, 5.0)
-        v = np.sqrt(s.weights)
-        cert = certify_negative_direction(KernelParams(1.0, 1.0), s, v)
-        assert cert.value > 0
-        assert cert.conclusive
-
     def test_negative_direction_certifies(self):
-        params = KernelParams(2.0, 13.0)
-        s = build_scheme(100, 5.0)
-        m = nystrom_matrix(params, s)
-        vals, vecs = np.linalg.eigh(m)
-        assert vals[0] < 0
-        cert = certify_negative_direction(params, s, vecs[:, 0])
+        cert = certify_negative_direction(KernelParams(2.0, 13.0))
+        assert cert is not None
         assert cert.certified_negative
         assert cert.value + cert.error_bound < 0
+        assert cert.config.n <= SEARCH_MAX_POINTS
 
     def test_certificate_matches_explicit_quadratic_form(self):
-        # the certificate is the eigenvector on the nodes: its stored value
-        # is the float form that a replay computes, and equals lambda_min
+        # the stored value is the float form that a replay computes
         params = KernelParams(2.0, 13.0)
-        s = build_scheme(48, 5.0)
-        m = nystrom_matrix(params, s)
-        vals, vecs = np.linalg.eigh(m)
-        cert = certify_negative_direction(params, s, vecs[:, 0])
-        assert cert.config.points == tuple(s.nodes)
+        cert = certify_negative_direction(params)
         assert quadratic_form(params, cert.config) == cert.value
-        assert cert.value == pytest.approx(vals[0], rel=1e-10)
         assert cert.error_bound < abs(cert.value)
 
-    def test_wrong_length_rejected(self):
-        s = build_scheme(8, 1.0)
-        with pytest.raises(DomainError):
-            certify_negative_direction(KernelParams(1.0, 1.0), s, np.ones(9))
+    @pytest.mark.parametrize("t, a", [(2.0, 2.0), (2.0, 13.0), (2.5, 0.5), (3.0, 0.5)])
+    def test_stored_decimals_are_the_certified_configuration(self, t, a):
+        # dyadic points and coefficients: repr prints them exactly, so the
+        # stored text read as a Fraction is the configuration certified
+        cert = certify_negative_direction(KernelParams(t, a))
+        assert cert.certified_negative
+        assert 2 <= cert.config.n <= SEARCH_MAX_POINTS
+        for v in cert.config.points + cert.config.coeffs:
+            assert Fraction(repr(v)) == Fraction(v)
+        coeffs = cert.config.coeffs
+        assert max(map(abs, coeffs)) == 1.0
+        assert all((c / COEFF_QUANTUM).is_integer() for c in coeffs)
+        points = cert.config.points
+        assert points == tuple(-p for p in reversed(points))
+
+    @pytest.mark.parametrize("t, a", [(0.5, 2.0), (1.0, 1.0), (1.0, 13.0)])
+    def test_pd_kernel_gives_no_certificate(self, t, a):
+        assert certify_negative_direction(KernelParams(t, a)) is None
 
 
 class TestLadder:
@@ -155,6 +153,26 @@ class TestLadder:
             2.0 * 20.0**-3.0 / (math.pi * 4.0 * 3.0), rel=1e-12
         )
         assert math.isinf(truncation_tail_bound(KernelParams(0.5, 1.0), 20.0))
+
+
+class TestVerdicts:
+    # the default ladder of kpd spectrum and sweep
+    LADDER = [(100, 20.0), (200, 20.0), (400, 20.0)]
+
+    @pytest.mark.parametrize(
+        "t, a, verdict",
+        [(2.0, a, NO_NEGATIVE_AT_RESOLUTION) for a in (0.5, 1.0)]
+        + [(2.0, a, NEGATIVE_FOUND) for a in (2.0, 2.5, 3.0, 6.0, 9.0, 12.0, 13.0, 24.0)]
+        + [(2.5, 0.5, NEGATIVE_FOUND), (3.0, 0.5, NEGATIVE_FOUND)],
+    )
+    def test_default_ladder_verdict(self, t, a, verdict):
+        rep = min_operator_eigenvalue(KernelParams(t, a), self.LADDER)
+        assert rep.verdict == verdict
+        if verdict == NEGATIVE_FOUND:
+            assert rep.certificate.certified_negative
+            assert rep.certificate.config.n <= SEARCH_MAX_POINTS
+        else:
+            assert rep.certificate is None
 
 
 class TestSweep:
