@@ -36,10 +36,8 @@ from .kernel import (
 from .definiteness import (
     DefinitenessVerdict,
     cnd_check,
-    inverse_family_check,
     pd_check,
     random_zero_sum_config,
-    randomized_pd_search,
 )
 from .boundary import (
     BoundaryReport,
@@ -49,7 +47,6 @@ from .boundary import (
     find_schwarz_violation,
     schwarz_margin,
     schwarz_margin_exact,
-    schwarz_surface,
     tangency_z,
     threshold_weight,
 )
@@ -64,9 +61,6 @@ from .witness import (
     cleared_form_value,
     difference_power_sum,
     find_negative_scale,
-    gaussian_weight_sum,
-    gaussian_weight_sum_max,
-    pair_power_sum,
     predict_t_coefficient_sign,
     subset_product_identity,
     t_power_coefficient,

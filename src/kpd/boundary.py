@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .kernel import KernelParams, PointConfig, gram_matrix, nonneg_power
+from .kernel import KernelParams, PointConfig, gram_matrix
 from .definiteness import pd_check
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "SchwarzSearchResult",
     "schwarz_margin",
     "schwarz_margin_exact",
-    "schwarz_surface",
     "critical_weight",
     "tangency_z",
     "threshold_weight",
@@ -45,7 +44,11 @@ __all__ = [
 ]
 
 # 2^(t^2 - 1) grows too fast for floats well before this cap bites.
-DEFAULT_T_CAP = 30.0
+T_CAP = 30.0
+# The violation search: bisection steps for critical_weight(z) = a, and the
+# size of the log-spaced margin scan over (0, z_tangent].
+BISECTION_STEPS = 200
+SCAN_POINTS = 2000
 
 
 def _pow2m1(t_minus_1: float) -> float:
@@ -56,24 +59,21 @@ def _pow2m1(t_minus_1: float) -> float:
     return 2.0**t_minus_1 - 1.0
 
 
-def _check_t(t: float, allow_small_t: bool) -> float:
+def _check_t(t: float) -> float:
     t = float(t)
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t!r}")
-    if t <= 1.0 and not allow_small_t:
-        raise DomainError(
-            f"the two-point margin analysis assumes t > 1 (got t={t}); "
-            "pass allow_small_t=True to evaluate anyway"
-        )
+    if t <= 1.0:
+        raise DomainError(f"the two-point margin analysis assumes t > 1 (got t={t})")
     return t
 
 
-def schwarz_margin(z: float, t: float, a: float, allow_small_t: bool = False) -> float:
+def schwarz_margin(z: float, t: float, a: float) -> float:
     """Two-point Gram-determinant margin on the (x, 0) slice, z = x^2.
 
     Negative values certify a positive-definiteness violation.
     """
-    t = _check_t(t, allow_small_t)
+    t = _check_t(t)
     z = float(z)
     if z < 0 or not math.isfinite(z):
         raise DomainError(f"z must be >= 0 and finite, got {z!r}")
@@ -101,25 +101,13 @@ def schwarz_margin_exact(z: Fraction, t: int, a: Fraction) -> Fraction:
     return (1 + z) ** 2 - 1 + 2 * a * zt * ((1 + z) - Fraction(2) ** (t - 1)) + (a * zt) ** 2
 
 
-def schwarz_surface(params: KernelParams, x: float, y: float) -> float:
-    """Raw two-point margin for general (x, y): the sign of the 2x2 Gram
-    determinant at (x, y).  Exposed for exploration; only the y = 0 slice
-    is searched by :func:`find_schwarz_violation`."""
-    t, a = params.t, params.a
-    x, y = float(x), float(y)
-    dxy = 1.0 + (x - y) ** 2 + a * nonneg_power(x * x + y * y, t)
-    dxx = 1.0 + a * nonneg_power(2.0 * x * x, t)
-    dyy = 1.0 + a * nonneg_power(2.0 * y * y, t)
-    return dxy * dxy - dxx * dyy
-
-
 def critical_weight(z: float, t: float) -> float:
     """The weight minimizing the margin at fixed z: (2^(t-1) - (1+z)) / z^t.
 
     Defined (and positive) for 0 < z < 2^(t-1) - 1; strictly decreasing
     there, diverging as z -> 0+.
     """
-    t = _check_t(t, allow_small_t=False)
+    t = _check_t(t)
     z = float(z)
     hi = _pow2m1(t - 1.0)
     if not (0.0 < z < hi):
@@ -131,18 +119,18 @@ def critical_weight(z: float, t: float) -> float:
 
 def tangency_z(t: float) -> float:
     """The z below which the minimized margin is negative: (2^(t-1)-1)^2 / 2^t."""
-    t = _check_t(t, allow_small_t=False)
+    t = _check_t(t)
     return _pow2m1(t - 1.0) ** 2 / 2.0**t
 
 
-def threshold_weight(t: float, t_cap: float = DEFAULT_T_CAP) -> float:
+def threshold_weight(t: float) -> float:
     """Closed-form weight threshold above which a two-point violation is
     guaranteed.  Evaluated in log space once the direct powers would
-    overflow; rejected above ``t_cap`` where even the log-space exponents
+    overflow; rejected above ``T_CAP`` where even the log-space exponents
     degrade."""
-    t = _check_t(t, allow_small_t=False)
-    if t > t_cap:
-        raise DomainError(f"t={t} exceeds the supported cap {t_cap}")
+    t = _check_t(t)
+    if t > T_CAP:
+        raise DomainError(f"t={t} exceeds the supported cap {T_CAP}")
     base = _pow2m1(t - 1.0)
     log_num = (t * t - 1.0) * math.log(2.0) + math.log1p(2.0 ** (1.0 - t))
     log_den = (2.0 * t - 1.0) * math.log(base)
@@ -176,20 +164,18 @@ class SchwarzSearchResult:
 
 @dataclass(frozen=True)
 class BoundaryReport:
-    """Closed-form boundary data at a given t (violation filled in by
-    :func:`find_schwarz_violation` when a weight is supplied)."""
+    """Closed-form boundary data at a given t."""
 
     t: float
     z_tangent: float
     a_threshold: float
-    violation: SchwarzSearchResult | None = None
 
 
-def boundary_report(t: float, t_cap: float = DEFAULT_T_CAP) -> BoundaryReport:
+def boundary_report(t: float) -> BoundaryReport:
     """Compute z_tangent and a_threshold and cross-check them against the
     minimizing-weight route to relative 1e-12."""
     z0 = tangency_z(t)
-    a0 = threshold_weight(t, t_cap=t_cap)
+    a0 = threshold_weight(t)
     cross = critical_weight(z0, t)
     if not math.isclose(a0, cross, rel_tol=1e-12):
         raise DomainError(
@@ -217,12 +203,7 @@ def _violation_from_z(t: float, a: float, z: float, scan_meta: dict) -> SchwarzS
     )
 
 
-def find_schwarz_violation(
-    t: float,
-    a: float,
-    max_iter: int = 200,
-    scan_points: int = 2000,
-) -> SchwarzSearchResult:
+def find_schwarz_violation(t: float, a: float) -> SchwarzSearchResult:
     """Find z with a negative two-point margin for the given (t, a).
 
     For a above the closed-form threshold the root of
@@ -234,20 +215,20 @@ def find_schwarz_violation(
     returned as such; "not found" only means this slice produced no
     witness at this resolution.
     """
-    t = _check_t(t, allow_small_t=False)
+    t = _check_t(t)
     if not (a > 0) or not math.isfinite(a):
         raise DomainError(f"a must be finite and > 0, got {a!r}")
     z0 = tangency_z(t)
     a0 = threshold_weight(t)
 
     # Log-spaced scan evidence over (0, z_tangent]; also the fallback search.
-    zs = np.exp(np.linspace(math.log(z0 * 1e-12), math.log(z0), scan_points))
+    zs = np.exp(np.linspace(math.log(z0 * 1e-12), math.log(z0), SCAN_POINTS))
     gs = _margin(zs, t, a)
     argmin = int(np.argmin(gs))
     scan_meta = dict(
         scan_lo=float(zs[0]),
         scan_hi=float(zs[-1]),
-        scan_points=scan_points,
+        scan_points=SCAN_POINTS,
         scan_min_g=float(gs[argmin]),
         scan_argmin_z=float(zs[argmin]),
     )
@@ -261,7 +242,7 @@ def find_schwarz_violation(
             lo *= 1e-3
         hi = z0
         if critical_weight(lo, t) > a:
-            for _ in range(max_iter):
+            for _ in range(BISECTION_STEPS):
                 mid = 0.5 * (lo + hi)
                 if critical_weight(mid, t) > a:
                     lo = mid

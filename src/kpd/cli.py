@@ -89,8 +89,10 @@ class RunConfig:
     def __post_init__(self):
         if self.tolerance <= 0:
             raise KpdError(f"tolerance must be > 0, got {self.tolerance}")
-        if self.precision < 15:
-            raise KpdError(f"precision must be >= 15 digits, got {self.precision}")
+        if not 15 <= self.precision <= DPS_CAP:
+            raise KpdError(
+                f"precision must be between 15 and {DPS_CAP} digits, got {self.precision}"
+            )
         if self.format not in ("json", "csv"):
             raise KpdError(f"format must be json or csv, got {self.format!r}")
 
@@ -134,23 +136,18 @@ class RunRecord:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2)
 
 
-def _num(x, dps: int | None = None) -> dict:
-    """Encode a number as {dec, f64}: full-precision decimal plus binary64."""
-    if isinstance(x, mp.mpf):
-        dec = mp.nstr(x, dps or int(mp.mp.dps), strip_zeros=False)
-    elif isinstance(x, Fraction):
-        dec = f"{x.numerator}/{x.denominator}"
-    else:
-        dec = repr(float(x))
-    return {"dec": dec, "f64": float(x)}
-
-
 def _dec(x, dps: int = 30) -> str:
+    """A number as an exact or ``dps``-digit decimal string."""
     if isinstance(x, mp.mpf):
         return mp.nstr(x, dps, strip_zeros=False)
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
     return repr(float(x))
+
+
+def _num(x, dps: int | None = None) -> dict:
+    """Encode a number as {dec, f64}: full-precision decimal plus binary64."""
+    return {"dec": _dec(x, dps or mp.mp.dps), "f64": float(x)}
 
 
 def _certificate(kind: str, config: PointConfig, value, dps: int = 30, **extra) -> dict:
@@ -368,8 +365,8 @@ def _cmd_fracpow(cfg: RunConfig) -> dict:
                 "s": e["s"],
                 "rel_err": _num(e["rel_err"]),
                 "derivative_rel_err": _num(e.get("derivative_rel_err", 0.0)),
-                "l1_norm_upper": _num(e.get("l1_norm_upper", 0.0)),
-                "l1_bound": _num(e.get("l1_bound", 0.0)),
+                "l1_norm_upper": _num(e["l1_norm_upper"]),
+                "l1_bound": _num(e["l1_bound"]),
             }
         )
     return {
@@ -433,21 +430,11 @@ def _cmd_sweep(cfg: RunConfig) -> dict:
     half_width = p.get("half_width", 20.0)
     ladder = [(n, half_width) for n in nodes]
     results = open_problem_sweep(a_grid, ladder, t=t)
-    rows = sweep_rows(results)
     payload = {
         "schema": SCHEMA_VERSION,
         "t": _num(t),
         "rows": [
-            {
-                "t": r["t"],
-                "a": r["a"],
-                "level": r["level"],
-                "node_count": r["node_count"],
-                "L": r["L"],
-                "min_eigenvalue": _num(r["min_eigenvalue"]),
-                "verdict": r["verdict"],
-            }
-            for r in rows
+            {**r, "min_eigenvalue": _num(r["min_eigenvalue"])} for r in sweep_rows(results)
         ],
         "reports": [],
     }
@@ -478,7 +465,7 @@ def run(config: RunConfig) -> RunRecord:
     if config.command not in _COMMANDS:
         raise KpdError(f"unknown command {config.command!r}")
     start = time.perf_counter()
-    with mp.workdps(max(config.precision, 15)):
+    with mp.workdps(config.precision):
         payload = _COMMANDS[config.command](config)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return RunRecord(

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ToleranceError
-from .quadrature import adaptive_quad, mapped_rule
+from .quadrature import PANEL_DEGREE, adaptive_quad, mapped_rule
 
 __all__ = [
     "FracPowerParams",
@@ -39,6 +39,8 @@ __all__ = [
 
 INTEGER_GAP = 1e-9
 MAX_POWER = 30.0
+# Step of the forward difference in validate_representation's derivative check.
+DERIVATIVE_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -192,7 +194,7 @@ def integrand_l1_norm(w: complex, p: FracPowerParams, tol: float = 1e-8) -> floa
     hi = 1.0
     for _ in range(200):
         lo = hi / 2.0
-        x, wts = mapped_rule(lo, hi, 16)
+        x, wts = mapped_rule(lo, hi, PANEL_DEGREE)
         piece = float(sum(wt * absolute_integrand(xi) for xi, wt in zip(x, wts)))
         total += piece
         hi = lo
@@ -235,17 +237,12 @@ class ValidationReport:
         return not self.failures
 
 
-def validate_representation(
-    pairs,
-    tol: float = 1e-6,
-    derivative_step: float = 1e-5,
-    check_l1: bool = True,
-) -> ValidationReport:
+def validate_representation(pairs, tol: float = 1e-6) -> ValidationReport:
     """Check |h(w;s) - w^s| <= tol*|w|^s pointwise over (w, s) pairs.
 
     Also exercises the inductive structure at each point: the forward
-    difference of h(.; s+1) must reproduce (s+1)*h(.; s), and (optionally)
-    the integrand's L1 norm must respect its closed-form bound.
+    difference of h(.; s+1) must reproduce (s+1)*h(.; s), and the
+    integrand's L1 norm must respect its closed-form bound.
     """
     entries = []
     failures = []
@@ -259,22 +256,21 @@ def validate_representation(
 
         if s + 1.0 <= MAX_POWER:
             q = split_power(s + 1.0)
-            hq1 = integral_power(w + derivative_step, q, tol=tol / 10.0)
+            hq1 = integral_power(w + DERIVATIVE_STEP, q, tol=tol / 10.0)
             hq0 = integral_power(w, q, tol=tol / 10.0)
-            deriv = (hq1 - hq0) / derivative_step
+            deriv = (hq1 - hq0) / DERIVATIVE_STEP
             target = (s + 1.0) * h
             entry["derivative_rel_err"] = abs(deriv - target) / abs(target)
             # Forward-difference truncation is (step/2)*s/|w| relative; gate
             # with headroom on top of the quadrature noise floor.
-            entry["derivative_gate"] = 1e-4 + derivative_step * s / abs(w)
+            entry["derivative_gate"] = 1e-4 + DERIVATIVE_STEP * s / abs(w)
 
-        if check_l1:
-            norm = integrand_l1_norm(w, p)
-            bound = l1_bound_constant(p) * abs(w) ** s
-            entry["l1_norm_upper"] = norm
-            entry["l1_bound"] = bound
-            if norm > bound:
-                failures.append((w, s, "l1 bound violated"))
+        norm = integrand_l1_norm(w, p)
+        bound = l1_bound_constant(p) * abs(w) ** s
+        entry["l1_norm_upper"] = norm
+        entry["l1_bound"] = bound
+        if norm > bound:
+            failures.append((w, s, "l1 bound violated"))
 
         if err > tol:
             failures.append((w, s, f"rel err {err:.3e} > tol {tol:.1e}"))

@@ -49,7 +49,9 @@ __all__ = [
 ]
 
 UNIT_ROUNDOFF = 2.0**-53
-# The default precision cap, in decimal digits, of resolve_form_sign.
+# The precision cap, in decimal digits, of every escalation in kpd: the
+# default of resolve_form_sign, the witness scan's cap and the CLI's largest
+# --precision.
 DPS_CAP = 800
 # np.power and mpmath's pow need not be correctly rounded; the error bound
 # allows them this many ulps.
@@ -162,18 +164,12 @@ class GramMatrix:
         return float(np.max(np.diag(self.entries)))
 
 
-def nonneg_power(base, exponent, use_mp: bool = False):
-    """``base**exponent`` for base >= 0 with the convention 0**s = 0.
-
-    ``use_mp`` switches to mpmath arithmetic (the caller is responsible
-    for setting the working precision).
-    """
+def nonneg_power(base, exponent):
+    """``base**exponent`` in binary64 for base >= 0, with 0**s = 0."""
     if base < 0:
         raise DomainError(f"power base must be >= 0, got {base!r}")
     if base == 0:
-        return mp.mpf(0) if use_mp else 0.0
-    if use_mp:
-        return _as_mpf(base) ** _as_mpf(exponent)
+        return 0.0
     return float(base) ** float(exponent)
 
 

@@ -10,6 +10,8 @@ import numpy as np
 from .errors import ToleranceError
 
 _RULE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# Nodes per Gauss-Legendre panel, in composite rules and adaptive steps.
+PANEL_DEGREE = 16
 
 
 def unit_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
@@ -29,19 +31,17 @@ def mapped_rule(a: float, b: float, degree: int) -> tuple[np.ndarray, np.ndarray
     return half * x + 0.5 * (a + b), half * w
 
 
-def composite_rule(
-    a: float, b: float, node_count: int, panel_degree: int = 16
-) -> tuple[np.ndarray, np.ndarray]:
+def composite_rule(a: float, b: float, node_count: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule with exactly ``node_count`` nodes.
 
-    Full panels of ``panel_degree`` nodes plus one smaller remainder panel
+    Full panels of ``PANEL_DEGREE`` nodes plus one smaller remainder panel
     partition [a, b] into equal-width pieces.  Nodes are strictly
     increasing and interior; weights are positive and sum to b - a.
     """
     if node_count < 1:
         raise ValueError(f"node_count must be >= 1, got {node_count}")
-    full, rem = divmod(node_count, panel_degree)
-    degrees = [panel_degree] * full + ([rem] if rem else [])
+    full, rem = divmod(node_count, PANEL_DEGREE)
+    degrees = [PANEL_DEGREE] * full + ([rem] if rem else [])
     edges = np.linspace(a, b, len(degrees) + 1)
     nodes, weights = [], []
     for deg, lo, hi in zip(degrees, edges[:-1], edges[1:]):
@@ -51,9 +51,9 @@ def composite_rule(
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def fixed_quad(f, a: float, b: float, degree: int = 16):
+def fixed_quad(f, a: float, b: float):
     """One-panel Gauss-Legendre integral of a scalar callable."""
-    x, w = mapped_rule(a, b, degree)
+    x, w = mapped_rule(a, b, PANEL_DEGREE)
     return sum(wi * f(xi) for xi, wi in zip(x, w))
 
 
@@ -66,9 +66,9 @@ def adaptive_quad(f, a: float, b: float, tol: float, max_depth: int = 40):
     """
 
     def recurse(lo, hi, budget, depth):
-        whole = fixed_quad(f, lo, hi, 16)
+        whole = fixed_quad(f, lo, hi)
         mid = 0.5 * (lo + hi)
-        halves = fixed_quad(f, lo, mid, 16) + fixed_quad(f, mid, hi, 16)
+        halves = fixed_quad(f, lo, mid) + fixed_quad(f, mid, hi)
         err = abs(halves - whole)
         if err <= budget:
             return halves

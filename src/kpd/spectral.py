@@ -35,7 +35,6 @@ __all__ = [
 NEGATIVE_FOUND = "NEGATIVE_FOUND"
 NO_NEGATIVE_AT_RESOLUTION = "NO_NEGATIVE_AT_RESOLUTION"
 
-PANEL_DEGREE = 16
 # Certification is attempted when the final-rung minimum eigenvalue lies
 # below -ATTEMPT_FACTOR * max(diag).
 ATTEMPT_FACTOR = 1e-8
@@ -73,9 +72,7 @@ class QuadratureScheme:
 
 def build_scheme(node_count: int, half_width: float) -> QuadratureScheme:
     """Panels of degree 16 (plus one remainder panel) across [-L, L]."""
-    nodes, weights = composite_rule(
-        -half_width, half_width, node_count, panel_degree=PANEL_DEGREE
-    )
+    nodes, weights = composite_rule(-half_width, half_width, node_count)
     return QuadratureScheme(
         node_count=node_count,
         half_width=float(half_width),
@@ -97,11 +94,24 @@ def nystrom_matrix(params: KernelParams, scheme: QuadratureScheme) -> np.ndarray
 
 def truncation_tail_bound(params: KernelParams, half_width: float) -> float:
     """Diagonal kernel mass outside [-L, L]: the kernel decays like
-    1/(pi a 2^t x^(2t)) along the diagonal, integrable for t > 1/2."""
+    1/(pi a 2^t x^(2t)) along the diagonal, integrable for t > 1/2, which
+    gives L^(1-2t) / (pi a 2^t (t - 1/2)).
+
+    Summed in logs, so that it is inf where it overflows binary64 and 0.0
+    where it underflows; every term but the first is finite.
+    """
     t, a = params.t, params.a
     if t <= 0.5:
         return math.inf
-    return 2.0 * half_width ** (1.0 - 2.0 * t) / (math.pi * a * 2.0**t * (2.0 * t - 1.0))
+    log_bound = (
+        (0.5 - t) * (2.0 * math.log(half_width))
+        - t * math.log(2.0)
+        - math.log(math.pi)
+        - math.log(a)
+        - math.log(t - 0.5)
+    )
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_bound))
 
 
 @dataclass(frozen=True, eq=False)

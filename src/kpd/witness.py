@@ -27,7 +27,8 @@ is relative to the same sum taken with |c_j c_k|, not to the coefficient
 itself; :func:`cleared_form_series` states the bound.  At small z the
 kernel form is dominated by cancellation, so the certificate search
 evaluates it with :func:`~kpd.kernel.form_enclosure` and escalates
-precision until the error bound excludes zero.
+precision, up to ``kernel.DPS_CAP`` digits, until the error bound excludes
+zero.
 """
 
 import math
@@ -37,10 +38,9 @@ from itertools import combinations
 from typing import Literal, NamedTuple
 
 import mpmath as mp
-import numpy as np
 
 from .errors import DomainError, PreconditionError, SizeCapError, ToleranceError
-from .kernel import KernelParams, PointConfig, _as_mpf, form_enclosure
+from .kernel import DPS_CAP, KernelParams, PointConfig, _as_mpf, form_enclosure
 
 __all__ = [
     "WitnessConfig",
@@ -56,9 +56,6 @@ __all__ = [
     "find_negative_scale",
     "subset_product_identity",
     "difference_power_sum",
-    "pair_power_sum",
-    "gaussian_weight_sum",
-    "gaussian_weight_sum_max",
 ]
 
 # The series expansion's cost grows about as n^6 (2n^2 trinomial multiplies
@@ -67,6 +64,8 @@ __all__ = [
 DEFAULT_MAX_POINTS = 8
 SERIES_DPS = 50
 INTEGER_GAP = 1e-9
+# The witness scan tries z = 2^-k for k = 1..SCAN_STEPS.
+SCAN_STEPS = 200
 
 
 def _as_fraction(v) -> Fraction:
@@ -325,16 +324,10 @@ class NegativeScaleCertificate:
     config: PointConfig
     q_value: mp.mpf
     dps: int
-    witness: WitnessConfig
-    params: KernelParams
 
 
 def find_negative_scale(
-    params: KernelParams,
-    w: WitnessConfig,
-    k_max: int = 200,
-    dps_start: int = 50,
-    dps_cap: int = 400,
+    params: KernelParams, w: WitnessConfig, dps_start: int = 50
 ) -> NegativeScaleCertificate:
     """Scan z = 2^-k until the kernel form at the scaled points is
     resolved negative.
@@ -342,8 +335,8 @@ def find_negative_scale(
     Precondition: the z^t coefficient is negative (checked).  At each z
     the points y_j sqrt(z) are built and the kernel form evaluated with
     :func:`~kpd.kernel.form_enclosure`, doubling the precision until its
-    error bound excludes zero; a z unresolved at the cap is skipped, not
-    trusted.  The kernel form equals f(z) / (pi prod_pq (1 + D_pq)), so
+    error bound excludes zero; a z unresolved at ``DPS_CAP`` digits is
+    skipped, not trusted.  The kernel form equals f(z) / (pi prod_pq (1 + D_pq)), so
     the cleared form f(z), evaluated once at the end, must agree in sign.
     """
     kappa = t_power_coefficient(params, w, dps=dps_start)
@@ -352,7 +345,7 @@ def find_negative_scale(
             f"z^t coefficient is {mp.nstr(kappa, 8)} >= 0: the small-z scan "
             "cannot produce a negative value from this witness"
         )
-    for k in range(1, k_max + 1):
+    for k in range(1, SCAN_STEPS + 1):
         z = 2.0**-k
         dps = dps_start
         while True:
@@ -361,9 +354,9 @@ def find_negative_scale(
                 config = PointConfig(tuple(_as_mpf(yj) * sqrt_z for yj in w.y), w.c)
             q_value, bound = form_enclosure(params, config, dps=dps)
             resolved = abs(q_value) > bound
-            if resolved or dps >= dps_cap:
+            if resolved or dps >= DPS_CAP:
                 break
-            dps = min(2 * dps, dps_cap)
+            dps = min(2 * dps, DPS_CAP)
         if resolved and q_value < 0:
             f_value = cleared_form_value(params, w, z, dps=dps)
             if not (f_value < 0):
@@ -372,17 +365,11 @@ def find_negative_scale(
                     f"{mp.nstr(q_value, 8)} but f={mp.nstr(f_value, 8)} (dps={dps})"
                 )
             return NegativeScaleCertificate(
-                z=z,
-                f_value=f_value,
-                config=config,
-                q_value=q_value,
-                dps=dps,
-                witness=w,
-                params=params,
+                z=z, f_value=f_value, config=config, q_value=q_value, dps=dps
             )
     raise ToleranceError(
-        f"no negative value found for z down to 2^-{k_max}; raise k_max or "
-        "the precision cap"
+        f"no negative value found for z down to 2^-{SCAN_STEPS} with up to "
+        f"{DPS_CAP} digits"
     )
 
 
@@ -447,45 +434,3 @@ def difference_power_sum(v: int, w: WitnessConfig) -> Fraction:
         start=Fraction(0),
     )
     return (-1) ** v * total
-
-
-def pair_power_sum(ell: int, w: WitnessConfig) -> Fraction:
-    """sum_jk c_j c_k (y_j^2 + y_k^2)^ell, exactly.
-
-    Vanishes for all ell <= moment_order: each binomial term splits into
-    a j-moment times a k-moment, one of which has order <= moment_order.
-    """
-    if ell < 0:
-        raise DomainError("ell must be >= 0")
-    total = sum(
-        (
-            w.c[j] * w.c[k] * (w.y[j] ** 2 + w.y[k] ** 2) ** ell
-            for j in range(w.n)
-            for k in range(w.n)
-        ),
-        start=Fraction(0),
-    )
-    return total
-
-
-def gaussian_weight_sum(lam: float, w: WitnessConfig) -> float:
-    """sum_j c_j exp(-lam * y_j^2) for lam > 0.
-
-    Tends to sum(c) = 0 as lam -> 0+ and to the coefficient of the unique
-    smallest |y| as lam -> inf; for witnesses with distinct nonnegative y
-    it is not identically zero.
-    """
-    if not (lam > 0):
-        raise DomainError(f"lam must be > 0, got {lam!r}")
-    return math.fsum(
-        float(cj) * math.exp(-lam * float(yj) ** 2) for cj, yj in zip(w.c, w.y)
-    )
-
-
-def gaussian_weight_sum_max(w: WitnessConfig, lam_grid=None) -> float:
-    """max |sum_j c_j exp(-lam y_j^2)| over a lambda grid (default
-    log-spaced on [1e-2, 1e2]); bounded away from zero for witnesses with
-    distinct nonnegative y."""
-    if lam_grid is None:
-        lam_grid = np.logspace(-2, 2, 81)
-    return max(abs(gaussian_weight_sum(float(l), w)) for l in lam_grid)

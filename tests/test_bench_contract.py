@@ -1,0 +1,49 @@
+"""The benchmark in ``perfbench/`` drives kpd by name: its tracer wraps kpd
+functions looked up with ``getattr`` and its jobs are kpd command lines.
+These tests read those names and command lines, so that a change to kpd
+that would break the benchmark fails here first."""
+
+import importlib
+import os
+import sys
+
+import pytest
+
+from kpd.cli import _build_parser, _config_from_args
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+
+
+def _perfbench_module(name):
+    # perfbench/ is a directory of scripts, not a package; import without
+    # leaving byte code behind in it
+    sys.path.insert(0, PERFBENCH)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(PERFBENCH)
+
+
+tracing = _perfbench_module("tracing")
+jobs = _perfbench_module("jobs")
+
+
+@pytest.mark.parametrize(
+    "module, attr",
+    [entry[1:3] for entry in tracing.SPANS + tracing.COUNTERS],
+)
+def test_traced_names_resolve(module, attr):
+    assert callable(getattr(importlib.import_module(module), attr))
+
+
+@pytest.mark.parametrize("workload", sorted(jobs.WORKLOADS))
+def test_job_command_lines_parse(workload):
+    ops, _ = jobs.build(workload, 1)
+    argvs = [op["argv"] for op in ops if "argv" in op]
+    assert argvs
+    parser = _build_parser()
+    for argv in argvs:
+        _config_from_args(parser.parse_args(argv))

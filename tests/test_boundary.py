@@ -16,7 +16,6 @@ from kpd import (
     quadratic_form,
     schwarz_margin,
     schwarz_margin_exact,
-    schwarz_surface,
     tangency_z,
     threshold_weight,
 )
@@ -49,21 +48,6 @@ class TestMargin:
     def test_small_t_guard_and_override(self):
         with pytest.raises(DomainError):
             schwarz_margin(0.1, 1.0, 1.0)
-        assert math.isfinite(schwarz_margin(0.1, 1.0, 1.0, allow_small_t=True))
-
-    def test_surface_matches_margin_on_slice(self):
-        params = KernelParams(2.0, 13.0)
-        for z in (0.05, 0.2, 0.24):
-            assert schwarz_surface(params, math.sqrt(z), 0.0) == pytest.approx(
-                schwarz_margin(z, 2.0, 13.0), rel=1e-12, abs=1e-14
-            )
-
-    def test_surface_sign_matches_gram_determinant(self):
-        params = KernelParams(2.0, 13.0)
-        for (x, y) in ((0.45, 0.0), (0.45, 0.1), (1.0, 0.8), (2.0, -1.0)):
-            g = gram_matrix(params, PointConfig((x, y), (1.0, 1.0)))
-            det = float(np.linalg.det(g.entries))
-            assert (schwarz_surface(params, x, y) < 0) == (det < 0)
 
 
 class TestCriticalWeight:

@@ -118,6 +118,13 @@ class TestFracpowCommand:
         assert len(payload["entries"]) == 20
 
 
+class TestSpectrumCommand:
+    def test_huge_t_completes(self, capsys):
+        code, out = run_cli(capsys, "spectrum", "--t", "1100", "--a", "2", "--nodes", "16")
+        assert code == 0
+        assert json.loads(out)["payload"]["tail_bound"]["f64"] == 0.0
+
+
 class TestSweepCommand:
     def test_csv_schema(self, capsys):
         code, out = run_cli(
@@ -184,6 +191,15 @@ class TestVerify:
         code, out = run_cli(capsys, "verify", str(rec))
         assert code == 0
         assert "CONFIRMED" in out
+
+    def test_witness_at_precision_cap_confirms(self, capsys, tmp_path):
+        rec = tmp_path / "w800.json"
+        argv = ["witness", "--t", "3.5", "--a", "1", "--precision", "800", "--out", str(rec)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        cert = json.loads(rec.read_text())["payload"]["certificate"]
+        assert cert["dps_used"] == 800
+        assert verify_certificate(str(rec))["verdict"] == "CONFIRMED"
 
     def test_boundary_certificate_confirms(self, capsys, tmp_path):
         rec = tmp_path / "b.json"
@@ -384,6 +400,13 @@ class TestConfigValidation:
     )
     def test_unparsable_list_rejected(self, capsys, argv):
         code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("configuration error: ")
+
+    def test_precision_above_cap_rejected(self, capsys):
+        # a record written at more digits than verify replays could never confirm
+        code = main(["witness", "--t", "3.5", "--a", "1", "--precision", "801"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("configuration error: ")

@@ -12,11 +12,9 @@ from kpd import (
     cnd_check,
     distance_form,
     gram_matrix,
-    inverse_family_check,
     pd_check,
     quadratic_form,
     random_zero_sum_config,
-    randomized_pd_search,
 )
 
 INV_PI = 1.0 / math.pi
@@ -159,84 +157,3 @@ class TestCndCheck:
         assert (v.verdict == "FAIL") == (value > 1e-10)
         if v.failed:
             assert v.worst_config is cfg
-
-
-class TestInverseFamily:
-    def test_r_one_reproduces_scaled_gram(self):
-        params = KernelParams(0.75, 2.0)
-        cfg = PointConfig((-3.0, -1.0, 0.0, 2.0, 5.0), (1.0,) * 5)
-        v_inv = inverse_family_check(params, 1.0, cfg, tolerance=1e-10)
-        v_pd = pd_check(gram_matrix(params, cfg), tolerance=1e-10)
-        assert v_inv.verdict == v_pd.verdict == "PASS"
-        assert v_inv.statistic == pytest.approx(v_pd.statistic * math.pi, rel=1e-9)
-
-    def test_small_r_small_t_passes(self):
-        v = inverse_family_check(
-            KernelParams(0.75, 2.0),
-            0.1,
-            PointConfig((-3.0, -1.0, 0.0, 2.0, 5.0), (1.0,) * 5),
-            tolerance=1e-10,
-        )
-        assert v.verdict == "PASS"
-
-    def test_small_t_passes_for_every_r(self):
-        # the derived family must be PD for all r > 0 when t <= 1
-        rng = np.random.default_rng(31)
-        cfg = PointConfig(tuple(float(x) for x in rng.uniform(-10, 10, 6)), (1.0,) * 6)
-        for t, a in ((0.25, 0.1), (0.6, 1.0), (1.0, 10.0)):
-            for r in (1e-3, 0.1, 0.5, 1.0, 3.0, 10.0, 1e3):
-                v = inverse_family_check(KernelParams(t, a), r, cfg, tolerance=1e-10)
-                assert v.verdict == "PASS", (t, a, r)
-
-    def test_known_violation_fails(self):
-        v = inverse_family_check(
-            KernelParams(2.0, 13.0),
-            1.0,
-            PointConfig((math.sqrt(0.2), 0.0), (1.0, 1.0)),
-            tolerance=1e-12,
-        )
-        assert v.verdict == "FAIL"
-
-    def test_r_must_be_positive(self):
-        with pytest.raises(DomainError):
-            inverse_family_check(
-                KernelParams(1.0, 1.0), 0.0, PointConfig((0.0,), (1.0,))
-            )
-
-
-class TestRandomizedSearch:
-    def test_pd_region_passes(self):
-        v = randomized_pd_search(
-            KernelParams(1.0, 5.0), n_max=6, trials=500, seed=42, tolerance=1e-10
-        )
-        assert v.verdict == "PASS"
-
-    def test_violating_region_fails(self):
-        # the two-point violations at a=100 cluster near the origin
-        # (x ~ 0.3, y ~ 0), so sample there rather than on [-10, 10]
-        v = randomized_pd_search(
-            KernelParams(2.0, 100.0),
-            n_max=2,
-            trials=500,
-            seed=0,
-            tolerance=1e-10,
-            coordinate_range=1.0,
-        )
-        assert v.verdict == "FAIL"
-        assert v.worst_config is not None
-
-    def test_single_point_always_passes(self):
-        v = randomized_pd_search(KernelParams(2.0, 100.0), n_max=1, trials=1, seed=3)
-        assert v.verdict == "PASS"
-
-    def test_deterministic_for_fixed_seed(self):
-        a = randomized_pd_search(KernelParams(1.5, 2.0), 5, 50, seed=11)
-        b = randomized_pd_search(KernelParams(1.5, 2.0), 5, 50, seed=11)
-        assert a.statistic == b.statistic
-        assert a.verdict == b.verdict
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(DomainError):
-            randomized_pd_search(KernelParams(1.0, 1.0), 0, 10, seed=0)
-        with pytest.raises(DomainError):
-            randomized_pd_search(KernelParams(1.0, 1.0), 3, 0, seed=0)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kpd import (
     DomainError,
@@ -123,11 +123,13 @@ class TestDistanceForm:
         assert got == pytest.approx(4.0 + 2.0**1.5, rel=1e-15)
 
     @given(params_st, finite_floats)
+    @example(KernelParams(1.0, 1.0), 2.3838313829684797e-156)
     @settings(max_examples=60, deadline=None)
     def test_diagonal_matches_power(self, params, x):
-        # d(x, x) = a * (2 x^2)^t >= 0
+        # d(x, x) = a * (x^2 + x^2)^t >= 0; summed as in the definition, since
+        # 2.0 * x * x rounds differently once x^2 is subnormal
         got = distance_form(params, x, x)
-        assert got == params.a * nonneg_power(2.0 * x * x, params.t)
+        assert got == params.a * nonneg_power(x * x + x * x, params.t)
         assert got >= 0.0
 
     def test_zero_power_convention(self):

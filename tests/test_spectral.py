@@ -153,6 +153,9 @@ class TestLadder:
             2.0 * 20.0**-3.0 / (math.pi * 4.0 * 3.0), rel=1e-12
         )
         assert math.isinf(truncation_tail_bound(KernelParams(0.5, 1.0), 20.0))
+        # 2^t and L^(1-2t) alone overflow binary64 here; the bound does not
+        assert truncation_tail_bound(KernelParams(1100.0, 2.0), 20.0) == 0.0
+        assert truncation_tail_bound(KernelParams(1100.0, 2.0), 0.5) == math.inf
 
 
 class TestVerdicts:

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -16,9 +15,6 @@ from kpd import (
     cleared_form_value,
     difference_power_sum,
     find_negative_scale,
-    gaussian_weight_sum,
-    gaussian_weight_sum_max,
-    pair_power_sum,
     predict_t_coefficient_sign,
     quadratic_form,
     subset_product_identity,
@@ -312,37 +308,3 @@ class TestDifferencePowerSums:
         w = build_binomial_witness(order)
         for v in range(order + 1):
             assert difference_power_sum(v, w) == 0
-
-
-class TestPairPowerSums:
-    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 5])
-    def test_binomial_split_annihilation(self, order):
-        w = build_binomial_witness(order)
-        for ell in range(order + 1):
-            assert pair_power_sum(ell, w) == 0
-
-    def test_nonzero_beyond_order(self):
-        w = build_binomial_witness(1)
-        assert pair_power_sum(2, w) != 0
-
-
-class TestGaussianSums:
-    def test_zero_sum_limit(self):
-        w = build_binomial_witness(1)
-        assert abs(gaussian_weight_sum(1e-8, w)) < 1e-6
-
-    def test_unit_lambda_value(self):
-        w = build_binomial_witness(1)
-        got = gaussian_weight_sum(1.0, w)
-        assert got == pytest.approx(1.0 - 2.0 * math.exp(-1.0) + math.exp(-4.0), rel=1e-14)
-        assert got == pytest.approx(0.2825567565458495, rel=1e-12)
-
-    def test_large_lambda_limit(self):
-        # smallest point is y=0 with coefficient 1
-        w = build_binomial_witness(3)
-        assert gaussian_weight_sum(1e4, w) == pytest.approx(1.0, rel=1e-10)
-
-    @pytest.mark.parametrize("order", [0, 1, 2, 4, 6])
-    def test_scan_bounded_away_from_zero(self, order):
-        w = build_binomial_witness(order)
-        assert gaussian_weight_sum_max(w) > 0.5
