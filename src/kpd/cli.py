@@ -34,6 +34,7 @@ diagnostics or a replay that is not CONFIRMED.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -285,7 +286,7 @@ def _cmd_witness(cfg: RunConfig) -> dict:
         "certificate": None,
     }
     if kappa < 0:
-        cert = find_negative_scale(params, w, dps_start=cfg.precision)
+        cert = find_negative_scale(params, w, dps_start=cfg.precision, kappa=kappa)
         payload["negativity"] = "certified"
         payload["certificate"] = _certificate(
             "f",
@@ -573,6 +574,9 @@ def verify_certificate(record_path: str) -> dict:
 # Argument parsing and entry point.
 
 
+# Built once per process: main runs many times in one process (tests,
+# benchmarks, library callers), and each build costs about 2 ms.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="RNG seed (recorded)")

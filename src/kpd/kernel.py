@@ -200,7 +200,10 @@ def distance_matrix(params: KernelParams, x, y) -> np.ndarray:
     the working precision, anything else in binary64."""
     x, y = _grid(x)[..., :, None], _grid(y)[..., None, :]
     diff = x - y
-    return diff * diff + params.a * np.power(x * x + y * y, params.t)
+    # At large t the binary64 power overflows to inf on purpose: inf is the
+    # right limit, as the kernel entry 1 / (pi (1 + d)) becomes 0.
+    with np.errstate(over="ignore"):
+        return diff * diff + params.a * np.power(x * x + y * y, params.t)
 
 
 def kernel_matrix(params: KernelParams, x, y) -> np.ndarray:
@@ -247,7 +250,10 @@ def form_enclosure(
     exact form of the configuration as given: the real numbers its floats,
     Fractions or mpfs denote.  With ``dps=None`` the form is ``c @ M @ c``
     in binary64; with an integer ``dps`` the same expression runs in
-    mpmath at that many digits.
+    mpmath at that many digits, where M's n(n+1)/2 upper-triangle entries
+    are evaluated once and mirrored.  mpf subtraction and addition are
+    correctly rounded, so (x_j - x_k)^2 and x_j^2 + x_k^2 do not depend on
+    the order of j and k, and the full grid would hold the same entries.
 
     The bound is a-priori (Higham, *Accuracy and Stability of Numerical
     Algorithms*, ch. 3).  Let u = 2^-53, or 2^(1-prec) in mpmath, and
@@ -291,9 +297,11 @@ def form_enclosure(
     bound infinite or NaN, which excludes nothing.
     """
     n = config.n
+    matrix = distance_matrix if distance else kernel_matrix
     if dps is None:
         x, c = config.as_float_arrays()
-        value, bound = _form_and_bound(params, x, c, UNIT_ROUNDOFF, distance)
+        m = matrix(params, x, x)
+        value, bound = _form_and_bound(params, x, c, m, UNIT_ROUNDOFF, distance)
         if _underflows(config.points, x) or _underflows(config.coeffs, c):
             return float(value), math.inf
         s = float(np.sum(np.abs(c)))
@@ -302,15 +310,19 @@ def form_enclosure(
     with mp.workdps(dps):
         x = np.array([_as_mpf(p) for p in config.points], dtype=object)
         c = np.array([_as_mpf(v) for v in config.coeffs], dtype=object)
-        return _form_and_bound(params, x, c, mp.ldexp(1, 1 - mp.mp.prec), distance)
+        # the upper triangle as a stack of 1 x 1 grids, then mirrored
+        i, j = np.triu_indices(n)
+        m = np.empty((n, n), dtype=object)
+        m[i, j] = m[j, i] = matrix(params, x[i, None], x[j, None])[:, 0, 0]
+        return _form_and_bound(params, x, c, m, mp.ldexp(1, 1 - mp.mp.prec), distance)
 
 
-def _form_and_bound(params: KernelParams, x, c, u, distance: bool):
-    """The form and its bound, as derived in :func:`form_enclosure`, in the
-    arithmetic of the arrays (binary64, or mpf objects at the working
-    precision) with unit roundoff ``u``."""
+def _form_and_bound(params: KernelParams, x, c, m, u, distance: bool):
+    """The form ``c @ m @ c`` of the matrix ``m`` built at the points ``x``
+    and its bound, as derived in :func:`form_enclosure`, in the arithmetic
+    of the arrays (binary64, or mpf objects at the working precision) with
+    unit roundoff ``u``."""
     n = len(c)
-    m = distance_matrix(params, x, x) if distance else kernel_matrix(params, x, x)
     value = c @ m @ c
     k = 6 * math.ceil(params.t) + 2 * POW_ULPS + 2
     if max(k, 2 * n + 16) >= 1 / (4 * u):  # some gamma_j would reach 1/3

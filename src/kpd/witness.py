@@ -155,17 +155,26 @@ def check_moments(w: WitnessConfig, l_max: int) -> list[Fraction]:
 
 def _pair_data(params: KernelParams, w: WitnessConfig):
     """A_pq (exact Fraction) and B_pq (mpf at the ambient precision),
-    each a dict keyed by the ordered pair (p, q)."""
-    t = _as_mpf(params.t)
+    each a dict keyed by the ordered pair (p, q).  B is symmetric: each
+    distinct y_p^2 + y_q^2 is raised to the power t once."""
     a = _as_mpf(params.a)
+    powers = _sum_square_powers(w, _as_mpf(params.t))
     A: dict[tuple[int, int], Fraction] = {}
     B: dict[tuple[int, int], mp.mpf] = {}
     for p in range(w.n):
         for q in range(w.n):
             A[(p, q)] = (w.y[p] - w.y[q]) ** 2
             s = w.y[p] ** 2 + w.y[q] ** 2
-            B[(p, q)] = a * _as_mpf(s) ** t if s != 0 else mp.mpf(0)
+            B[(p, q)] = a * powers[s] if s != 0 else mp.mpf(0)
     return A, B
+
+
+def _sum_square_powers(w: WitnessConfig, t) -> dict:
+    """s -> s^t for each distinct nonzero s = y_j^2 + y_k^2, with ``t`` a
+    float (binary64 powers) or an mpf (mpmath at the ambient precision)."""
+    num = float if isinstance(t, float) else _as_mpf
+    sums = {yj**2 + yk**2 for yj in w.y for yk in w.y} - {0}
+    return {s: num(s) ** t for s in sums}
 
 
 def _times(poly: dict, A: Fraction, B) -> dict:
@@ -288,16 +297,17 @@ def t_power_coefficient(
             "coefficient closed form"
         )
     if dps is None:
+        powers = _sum_square_powers(w, params.t)
         terms = []
         for j in range(w.n):
             for k in range(w.n):
-                s = float(w.y[j] ** 2 + w.y[k] ** 2)
-                terms.append(float(w.c[j] * w.c[k]) * (s ** params.t if s else 0.0))
+                s = w.y[j] ** 2 + w.y[k] ** 2
+                terms.append(float(w.c[j] * w.c[k]) * (powers[s] if s else 0.0))
         return -params.a * math.fsum(terms)
     with mp.workdps(dps):
-        t = _as_mpf(params.t)
+        powers = _sum_square_powers(w, _as_mpf(params.t))
         total = mp.fsum(
-            _as_mpf(w.c[j] * w.c[k]) * _as_mpf(w.y[j] ** 2 + w.y[k] ** 2) ** t
+            _as_mpf(w.c[j] * w.c[k]) * powers[w.y[j] ** 2 + w.y[k] ** 2]
             for j in range(w.n)
             for k in range(w.n)
             if w.y[j] ** 2 + w.y[k] ** 2 != 0
@@ -327,19 +337,29 @@ class NegativeScaleCertificate:
 
 
 def find_negative_scale(
-    params: KernelParams, w: WitnessConfig, dps_start: int = 50
+    params: KernelParams, w: WitnessConfig, dps_start: int = 50, kappa=None
 ) -> NegativeScaleCertificate:
     """Scan z = 2^-k until the kernel form at the scaled points is
     resolved negative.
 
-    Precondition: the z^t coefficient is negative (checked).  At each z
-    the points y_j sqrt(z) are built and the kernel form evaluated with
+    Precondition: the z^t coefficient is negative (checked).  ``kappa``
+    is that coefficient at ``dps_start`` digits, for a caller that has
+    already computed it; by default it is computed here.  At each z the
+    points y_j sqrt(z) are built and the kernel form evaluated with
     :func:`~kpd.kernel.form_enclosure`, doubling the precision until its
     error bound excludes zero; a z unresolved at ``DPS_CAP`` digits is
     skipped, not trusted.  The kernel form equals f(z) / (pi prod_pq (1 + D_pq)), so
     the cleared form f(z), evaluated once at the end, must agree in sign.
+
+    Each z first gets a binary64 enclosure of the ``dps_start`` points.
+    If it proves the form positive, the z is skipped without any mpmath
+    stage.  No stage could have certified it negative: that enclosure's
+    bound holds for every point moved by a relative gamma_2 (about
+    2^-52), which covers the points built at every higher precision, and
+    they lie within about 10^-dps_start of these.
     """
-    kappa = t_power_coefficient(params, w, dps=dps_start)
+    if kappa is None:
+        kappa = t_power_coefficient(params, w, dps=dps_start)
     if not (kappa < 0):
         raise PreconditionError(
             f"z^t coefficient is {mp.nstr(kappa, 8)} >= 0: the small-z scan "
@@ -348,15 +368,17 @@ def find_negative_scale(
     for k in range(1, SCAN_STEPS + 1):
         z = 2.0**-k
         dps = dps_start
+        config = _scaled_config(w, z, dps)
+        value, bound = form_enclosure(params, config)
+        if value > bound:
+            continue
         while True:
-            with mp.workdps(dps):
-                sqrt_z = mp.sqrt(mp.mpf(z))
-                config = PointConfig(tuple(_as_mpf(yj) * sqrt_z for yj in w.y), w.c)
             q_value, bound = form_enclosure(params, config, dps=dps)
             resolved = abs(q_value) > bound
             if resolved or dps >= DPS_CAP:
                 break
             dps = min(2 * dps, DPS_CAP)
+            config = _scaled_config(w, z, dps)
         if resolved and q_value < 0:
             f_value = cleared_form_value(params, w, z, dps=dps)
             if not (f_value < 0):
@@ -371,6 +393,13 @@ def find_negative_scale(
         f"no negative value found for z down to 2^-{SCAN_STEPS} with up to "
         f"{DPS_CAP} digits"
     )
+
+
+def _scaled_config(w: WitnessConfig, z: float, dps: int) -> PointConfig:
+    """The witness at scale z: points y_j sqrt(z) at ``dps`` digits."""
+    with mp.workdps(dps):
+        sqrt_z = mp.sqrt(mp.mpf(z))
+        return PointConfig(tuple(_as_mpf(yj) * sqrt_z for yj in w.y), w.c)
 
 
 # ---------------------------------------------------------------------------

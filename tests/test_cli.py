@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from kpd.cli import RunConfig, main, run, verify_certificate
+import kpd.cli
+import kpd.witness
+from kpd.cli import RunConfig, _build_parser, main, run, verify_certificate
 from kpd.errors import KpdError
 
 
@@ -101,6 +103,20 @@ class TestWitnessCommand:
         assert float(cert["value"]) < 0
         assert float(cert["q_value"]) < 0
 
+    def test_one_t_power_coefficient_per_job(self, capsys, monkeypatch):
+        calls, original = [], kpd.witness.t_power_coefficient
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (kpd.cli, kpd.witness):
+            monkeypatch.setattr(module, "t_power_coefficient", counted)
+        code, out = run_cli(capsys, "witness", "--t", "3.75", "--a", "0.01")
+        assert code == 0
+        assert json.loads(out)["payload"]["negativity"] == "certified"
+        assert len(calls) == 1
+
     def test_even_integer_part_is_inconclusive(self, capsys):
         code, out = run_cli(capsys, "witness", "--t", "2.5", "--a", "1")
         payload = json.loads(out)["payload"]
@@ -118,7 +134,30 @@ class TestFracpowCommand:
         assert len(payload["entries"]) == 20
 
 
+class TestParser:
+    def test_one_parser_serves_every_call(self, capsys, tmp_path):
+        gram = ["gram", "--t", "2", "--a", "13", "--points", "0.4472135954999579,0"]
+
+        def gram_then_verify(path):
+            assert main(gram + ["--out", str(path)]) == 0
+            capsys.readouterr()
+            assert main(["verify", str(path)]) == 0
+            record = json.loads(path.read_text())
+            return record["config"], record["payload"], capsys.readouterr().out
+
+        assert _build_parser() is _build_parser()
+        with pytest.raises(SystemExit) as exc:
+            main(["gram", "--t", "x", "--a", "1", "--points", "0"])
+        assert exc.value.code == 2
+        reused = gram_then_verify(tmp_path / "reused.json")
+        _build_parser.cache_clear()
+        fresh = gram_then_verify(tmp_path / "fresh.json")
+        assert reused[0] == {**fresh[0], "output_path": str(tmp_path / "reused.json")}
+        assert reused[1:] == fresh[1:]
+
+
 class TestSpectrumCommand:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_t_completes(self, capsys):
         code, out = run_cli(capsys, "spectrum", "--t", "1100", "--a", "2", "--nodes", "16")
         assert code == 0

@@ -20,7 +20,13 @@ from kpd import (
     quadratic_form,
     resolve_form_sign,
 )
-from kpd.kernel import distance_matrix, form_enclosure, kernel_matrix
+from kpd.kernel import (
+    _as_mpf,
+    _form_and_bound,
+    distance_matrix,
+    form_enclosure,
+    kernel_matrix,
+)
 
 INV_PI = 1.0 / math.pi
 
@@ -294,6 +300,33 @@ class TestFormEnclosure:
         if distance:
             terms += 8 * big_x * width * np.abs(c).sum() ** 2
         assert form_enclosure(params, cfg, distance=distance)[1] <= 2 * terms * 2.0**-53 + 1e-290
+
+    @pytest.mark.parametrize("kind", ["mpf", "float", "fraction"])
+    def test_triangle_stage_equals_full_grid(self, kind):
+        # the mpmath stage evaluates the upper triangle once; its value and
+        # bound must be exactly those of the full n x n grid
+        def convert(v):
+            with mp.workdps(60):  # an mpf with more digits than a float
+                return mp.mpf(v) / 3 if kind == "mpf" else _as_kind(kind, v)
+
+        rng = np.random.default_rng(8)
+        for n in range(1, 10):
+            cfg = PointConfig(
+                [convert(v) for v in rng.uniform(-2, 2, n)],
+                [convert(v) for v in rng.uniform(-3, 3, n)],
+            )
+            for t in (2.0, 1.37):
+                params = KernelParams(t, 0.7)
+                for dps in (30, 120):
+                    for distance in (False, True):
+                        got = form_enclosure(params, cfg, dps=dps, distance=distance)
+                        with mp.workdps(dps):
+                            x = np.array([_as_mpf(p) for p in cfg.points], dtype=object)
+                            c = np.array([_as_mpf(v) for v in cfg.coeffs], dtype=object)
+                            full = (distance_matrix if distance else kernel_matrix)(params, x, x)
+                            u = mp.ldexp(1, 1 - mp.mp.prec)
+                            want = _form_and_bound(params, x, c, full, u, distance)
+                        assert got == want, (n, t, dps, distance)
 
     def test_void_derivation_gets_infinite_bound(self):
         params = KernelParams(2.0, 1.0)

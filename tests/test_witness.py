@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import kpd.witness
 from kpd import (
     DomainError,
     KernelParams,
@@ -21,6 +23,8 @@ from kpd import (
     t_power_coefficient,
     WitnessConfig,
 )
+from kpd.kernel import _as_mpf, form_enclosure
+from kpd.witness import _pair_data
 
 # 9-term direct sum, our long-standing oracle for the T=1, t=1.5, a=1 case
 KAPPA_T15 = -(-4.0 + 2.0 * 4.0**1.5 + 4.0 * 2.0**1.5 - 4.0 * 5.0**1.5 + 8.0**1.5)
@@ -215,6 +219,35 @@ class TestTPowerCoefficient:
         assert (predicted == "nonpositive") == (sign < 0)
         assert float(got) * sign > 1e-6
 
+    @pytest.mark.parametrize("t,order", [(1.5, 1), (2.5, 2), (3.75, 3), (4.5, 5)])
+    def test_equals_loop_over_all_pairs(self, t, order):
+        # the reference raises every ordered pair's y_j^2 + y_k^2 to the
+        # power t itself; the sums take the same terms in the same order
+        w, params = build_binomial_witness(order), KernelParams(t, 0.3)
+        pairs = [(j, k) for j in range(w.n) for k in range(w.n)]
+        sums = [w.y[j] ** 2 + w.y[k] ** 2 for j, k in pairs]
+        weights = [w.c[j] * w.c[k] for j, k in pairs]
+        float_terms = [float(c) * (float(s) ** t if s else 0.0) for c, s in zip(weights, sums)]
+        assert t_power_coefficient(params, w) == -params.a * math.fsum(float_terms)
+        with mp.workdps(60):
+            want = -_as_mpf(params.a) * mp.fsum(
+                _as_mpf(c) * _as_mpf(s) ** _as_mpf(t) for c, s in zip(weights, sums) if s
+            )
+        assert t_power_coefficient(params, w, dps=60) == want
+
+
+class TestPairData:
+    @pytest.mark.parametrize("order", [0, 1, 3, 5])
+    def test_b_is_symmetric_and_exact(self, order):
+        w, params = build_binomial_witness(order), KernelParams(3.75, 0.01)
+        with mp.workdps(50):
+            A, B = _pair_data(params, w)
+            for (p, q), b in B.items():
+                assert b == B[q, p]
+                s = w.y[p] ** 2 + w.y[q] ** 2
+                assert b == (_as_mpf(params.a) * _as_mpf(s) ** _as_mpf(params.t) if s else 0)
+                assert A[p, q] == (w.y[p] - w.y[q]) ** 2
+
 
 class TestSignPrediction:
     def test_values(self):
@@ -249,6 +282,35 @@ class TestFindNegativeScale:
     def test_even_integer_part_rejected(self):
         with pytest.raises(PreconditionError):
             find_negative_scale(KernelParams(2.5, 1.0), build_binomial_witness(2))
+        # a caller's coefficient is held to the same precondition
+        with pytest.raises(PreconditionError):
+            find_negative_scale(KernelParams(1.5, 1.0), build_binomial_witness(1), kappa=0.0)
+
+    # (t, a) -> the first z certified negative, its dps, its q_value as the
+    # record stores it, and a ceiling on the mpmath form enclosures; the
+    # scan without the binary64 pre-check made 58, 22, 24 and 8 of them
+    @pytest.mark.parametrize(
+        "t, a, z, dps, q_value, mp_calls",
+        [
+            (3.75, 0.01, 2.0**-50, 100, "-1.338625418689734758040744981324833785651764990663912068155838690604752061428807329519996451848483860e-57", 45),
+            (1.481906, 0.010063, 2.0**-22, 50, "-0.00000000000012121260631323255162752274242026287045421224023232", 1),
+            (3.354057, 0.014399, 2.0**-24, 50, "-4.2206961374242013735311577257577656758808753044919e-26", 11),
+            (1.267167, 7.895252, 2.0**-8, 50, "-0.000056652636869077020254335351606415680249198909141738", 1),
+        ],
+        ids=["t3.75", "t1.48", "t3.35", "t1.27"],
+    )
+    def test_scan_result_and_its_mpmath_work(self, monkeypatch, t, a, z, dps, q_value, mp_calls):
+        stages = []
+
+        def counted(params, config, dps=None, distance=False):
+            stages.append(dps)
+            return form_enclosure(params, config, dps, distance)
+
+        monkeypatch.setattr(kpd.witness, "form_enclosure", counted)
+        cert = find_negative_scale(KernelParams(t, a), build_binomial_witness(int(t)))
+        assert (cert.z, cert.dps) == (z, dps)
+        assert mp.nstr(cert.q_value, cert.dps, strip_zeros=False) == q_value
+        assert sum(d is not None for d in stages) <= mp_calls
 
 
 class TestExactIdentities:
