@@ -286,7 +286,7 @@ def _cmd_witness(cfg: RunConfig) -> dict:
         "certificate": None,
     }
     if kappa < 0:
-        cert = find_negative_scale(params, w, dps_start=cfg.precision, kappa=kappa)
+        cert = find_negative_scale(params, w, kappa, dps_start=cfg.precision)
         payload["negativity"] = "certified"
         payload["certificate"] = _certificate(
             "f",
@@ -574,8 +574,8 @@ def verify_certificate(record_path: str) -> dict:
 # Argument parsing and entry point.
 
 
-# Built once per process: main runs many times in one process (tests,
-# benchmarks, library callers), and each build costs about 2 ms.
+# Built once per process, for callers that run main more than once in one
+# process; a build costs about 2 ms.
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)

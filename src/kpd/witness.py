@@ -169,12 +169,11 @@ def _pair_data(params: KernelParams, w: WitnessConfig):
     return A, B
 
 
-def _sum_square_powers(w: WitnessConfig, t) -> dict:
-    """s -> s^t for each distinct nonzero s = y_j^2 + y_k^2, with ``t`` a
-    float (binary64 powers) or an mpf (mpmath at the ambient precision)."""
-    num = float if isinstance(t, float) else _as_mpf
+def _sum_square_powers(w: WitnessConfig, t: mp.mpf) -> dict:
+    """s -> s^t in mpmath at the ambient precision, for each distinct
+    nonzero s = y_j^2 + y_k^2."""
     sums = {yj**2 + yk**2 for yj in w.y for yk in w.y} - {0}
-    return {s: num(s) ** t for s in sums}
+    return {s: _as_mpf(s) ** t for s in sums}
 
 
 def _times(poly: dict, A: Fraction, B) -> dict:
@@ -297,12 +296,11 @@ def t_power_coefficient(
             "coefficient closed form"
         )
     if dps is None:
-        powers = _sum_square_powers(w, params.t)
         terms = []
         for j in range(w.n):
             for k in range(w.n):
-                s = w.y[j] ** 2 + w.y[k] ** 2
-                terms.append(float(w.c[j] * w.c[k]) * (powers[s] if s else 0.0))
+                s = float(w.y[j] ** 2 + w.y[k] ** 2)
+                terms.append(float(w.c[j] * w.c[k]) * (s ** params.t if s else 0.0))
         return -params.a * math.fsum(terms)
     with mp.workdps(dps):
         powers = _sum_square_powers(w, _as_mpf(params.t))
@@ -337,19 +335,19 @@ class NegativeScaleCertificate:
 
 
 def find_negative_scale(
-    params: KernelParams, w: WitnessConfig, dps_start: int = 50, kappa=None
+    params: KernelParams, w: WitnessConfig, kappa, dps_start: int = 50
 ) -> NegativeScaleCertificate:
     """Scan z = 2^-k until the kernel form at the scaled points is
     resolved negative.
 
-    Precondition: the z^t coefficient is negative (checked).  ``kappa``
-    is that coefficient at ``dps_start`` digits, for a caller that has
-    already computed it; by default it is computed here.  At each z the
-    points y_j sqrt(z) are built and the kernel form evaluated with
-    :func:`~kpd.kernel.form_enclosure`, doubling the precision until its
-    error bound excludes zero; a z unresolved at ``DPS_CAP`` digits is
-    skipped, not trusted.  The kernel form equals f(z) / (pi prod_pq (1 + D_pq)), so
-    the cleared form f(z), evaluated once at the end, must agree in sign.
+    ``kappa`` is the z^t coefficient, as :func:`t_power_coefficient`
+    returns it (which checks the witness moments).  Precondition: it is
+    negative (checked).  At each z the points y_j sqrt(z) are built and
+    the kernel form evaluated with :func:`~kpd.kernel.form_enclosure`,
+    doubling the precision until its error bound excludes zero; a z
+    unresolved at ``DPS_CAP`` digits is skipped, not trusted.  The kernel
+    form equals f(z) / (pi prod_pq (1 + D_pq)), so the cleared form f(z),
+    evaluated once at the end, must agree in sign.
 
     Each z first gets a binary64 enclosure of the ``dps_start`` points.
     If it proves the form positive, the z is skipped without any mpmath
@@ -358,8 +356,6 @@ def find_negative_scale(
     2^-52), which covers the points built at every higher precision, and
     they lie within about 10^-dps_start of these.
     """
-    if kappa is None:
-        kappa = t_power_coefficient(params, w, dps=dps_start)
     if not (kappa < 0):
         raise PreconditionError(
             f"z^t coefficient is {mp.nstr(kappa, 8)} >= 0: the small-z scan "

@@ -154,7 +154,7 @@ def test_criterion_6_end_to_end_certificates():
         for (t, a) in ((1.5, 1.0), (1.5, 10.0), (3.5, 0.01)):
             params = KernelParams(t, a)
             w = build_binomial_witness(int(t))
-            cert = find_negative_scale(params, w)
+            cert = find_negative_scale(params, w, t_power_coefficient(params, w, dps=50))
             assert cert.f_value < 0, (t, a)
             # recompute the kernel quadratic form independently, at
             # elevated precision, from the stored configuration alone

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -227,8 +226,6 @@ class TestTPowerCoefficient:
         pairs = [(j, k) for j in range(w.n) for k in range(w.n)]
         sums = [w.y[j] ** 2 + w.y[k] ** 2 for j, k in pairs]
         weights = [w.c[j] * w.c[k] for j, k in pairs]
-        float_terms = [float(c) * (float(s) ** t if s else 0.0) for c, s in zip(weights, sums)]
-        assert t_power_coefficient(params, w) == -params.a * math.fsum(float_terms)
         with mp.workdps(60):
             want = -_as_mpf(params.a) * mp.fsum(
                 _as_mpf(c) * _as_mpf(s) ** _as_mpf(t) for c, s in zip(weights, sums) if s
@@ -262,10 +259,14 @@ class TestSignPrediction:
             predict_t_coefficient_sign(3.0 + 1e-12)
 
 
+def scan(params, w):
+    return find_negative_scale(params, w, t_power_coefficient(params, w, dps=50))
+
+
 class TestFindNegativeScale:
     def test_t15_certificate(self):
         params = KernelParams(1.5, 1.0)
-        cert = find_negative_scale(params, build_binomial_witness(1))
+        cert = scan(params, build_binomial_witness(1))
         assert cert.z <= 2.0**-1
         assert cert.f_value < 0
         assert cert.q_value < 0
@@ -275,16 +276,15 @@ class TestFindNegativeScale:
 
     def test_t35_small_weight_certificate(self):
         params = KernelParams(3.5, 0.01)
-        cert = find_negative_scale(params, build_binomial_witness(3))
+        cert = scan(params, build_binomial_witness(3))
         assert cert.f_value < 0
         assert cert.q_value < 0
 
     def test_even_integer_part_rejected(self):
         with pytest.raises(PreconditionError):
-            find_negative_scale(KernelParams(2.5, 1.0), build_binomial_witness(2))
-        # a caller's coefficient is held to the same precondition
+            scan(KernelParams(2.5, 1.0), build_binomial_witness(2))
         with pytest.raises(PreconditionError):
-            find_negative_scale(KernelParams(1.5, 1.0), build_binomial_witness(1), kappa=0.0)
+            find_negative_scale(KernelParams(1.5, 1.0), build_binomial_witness(1), 0.0)
 
     # (t, a) -> the first z certified negative, its dps, its q_value as the
     # record stores it, and a ceiling on the mpmath form enclosures; the
@@ -307,7 +307,7 @@ class TestFindNegativeScale:
             return form_enclosure(params, config, dps, distance)
 
         monkeypatch.setattr(kpd.witness, "form_enclosure", counted)
-        cert = find_negative_scale(KernelParams(t, a), build_binomial_witness(int(t)))
+        cert = scan(KernelParams(t, a), build_binomial_witness(int(t)))
         assert (cert.z, cert.dps) == (z, dps)
         assert mp.nstr(cert.q_value, cert.dps, strip_zeros=False) == q_value
         assert sum(d is not None for d in stages) <= mp_calls
