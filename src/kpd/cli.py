@@ -34,7 +34,6 @@ diagnostics or a replay that is not CONFIRMED.
 
 import argparse
 import csv
-import functools
 import io
 import json
 import math
@@ -574,9 +573,6 @@ def verify_certificate(record_path: str) -> dict:
 # Argument parsing and entry point.
 
 
-# Built once per process, for callers that run main more than once in one
-# process; a build costs about 2 ms.
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="RNG seed (recorded)")

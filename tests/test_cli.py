@@ -9,7 +9,7 @@ import pytest
 
 import kpd.cli
 import kpd.witness
-from kpd.cli import RunConfig, _build_parser, main, run, verify_certificate
+from kpd.cli import RunConfig, main, run, verify_certificate
 from kpd.errors import KpdError
 
 
@@ -135,7 +135,7 @@ class TestFracpowCommand:
 
 
 class TestParser:
-    def test_one_parser_serves_every_call(self, capsys, tmp_path):
+    def test_repeated_calls_in_one_process_agree(self, capsys, tmp_path):
         gram = ["gram", "--t", "2", "--a", "13", "--points", "0.4472135954999579,0"]
 
         def gram_then_verify(path):
@@ -145,15 +145,13 @@ class TestParser:
             record = json.loads(path.read_text())
             return record["config"], record["payload"], capsys.readouterr().out
 
-        assert _build_parser() is _build_parser()
+        first = gram_then_verify(tmp_path / "first.json")
         with pytest.raises(SystemExit) as exc:
             main(["gram", "--t", "x", "--a", "1", "--points", "0"])
         assert exc.value.code == 2
-        reused = gram_then_verify(tmp_path / "reused.json")
-        _build_parser.cache_clear()
-        fresh = gram_then_verify(tmp_path / "fresh.json")
-        assert reused[0] == {**fresh[0], "output_path": str(tmp_path / "reused.json")}
-        assert reused[1:] == fresh[1:]
+        again = gram_then_verify(tmp_path / "again.json")
+        assert again[0] == {**first[0], "output_path": str(tmp_path / "again.json")}
+        assert again[1:] == first[1:]
 
 
 class TestSpectrumCommand:
