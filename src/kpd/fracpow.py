@@ -16,7 +16,10 @@ bracket is the (stable) Taylor remainder of the exponential, integrated
 term by term in closed form; on the outer piece the polynomial part
 integrates in closed form and only the exponential part needs (adaptive)
 quadrature, with a certified tail bound.  Homogeneity is exact by
-construction: every piece carries the factor |w|^s.
+construction: every piece carries the factor |w|^s, and the rest (the
+bracket, or the L1 total) depends on w only through its direction
+w / |w|.  :func:`validate_representation` evaluates that scale-free part
+once per direction, power and tolerance within a call.
 """
 
 import cmath
@@ -41,6 +44,8 @@ INTEGER_GAP = 1e-9
 MAX_POWER = 30.0
 # Step of the forward difference in validate_representation's derivative check.
 DERIVATIVE_STEP = 1e-5
+# Default tolerance of integrand_l1_norm, also used by validate_representation.
+L1_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -117,6 +122,12 @@ def integral_power(w: complex, p: FracPowerParams, tol: float = 1e-10) -> comple
     Absolute accuracy target tol * |w|^s.  w = 0 returns 0 under the
     global 0^s = 0 convention.
     """
+    return _integral_power(w, p, tol, _power_bracket)
+
+
+def _integral_power(w, p: FracPowerParams, tol: float, bracket) -> complex:
+    """:func:`integral_power` with its scale-free part supplied as
+    ``bracket(w / |w|, p, tol)``."""
     w = complex(w)
     if w == 0:
         return 0.0 + 0.0j
@@ -124,9 +135,14 @@ def integral_power(w: complex, p: FracPowerParams, tol: float = 1e-10) -> comple
         raise DomainError(f"integral representation needs Re(w) > 0, got {w!r}")
     if not (tol > 0):
         raise DomainError(f"tol must be > 0, got {tol!r}")
-    S, s, B = p.int_part, p.s, p.prefactor
     aw = abs(w)
-    om = w / aw
+    return (-1) ** p.int_part * p.prefactor * aw**p.s * bracket(w / aw, p, tol)
+
+
+def _power_bracket(om: complex, p: FracPowerParams, tol: float) -> complex:
+    """The bracket at the direction om = w / |w|:
+    w^s = (-1)^S * B(s) * |w|^s * bracket."""
+    S, s, B = p.int_part, p.s, p.prefactor
     budget = tol / (3.0 * B)  # three pieces contribute to the bracket
 
     # Inner piece [0, 1/|w|]: term-by-term integral of the Taylor remainder.
@@ -162,11 +178,10 @@ def integral_power(w: complex, p: FracPowerParams, tol: float = 1e-10) -> comple
         lambda mu: cmath.exp(-mu * om) * mu ** (-s - 1.0), 1.0, M, budget / 2.0
     )
 
-    bracket = inner + outer_poly - J
-    return (-1) ** S * B * aw**s * bracket
+    return inner + outer_poly - J
 
 
-def integrand_l1_norm(w: complex, p: FracPowerParams, tol: float = 1e-8) -> float:
+def integrand_l1_norm(w: complex, p: FracPowerParams, tol: float = L1_TOL) -> float:
     """Certified upper estimate of the integrand's L1 norm.
 
     The numeric part integrates |bracket| * mu^(-s-1) after the
@@ -176,14 +191,24 @@ def integrand_l1_norm(w: complex, p: FracPowerParams, tol: float = 1e-8) -> floa
     approximation errs upward, a value below C(s)*|w|^s genuinely
     verifies the bound.
     """
+    return _integrand_l1_norm(w, p, tol, _l1_total)
+
+
+def _integrand_l1_norm(w, p: FracPowerParams, tol: float, total) -> float:
+    """:func:`integrand_l1_norm` with its scale-free part supplied as
+    ``total(w / |w|, p, tol)``."""
     w = complex(w)
     if w == 0:
         return 0.0
     if w.real < 0.0:
         raise DomainError(f"L1 bound needs Re(w) >= 0, got {w!r}")
-    S, s, sigma = p.int_part, p.s, p.frac_part
     aw = abs(w)
-    om = w / aw
+    return aw**p.s * total(w / aw, p, tol)
+
+
+def _l1_total(om: complex, p: FracPowerParams, tol: float) -> float:
+    """The L1 estimate divided by |w|^s, at the direction om = w / |w|."""
+    S, s, sigma = p.int_part, p.s, p.frac_part
 
     def absolute_integrand(mu: float) -> float:
         return abs(_taylor_remainder(mu * om, S)) * mu ** (-s - 1.0)
@@ -221,8 +246,7 @@ def integrand_l1_norm(w: complex, p: FracPowerParams, tol: float = 1e-8) -> floa
         tail += math.exp(-mu0 * om.real) / (om.real * mu0 ** (s + 1.0))
     else:
         tail += mu0 ** (-s) / s
-    total += tail
-    return aw**s * total
+    return total + tail
 
 
 @dataclass(frozen=True)
@@ -243,21 +267,39 @@ def validate_representation(pairs, tol: float = 1e-6) -> ValidationReport:
     Also exercises the inductive structure at each point: the forward
     difference of h(.; s+1) must reproduce (s+1)*h(.; s), and the
     integrand's L1 norm must respect its closed-form bound.
+
+    Each value is the one :func:`integral_power` or
+    :func:`integrand_l1_norm` returns, but the scale-free part is evaluated
+    once per distinct (w / |w|, s, tol) within the call: all real w share
+    direction 1.  Nothing is kept between calls.
     """
+    memo = {}
+
+    def once(part):
+        def cached(om, p, tol):
+            # repr tells apart the signed zeros that == merges
+            key = (part, repr(om), p, tol)
+            if key not in memo:
+                memo[key] = part(om, p, tol)
+            return memo[key]
+
+        return cached
+
+    bracket, l1_total = once(_power_bracket), once(_l1_total)
     entries = []
     failures = []
     for w, s in pairs:
         w = complex(w)
         p = split_power(s)
-        h = integral_power(w, p, tol=tol / 10.0)
+        h = _integral_power(w, p, tol / 10.0, bracket)
         want = w**s
         err = abs(h - want) / abs(want)
         entry = {"w": w, "s": float(s), "h": h, "w_pow_s": want, "rel_err": err}
 
         if s + 1.0 <= MAX_POWER:
             q = split_power(s + 1.0)
-            hq1 = integral_power(w + DERIVATIVE_STEP, q, tol=tol / 10.0)
-            hq0 = integral_power(w, q, tol=tol / 10.0)
+            hq1 = _integral_power(w + DERIVATIVE_STEP, q, tol / 10.0, bracket)
+            hq0 = _integral_power(w, q, tol / 10.0, bracket)
             deriv = (hq1 - hq0) / DERIVATIVE_STEP
             target = (s + 1.0) * h
             entry["derivative_rel_err"] = abs(deriv - target) / abs(target)
@@ -265,7 +307,7 @@ def validate_representation(pairs, tol: float = 1e-6) -> ValidationReport:
             # with headroom on top of the quadrature noise floor.
             entry["derivative_gate"] = 1e-4 + DERIVATIVE_STEP * s / abs(w)
 
-        norm = integrand_l1_norm(w, p)
+        norm = _integrand_l1_norm(w, p, L1_TOL, l1_total)
         bound = l1_bound_constant(p) * abs(w) ** s
         entry["l1_norm_upper"] = norm
         entry["l1_bound"] = bound

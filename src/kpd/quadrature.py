@@ -61,14 +61,15 @@ def adaptive_quad(f, a: float, b: float, tol: float, max_depth: int = 40):
     """Adaptive bisection Gauss-Legendre integration to absolute tolerance.
 
     Works for complex integrands; the error indicator is the modulus of
-    the difference between one- and two-panel estimates.  Raises
-    :class:`ToleranceError` if the depth budget is exhausted.
+    the difference between one- and two-panel estimates.  Each panel is
+    integrated once: a half's estimate is handed to the step that bisects
+    it.  Raises :class:`ToleranceError` if the depth budget is exhausted.
     """
 
-    def recurse(lo, hi, budget, depth):
-        whole = fixed_quad(f, lo, hi)
+    def recurse(lo, hi, whole, budget, depth):
         mid = 0.5 * (lo + hi)
-        halves = fixed_quad(f, lo, mid) + fixed_quad(f, mid, hi)
+        left, right = fixed_quad(f, lo, mid), fixed_quad(f, mid, hi)
+        halves = left + right
         err = abs(halves - whole)
         if err <= budget:
             return halves
@@ -77,8 +78,9 @@ def adaptive_quad(f, a: float, b: float, tol: float, max_depth: int = 40):
                 f"adaptive quadrature stalled on [{lo}, {hi}]: "
                 f"error estimate {err:.3e} > budget {budget:.3e}"
             )
-        return recurse(lo, mid, budget / 2, depth + 1) + recurse(
-            mid, hi, budget / 2, depth + 1
+        return recurse(lo, mid, left, budget / 2, depth + 1) + recurse(
+            mid, hi, right, budget / 2, depth + 1
         )
 
-    return recurse(float(a), float(b), float(tol), 0)
+    a, b = float(a), float(b)
+    return recurse(a, b, fixed_quad(f, a, b), float(tol), 0)

@@ -59,8 +59,9 @@ __all__ = [
 ]
 
 # The series expansion's cost grows about as n^6 (2n^2 trinomial multiplies
-# over O(n^4) keys).  At 50 digits on a 2-vCPU Xeon it took 1.0 s for n = 7,
-# 2.2 s for n = 8 and 4.4 s for n = 9.
+# over O(n^4) keys).  At 50 digits on a 2-vCPU Xeon with mpmath's pure-Python
+# backend it takes 0.6 s for n = 7, 1.2 s for n = 8 and 2.5 s for n = 9
+# (best of three, binomial witnesses at t = n - 1.5, a = 1).
 DEFAULT_MAX_POINTS = 8
 SERIES_DPS = 50
 INTEGER_GAP = 1e-9
@@ -176,12 +177,13 @@ def _sum_square_powers(w: WitnessConfig, t: mp.mpf) -> dict:
     return {s: _as_mpf(s) ** t for s in sums}
 
 
-def _times(poly: dict, A: Fraction, B) -> dict:
-    """poly * (1 + A z + B z^t), poly keyed by (i, j) for z^(i + j*t)."""
+def _times(poly: dict, A: Fraction, A_mp, B) -> dict:
+    """poly * (1 + A z + B z^t), poly keyed by (i, j) for z^(i + j*t).
+    The mpf (j >= 1) coefficients take A as ``A_mp``, its mpf."""
     out = dict(poly)
     for (i, j), co in poly.items():
         if A:
-            out[i + 1, j] = out.get((i + 1, j), 0) + co * A
+            out[i + 1, j] = out.get((i + 1, j), 0) + co * (A_mp if j else A)
         if B:
             out[i, j + 1] = out.get((i, j + 1), 0) + co * B
     return out
@@ -223,7 +225,10 @@ def cleared_form_series(
     so far and D the cleared form over them; each pair sets
     D <- D*g_pq + c_p c_q P, then P <- P*g_pq, so at the end D = f.
     Keyed accumulation keeps the term count at O(n^4) instead of the
-    3^(n^2) raw products.
+    3^(n^2) raw products.  The mpf (j >= 1) coefficients meet A_pq and
+    c_p c_q as mpfs converted once per pair with ``mp.mpmathify``, the
+    conversion mpmath itself applies to a Fraction operand at the working
+    precision, so each product rounds as it would with the Fraction.
 
     The j = 0 coefficients are exact Fractions, so the cancellation of
     z^0..z^T is exact.  The mpf coefficients are not cancellation-free,
@@ -246,12 +251,14 @@ def cleared_form_series(
         P: dict = {(0, 0): Fraction(1)}
         D: dict = {}
         for (p, q), A_pq in A.items():
-            D = _times(D, A_pq, B[p, q])
+            A_mp = mp.mpmathify(A_pq)
+            D = _times(D, A_pq, A_mp, B[p, q])
             weight = w.c[p] * w.c[q]
             if weight:
+                weight_mp = mp.mpmathify(weight)
                 for key, co in P.items():
-                    D[key] = D.get(key, 0) + weight * co
-            P = _times(P, A_pq, B[p, q])
+                    D[key] = D.get(key, 0) + (weight_mp if key[1] else weight) * co
+            P = _times(P, A_pq, A_mp, B[p, q])
         terms = {ExponentKey(*k): v for k, v in D.items() if v != 0}
     return PowerSeries(terms=terms, params=params, dps=dps)
 
@@ -410,8 +417,11 @@ def subset_product_identity(
     LHS: the sum over m-element subsets J of the ordered-pair set minus
     {(j,k)} of prod_{(p,q) in J} (y_p - y_q)^2.  RHS: the alternating
     expansion sum_v (-1)^v (y_j - y_k)^(2v) * e_{m-v}, where e_r is the
-    unrestricted r-subset sum.  Indices are 0-based.  Exact rationals
-    throughout; both values are returned so callers assert equality.
+    unrestricted r-subset sum.  Indices are 0-based.  Both sides are
+    enumerated in integers: the points are scaled by the lcm L of their
+    denominators, which multiplies every term of either side by L^(2m),
+    and each side is divided by L^(2m) once at the end.  The two exact
+    Fractions are returned so callers assert equality.
     """
     y = [_as_fraction(v) for v in y]
     if n < 1 or len(y) != n:
@@ -424,23 +434,19 @@ def subset_product_identity(
         raise SizeCapError(
             f"subset enumeration C({n * n}, {m}) exceeds the cap {cap}"
         )
+    L = math.lcm(*(v.denominator for v in y))
+    Y = [v.numerator * (L // v.denominator) for v in y]
     pairs = [(p, q) for p in range(n) for q in range(n)]
-    sq = {pq: (y[pq[0]] - y[pq[1]]) ** 2 for pq in pairs}
+    sq = {pq: (Y[pq[0]] - Y[pq[1]]) ** 2 for pq in pairs}
 
     def subset_sum(pool, r):
-        return sum(
-            (math.prod((sq[pq] for pq in J), start=Fraction(1)) for J in combinations(pool, r)),
-            start=Fraction(0),
-        )
+        return sum(math.prod(sq[pq] for pq in J) for J in combinations(pool, r))
 
     restricted = [pq for pq in pairs if pq != (j, k)]
     lhs = subset_sum(restricted, m)
-    djk = (y[j] - y[k]) ** 2
-    rhs = sum(
-        ((-1) ** v * djk**v * subset_sum(pairs, m - v) for v in range(m + 1)),
-        start=Fraction(0),
-    )
-    return lhs, rhs
+    djk = sq[j, k]
+    rhs = sum((-1) ** v * djk**v * subset_sum(pairs, m - v) for v in range(m + 1))
+    return Fraction(lhs, L ** (2 * m)), Fraction(rhs, L ** (2 * m))
 
 
 def difference_power_sum(v: int, w: WitnessConfig) -> Fraction:

@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+import kpd.fracpow
+import kpd.quadrature
 from kpd import (
     DomainError,
     ToleranceError,
@@ -13,8 +15,8 @@ from kpd import (
     split_power,
     validate_representation,
 )
-from kpd.fracpow import _taylor_remainder
-from kpd.quadrature import adaptive_quad
+from kpd.fracpow import DERIVATIVE_STEP, _taylor_remainder
+from kpd.quadrature import adaptive_quad, fixed_quad
 
 GRID_S = (0.5, 1.5, 2.5, 3.7)
 GRID_W = (0.1, 1.0, 4.0, 10.0, 1.0 + 1.0j)
@@ -186,6 +188,54 @@ class TestValidation:
         assert report.passed == (len(report.failures) == 0)
         assert report.passed
 
+    def test_entries_equal_pointwise_values(self):
+        # the scale-free part is shared between points of one direction, but
+        # every value is bit for bit the one the public functions return
+        tol = 1e-6
+        pairs = [(w, s) for s in GRID_S for w in GRID_W]
+        report = validate_representation(pairs, tol=tol)
+        for (w, s), e in zip(pairs, report.entries):
+            p, q = split_power(s), split_power(s + 1.0)
+            h = integral_power(w, p, tol=tol / 10.0)
+            assert repr(e["h"]) == repr(h)
+            hq1 = integral_power(w + DERIVATIVE_STEP, q, tol=tol / 10.0)
+            hq0 = integral_power(w, q, tol=tol / 10.0)
+            deriv = (hq1 - hq0) / DERIVATIVE_STEP
+            assert e["derivative_rel_err"] == abs(deriv - (s + 1.0) * h) / abs((s + 1.0) * h)
+            assert e["l1_norm_upper"] == integrand_l1_norm(w, p)
+
+    def test_no_state_between_calls(self, monkeypatch):
+        # count integrand evaluations: the quadrature's and the L1 norm's
+        # Taylor remainders
+        count = [0]
+
+        def counted(f):
+            def g(*args):
+                count[0] += 1
+                return f(*args)
+
+            return g
+
+        quad = kpd.fracpow.adaptive_quad
+        remainder = kpd.fracpow._taylor_remainder
+        monkeypatch.setattr(kpd.fracpow, "adaptive_quad", lambda f, *a: quad(counted(f), *a))
+        monkeypatch.setattr(kpd.fracpow, "_taylor_remainder", counted(remainder))
+        pairs = [(w, s) for s in GRID_S for w in GRID_W]
+        runs = []
+        for _ in range(2):
+            count[0] = 0
+            report = validate_representation(pairs, tol=1e-6)
+            runs.append((count[0], repr(report.entries)))
+        assert runs[0] == runs[1]
+        # the real w share direction 1, so four of them cost what one does
+        real = [(w, 1.5) for w in GRID_W if w.imag == 0]
+        costs = []
+        for grid in (real, real[:1]):
+            count[0] = 0
+            validate_representation(grid, tol=1e-6)
+            costs.append(count[0])
+        assert len(real) == 4 and costs[0] == costs[1] > 0
+
 
 class TestAdaptiveQuadrature:
     def test_smooth_integral(self):
@@ -196,6 +246,30 @@ class TestAdaptiveQuadrature:
         got = adaptive_quad(lambda x: cmath.exp(1j * x), 0.0, math.pi, tol=1e-12)
         assert got.real == pytest.approx(0.0, abs=1e-12)
         assert got.imag == pytest.approx(2.0, rel=1e-12)
+
+    def test_each_panel_integrated_once(self, monkeypatch):
+        panels = []
+
+        def recorded(f, a, b):
+            panels.append((a, b))
+            return fixed_quad(f, a, b)
+
+        monkeypatch.setattr(kpd.quadrature, "fixed_quad", recorded)
+        f = lambda x: 1.0 / (1.0 + 100.0 * x * x)
+        got = adaptive_quad(f, 0.0, 1.0, tol=1e-12)
+        assert min(b - a for a, b in panels) <= 0.25  # two bisection levels or more
+        assert len(panels) == len(set(panels))
+        # the same value as a recursion that integrates each panel again
+        # as the next step's whole
+        def reintegrating(lo, hi, budget):
+            mid = 0.5 * (lo + hi)
+            halves = fixed_quad(f, lo, mid) + fixed_quad(f, mid, hi)
+            if abs(halves - fixed_quad(f, lo, hi)) <= budget:
+                return halves
+            return reintegrating(lo, mid, budget / 2) + reintegrating(mid, hi, budget / 2)
+
+        assert got == reintegrating(0.0, 1.0, 1e-12)
+        assert got == pytest.approx(math.atan(10.0) / 10.0, rel=1e-12)
 
     def test_depth_exhaustion_raises(self):
         spike = lambda x: 1.0 / math.sqrt(abs(x - 0.123456789) + 1e-300)

@@ -275,6 +275,8 @@ class TestFormEnclosure:
         st.booleans(),
     )
     @settings(max_examples=30, deadline=None)
+    # coincident points: the distance bound is the input-rounding term e^2 S^2
+    @example(KernelParams(2.0, 1.0), [(8.520522545335498e-77, 1.0)], "float", True)
     def test_enclosure_contains_high_precision_form(self, params, pairs, kind, distance):
         cfg = PointConfig(
             tuple(_as_kind(kind, p) for p, _ in pairs),
@@ -296,10 +298,12 @@ class TestFormEnclosure:
         m = (distance_matrix if distance else kernel_matrix)(params, x, x)
         scale = np.abs(c) @ np.abs(m) @ np.abs(c)
         big_x, width = np.abs(x).max(), x.max() - x.min()
+        u = 2.0**-53
         terms = (2 * cfg.n + 6 * math.ceil(params.t) + 22 + 4 * big_x) * scale
         if distance:
-            terms += 8 * big_x * width * np.abs(c).sum() ** 2
-        assert form_enclosure(params, cfg, distance=distance)[1] <= 2 * terms * 2.0**-53 + 1e-290
+            e = 2 * big_x * (2 * u / (1 - 2 * u))  # input rounding of x - y
+            terms += (8 * big_x * width + e * e / u) * np.abs(c).sum() ** 2
+        assert form_enclosure(params, cfg, distance=distance)[1] <= 2 * terms * u + 1e-290
 
     @pytest.mark.parametrize("kind", ["mpf", "float", "fraction"])
     def test_triangle_stage_equals_full_grid(self, kind):

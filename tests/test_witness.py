@@ -1,4 +1,6 @@
+import hashlib
 from fractions import Fraction
+from itertools import combinations
 
 import mpmath as mp
 import numpy as np
@@ -143,6 +145,36 @@ class TestSeriesExpansion:
             direct = cleared_form_value(params, w, float(z), dps=60)
             series = s.evaluate(float(z), dps=60)
             assert abs(series - direct) <= mp.mpf("1e-9") * max(abs(direct), mp.mpf(1e-30))
+
+    @pytest.mark.parametrize(
+        "witness,digest",
+        [
+            (1, "a62f761a8824b341e31f62582a94b59773c9f1478514bb790c1c9b780affed94"),
+            (2, "7a6ce031389960df2f214b9e0fd482cb75bcce3e53ccaf58ac5a42a590cc65c7"),
+            (3, "f4057ea299bff5aa63c17a154df5035e605af6aabff2f6ed1996f9685e64a4e8"),
+            (4, "1f190f1ed633ad89875570ff1a3329b764f4add447d4081d454c0741e4937e19"),
+            pytest.param(
+                WitnessConfig(
+                    y=(Fraction(-5, 6), Fraction(1, 2), 2, Fraction(7, 3)),
+                    c=(Fraction(2, 3), Fraction(-9, 7), 5, Fraction(-92, 21)),
+                    moment_order=0,
+                ),
+                "7b7b8a337913139ac10a5058504d389fd68d6769588c39386822ca91520bafd8",
+                id="rational",
+            ),
+        ],
+    )
+    def test_terms_pinned_bit_for_bit(self, witness, digest):
+        # digests of the expansion as the per-coefficient Fraction-to-mpf
+        # conversion computed it: every key, every coefficient's type and
+        # every mpf's exact bits must stay the same
+        w = build_binomial_witness(witness) if isinstance(witness, int) else witness
+        t = (witness if isinstance(witness, int) else 1) + 0.37
+        terms = cleared_form_series(KernelParams(t, 2.5), w).terms
+        text = repr(
+            sorted((k, type(v).__name__, getattr(v, "_mpf_", v)) for k, v in terms.items())
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_size_cap(self):
         w = build_binomial_witness(7)  # n = 9 > default cap 8
@@ -340,6 +372,40 @@ class TestExactIdentities:
                         for k in range(n):
                             lhs, rhs = subset_product_identity(n, m, j, k, y)
                             assert lhs == rhs
+
+    @pytest.mark.parametrize(
+        "y",
+        [
+            [Fraction(-2, 3)],
+            [Fraction(-1, 2), Fraction(5, 3)],
+            [Fraction(-7, 6), Fraction(3, 4), Fraction(-5, 9)],
+        ],
+        ids=["n1", "n2", "n3"],
+    )
+    def test_integer_enumeration_matches_fraction_brute_force(self, y):
+        n = len(y)
+        pairs = [(p, q) for p in range(n) for q in range(n)]
+        sq = {pq: (y[pq[0]] - y[pq[1]]) ** 2 for pq in pairs}
+
+        def e(pool, r):
+            total = Fraction(0)
+            for J in combinations(pool, r):
+                term = Fraction(1)
+                for pq in J:
+                    term *= sq[pq]
+                total += term
+            return total
+
+        for m in range(0, min(3, n * n - 1) + 1):
+            for j, k in pairs:
+                lhs = e([pq for pq in pairs if pq != (j, k)], m)
+                rhs = sum(
+                    ((-1) ** v * sq[j, k] ** v * e(pairs, m - v) for v in range(m + 1)),
+                    Fraction(0),
+                )
+                got = subset_product_identity(n, m, j, k, y)
+                assert got == (lhs, rhs), (m, j, k)
+                assert all(type(v) is Fraction for v in got)
 
     def test_cap_error(self):
         with pytest.raises(SizeCapError):
