@@ -660,6 +660,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             values = _parse_floats(getattr(args, key))
             if key == "nodes" and not all(v.is_integer() for v in values):
                 raise KpdError(f"node counts must be integers, got {values}")
+            if key == "nodes" and min(values) < 1:
+                raise KpdError(f"node counts must be >= 1, got {values}")
             params[key] = tuple(map(int, values)) if key == "nodes" else values
     return RunConfig(
         command=args.command,

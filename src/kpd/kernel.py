@@ -138,9 +138,9 @@ class PointConfig:
 class GramMatrix:
     """A symmetric matrix of kernel values at a point configuration.
 
-    The upper triangle is computed once and mirrored, so symmetry holds
-    bit-for-bit.  The generating points are retained so failing
-    directions can be reported as replayable configurations.
+    Symmetry must hold bit-for-bit, and is checked on construction.  The
+    generating points are retained so failing directions can be reported
+    as replayable configurations.
     """
 
     order: int
@@ -207,7 +207,9 @@ def distance_matrix(params: KernelParams, x, y) -> np.ndarray:
 
 
 def kernel_matrix(params: KernelParams, x, y) -> np.ndarray:
-    """Vectorized kernel 1 / (pi (1 + d)) on the grid ``x`` by ``y``."""
+    """Vectorized kernel 1 / (pi (1 + d)) on the grid ``x`` by ``y``.
+
+    Bit-symmetric: swapping x and y gives the transpose exactly."""
     d = distance_matrix(params, x, y)
     # the array goes left: mpf * ndarray would first try to convert the
     # whole array through its repr
@@ -217,12 +219,11 @@ def kernel_matrix(params: KernelParams, x, y) -> np.ndarray:
 def gram_matrix(params: KernelParams, config: PointConfig) -> GramMatrix:
     """The n x n matrix of kernel values at the configuration points.
 
-    The upper triangle is mirrored, never recomputed, so symmetry is
-    exact by construction.
+    Exactly symmetric, because :func:`kernel_matrix` is: (x - y)^2 and
+    x^2 + y^2 round the same when x and y swap.
     """
     pts, _ = config.as_float_arrays()
-    full = kernel_matrix(params, pts, pts)
-    entries = np.triu(full) + np.triu(full, 1).T
+    entries = kernel_matrix(params, pts, pts)
     return GramMatrix(order=config.n, entries=entries, points=tuple(pts))
 
 

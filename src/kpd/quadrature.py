@@ -37,6 +37,12 @@ def composite_rule(a: float, b: float, node_count: int) -> tuple[np.ndarray, np.
     Full panels of ``PANEL_DEGREE`` nodes plus one smaller remainder panel
     partition [a, b] into equal-width pieces.  Nodes are strictly
     increasing and interior; weights are positive and sum to b - a.
+
+    The panel edges from ``linspace`` are mirror-symmetric only to a few
+    ulps.  On a symmetric interval (a == -b) whose panels all have one
+    degree, the rule is symmetrized as ``leggauss`` does on [-1, 1], so
+    that x == -x[::-1] and w == w[::-1] exactly.  A layout with a
+    remainder panel is not symmetric and is returned as built.
     """
     if node_count < 1:
         raise ValueError(f"node_count must be >= 1, got {node_count}")
@@ -48,7 +54,10 @@ def composite_rule(a: float, b: float, node_count: int) -> tuple[np.ndarray, np.
         x, w = mapped_rule(lo, hi, deg)
         nodes.append(x)
         weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    x, w = np.concatenate(nodes), np.concatenate(weights)
+    if a == -b and len(set(degrees)) == 1:
+        x, w = (x - x[::-1]) / 2, (w + w[::-1]) / 2
+    return x, w
 
 
 def fixed_quad(f, a: float, b: float):

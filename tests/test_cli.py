@@ -441,6 +441,31 @@ class TestConfigValidation:
         assert code == 2
         assert captured.err.startswith("configuration error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("spectrum", "--t", "2", "--a", "13", "--nodes", "0"),
+            ("spectrum", "--t", "2", "--a", "13", "--nodes", "-3"),
+            ("spectrum", "--t", "2", "--a", "13", "--nodes", "100,0,400"),
+            ("sweep", "--a-grid", "13", "--nodes", "0"),
+            ("sweep", "--a-grid", "13", "--nodes", "-3"),
+        ],
+        ids=["spectrum-0", "spectrum-neg", "spectrum-inner-0", "sweep-0", "sweep-neg"],
+    )
+    def test_node_count_below_one_rejected(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("configuration error: node counts must be >= 1")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("half_width", ["inf", "nan"])
+    def test_non_finite_half_width_is_a_domain_error(self, capsys, half_width):
+        code = main(["spectrum", "--t", "2", "--a", "13", "--half-width", half_width])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error [DomainError]: half_width must be finite")
+
     def test_precision_above_cap_rejected(self, capsys):
         # a record written at more digits than verify replays could never confirm
         code = main(["witness", "--t", "3.5", "--a", "1", "--precision", "801"])

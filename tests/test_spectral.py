@@ -16,9 +16,13 @@ from kpd import (
     open_problem_sweep,
     quadratic_form,
 )
+import kpd.spectral
+from kpd.quadrature import PANEL_DEGREE, composite_rule, mapped_rule
 from kpd.spectral import (
     COEFF_QUANTUM,
     SEARCH_MAX_POINTS,
+    QuadratureScheme,
+    _nystrom_spectrum,
     sweep_rows,
     truncation_tail_bound,
 )
@@ -47,6 +51,37 @@ class TestScheme:
         with pytest.raises(ValueError):
             build_scheme(0, 1.0)
 
+    @pytest.mark.parametrize("half_width", [math.inf, -math.inf, math.nan, 0.0])
+    def test_non_finite_half_width_rejected_before_the_rule(self, half_width):
+        with pytest.raises(DomainError, match="finite and > 0"):
+            build_scheme(16, half_width)
+        with pytest.raises(DomainError, match="finite and > 0"):
+            QuadratureScheme(1, half_width, np.zeros(1), np.ones(1))
+
+
+class TestCompositeRule:
+    @pytest.mark.parametrize("n", [1, 2, 5, 15, 16, 64, 400, 1600])
+    def test_equal_panels_mirror_exactly(self, n):
+        x, w = composite_rule(-20.0, 20.0, n)
+        assert np.array_equal(x, -x[::-1])
+        assert np.array_equal(w, w[::-1])
+        assert np.all(np.diff(x) > 0) and np.all(w > 0)
+        assert np.sum(w) == pytest.approx(40.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "lo, hi, n", [(-20.0, 20.0, 100), (-20.0, 20.0, 200), (-20.0, 20.0, 257), (0.0, 3.0, 32)]
+    )
+    def test_other_layouts_are_the_plain_panel_concatenation(self, lo, hi, n):
+        # a remainder panel (or an interval not centred at 0) keeps the
+        # rule as built, byte for byte
+        full, rem = divmod(n, PANEL_DEGREE)
+        degrees = [PANEL_DEGREE] * full + ([rem] if rem else [])
+        edges = np.linspace(lo, hi, len(degrees) + 1)
+        panels = [mapped_rule(*edge, deg) for deg, *edge in zip(degrees, edges[:-1], edges[1:])]
+        x, w = composite_rule(lo, hi, n)
+        assert x.tobytes() == np.concatenate([p[0] for p in panels]).tobytes()
+        assert w.tobytes() == np.concatenate([p[1] for p in panels]).tobytes()
+
 
 class TestNystromMatrix:
     def test_single_node_value(self):
@@ -56,9 +91,16 @@ class TestNystromMatrix:
         assert m[0, 0] == pytest.approx(10.0 / math.pi, rel=1e-14)
 
     def test_bitwise_symmetry(self):
-        s = build_scheme(64, 10.0)
-        m = nystrom_matrix(KernelParams(1.7, 2.5), s)
-        assert np.array_equal(m, m.T)
+        # even and odd n, a remainder-panel scheme, and t >= 5
+        for n, L, t, a in [
+            (64, 10.0, 1.7, 2.5),
+            (37, 10.0, 1.7, 2.5),
+            (101, 20.0, 2.0, 13.0),
+            (200, 20.0, 5.0, 0.3),
+            (96, 20.0, 7.5, 1.0),
+        ]:
+            m = nystrom_matrix(KernelParams(t, a), build_scheme(n, L))
+            assert np.array_equal(m, m.T)
 
     def test_pd_kernel_is_numerically_psd(self):
         s = build_scheme(200, 20.0)
@@ -69,6 +111,70 @@ class TestNystromMatrix:
         s = build_scheme(100, 5.0)
         m = nystrom_matrix(KernelParams(2.0, 13.0), s)
         assert np.linalg.eigvalsh(m)[0] < -1e-4
+
+
+class TestSplitSpectrum:
+    @pytest.mark.parametrize("a", [0.3, 5.0, 13.0])
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 3.7])
+    def test_mirrored_blocks_match_full_solve(self, t, a):
+        # both solves are backward stable, so they agree to a few ulps of
+        # the norm |lambda|_max, which exceeds max(diag) up to 14-fold here
+        params = KernelParams(t, a)
+        for n, L in ((16, 5.0), (64, 10.0), (400, 20.0)):
+            scheme = build_scheme(n, L)
+            m = nystrom_matrix(params, scheme)
+            vals, max_diag = _nystrom_spectrum(params, scheme)
+            full = np.linalg.eigvalsh(m)
+            assert max_diag == np.max(np.diag(m))
+            assert np.all(np.diff(vals) >= 0)
+            assert np.max(np.abs(vals - full)) <= 1e-14 * np.max(np.abs(full))
+
+    @pytest.mark.parametrize("n", [1, 15, 100, 200, 257])
+    def test_other_schemes_take_the_full_solve(self, n):
+        params = KernelParams(2.0, 13.0)
+        scheme = build_scheme(n, 20.0)
+        m = nystrom_matrix(params, scheme)
+        vals, max_diag = _nystrom_spectrum(params, scheme)
+        assert vals.tobytes() == np.linalg.eigvalsh(m).tobytes()
+        assert max_diag == np.max(np.diag(m))
+
+    def test_default_ladder_takes_both_branches(self, monkeypatch):
+        entries = []
+        kernel_matrix = kpd.spectral.kernel_matrix
+
+        def recorded(params, x, y):
+            entries.append(len(x) * len(y))
+            return kernel_matrix(params, x, y)
+
+        monkeypatch.setattr(kpd.spectral, "kernel_matrix", recorded)
+        min_operator_eigenvalue(KernelParams(1.0, 1.0), TestVerdicts.LADDER)
+        # rungs 100 and 200 carry a remainder panel; rung 400 builds half its rows
+        assert entries == [100 * 100, 200 * 200, 200 * 400]
+
+    @pytest.mark.parametrize(
+        "t, a",
+        [(1.1, 30.0), (1.25, 0.2), (1.5, 1.0), (2.0, 1.0), (2.0, 13.0), (2.5, 0.2), (3.0, 0.5), (5.5, 8.0)],
+    )
+    def test_ladder_matches_full_solve_reference(self, monkeypatch, t, a):
+        params = KernelParams(t, a)
+        split = min_operator_eigenvalue(params, TestVerdicts.LADDER)
+
+        def full_solve(params, scheme):
+            m = nystrom_matrix(params, scheme)
+            return np.linalg.eigvalsh(m), float(np.max(np.diag(m)))
+
+        monkeypatch.setattr(kpd.spectral, "_nystrom_spectrum", full_solve)
+        ref = min_operator_eigenvalue(params, TestVerdicts.LADDER)
+        assert split.verdict == ref.verdict
+        assert (split.certificate is None) == (ref.certificate is None)
+        if ref.certificate is not None:
+            assert split.certificate.config == ref.certificate.config
+            assert split.certificate.value == ref.certificate.value
+            assert split.certificate.error_bound == ref.certificate.error_bound
+        assert split.levels[:2] == ref.levels[:2]
+        norm = np.linalg.norm(nystrom_matrix(params, build_scheme(400, 20.0)), 2)
+        got = np.array(split.smallest_eigenvalues)
+        assert np.max(np.abs(got - ref.smallest_eigenvalues)) <= 1e-14 * norm
 
 
 class TestCertification:
