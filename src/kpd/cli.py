@@ -145,6 +145,13 @@ def _dec(x, dps: int = 30) -> str:
     return repr(float(x))
 
 
+def _dyadic_dec(x: Fraction, dps: int) -> str:
+    """A dyadic rational n / 2^e as an exact decimal of at least ``dps``
+    digits; n 5^e / 10^e needs as many as n 5^e has."""
+    digits = len(str(abs(x.numerator) * 5 ** (x.denominator.bit_length() - 1)))
+    return _dec(mp.mpf(x.numerator) / x.denominator, max(dps, digits))
+
+
 def _num(x, dps: int | None = None) -> dict:
     """Encode a number as {dec, f64}: full-precision decimal plus binary64."""
     return {"dec": _dec(x, dps or mp.mp.dps), "f64": float(x)}
@@ -292,6 +299,8 @@ def _cmd_witness(cfg: RunConfig) -> dict:
             cert.config,
             cert.f_value,
             dps=cert.dps,
+            # the certified points themselves, which dps digits may not hold
+            points=[_dyadic_dec(p, cert.dps) for p in cert.config.points],
             z=repr(cert.z),
             q_value=_dec(cert.q_value, cert.dps),
             dps_used=cert.dps,

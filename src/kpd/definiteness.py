@@ -26,11 +26,6 @@ __all__ = [
 PASS = "PASS"
 FAIL = "FAIL"
 
-# Default PD tolerance is relative to the largest diagonal entry: Gram
-# matrices here are well scaled (entries <= 1/pi) but nearly singular for
-# clustered points.
-DEFAULT_TOL_FACTOR = 1e-10
-
 
 @dataclass(frozen=True)
 class DefinitenessVerdict:
@@ -67,7 +62,7 @@ def _symmetric_eigh(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise EigensolverError(f"symmetric eigensolver failed: {exc}") from exc
 
 
-def pd_check(gram: GramMatrix, tolerance: float | None = None) -> DefinitenessVerdict:
+def pd_check(gram: GramMatrix, tolerance: float) -> DefinitenessVerdict:
     """PASS iff the minimum Gram eigenvalue is >= -tolerance.
 
     On FAIL the corresponding unit eigenvector is returned as the
@@ -75,8 +70,6 @@ def pd_check(gram: GramMatrix, tolerance: float | None = None) -> DefinitenessVe
     replaying the kernel quadratic form on it reproduces the negative
     eigenvalue.
     """
-    if tolerance is None:
-        tolerance = DEFAULT_TOL_FACTOR * gram.max_diagonal
     if tolerance < 0:
         raise DomainError(f"tolerance must be >= 0, got {tolerance}")
     vals, vecs = _symmetric_eigh(gram.entries)

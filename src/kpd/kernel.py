@@ -49,9 +49,9 @@ __all__ = [
 ]
 
 UNIT_ROUNDOFF = 2.0**-53
-# The precision cap, in decimal digits, of every escalation in kpd: the
-# default of resolve_form_sign, the witness scan's cap and the CLI's largest
-# --precision.
+# The precision cap, in decimal digits, of resolve_form_sign, the one
+# escalation in kpd (the witness scan and kpd verify run through it), and the
+# CLI's largest --precision.
 DPS_CAP = 800
 # np.power and mpmath's pow need not be correctly rounded; the error bound
 # allows them this many ulps.
@@ -158,10 +158,6 @@ class GramMatrix:
             raise DomainError("Gram matrix must be exactly symmetric")
         if np.any(np.diag(entries) <= 0.0):
             raise DomainError("Gram diagonal must be strictly positive")
-
-    @property
-    def max_diagonal(self) -> float:
-        return float(np.max(np.diag(self.entries)))
 
 
 def nonneg_power(base, exponent):
@@ -357,7 +353,6 @@ def resolve_form_sign(
     params: KernelParams,
     config: PointConfig,
     dps_start: int = 30,
-    dps_cap: int = DPS_CAP,
     distance: bool = False,
     threshold: float = 0.0,
 ) -> tuple:
@@ -365,7 +360,7 @@ def resolve_form_sign(
     ``distance`` the distance form) lies.
 
     Tries binary64 first, reported as dps 17, then mpmath from
-    ``dps_start`` digits, doubling up to ``dps_cap``.  Returns
+    ``dps_start`` digits, doubling up to ``DPS_CAP``.  Returns
     ``(value, dps)`` from the first stage whose :func:`form_enclosure`
     excludes ``threshold``; raises ToleranceError if none does, so an
     unresolved value is never read as a sign.
@@ -381,9 +376,9 @@ def resolve_form_sign(
             resolved = abs(value - threshold) > bound
         if resolved:
             return value, dps or 17
-        if dps is not None and dps >= dps_cap:
+        if dps is not None and dps >= DPS_CAP:
             raise ToleranceError(
                 f"form {mp.nstr(value, 8)} is within its error bound "
                 f"{mp.nstr(bound, 3)} of {threshold} at dps {dps}"
             )
-        dps = dps_start if dps is None else min(2 * dps, dps_cap)
+        dps = dps_start if dps is None else min(2 * dps, DPS_CAP)

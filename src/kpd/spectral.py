@@ -87,6 +87,8 @@ class QuadratureScheme:
 def build_scheme(node_count: int, half_width: float) -> QuadratureScheme:
     """Panels of degree 16 (plus one remainder panel) across [-L, L]."""
     _check_half_width(half_width)
+    if node_count < 1:
+        raise DomainError(f"node_count must be >= 1, got {node_count}")
     nodes, weights = composite_rule(-half_width, half_width, node_count)
     return QuadratureScheme(
         node_count=node_count,

@@ -25,10 +25,12 @@ configurable working precision.  Those are built in one product-rule
 pass whose partial sums mix the signs of c_j c_k, so their rounding error
 is relative to the same sum taken with |c_j c_k|, not to the coefficient
 itself; :func:`cleared_form_series` states the bound.  At small z the
-kernel form is dominated by cancellation, so the certificate search
-evaluates it with :func:`~kpd.kernel.form_enclosure` and escalates
-precision, up to ``kernel.DPS_CAP`` digits, until the error bound excludes
-zero.
+kernel form is dominated by cancellation.  The certificate search
+therefore takes z = 4^-m, where the scaled points y_j / 2^m are exact
+dyadic rationals, and settles the form's sign with
+:func:`~kpd.kernel.resolve_form_sign`, which escalates precision up to
+``kernel.DPS_CAP`` digits until the error bound excludes zero.  The
+configuration it certifies is the one the certificate stores.
 """
 
 import math
@@ -40,7 +42,14 @@ from typing import Literal, NamedTuple
 import mpmath as mp
 
 from .errors import DomainError, PreconditionError, SizeCapError, ToleranceError
-from .kernel import DPS_CAP, KernelParams, PointConfig, _as_mpf, form_enclosure
+from .kernel import (
+    DPS_CAP,
+    KernelParams,
+    PointConfig,
+    _as_mpf,
+    form_enclosure,
+    resolve_form_sign,
+)
 
 __all__ = [
     "WitnessConfig",
@@ -65,8 +74,8 @@ __all__ = [
 DEFAULT_MAX_POINTS = 8
 SERIES_DPS = 50
 INTEGER_GAP = 1e-9
-# The witness scan tries z = 2^-k for k = 1..SCAN_STEPS.
-SCAN_STEPS = 200
+# The witness scan tries z = 4^-m for m = 1..SCAN_STEPS.
+SCAN_STEPS = 100
 
 
 def _as_fraction(v) -> Fraction:
@@ -199,20 +208,10 @@ class PowerSeries:
     """
 
     terms: dict
-    params: KernelParams
     dps: int
 
     def coefficient(self, i: int, j: int):
         return self.terms.get(ExponentKey(i, j), Fraction(0))
-
-    def evaluate(self, z, dps: int):
-        """Evaluate at z > 0, summing in mpmath at ``dps`` digits."""
-        with mp.workdps(dps):
-            zm = _as_mpf(z)
-            zt = zm ** _as_mpf(self.params.t)
-            return mp.fsum(
-                co * zm**k.i * zt**k.j for k, co in sorted(self.terms.items())
-            )
 
 
 def cleared_form_series(
@@ -260,38 +259,32 @@ def cleared_form_series(
                     D[key] = D.get(key, 0) + (weight_mp if key[1] else weight) * co
             P = _times(P, A_pq, A_mp, B[p, q])
         terms = {ExponentKey(*k): v for k, v in D.items() if v != 0}
-    return PowerSeries(terms=terms, params=params, dps=dps)
+    return PowerSeries(terms=terms, dps=dps)
 
 
-def cleared_form_value(
-    params: KernelParams, w: WitnessConfig, z, dps: int | None = None
-):
-    """Evaluate f(z) directly from the product form, without expansion.
-
-    With ``dps=None`` the arithmetic is binary64, fine at moderate z; with
-    an integer ``dps`` it is mpmath at that many digits, which small z
-    needs: there the terms cancel heavily (see :func:`find_negative_scale`).
+def cleared_form_value(params: KernelParams, w: WitnessConfig, z, dps: int):
+    """Evaluate f(z) directly from the product form, without expansion, in
+    mpmath at ``dps`` digits: at small z the terms cancel heavily (see
+    :func:`find_negative_scale`).
     """
     if not (float(z) > 0):
         raise DomainError(f"z must be > 0, got {z!r}")
-    num, total = (float, math.fsum) if dps is None else (_as_mpf, mp.fsum)
-    with mp.workdps(dps or 17):
+    with mp.workdps(dps):
         A, B = _pair_data(params, w)
-        zv = num(z)
-        zt = zv ** num(params.t)
-        factors = {pq: 1 + num(A[pq]) * zv + num(B[pq]) * zt for pq in A}
+        zv = _as_mpf(z)
+        zt = zv ** _as_mpf(params.t)
+        factors = {pq: 1 + _as_mpf(A[pq]) * zv + B[pq] * zt for pq in A}
         full = math.prod(factors.values())
-        return total(
-            num((1 if j == k else 2) * w.c[j] * w.c[k]) * (full / factors[(j, k)])
+        return mp.fsum(
+            _as_mpf((1 if j == k else 2) * w.c[j] * w.c[k]) * (full / factors[(j, k)])
             for j in range(w.n)
             for k in range(j, w.n)
         )
 
 
-def t_power_coefficient(
-    params: KernelParams, w: WitnessConfig, dps: int | None = None
-):
-    """The coefficient of z^t: -a * sum_jk c_j c_k (y_j^2 + y_k^2)^t.
+def t_power_coefficient(params: KernelParams, w: WitnessConfig, dps: int):
+    """The coefficient of z^t: -a * sum_jk c_j c_k (y_j^2 + y_k^2)^t, in
+    mpmath at ``dps`` digits.
 
     Requires the witness moments to vanish through T = floor(t) (exactly
     checked); otherwise the closed form above is not the z^t coefficient.
@@ -302,13 +295,6 @@ def t_power_coefficient(
             f"witness moments must vanish through T={T} for the z^t "
             "coefficient closed form"
         )
-    if dps is None:
-        terms = []
-        for j in range(w.n):
-            for k in range(w.n):
-                s = float(w.y[j] ** 2 + w.y[k] ** 2)
-                terms.append(float(w.c[j] * w.c[k]) * (s ** params.t if s else 0.0))
-        return -params.a * math.fsum(terms)
     with mp.workdps(dps):
         powers = _sum_square_powers(w, _as_mpf(params.t))
         total = mp.fsum(
@@ -344,65 +330,50 @@ class NegativeScaleCertificate:
 def find_negative_scale(
     params: KernelParams, w: WitnessConfig, kappa, dps_start: int = 50
 ) -> NegativeScaleCertificate:
-    """Scan z = 2^-k until the kernel form at the scaled points is
+    """Scan z = 4^-m until the kernel form at the scaled points is
     resolved negative.
 
     ``kappa`` is the z^t coefficient, as :func:`t_power_coefficient`
     returns it (which checks the witness moments).  Precondition: it is
-    negative (checked).  At each z the points y_j sqrt(z) are built and
-    the kernel form evaluated with :func:`~kpd.kernel.form_enclosure`,
-    doubling the precision until its error bound excludes zero; a z
-    unresolved at ``DPS_CAP`` digits is skipped, not trusted.  The kernel
-    form equals f(z) / (pi prod_pq (1 + D_pq)), so the cleared form f(z),
-    evaluated once at the end, must agree in sign.
-
-    Each z first gets a binary64 enclosure of the ``dps_start`` points.
-    If it proves the form positive, the z is skipped without any mpmath
-    stage.  No stage could have certified it negative: that enclosure's
-    bound holds for every point moved by a relative gamma_2 (about
-    2^-52), which covers the points built at every higher precision, and
-    they lie within about 10^-dps_start of these.
+    negative (checked).  At z = 4^-m the points y_j sqrt(z) are the exact
+    dyadic Fractions y_j / 2^m, so one configuration serves every
+    precision, and :func:`~kpd.kernel.resolve_form_sign` decides the sign
+    of its kernel form, from ``dps_start`` digits after binary64; a z it
+    cannot resolve is skipped, not trusted.  A sign that binary64 settles
+    is still reported with the form's ``dps_start``-digit value.  The
+    kernel form equals f(z) / (pi prod_pq (1 + D_pq)), so the cleared form
+    f(z), evaluated once at the end, must agree in sign.
     """
     if not (kappa < 0):
         raise PreconditionError(
             f"z^t coefficient is {mp.nstr(kappa, 8)} >= 0: the small-z scan "
             "cannot produce a negative value from this witness"
         )
-    for k in range(1, SCAN_STEPS + 1):
-        z = 2.0**-k
-        dps = dps_start
-        config = _scaled_config(w, z, dps)
-        value, bound = form_enclosure(params, config)
-        if value > bound:
+    for m in range(1, SCAN_STEPS + 1):
+        config = PointConfig(tuple(yj / 2**m for yj in w.y), w.c)
+        try:
+            q_value, dps = resolve_form_sign(params, config, dps_start)
+        except ToleranceError:
             continue
-        while True:
-            q_value, bound = form_enclosure(params, config, dps=dps)
-            resolved = abs(q_value) > bound
-            if resolved or dps >= DPS_CAP:
-                break
-            dps = min(2 * dps, DPS_CAP)
-            config = _scaled_config(w, z, dps)
-        if resolved and q_value < 0:
-            f_value = cleared_form_value(params, w, z, dps=dps)
-            if not (f_value < 0):
-                raise ToleranceError(
-                    f"internal disagreement at z=2^-{k}: kernel form "
-                    f"{mp.nstr(q_value, 8)} but f={mp.nstr(f_value, 8)} (dps={dps})"
-                )
-            return NegativeScaleCertificate(
-                z=z, f_value=f_value, config=config, q_value=q_value, dps=dps
+        if q_value > 0:
+            continue
+        if isinstance(q_value, float):  # the binary64 stage settled it
+            dps = dps_start
+            q_value, _ = form_enclosure(params, config, dps)
+        z = 4.0**-m
+        f_value = cleared_form_value(params, w, z, dps)
+        if not (f_value < 0):
+            raise ToleranceError(
+                f"internal disagreement at z=4^-{m}: kernel form "
+                f"{mp.nstr(q_value, 8)} but f={mp.nstr(f_value, 8)} (dps={dps})"
             )
+        return NegativeScaleCertificate(
+            z=z, f_value=f_value, config=config, q_value=q_value, dps=dps
+        )
     raise ToleranceError(
-        f"no negative value found for z down to 2^-{SCAN_STEPS} with up to "
+        f"no negative value found for z down to 4^-{SCAN_STEPS} with up to "
         f"{DPS_CAP} digits"
     )
-
-
-def _scaled_config(w: WitnessConfig, z: float, dps: int) -> PointConfig:
-    """The witness at scale z: points y_j sqrt(z) at ``dps`` digits."""
-    with mp.workdps(dps):
-        sqrt_z = mp.sqrt(mp.mpf(z))
-        return PointConfig(tuple(_as_mpf(yj) * sqrt_z for yj in w.y), w.c)
 
 
 # ---------------------------------------------------------------------------

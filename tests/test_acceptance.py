@@ -134,17 +134,17 @@ def test_criterion_5_t_power_parity():
         nonnegative_ts = (2.5, 4.5)
         for t in negative_ts:
             w = build_binomial_witness(int(t))
-            value = t_power_coefficient(KernelParams(t, 1.0), w)
+            value = t_power_coefficient(KernelParams(t, 1.0), w, dps=50)
             assert predict_t_coefficient_sign(t) == "nonpositive"
             assert value < 0 and abs(value) > 1e-6, t
         for t in nonnegative_ts:
             w = build_binomial_witness(int(t))
-            value = t_power_coefficient(KernelParams(t, 1.0), w)
+            value = t_power_coefficient(KernelParams(t, 1.0), w, dps=50)
             assert predict_t_coefficient_sign(t) == "nonnegative"
             assert value >= 0 and abs(value) > 1e-6, t
         # independent 9-term direct-sum oracle for t = 1.5
         oracle = -(-4.0 + 2.0 * 4.0**1.5 + 4.0 * 2.0**1.5 - 4.0 * 5.0**1.5 + 8.0**1.5)
-        got = t_power_coefficient(KernelParams(1.5, 1.0), build_binomial_witness(1))
+        got = t_power_coefficient(KernelParams(1.5, 1.0), build_binomial_witness(1), dps=50)
         assert abs(got - oracle) <= 1e-9 * abs(oracle)
     sw.check("5 t-power-parity")
 

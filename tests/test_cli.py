@@ -117,6 +117,28 @@ class TestWitnessCommand:
         assert json.loads(out)["payload"]["negativity"] == "certified"
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "t, a",
+        [
+            # a scan over z = 2^-k first certified this case at k = 17, with
+            # the irrational points y_j 2^-8.5 rounded to 50 digits
+            ("1.36887", "0.022884"),
+            # certified at z = 4^-94: y_j / 2^94 takes up to 66 digits, more
+            # than the 50 the form needed
+            ("1.1", "1e60"),
+        ],
+    )
+    def test_certified_points_are_the_stored_dyadics(self, capsys, tmp_path, t, a):
+        out_path = tmp_path / "witness.json"
+        code, _ = run_cli(capsys, "witness", "--t", t, "--a", a, "--out", str(out_path))
+        assert code == 0
+        cert = json.loads(out_path.read_text())["payload"]["certificate"]
+        m = round(-math.log2(float(cert["z"]))) // 2
+        assert float(cert["z"]) == 4.0**-m
+        assert [Fraction(p) for p in cert["points"]] == [Fraction(j, 2**m) for j in range(3)]
+        assert all(len(p) > cert["dps_used"] for p in cert["points"][1:])
+        assert verify_certificate(str(out_path))["verdict"] == "CONFIRMED"
+
     def test_even_integer_part_is_inconclusive(self, capsys):
         code, out = run_cli(capsys, "witness", "--t", "2.5", "--a", "1")
         payload = json.loads(out)["payload"]

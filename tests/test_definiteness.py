@@ -27,7 +27,7 @@ def two_point_gram(t, a, x):
 class TestPdCheck:
     def test_single_entry_passes(self):
         g = gram_matrix(KernelParams(1.0, 1.0), PointConfig((0.0,), (1.0,)))
-        v = pd_check(g)
+        v = pd_check(g, tolerance=1e-10)
         assert v.verdict == "PASS"
         assert v.statistic == pytest.approx(INV_PI, rel=1e-15)
 
@@ -71,7 +71,7 @@ class TestPdCheck:
 
     def test_boundary_flag_for_duplicated_points(self):
         g = gram_matrix(KernelParams(1.0, 1.0), PointConfig((2.0, 2.0), (1.0, 1.0)))
-        v = pd_check(g)
+        v = pd_check(g, tolerance=1e-10)
         assert v.verdict == "PASS"
         # a zero eigenvalue may land on either side of 0.0 at rounding level
         assert abs(v.statistic) < 1e-15

@@ -243,8 +243,8 @@ class TestQuadraticForm:
         assert dps >= 30
         # an exactly zero form is never resolved, however far it escalates
         zero = PointConfig((0.5, 0.5), (1, -1))
-        with pytest.raises(ToleranceError):
-            resolve_form_sign(params, zero, dps_cap=120)
+        with pytest.raises(ToleranceError, match="at dps 800"):
+            resolve_form_sign(params, zero)
 
 
 def _as_kind(kind, value):

@@ -316,6 +316,12 @@ class TestSweep:
         assert "report" in res[0]
         assert "error" in res[1]
 
+    def test_empty_rung_is_recorded_not_raised(self):
+        res = open_problem_sweep([1.0], [(0, 20.0)])
+        assert "node_count must be >= 1" in res[0]["error"]
+        rows = sweep_rows(res)
+        assert [row["verdict"] for row in rows] == ["ERROR"]
+
     def test_programming_error_propagates(self, monkeypatch):
         def broken(params, ladder):
             raise TypeError("bug")

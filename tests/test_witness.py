@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import kpd.kernel
 import kpd.witness
 from kpd import (
     DomainError,
@@ -143,7 +144,10 @@ class TestSeriesExpansion:
         s = cleared_form_series(params, w)
         for z in np.logspace(-3, 0, 20):
             direct = cleared_form_value(params, w, float(z), dps=60)
-            series = s.evaluate(float(z), dps=60)
+            with mp.workdps(60):
+                zm = mp.mpf(float(z))
+                zt = zm ** mp.mpf(t)
+                series = mp.fsum(co * zm**k.i * zt**k.j for k, co in s.terms.items())
             assert abs(series - direct) <= mp.mpf("1e-9") * max(abs(direct), mp.mpf(1e-30))
 
     @pytest.mark.parametrize(
@@ -190,7 +194,7 @@ class TestSeriesExpansion:
 class TestDirectEvaluation:
     def test_zero_coefficients_give_zero(self):
         w = WitnessConfig(y=(0, 1), c=(0, 0), moment_order=0)
-        assert cleared_form_value(KernelParams(1.5, 1.0), w, 0.5) == 0.0
+        assert cleared_form_value(KernelParams(1.5, 1.0), w, 0.5, dps=50) == 0
 
     def test_small_z_asymptotics(self):
         # frozen 50-digit value; the leading term underestimates by ~20%
@@ -201,43 +205,35 @@ class TestDirectEvaluation:
         assert v < 0
         assert float(v) == pytest.approx(lead, rel=0.25)
 
-    def test_float_and_mp_paths_agree_at_moderate_z(self):
-        w = build_binomial_witness(1)
-        params = KernelParams(1.5, 1.0)
-        for z in (0.1, 1.0, 10.0):
-            f64 = cleared_form_value(params, w, z)
-            hp = cleared_form_value(params, w, z, dps=50)
-            assert f64 == pytest.approx(float(hp), rel=1e-12)
-
     def test_rejects_nonpositive_z(self):
         w = build_binomial_witness(1)
         with pytest.raises(DomainError):
-            cleared_form_value(KernelParams(1.5, 1.0), w, 0.0)
+            cleared_form_value(KernelParams(1.5, 1.0), w, 0.0, dps=50)
 
 
 class TestTPowerCoefficient:
     def test_t15_matches_nine_term_oracle(self):
         w = build_binomial_witness(1)
-        got = t_power_coefficient(KernelParams(1.5, 1.0), w)
+        got = float(t_power_coefficient(KernelParams(1.5, 1.0), w, dps=50))
         assert got == pytest.approx(KAPPA_T15, rel=1e-14)
         assert got == pytest.approx(-1.2197659469584872, rel=1e-9)
 
     def test_t25_nonnegative(self):
         w = build_binomial_witness(2)
-        got = t_power_coefficient(KernelParams(2.5, 1.0), w)
+        got = float(t_power_coefficient(KernelParams(2.5, 1.0), w, dps=50))
         assert got > 0
         assert got == pytest.approx(10.191692368477602, rel=1e-12)
 
     def test_linearity_in_weight(self):
         w = build_binomial_witness(1)
-        v1 = t_power_coefficient(KernelParams(1.5, 1.0), w)
-        v2 = t_power_coefficient(KernelParams(1.5, 2.0), w)
-        assert v2 == pytest.approx(2.0 * v1, rel=1e-15)
+        v1 = t_power_coefficient(KernelParams(1.5, 1.0), w, dps=50)
+        v2 = t_power_coefficient(KernelParams(1.5, 2.0), w, dps=50)
+        assert float(v2) == pytest.approx(2.0 * float(v1), rel=1e-15)
 
     def test_moment_precondition(self):
         w = build_binomial_witness(1)  # moments vanish through 1 only
         with pytest.raises(PreconditionError):
-            t_power_coefficient(KernelParams(2.5, 1.0), w)
+            t_power_coefficient(KernelParams(2.5, 1.0), w, dps=50)
 
     @pytest.mark.parametrize(
         "t,order,sign",
@@ -319,8 +315,9 @@ class TestFindNegativeScale:
             find_negative_scale(KernelParams(1.5, 1.0), build_binomial_witness(1), 0.0)
 
     # (t, a) -> the first z certified negative, its dps, its q_value as the
-    # record stores it, and a ceiling on the mpmath form enclosures; the
-    # scan without the binary64 pre-check made 58, 22, 24 and 8 of them
+    # record stores it, and a ceiling on the mpmath form enclosures, made
+    # inside resolve_form_sign or by the scan itself; a scan over z = 2^-k
+    # without a binary64 stage made 58, 22, 24 and 8 of them
     @pytest.mark.parametrize(
         "t, a, z, dps, q_value, mp_calls",
         [
@@ -338,7 +335,8 @@ class TestFindNegativeScale:
             stages.append(dps)
             return form_enclosure(params, config, dps, distance)
 
-        monkeypatch.setattr(kpd.witness, "form_enclosure", counted)
+        for module in (kpd.kernel, kpd.witness):
+            monkeypatch.setattr(module, "form_enclosure", counted)
         cert = scan(KernelParams(t, a), build_binomial_witness(int(t)))
         assert (cert.z, cert.dps) == (z, dps)
         assert mp.nstr(cert.q_value, cert.dps, strip_zeros=False) == q_value
