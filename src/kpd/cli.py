@@ -5,18 +5,20 @@ Subcommands map one-to-one onto the library modules:
     gram       Gram matrix + PD verdict at an explicit point set
     cnd        zero-sum distance-form test at an explicit configuration
     boundary   closed-form two-point boundary (optionally: violation search)
-    witness    binomial witness, moment table, z^t coefficient, certificate
-    identities exact combinatorial identity suite
+    witness    binomial witness of order floor t, moment table, z^t
+               coefficient, certificate
+    identities exact combinatorial identity suite on seeded rational points
     fracpow    fractional-power integral representation validation
     spectrum   Nystrom spectral probe at one (t, a)
     sweep      evidence sweep over weights a at fixed t
     verify     replay a stored certificate using kernel arithmetic only
 
-Every run emits a JSON record {version, config, metadata, payload}; the
-payload is a pure function of the config (seed included), so identical
-configs produce byte-identical payloads on a fixed BLAS thread count (the
-Nystrom eigenvalues that spectrum and sweep report round differently with
-more threads; their certificates do not depend on it).
+The parser declares each option and its default once.  Every run emits a
+JSON record {version, config, metadata, payload}; the payload is a pure
+function of the config (seed included; the caller's mpmath precision is
+not read), so identical configs produce byte-identical payloads on a fixed
+BLAS thread count (the Nystrom eigenvalues that spectrum and sweep report
+round differently with more threads; their certificates do not).
 Timestamps and wall time live only in the metadata block.  Numeric
 payload values carry both a decimal string at full working precision and
 a binary64 convenience field.
@@ -34,12 +36,13 @@ diagnostics or a replay that is not CONFIRMED.
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
 import mpmath as mp
@@ -87,25 +90,16 @@ class RunConfig:
     format: str = "json"
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise KpdError(f"tolerance must be > 0, got {self.tolerance}")
+        if not (0 < self.tolerance < math.inf):
+            raise KpdError(f"tolerance must be finite and > 0, got {self.tolerance}")
+        if self.seed < 0:
+            raise KpdError(f"seed must be >= 0, got {self.seed}")
         if not 15 <= self.precision <= DPS_CAP:
             raise KpdError(
                 f"precision must be between 15 and {DPS_CAP} digits, got {self.precision}"
             )
         if self.format not in ("json", "csv"):
             raise KpdError(f"format must be json or csv, got {self.format!r}")
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "params": self.params,
-            "seed": self.seed,
-            "precision": self.precision,
-            "tolerance": self.tolerance,
-            "output_path": self.output_path,
-            "format": self.format,
-        }
 
 
 @dataclass
@@ -121,7 +115,7 @@ class RunRecord:
     def as_dict(self) -> dict:
         return {
             "version": self.version,
-            "config": self.config.as_dict(),
+            "config": asdict(self.config),
             "metadata": {
                 "wall_ms": self.wall_ms,
                 "timestamp": self.timestamp,
@@ -152,9 +146,9 @@ def _dyadic_dec(x: Fraction, dps: int) -> str:
     return _dec(mp.mpf(x.numerator) / x.denominator, max(dps, digits))
 
 
-def _num(x, dps: int | None = None) -> dict:
+def _num(x, dps: int = 30) -> dict:
     """Encode a number as {dec, f64}: full-precision decimal plus binary64."""
-    return {"dec": _dec(x, dps or mp.mp.dps), "f64": float(x)}
+    return {"dec": _dec(x, dps), "f64": float(x)}
 
 
 def _certificate(kind: str, config: PointConfig, value, dps: int = 30, **extra) -> dict:
@@ -184,6 +178,15 @@ def _parse_floats(text: str) -> tuple[float, ...]:
         raise KpdError(f"could not parse float list {text!r}: {exc}") from exc
 
 
+def _parse_nodes(text: str) -> tuple[int, ...]:
+    values = _parse_floats(text)
+    if not all(v.is_integer() for v in values):
+        raise KpdError(f"node counts must be integers, got {values}")
+    if min(values) < 1:
+        raise KpdError(f"node counts must be >= 1, got {values}")
+    return tuple(map(int, values))
+
+
 # ---------------------------------------------------------------------------
 # Command payload builders.  Each is a pure function of the RunConfig.
 
@@ -202,7 +205,6 @@ def _cmd_gram(cfg: RunConfig) -> dict:
         "a": _num(params.a),
         "points": [_num(x) for x in points],
         "entries": [[float(v) for v in row] for row in gram.entries],
-        "entries_dec": [[repr(float(v)) for v in row] for row in gram.entries],
         "pd": _verdict_dict(verdict),
         "certificate": None,
     }
@@ -269,11 +271,9 @@ def _cmd_boundary(cfg: RunConfig) -> dict:
 def _cmd_witness(cfg: RunConfig) -> dict:
     p = cfg.params
     params = KernelParams(t=p["t"], a=p["a"])
-    order = p.get("order")
-    if order is None:
-        order = int(math.floor(params.t))
+    order = math.floor(params.t)
     w = build_binomial_witness(order)
-    moments = check_moments(w, max(order, int(math.floor(params.t))))
+    moments = check_moments(w, order)
     kappa = t_power_coefficient(params, w, dps=cfg.precision)
     sign = predict_t_coefficient_sign(params.t)
     payload = {
@@ -313,20 +313,21 @@ def _cmd_witness(cfg: RunConfig) -> dict:
 
 
 def _cmd_identities(cfg: RunConfig) -> dict:
-    p = cfg.params
-    n_max = p.get("n_max", 3)
-    m_max = p.get("m_max", 3)
-    samples = p.get("samples", 3)
+    # Fixed sizes: n <= 3 points, m <= 3, three seeded draws of each; witness
+    # orders up to 6 for the difference sums and up to 12 for the moments.
+    # inputs_sha256 digests the drawn points, so the payload records the seed.
     rng = np.random.default_rng(cfg.seed)
+    inputs = hashlib.sha256()
     subset_cases = 0
     subset_failures = []
-    for n in range(1, n_max + 1):
-        for m in range(0, min(m_max, n * n - 1) + 1):
-            for _ in range(samples):
+    for n in range(1, 4):
+        for m in range(0, min(3, n * n - 1) + 1):
+            for _ in range(3):
                 y = [
                     Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
                     for _ in range(n)
                 ]
+                inputs.update((",".join(map(str, y)) + ";").encode())
                 for j in range(n):
                     for k in range(n):
                         lhs, rhs = subset_product_identity(n, m, j, k, y)
@@ -337,7 +338,7 @@ def _cmd_identities(cfg: RunConfig) -> dict:
                             )
     diff_cases = 0
     diff_failures = []
-    for order in range(0, p.get("t_max", 6) + 1):
+    for order in range(0, 7):
         w = build_binomial_witness(order)
         for v in range(order + 1):
             diff_cases += 1
@@ -345,7 +346,7 @@ def _cmd_identities(cfg: RunConfig) -> dict:
                 diff_failures.append({"order": order, "v": v})
     moment_cases = 0
     moment_failures = []
-    for order in range(0, p.get("moment_max", 12) + 1):
+    for order in range(0, 13):
         w = build_binomial_witness(order)
         for ell, m_val in enumerate(check_moments(w, order)):
             moment_cases += 1
@@ -353,6 +354,7 @@ def _cmd_identities(cfg: RunConfig) -> dict:
                 moment_failures.append({"order": order, "ell": ell})
     return {
         "schema": SCHEMA_VERSION,
+        "inputs_sha256": inputs.hexdigest(),
         "subset_identity": {"cases": subset_cases, "failures": subset_failures},
         "difference_power_sums": {"cases": diff_cases, "failures": diff_failures},
         "moments": {"cases": moment_cases, "failures": moment_failures},
@@ -361,10 +363,8 @@ def _cmd_identities(cfg: RunConfig) -> dict:
 
 
 def _cmd_fracpow(cfg: RunConfig) -> dict:
-    p = cfg.params
-    s_grid = p.get("s_grid") or (0.5, 1.5, 2.5, 3.7)
-    w_grid = p.get("w_grid") or (0.1, 1.0, 4.0, 10.0, 1.0 + 1.0j)
-    pairs = [(w, s) for s in s_grid for w in w_grid]
+    w_grid = (0.1, 1.0, 4.0, 10.0, 1.0 + 1.0j)
+    pairs = [(w, s) for s in (0.5, 1.5, 2.5, 3.7) for w in w_grid]
     report = validate_representation(pairs, tol=cfg.tolerance)
     entries = []
     for e in report.entries:
@@ -419,9 +419,7 @@ def _report_dict(report) -> dict:
 def _cmd_spectrum(cfg: RunConfig) -> dict:
     p = cfg.params
     params = KernelParams(t=p["t"], a=p["a"])
-    nodes = p.get("nodes") or (100, 200, 400)
-    half_width = p.get("half_width", 20.0)
-    ladder = [(n, half_width) for n in nodes]
+    ladder = [(n, p["half_width"]) for n in p["nodes"]]
     report = min_operator_eigenvalue(params, ladder)
     return {
         "schema": SCHEMA_VERSION,
@@ -433,12 +431,9 @@ def _cmd_spectrum(cfg: RunConfig) -> dict:
 
 def _cmd_sweep(cfg: RunConfig) -> dict:
     p = cfg.params
-    t = p.get("t", 2.0)
-    a_grid = p.get("a_grid") or (1.0, 3.0, 6.0, 9.0, 12.0)
-    nodes = p.get("nodes") or (100, 200, 400)
-    half_width = p.get("half_width", 20.0)
-    ladder = [(n, half_width) for n in nodes]
-    results = open_problem_sweep(a_grid, ladder, t=t)
+    t = p["t"]
+    ladder = [(n, p["half_width"]) for n in p["nodes"]]
+    results = open_problem_sweep(p["a_grid"], ladder, t=t)
     payload = {
         "schema": SCHEMA_VERSION,
         "t": _num(t),
@@ -474,8 +469,7 @@ def run(config: RunConfig) -> RunRecord:
     if config.command not in _COMMANDS:
         raise KpdError(f"unknown command {config.command!r}")
     start = time.perf_counter()
-    with mp.workdps(config.precision):
-        payload = _COMMANDS[config.command](config)
+    payload = _COMMANDS[config.command](config)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return RunRecord(
         config=config,
@@ -588,8 +582,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--precision", type=int, default=50, help="working precision, decimal digits"
     )
-    common.add_argument("--tol", type=float, default=1e-10, help="tolerance")
-    common.add_argument("--out", type=str, default=None, help="output file path")
+    common.add_argument("--tol", type=float, default=1e-10, dest="tolerance", help="tolerance")
+    common.add_argument("--out", type=str, default=None, dest="output_path", help="output file")
     common.add_argument(
         "--format", choices=("json", "csv"), default="json", help="output format"
     )
@@ -619,68 +613,32 @@ def _build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("witness", parents=[common], help="vanishing-moment witness")
     w.add_argument("--t", type=float, required=True)
     w.add_argument("--a", type=float, required=True)
-    w.add_argument("--order", type=int, default=None, help="moment order (default floor t)")
 
-    i = sub.add_parser("identities", parents=[common], help="exact identity suite")
-    i.add_argument("--n-max", type=int, default=3, dest="n_max")
-    i.add_argument("--m-max", type=int, default=3, dest="m_max")
-    i.add_argument("--samples", type=int, default=3)
+    sub.add_parser("identities", parents=[common], help="exact identity suite")
 
     f = sub.add_parser("fracpow", parents=[common], help="integral representation checks")
-    f.add_argument("--validate", action="store_true", help="run the validation grid")
-    f.add_argument("--s-grid", type=str, default=None, dest="s_grid")
-    f.add_argument("--w-grid", type=str, default=None, dest="w_grid")
+    f.add_argument("--validate", action="store_true", help="accepted; always validates")
 
     s = sub.add_parser("spectrum", parents=[common], help="Nystrom spectral probe")
     s.add_argument("--t", type=float, required=True)
     s.add_argument("--a", type=float, required=True)
-    s.add_argument("--nodes", type=str, default="100,200,400")
-    s.add_argument("--half-width", type=float, default=20.0, dest="half_width")
 
     sw = sub.add_parser("sweep", parents=[common], help="weight sweep at fixed t")
     sw.add_argument("--t", type=float, default=2.0)
-    sw.add_argument("--a-grid", type=str, default="1,3,6,9,12", dest="a_grid")
-    sw.add_argument("--nodes", type=str, default="100,200,400")
-    sw.add_argument("--half-width", type=float, default=20.0, dest="half_width")
+    sw.add_argument("--a-grid", type=_parse_floats, default="1,3,6,9,12", dest="a_grid")
+    for probe in (s, sw):
+        probe.add_argument("--nodes", type=_parse_nodes, default="100,200,400")
+        probe.add_argument("--half-width", type=float, default=20.0, dest="half_width")
 
-    v = sub.add_parser("verify", parents=[common], help="replay a stored certificate")
+    v = sub.add_parser("verify", help="replay a stored certificate")
     v.add_argument("record", type=str, help="path to a run record JSON")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    params: dict = {}
-    for key in (
-        "t",
-        "a",
-        "points",
-        "coeffs",
-        "order",
-        "n_max",
-        "m_max",
-        "samples",
-        "validate",
-        "half_width",
-    ):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            params[key] = getattr(args, key)
-    for key in ("nodes", "a_grid", "s_grid", "w_grid"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            values = _parse_floats(getattr(args, key))
-            if key == "nodes" and not all(v.is_integer() for v in values):
-                raise KpdError(f"node counts must be integers, got {values}")
-            if key == "nodes" and min(values) < 1:
-                raise KpdError(f"node counts must be >= 1, got {values}")
-            params[key] = tuple(map(int, values)) if key == "nodes" else values
-    return RunConfig(
-        command=args.command,
-        params=params,
-        seed=args.seed,
-        precision=args.precision,
-        tolerance=args.tol,
-        output_path=args.out,
-        format=args.format,
-    )
+    params = vars(args).copy()
+    flags = {f.name: params.pop(f.name) for f in fields(RunConfig) if f.name != "params"}
+    return RunConfig(params={k: v for k, v in params.items() if v is not None}, **flags)
 
 
 def _emit_csv(record: RunRecord) -> str:
@@ -688,26 +646,21 @@ def _emit_csv(record: RunRecord) -> str:
     if rows is None:
         raise KpdError("CSV output is only defined for sweep evidence tables")
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(CSV_HEADER)
-    for r in rows:
-        writer.writerow(
-            [
-                r["t"],
-                r["a"],
-                r["level"],
-                r["node_count"],
-                r["L"],
-                r["min_eigenvalue"]["f64"],
-                r["verdict"],
-            ]
-        )
+    writer = csv.DictWriter(buf, CSV_HEADER)
+    writer.writeheader()
+    writer.writerows({**r, "min_eigenvalue": r["min_eigenvalue"]["f64"]} for r in rows)
     return buf.getvalue()
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        # the list options' type functions raise KpdError, which argparse passes on
+        args = _build_parser().parse_args(argv)
+        if args.command != "verify":
+            config = _config_from_args(args)
+    except KpdError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
 
     if args.command == "verify":
         try:
@@ -723,11 +676,6 @@ def main(argv=None) -> int:
         print(outcome["verdict"])
         return 0 if outcome["verdict"] == "CONFIRMED" else 3
 
-    try:
-        config = _config_from_args(args)
-    except KpdError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
     try:
         record = run(config)
     except KpdError as exc:

@@ -39,11 +39,31 @@ def test_traced_names_resolve(module, attr):
     assert callable(getattr(importlib.import_module(module), attr))
 
 
+def _argv_value(argv, flag):
+    for i, arg in enumerate(argv):
+        if arg == flag:
+            return argv[i + 1]
+        if arg.startswith(flag + "="):
+            return arg.split("=", 1)[1]
+    return None
+
+
 @pytest.mark.parametrize("workload", sorted(jobs.WORKLOADS))
 def test_job_command_lines_parse(workload):
+    # the checks read these config echoes: they split the point and
+    # coefficient strings and compare the ladders and grids as numbers
     ops, _ = jobs.build(workload, 1)
     argvs = [op["argv"] for op in ops if "argv" in op]
     assert argvs
     parser = _build_parser()
     for argv in argvs:
-        _config_from_args(parser.parse_args(argv))
+        command, params = argv[0], _config_from_args(parser.parse_args(argv)).params
+        if command in ("gram", "cnd"):
+            assert params["points"] == _argv_value(argv, "--points")
+            assert params.get("coeffs") == _argv_value(argv, "--coeffs")
+        if command in ("spectrum", "sweep"):
+            assert all(type(n) is int for n in params["nodes"])
+        if command == "sweep":
+            assert all(type(a) is float for a in params["a_grid"])
+        if command == "fracpow":
+            assert params["validate"] is True

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 import kpd.cli
@@ -205,11 +206,7 @@ class TestSweepCommand:
 class TestDeterminism:
     def test_identical_config_identical_payload(self):
         configs = (
-            RunConfig(
-                command="identities",
-                params={"n_max": 2, "m_max": 2, "samples": 2},
-                seed=7,
-            ),
+            RunConfig(command="identities", params={}, seed=7),
             RunConfig(
                 command="spectrum",
                 params={"t": 2.0, "a": 13.0, "nodes": (48, 96), "half_width": 5.0},
@@ -236,10 +233,27 @@ class TestDeterminism:
         assert certificates[0] == certificates[1]
 
     def test_seed_changes_payload_inputs_not_schema(self):
-        base = dict(command="identities", params={"n_max": 2, "m_max": 1, "samples": 1})
+        base = dict(command="identities", params={})
         r1 = run(RunConfig(seed=1, **base))
         r2 = run(RunConfig(seed=2, **base))
         assert set(r1.payload) == set(r2.payload)
+        assert r1.payload_json() != r2.payload_json()
+
+    def test_payload_independent_of_caller_precision(self):
+        configs = (
+            RunConfig(command="witness", params={"t": 1.5, "a": 1.0}),
+            RunConfig(
+                command="gram",
+                params={"t": 2.0, "a": 13.0, "points": "0.4472135954999579,0"},
+            ),
+            RunConfig(command="boundary", params={"t": 2.0, "a": 13.0}),
+        )
+        for cfg in configs:
+            with mp.workdps(15):
+                low = run(cfg).payload_json()
+            with mp.workdps(200):
+                high = run(cfg).payload_json()
+            assert low == high
 
 
 class TestVerify:
@@ -447,6 +461,22 @@ class TestConfigValidation:
         code, _ = run_cli(capsys, "boundary", "--t", "2", "--tol", "-1")
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_rejected(self, capsys, tol):
+        # at the default tolerance this Gram matrix FAILs with a certificate
+        argv = ["gram", "--t", "2", "--a", "13", "--points", "0.4472135954999579,0"]
+        code = main(argv + ["--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("configuration error: tolerance must be finite")
+        assert captured.out == ""
+
+    def test_negative_seed_rejected(self, capsys):
+        code = main(["identities", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("configuration error: seed must be >= 0")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -495,9 +525,22 @@ class TestConfigValidation:
         assert code == 2
         assert captured.err.startswith("configuration error: ")
 
-    def test_unknown_flag_rejected(self):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("boundary", "--t", "2", "--bogus", "1"),
+            # the witness order is floor t, the identity and fracpow grids
+            # are fixed, and verify takes only a record path
+            ("witness", "--t", "3.5", "--a", "1", "--order", "3"),
+            ("identities", "--n-max", "2"),
+            ("fracpow", "--s-grid", "0.5"),
+            ("verify", "record.json", "--precision", "50"),
+        ],
+        ids=["bogus", "witness-order", "identities-n-max", "fracpow-s-grid", "verify-precision"],
+    )
+    def test_unknown_flag_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:
-            main(["boundary", "--t", "2", "--bogus", "1"])
+            main(list(argv))
         assert exc.value.code == 2
 
     def test_runconfig_rejects_bad_format(self):
