@@ -45,9 +45,8 @@ __all__ = [
 
 # 2^(t^2 - 1) grows too fast for floats well before this cap bites.
 T_CAP = 30.0
-# The violation search: bisection steps for critical_weight(z) = a, and the
-# size of the log-spaced margin scan over (0, z_tangent].
-BISECTION_STEPS = 200
+# The size of the violation search's log-spaced margin scan over
+# (0, z_tangent].
 SCAN_POINTS = 2000
 
 
@@ -82,8 +81,8 @@ def schwarz_margin(z: float, t: float, a: float) -> float:
 
 def _margin(z, t: float, a: float):
     """The margin formula for z >= 0, a float or a numpy array."""
-    zt = z**t
-    return (1.0 + z) ** 2 - 1.0 + 2.0 * a * zt * ((1.0 + z) - 2.0 ** (t - 1.0)) + (a * zt) ** 2
+    azt = a * z**t
+    return (1.0 + z) ** 2 - 1.0 + 2.0 * azt * ((1.0 + z) - 2.0 ** (t - 1.0)) + azt**2
 
 
 def schwarz_margin_exact(z: Fraction, t: int, a: Fraction) -> Fraction:
@@ -105,7 +104,7 @@ def critical_weight(z: float, t: float) -> float:
     """The weight minimizing the margin at fixed z: (2^(t-1) - (1+z)) / z^t.
 
     Defined (and positive) for 0 < z < 2^(t-1) - 1; strictly decreasing
-    there, diverging as z -> 0+.
+    there, diverging as z -> 0+.  +inf where z^t underflows to 0.
     """
     t = _check_t(t)
     z = float(z)
@@ -114,7 +113,8 @@ def critical_weight(z: float, t: float) -> float:
         raise DomainError(
             f"critical_weight needs 0 < z < 2^(t-1)-1 = {hi:.6g}, got z={z!r}"
         )
-    return (hi - z) / z**t
+    zt = z**t
+    return (hi - z) / zt if zt > 0.0 else math.inf
 
 
 def tangency_z(t: float) -> float:
@@ -208,8 +208,9 @@ def find_schwarz_violation(t: float, a: float) -> SchwarzSearchResult:
 
     For a above the closed-form threshold the root of
     critical_weight(z) = a is bracketed on (0, z_tangent) (the branch is
-    strictly decreasing and diverges at 0+) and located by bisection; the
-    margin there equals the minimized-margin value, which is negative.
+    strictly decreasing and diverges at 0+) and bisected down to
+    neighbouring floats; the margin there equals the minimized-margin
+    value, which is negative.
     Otherwise a logarithmic scan over (0, z_tangent] reports the best
     margin found.  Violations below the threshold are genuine and are
     returned as such; "not found" only means this slice produced no
@@ -223,7 +224,9 @@ def find_schwarz_violation(t: float, a: float) -> SchwarzSearchResult:
 
     # Log-spaced scan evidence over (0, z_tangent]; also the fallback search.
     zs = np.exp(np.linspace(math.log(z0 * 1e-12), math.log(z0), SCAN_POINTS))
-    gs = _margin(zs, t, a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gs = _margin(zs, t, a)
+    gs[np.isnan(gs)] = np.inf  # inf - inf: both terms overflowed, no violation
     argmin = int(np.argmin(gs))
     scan_meta = dict(
         scan_lo=float(zs[0]),
@@ -234,16 +237,12 @@ def find_schwarz_violation(t: float, a: float) -> SchwarzSearchResult:
     )
 
     if a > a0:
-        lo = z0 * 1e-12
+        lo, hi = z0 * 1e-12, z0
         # For astronomically large a the root sits below lo; widen downward.
-        for _ in range(20):
-            if critical_weight(lo, t) > a or lo < 1e-280:
-                break
+        while critical_weight(lo, t) <= a and lo >= 1e-280:
             lo *= 1e-3
-        hi = z0
         if critical_weight(lo, t) > a:
-            for _ in range(BISECTION_STEPS):
-                mid = 0.5 * (lo + hi)
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
                 if critical_weight(mid, t) > a:
                     lo = mid
                 else:

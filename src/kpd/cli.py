@@ -13,10 +13,13 @@ Subcommands map one-to-one onto the library modules:
     sweep      evidence sweep over weights a at fixed t
     verify     replay a stored certificate using kernel arithmetic only
 
-The parser declares each option and its default once.  Every run emits a
-JSON record {version, config, metadata, payload}; the payload is a pure
-function of the config (seed included; the caller's mpmath precision is
-not read), so identical configs produce byte-identical payloads on a fixed
+Each subcommand declares only the options it reads: ``--out`` on every
+run command, ``--tol`` on gram, cnd and fracpow, ``--seed`` on
+identities and ``--format json|csv`` on sweep.  Every run emits a JSON
+record {version, config, metadata, payload} whose config is exactly
+{command, params}, the options the command read; the payload is a pure
+function of it (seed included; the caller's mpmath precision is not
+read), so identical configs produce byte-identical payloads on a fixed
 BLAS thread count (the Nystrom eigenvalues that spectrum and sweep report
 round differently with more threads; their certificates do not).
 Timestamps and wall time live only in the metadata block.  Numeric
@@ -42,7 +45,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import mpmath as mp
@@ -55,12 +58,12 @@ from .kernel import (
     KernelParams,
     PointConfig,
     gram_matrix,
-    quadratic_form,
     resolve_form_sign,
 )
 from .definiteness import cnd_check, pd_check
 from .boundary import boundary_report, find_schwarz_violation
 from .witness import (
+    SERIES_DPS,
     build_binomial_witness,
     check_moments,
     difference_power_sum,
@@ -79,27 +82,18 @@ CERTIFICATE_KINDS = ("gram", "g", "f", "cnd")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration; echoed verbatim into every record."""
+    """Validated run configuration: the command and the options it reads,
+    echoed verbatim into every record."""
 
     command: str
     params: dict
-    seed: int = 0
-    precision: int = 50
-    tolerance: float = 1e-10
-    output_path: str | None = None
-    format: str = "json"
 
     def __post_init__(self):
-        if not (0 < self.tolerance < math.inf):
-            raise KpdError(f"tolerance must be finite and > 0, got {self.tolerance}")
-        if self.seed < 0:
-            raise KpdError(f"seed must be >= 0, got {self.seed}")
-        if not 15 <= self.precision <= DPS_CAP:
-            raise KpdError(
-                f"precision must be between 15 and {DPS_CAP} digits, got {self.precision}"
-            )
-        if self.format not in ("json", "csv"):
-            raise KpdError(f"format must be json or csv, got {self.format!r}")
+        tolerance = self.params.get("tolerance")
+        if tolerance is not None and not (0 < tolerance < math.inf):
+            raise KpdError(f"tolerance must be finite and > 0, got {tolerance}")
+        if self.params.get("seed", 0) < 0:
+            raise KpdError(f"seed must be >= 0, got {self.params['seed']}")
 
 
 @dataclass
@@ -178,6 +172,12 @@ def _parse_floats(text: str) -> tuple[float, ...]:
         raise KpdError(f"could not parse float list {text!r}: {exc}") from exc
 
 
+def _float_list(text: str) -> str:
+    """A --points or --coeffs list, checked and kept as the text given."""
+    _parse_floats(text)
+    return text
+
+
 def _parse_nodes(text: str) -> tuple[int, ...]:
     values = _parse_floats(text)
     if not all(v.is_integer() for v in values):
@@ -195,10 +195,8 @@ def _cmd_gram(cfg: RunConfig) -> dict:
     p = cfg.params
     params = KernelParams(t=p["t"], a=p["a"])
     points = _parse_floats(p["points"])
-    coeffs = _parse_floats(p["coeffs"]) if p.get("coeffs") else (1.0,) * len(points)
-    config = PointConfig(points, coeffs)
-    gram = gram_matrix(params, config)
-    verdict = pd_check(gram, tolerance=cfg.tolerance)
+    gram = gram_matrix(params, PointConfig(points, (1.0,) * len(points)))
+    verdict = pd_check(gram, tolerance=p["tolerance"])
     payload = {
         "schema": SCHEMA_VERSION,
         "t": _num(params.t),
@@ -208,8 +206,6 @@ def _cmd_gram(cfg: RunConfig) -> dict:
         "pd": _verdict_dict(verdict),
         "certificate": None,
     }
-    if p.get("coeffs"):
-        payload["quadratic_form"] = _num(quadratic_form(params, config))
     if verdict.failed and verdict.worst_config is not None:
         payload["certificate"] = _certificate(
             "gram", verdict.worst_config, verdict.statistic
@@ -221,7 +217,7 @@ def _cmd_cnd(cfg: RunConfig) -> dict:
     p = cfg.params
     params = KernelParams(t=p["t"], a=p["a"])
     config = PointConfig(_parse_floats(p["points"]), _parse_floats(p["coeffs"]))
-    verdict = cnd_check(params, config, tolerance=cfg.tolerance)
+    verdict = cnd_check(params, config, tolerance=p["tolerance"])
     payload = {
         "schema": SCHEMA_VERSION,
         "t": _num(params.t),
@@ -274,7 +270,7 @@ def _cmd_witness(cfg: RunConfig) -> dict:
     order = math.floor(params.t)
     w = build_binomial_witness(order)
     moments = check_moments(w, order)
-    kappa = t_power_coefficient(params, w, dps=cfg.precision)
+    kappa = t_power_coefficient(params, w, dps=SERIES_DPS)
     sign = predict_t_coefficient_sign(params.t)
     payload = {
         "schema": SCHEMA_VERSION,
@@ -287,12 +283,12 @@ def _cmd_witness(cfg: RunConfig) -> dict:
             "c": [_dec(v) for v in w.c],
         },
         "moments": [_dec(m) for m in moments],
-        "t_power_coefficient": _num(kappa, dps=cfg.precision),
+        "t_power_coefficient": _num(kappa, dps=SERIES_DPS),
         "predicted_sign": sign,
         "certificate": None,
     }
     if kappa < 0:
-        cert = find_negative_scale(params, w, kappa, dps_start=cfg.precision)
+        cert = find_negative_scale(params, w, kappa)
         payload["negativity"] = "certified"
         payload["certificate"] = _certificate(
             "f",
@@ -316,7 +312,7 @@ def _cmd_identities(cfg: RunConfig) -> dict:
     # Fixed sizes: n <= 3 points, m <= 3, three seeded draws of each; witness
     # orders up to 6 for the difference sums and up to 12 for the moments.
     # inputs_sha256 digests the drawn points, so the payload records the seed.
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.params["seed"])
     inputs = hashlib.sha256()
     subset_cases = 0
     subset_failures = []
@@ -365,7 +361,8 @@ def _cmd_identities(cfg: RunConfig) -> dict:
 def _cmd_fracpow(cfg: RunConfig) -> dict:
     w_grid = (0.1, 1.0, 4.0, 10.0, 1.0 + 1.0j)
     pairs = [(w, s) for s in (0.5, 1.5, 2.5, 3.7) for w in w_grid]
-    report = validate_representation(pairs, tol=cfg.tolerance)
+    tol = cfg.params["tolerance"]
+    report = validate_representation(pairs, tol=tol)
     entries = []
     for e in report.entries:
         entries.append(
@@ -380,7 +377,7 @@ def _cmd_fracpow(cfg: RunConfig) -> dict:
         )
     return {
         "schema": SCHEMA_VERSION,
-        "tol": _num(cfg.tolerance),
+        "tol": _num(tol),
         "entries": entries,
         "failures": [[repr(w), s, msg] for (w, s, msg) in report.failures],
         "passed": report.passed,
@@ -519,7 +516,10 @@ def verify_certificate(record_path: str) -> dict:
     try:
         cmd_params = record["config"]["params"]
         payload = record["payload"]
-        cnd_tolerance = float(record["config"].get("tolerance", 0.0))
+        # records before the config became {command, params} kept it at the top
+        cnd_tolerance = float(
+            cmd_params.get("tolerance", record["config"].get("tolerance", 0.0))
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise KpdError(f"record at {record_path} has no valid config/payload: {exc!r}") from exc
     certificates = _find_certificates(payload)
@@ -577,78 +577,63 @@ def verify_certificate(record_path: str) -> dict:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (recorded)")
-    common.add_argument(
-        "--precision", type=int, default=50, help="working precision, decimal digits"
-    )
-    common.add_argument("--tol", type=float, default=1e-10, dest="tolerance", help="tolerance")
-    common.add_argument("--out", type=str, default=None, dest="output_path", help="output file")
-    common.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="output format"
-    )
-
     parser = argparse.ArgumentParser(
         prog="kpd",
         description="positive-definiteness analysis of the anisotropic kernel family",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    g = sub.add_parser("gram", help="Gram matrix + PD verdict")
+    c = sub.add_parser("cnd", help="zero-sum distance-form test")
+    b = sub.add_parser("boundary", help="two-point boundary")
+    w = sub.add_parser("witness", help="vanishing-moment witness")
+    i = sub.add_parser("identities", help="exact identity suite")
+    f = sub.add_parser("fracpow", help="integral representation checks")
+    s = sub.add_parser("spectrum", help="Nystrom spectral probe")
+    sw = sub.add_parser("sweep", help="weight sweep at fixed t")
+    v = sub.add_parser("verify", help="replay a stored certificate")
 
-    g = sub.add_parser("gram", parents=[common], help="Gram matrix + PD verdict")
-    g.add_argument("--t", type=float, required=True)
-    g.add_argument("--a", type=float, required=True)
-    g.add_argument("--points", type=str, required=True, help="comma-separated")
-    g.add_argument("--coeffs", type=str, default=None, help="comma-separated")
-
-    c = sub.add_parser("cnd", parents=[common], help="zero-sum distance-form test")
-    c.add_argument("--t", type=float, required=True)
-    c.add_argument("--a", type=float, required=True)
-    c.add_argument("--points", type=str, required=True)
-    c.add_argument("--coeffs", type=str, required=True)
-
-    b = sub.add_parser("boundary", parents=[common], help="two-point boundary")
-    b.add_argument("--t", type=float, required=True)
-    b.add_argument("--a", type=float, default=None, help="also search a violation")
-
-    w = sub.add_parser("witness", parents=[common], help="vanishing-moment witness")
-    w.add_argument("--t", type=float, required=True)
-    w.add_argument("--a", type=float, required=True)
-
-    sub.add_parser("identities", parents=[common], help="exact identity suite")
-
-    f = sub.add_parser("fracpow", parents=[common], help="integral representation checks")
-    f.add_argument("--validate", action="store_true", help="accepted; always validates")
-
-    s = sub.add_parser("spectrum", parents=[common], help="Nystrom spectral probe")
-    s.add_argument("--t", type=float, required=True)
-    s.add_argument("--a", type=float, required=True)
-
-    sw = sub.add_parser("sweep", parents=[common], help="weight sweep at fixed t")
-    sw.add_argument("--t", type=float, default=2.0)
-    sw.add_argument("--a-grid", type=_parse_floats, default="1,3,6,9,12", dest="a_grid")
+    # each option on exactly the commands that read it
+    for run_command in (g, c, b, w, i, f, s, sw):
+        run_command.add_argument("--out", dest="output_path", help="output file")
+    for kernel in (g, c, w, s):
+        kernel.add_argument("--t", type=float, required=True)
+        kernel.add_argument("--a", type=float, required=True)
+    for checked in (g, c, f):
+        checked.add_argument("--tol", type=float, default=1e-10, dest="tolerance")
     for probe in (s, sw):
         probe.add_argument("--nodes", type=_parse_nodes, default="100,200,400")
         probe.add_argument("--half-width", type=float, default=20.0, dest="half_width")
-
-    v = sub.add_parser("verify", help="replay a stored certificate")
-    v.add_argument("record", type=str, help="path to a run record JSON")
+    g.add_argument("--points", type=_float_list, required=True, help="comma-separated")
+    c.add_argument("--points", type=_float_list, required=True, help="comma-separated")
+    c.add_argument("--coeffs", type=_float_list, required=True, help="comma-separated")
+    b.add_argument("--t", type=float, required=True)
+    b.add_argument("--a", type=float, help="also search a violation")
+    i.add_argument("--seed", type=int, default=0, help="RNG seed (recorded)")
+    f.add_argument("--validate", action="store_true", help="accepted; always validates")
+    sw.add_argument("--t", type=float, default=2.0)
+    sw.add_argument("--a-grid", type=_parse_floats, default="1,3,6,9,12", dest="a_grid")
+    sw.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
+    v.add_argument("record", help="path to a run record JSON")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    params = vars(args).copy()
-    flags = {f.name: params.pop(f.name) for f in fields(RunConfig) if f.name != "params"}
-    return RunConfig(params={k: v for k, v in params.items() if v is not None}, **flags)
+    # where and how the record is written is not part of the run
+    params = {
+        k: v
+        for k, v in vars(args).items()
+        if v is not None and k not in ("command", "output_path", "format")
+    }
+    return RunConfig(args.command, params)
 
 
 def _emit_csv(record: RunRecord) -> str:
-    rows = record.payload.get("rows")
-    if rows is None:
-        raise KpdError("CSV output is only defined for sweep evidence tables")
     buf = io.StringIO()
     writer = csv.DictWriter(buf, CSV_HEADER)
     writer.writeheader()
-    writer.writerows({**r, "min_eigenvalue": r["min_eigenvalue"]["f64"]} for r in rows)
+    writer.writerows(
+        {**r, "min_eigenvalue": r["min_eigenvalue"]["f64"]} for r in record.payload["rows"]
+    )
     return buf.getvalue()
 
 
@@ -682,16 +667,9 @@ def main(argv=None) -> int:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 3
 
-    if config.format == "csv":
-        try:
-            text = _emit_csv(record)
-        except KpdError as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        text = record.to_json()
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
+    text = _emit_csv(record) if getattr(args, "format", "json") == "csv" else record.to_json()
+    if args.output_path:
+        with open(args.output_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     print(text)
     return 0

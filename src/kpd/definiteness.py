@@ -70,8 +70,8 @@ def pd_check(gram: GramMatrix, tolerance: float) -> DefinitenessVerdict:
     replaying the kernel quadratic form on it reproduces the negative
     eigenvalue.
     """
-    if tolerance < 0:
-        raise DomainError(f"tolerance must be >= 0, got {tolerance}")
+    if not 0 <= tolerance < math.inf:
+        raise DomainError(f"tolerance must be finite and >= 0, got {tolerance}")
     vals, vecs = _symmetric_eigh(gram.entries)
     min_eig = float(vals[0])
     if min_eig < -tolerance:
@@ -103,8 +103,8 @@ def cnd_check(
         raise PreconditionError(
             f"coefficients must sum to zero (relative residual {coeff_sum:.3e})"
         )
-    if tolerance < 0:
-        raise DomainError(f"tolerance must be >= 0, got {tolerance}")
+    if not 0 <= tolerance < math.inf:
+        raise DomainError(f"tolerance must be finite and >= 0, got {tolerance}")
     value, _ = resolve_form_sign(params, config, distance=True, threshold=tolerance)
     value = float(value)
     if value > tolerance:

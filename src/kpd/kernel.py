@@ -51,7 +51,7 @@ __all__ = [
 UNIT_ROUNDOFF = 2.0**-53
 # The precision cap, in decimal digits, of resolve_form_sign, the one
 # escalation in kpd (the witness scan and kpd verify run through it), and the
-# CLI's largest --precision.
+# largest dps_used that kpd verify accepts in a certificate.
 DPS_CAP = 800
 # np.power and mpmath's pow need not be correctly rounded; the error bound
 # allows them this many ulps.
@@ -297,8 +297,9 @@ def form_enclosure(
     matrix = distance_matrix if distance else kernel_matrix
     if dps is None:
         x, c = config.as_float_arrays()
-        m = matrix(params, x, x)
-        value, bound = _form_and_bound(params, x, c, m, UNIT_ROUNDOFF, distance)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf and NaN exclude nothing
+            m = matrix(params, x, x)
+            value, bound = _form_and_bound(params, x, c, m, UNIT_ROUNDOFF, distance)
         if _underflows(config.points, x) or _underflows(config.coeffs, c):
             return float(value), math.inf
         s = float(np.sum(np.abs(c)))

@@ -328,7 +328,7 @@ class NegativeScaleCertificate:
 
 
 def find_negative_scale(
-    params: KernelParams, w: WitnessConfig, kappa, dps_start: int = 50
+    params: KernelParams, w: WitnessConfig, kappa, dps_start: int = SERIES_DPS
 ) -> NegativeScaleCertificate:
     """Scan z = 4^-m until the kernel form at the scaled points is
     resolved negative.

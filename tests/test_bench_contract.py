@@ -6,6 +6,7 @@ that would break the benchmark fails here first."""
 import importlib
 import os
 import sys
+from dataclasses import asdict
 
 import pytest
 
@@ -50,14 +51,23 @@ def _argv_value(argv, flag):
 
 @pytest.mark.parametrize("workload", sorted(jobs.WORKLOADS))
 def test_job_command_lines_parse(workload):
-    # the checks read these config echoes: they split the point and
-    # coefficient strings and compare the ladders and grids as numbers
-    ops, _ = jobs.build(workload, 1)
-    argvs = [op["argv"] for op in ops if "argv" in op]
+    # the checks read these config echoes, which hold only the command and
+    # the options it reads: they split the point and coefficient strings and
+    # compare the ladders and grids as numbers
+    argvs = []
+    for seed in (1, 2, 3):
+        ops, _ = jobs.build(workload, seed)
+        argvs += [op["argv"] for op in ops if "argv" in op]
     assert argvs
     parser = _build_parser()
     for argv in argvs:
-        command, params = argv[0], _config_from_args(parser.parse_args(argv)).params
+        # the benchmark adds --out to every job
+        config = asdict(_config_from_args(parser.parse_args(argv + ["--out", "x.json"])))
+        assert set(config) == {"command", "params"}
+        command, params = config["command"], config["params"]
+        assert command == argv[0]
+        assert ("seed" in params) == (command == "identities")
+        assert ("tolerance" in params) == (command in ("gram", "cnd", "fracpow"))
         if command in ("gram", "cnd"):
             assert params["points"] == _argv_value(argv, "--points")
             assert params.get("coeffs") == _argv_value(argv, "--coeffs")

@@ -14,6 +14,7 @@ from kpd import (
     gram_matrix,
     pd_check,
     quadratic_form,
+    resolve_form_sign,
     schwarz_margin,
     schwarz_margin_exact,
     tangency_z,
@@ -62,6 +63,10 @@ class TestCriticalWeight:
             critical_weight(1.0, 2.0)  # 2^(t-1)-1 = 1
         with pytest.raises(DomainError):
             critical_weight(0.0, 2.0)
+
+    def test_underflowing_power_is_infinite(self):
+        # 1e-15^25 underflows to 0 in binary64: the weight diverges there
+        assert critical_weight(1e-15, 25.0) == math.inf
 
     @pytest.mark.parametrize("t", [1.5, 2.0, 3.0])
     def test_strictly_decreasing_on_branch(self, t):
@@ -168,6 +173,16 @@ class TestViolationSearch:
         res = find_schwarz_violation(2.0, 1e8)
         assert res.found
         assert res.g_value < 0
+
+    @pytest.mark.parametrize("t,a", [(25.0, 1e300), (2.0, 1e300), (3.0, 1e308), (1.3, 1e300)])
+    def test_extreme_weight_found(self, t, a):
+        # the roots lie far below the scan (near 1e-150 at t = 2); at t = 25
+        # z^t underflows while the bracket widens, and the scan's terms overflow
+        res = find_schwarz_violation(t, a)
+        assert res.found
+        assert res.g_value < 0
+        value, _ = resolve_form_sign(KernelParams(t, a), res.config)
+        assert value < 0
 
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):

@@ -12,6 +12,7 @@ import kpd.cli
 import kpd.witness
 from kpd.cli import RunConfig, main, run, verify_certificate
 from kpd.errors import KpdError
+from kpd.kernel import DPS_CAP
 
 
 def run_cli(capsys, *argv):
@@ -28,8 +29,8 @@ class TestBoundaryCommand:
         payload = record["payload"]
         assert abs(payload["a_threshold"]["f64"] - 12.0) <= 1e-12 * 12.0
         assert payload["z_tangent"]["f64"] == 0.25
-        assert record["config"]["command"] == "boundary"
-        assert record["config"]["seed"] == 0
+        # the config echoes only the options the command reads
+        assert record["config"] == {"command": "boundary", "params": {"t": 2.0}}
 
     def test_violation_search_embeds_certificate(self, capsys):
         code, out = run_cli(capsys, "boundary", "--t", "2", "--a", "13")
@@ -173,8 +174,7 @@ class TestParser:
             main(["gram", "--t", "x", "--a", "1", "--points", "0"])
         assert exc.value.code == 2
         again = gram_then_verify(tmp_path / "again.json")
-        assert again[0] == {**first[0], "output_path": str(tmp_path / "again.json")}
-        assert again[1:] == first[1:]
+        assert again == first  # --out is not part of the config
 
 
 class TestSpectrumCommand:
@@ -198,15 +198,16 @@ class TestSweepCommand:
         assert len(lines) == 3
         assert lines[2].endswith("NEGATIVE_FOUND")
 
-    def test_csv_only_for_sweeps(self, capsys):
-        code, _ = run_cli(capsys, "boundary", "--t", "2", "--format", "csv")
-        assert code == 2
+    def test_csv_only_for_sweeps(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["boundary", "--t", "2", "--format", "csv"])
+        assert exc.value.code == 2
 
 
 class TestDeterminism:
     def test_identical_config_identical_payload(self):
         configs = (
-            RunConfig(command="identities", params={}, seed=7),
+            RunConfig(command="identities", params={"seed": 7}),
             RunConfig(
                 command="spectrum",
                 params={"t": 2.0, "a": 13.0, "nodes": (48, 96), "half_width": 5.0},
@@ -233,9 +234,8 @@ class TestDeterminism:
         assert certificates[0] == certificates[1]
 
     def test_seed_changes_payload_inputs_not_schema(self):
-        base = dict(command="identities", params={})
-        r1 = run(RunConfig(seed=1, **base))
-        r2 = run(RunConfig(seed=2, **base))
+        r1 = run(RunConfig(command="identities", params={"seed": 1}))
+        r2 = run(RunConfig(command="identities", params={"seed": 2}))
         assert set(r1.payload) == set(r2.payload)
         assert r1.payload_json() != r2.payload_json()
 
@@ -244,7 +244,9 @@ class TestDeterminism:
             RunConfig(command="witness", params={"t": 1.5, "a": 1.0}),
             RunConfig(
                 command="gram",
-                params={"t": 2.0, "a": 13.0, "points": "0.4472135954999579,0"},
+                params={
+                    "t": 2.0, "a": 13.0, "points": "0.4472135954999579,0", "tolerance": 1e-10
+                },
             ),
             RunConfig(command="boundary", params={"t": 2.0, "a": 13.0}),
         )
@@ -267,11 +269,11 @@ class TestVerify:
 
     def test_witness_at_precision_cap_confirms(self, capsys, tmp_path):
         rec = tmp_path / "w800.json"
-        argv = ["witness", "--t", "3.5", "--a", "1", "--precision", "800", "--out", str(rec)]
-        assert main(argv) == 0
+        assert main(["witness", "--t", "3.5", "--a", "1", "--out", str(rec)]) == 0
         capsys.readouterr()
-        cert = json.loads(rec.read_text())["payload"]["certificate"]
-        assert cert["dps_used"] == 800
+        record = json.loads(rec.read_text())
+        record["payload"]["certificate"]["dps_used"] = DPS_CAP
+        rec.write_text(json.dumps(record))
         assert verify_certificate(str(rec))["verdict"] == "CONFIRMED"
 
     def test_boundary_certificate_confirms(self, capsys, tmp_path):
@@ -376,6 +378,26 @@ class TestVerify:
         assert code == 3
         assert captured.err.startswith("error: ")
 
+    def test_cnd_tolerance_read_from_params_or_old_top_level(self, capsys, tmp_path):
+        # the form of this certificate is 21328
+        rec = tmp_path / "c.json"
+        argv = ["cnd", "--t", "3", "--a", "1", "--points", "0,1,4", "--coeffs", "1,-2,1"]
+        assert main(argv + ["--out", str(rec)]) == 0
+        capsys.readouterr()
+        record = json.loads(rec.read_text())
+        assert record["config"]["params"]["tolerance"] == 1e-10
+        assert verify_certificate(str(rec))["verdict"] == "CONFIRMED"
+        # records written before the config became {command, params}
+        record["config"]["tolerance"] = record["config"]["params"].pop("tolerance")
+        rec.write_text(json.dumps(record))
+        assert verify_certificate(str(rec))["verdict"] == "CONFIRMED"
+        for config in (
+            {**record["config"], "tolerance": 3e4},
+            {**record["config"], "params": {**record["config"]["params"], "tolerance": 3e4}},
+        ):
+            rec.write_text(json.dumps({**record, "config": config}))
+            assert verify_certificate(str(rec))["verdict"] == "MISMATCH"
+
     def test_unparsable_tolerance_errors(self, capsys, tmp_path):
         rec = tmp_path / "tol.json"
         rec.write_text(json.dumps({
@@ -458,8 +480,13 @@ class TestVerify:
 
 class TestConfigValidation:
     def test_bad_tolerance_rejected(self, capsys):
-        code, _ = run_cli(capsys, "boundary", "--t", "2", "--tol", "-1")
+        code, _ = run_cli(capsys, "gram", "--t", "2", "--a", "1", "--points", "0", "--tol", "-1")
         assert code == 2
+
+    def test_runconfig_checks_tolerance_and_seed_in_params(self):
+        for params in ({"tolerance": math.nan}, {"tolerance": 0.0}, {"seed": -1}):
+            with pytest.raises(KpdError):
+                RunConfig(command="gram", params=params)
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tolerance_rejected(self, capsys, tol):
@@ -484,8 +511,10 @@ class TestConfigValidation:
             ("spectrum", "--t", "2", "--a", "3", "--nodes", "10,y"),
             ("spectrum", "--t", "2", "--a", "3", "--nodes", "10,inf"),
             ("spectrum", "--t", "2", "--a", "3", "--nodes", "10,2.5"),
+            ("gram", "--t", "2", "--a", "13", "--points", "1,x"),
+            ("cnd", "--t", "2", "--a", "13", "--points", "0,1", "--coeffs", "1,y"),
         ],
-        ids=["a-grid", "nodes", "nodes-inf", "nodes-fraction"],
+        ids=["a-grid", "nodes", "nodes-inf", "nodes-fraction", "gram-points", "cnd-coeffs"],
     )
     def test_unparsable_list_rejected(self, capsys, argv):
         code = main(list(argv))
@@ -518,13 +547,6 @@ class TestConfigValidation:
         assert code == 3
         assert captured.err.startswith("error [DomainError]: half_width must be finite")
 
-    def test_precision_above_cap_rejected(self, capsys):
-        # a record written at more digits than verify replays could never confirm
-        code = main(["witness", "--t", "3.5", "--a", "1", "--precision", "801"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.err.startswith("configuration error: ")
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -535,17 +557,29 @@ class TestConfigValidation:
             ("identities", "--n-max", "2"),
             ("fracpow", "--s-grid", "0.5"),
             ("verify", "record.json", "--precision", "50"),
+            # each command takes only the options it reads: the witness
+            # works at a fixed precision, gram has no coefficients, and only
+            # sweep writes CSV, as json or csv
+            ("witness", "--t", "3.5", "--a", "1", "--precision", "50"),
+            ("witness", "--t", "3.5", "--a", "1", "--precision", "801"),
+            ("gram", "--t", "2", "--a", "13", "--points", "0,1", "--coeffs", "1,1"),
+            ("boundary", "--t", "2", "--tol", "1e-9"),
+            ("spectrum", "--t", "2", "--a", "13", "--format", "csv"),
+            ("sweep", "--format", "xml"),
         ],
-        ids=["bogus", "witness-order", "identities-n-max", "fracpow-s-grid", "verify-precision"],
+        ids=[
+            "bogus", "witness-order", "identities-n-max", "fracpow-s-grid",
+            "verify-precision", "witness-precision", "precision-above-cap",
+            "gram-coeffs", "boundary-tol", "spectrum-format", "bad-format",
+        ],
     )
-    def test_unknown_flag_rejected(self, argv):
+    def test_unknown_flag_rejected(self, capsys, monkeypatch, argv):
+        # argparse rejects these before any computation
+        monkeypatch.setattr(kpd.cli, "run", None)
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
-
-    def test_runconfig_rejects_bad_format(self):
-        with pytest.raises(KpdError):
-            RunConfig(command="gram", params={}, format="xml")
+        assert capsys.readouterr().out == ""
 
     def test_diagnostic_error_exit_code(self, capsys):
         # t above the overflow cap triggers a diagnostic, not a traceback

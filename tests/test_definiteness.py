@@ -82,6 +82,14 @@ class TestPdCheck:
         with pytest.raises(DomainError):
             pd_check(g, tolerance=-1.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tolerance_rejected(self, tol):
+        # at 1e-10 this Gram matrix FAILs, and this distance form is positive
+        with pytest.raises(DomainError):
+            pd_check(two_point_gram(2.0, 13.0, math.sqrt(0.2)), tolerance=tol)
+        with pytest.raises(DomainError):
+            cnd_check(KernelParams(2.0, 13.0), PointConfig((0.0, 1.0), (1.0, -1.0)), tol)
+
 
 class TestCndCheck:
     def test_identical_points_cancel(self):

@@ -12,6 +12,7 @@ from kpd import (
     KernelParams,
     PointConfig,
     ToleranceError,
+    cnd_check,
     distance_form,
     eval_kernel,
     gram_matrix,
@@ -304,6 +305,14 @@ class TestFormEnclosure:
             e = 2 * big_x * (2 * u / (1 - 2 * u))  # input rounding of x - y
             terms += (8 * big_x * width + e * e / u) * np.abs(c).sum() ** 2
         assert form_enclosure(params, cfg, distance=distance)[1] <= 2 * terms * u + 1e-290
+
+    def test_overflowing_binary64_stage_is_silent(self):
+        # d(0, 1e200) overflows binary64: the stage's NaN value and infinite
+        # bound exclude nothing, without a warning, and mpmath decides
+        params, cfg = KernelParams(2.0, 1.0), PointConfig((0.0, 1e200), (1.0, -1.0))
+        value, bound = form_enclosure(params, cfg, distance=True)
+        assert math.isnan(value) and bound == math.inf
+        assert cnd_check(params, cfg, 1e-10).failed
 
     @pytest.mark.parametrize("kind", ["mpf", "float", "fraction"])
     def test_triangle_stage_equals_full_grid(self, kind):
