@@ -78,14 +78,12 @@ from .fracpow import (
 from .spectral import (
     NEGATIVE_FOUND,
     NO_NEGATIVE_AT_RESOLUTION,
-    QuadratureScheme,
     GridCertificate,
     SpectralReport,
     build_scheme,
     certify_negative_direction,
     min_operator_eigenvalue,
     nystrom_matrix,
-    open_problem_sweep,
 )
 
 __version__ = "0.1.0"

@@ -24,7 +24,8 @@ BLAS thread count (the Nystrom eigenvalues that spectrum and sweep report
 round differently with more threads; their certificates do not).
 Timestamps and wall time live only in the metadata block.  Numeric
 payload values carry both a decimal string at full working precision and
-a binary64 convenience field.
+a binary64 convenience field, null where the value is not finite, so
+records are strict JSON.
 Negative/FAIL verdicts embed replayable certificates: points,
 coefficients, and the value, checkable by ``kpd verify``.  The replay
 decides each sign from the error enclosure of
@@ -73,7 +74,7 @@ from .witness import (
     t_power_coefficient,
 )
 from .fracpow import validate_representation
-from .spectral import min_operator_eigenvalue, open_problem_sweep, sweep_rows
+from .spectral import min_operator_eigenvalue
 
 SCHEMA_VERSION = 1
 CSV_HEADER = ["t", "a", "level", "node_count", "L", "min_eigenvalue", "verdict"]
@@ -118,10 +119,10 @@ class RunRecord:
         }
 
     def payload_json(self) -> str:
-        return json.dumps(self.payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(self.payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2)
+        return json.dumps(self.as_dict(), sort_keys=True, indent=2, allow_nan=False)
 
 
 def _dec(x, dps: int = 30) -> str:
@@ -141,8 +142,11 @@ def _dyadic_dec(x: Fraction, dps: int) -> str:
 
 
 def _num(x, dps: int = 30) -> dict:
-    """Encode a number as {dec, f64}: full-precision decimal plus binary64."""
-    return {"dec": _dec(x, dps), "f64": float(x)}
+    """Encode a number as {dec, f64}: full-precision decimal plus binary64,
+    which is null where the number is not finite in binary64 (strict JSON
+    has no inf or nan; ``dec`` keeps them)."""
+    f64 = float(x)
+    return {"dec": _dec(x, dps), "f64": f64 if math.isfinite(f64) else None}
 
 
 def _certificate(kind: str, config: PointConfig, value, dps: int = 30, **extra) -> dict:
@@ -165,9 +169,17 @@ def _verdict_dict(verdict) -> dict:
     }
 
 
+def _finite(text: str) -> float:
+    """A finite number; argparse reports text that is no number at all."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise KpdError(f"numbers must be finite, got {text!r}")
+    return value
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(v) for v in text.split(","))
+        return tuple(_finite(v) for v in text.split(","))
     except ValueError as exc:
         raise KpdError(f"could not parse float list {text!r}: {exc}") from exc
 
@@ -184,6 +196,8 @@ def _parse_nodes(text: str) -> tuple[int, ...]:
         raise KpdError(f"node counts must be integers, got {values}")
     if min(values) < 1:
         raise KpdError(f"node counts must be >= 1, got {values}")
+    if any(b < a for a, b in zip(values, values[1:])):
+        raise KpdError(f"node counts must be nondecreasing, got {values}")
     return tuple(map(int, values))
 
 
@@ -416,8 +430,7 @@ def _report_dict(report) -> dict:
 def _cmd_spectrum(cfg: RunConfig) -> dict:
     p = cfg.params
     params = KernelParams(t=p["t"], a=p["a"])
-    ladder = [(n, p["half_width"]) for n in p["nodes"]]
-    report = min_operator_eigenvalue(params, ladder)
+    report = min_operator_eigenvalue(params, p["nodes"], p["half_width"])
     return {
         "schema": SCHEMA_VERSION,
         "t": _num(params.t),
@@ -427,26 +440,30 @@ def _cmd_spectrum(cfg: RunConfig) -> dict:
 
 
 def _cmd_sweep(cfg: RunConfig) -> dict:
+    """One spectral report per weight, in grid order, and its evidence-table
+    rows (the CSV_HEADER columns): one per rung, the verdict on the last.  A
+    kpd diagnostic (KpdError) is recorded for its weight with one ERROR row
+    and does not end the sweep; any other exception propagates."""
     p = cfg.params
-    t = p["t"]
-    ladder = [(n, p["half_width"]) for n in p["nodes"]]
-    results = open_problem_sweep(p["a_grid"], ladder, t=t)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "t": _num(t),
-        "rows": [
-            {**r, "min_eigenvalue": _num(r["min_eigenvalue"])} for r in sweep_rows(results)
-        ],
-        "reports": [],
-    }
-    for entry in results:
-        rec = {"a": entry["a"], "control": entry["control"], "certificate": None}
-        if "error" in entry:
-            rec["error"] = entry["error"]
+    t, rows, reports = p["t"], [], []
+    for a in p["a_grid"]:
+        # the open region of t = 2 is 0 < a <= a_threshold(2) = 12
+        entry = {"a": a, "control": not (0.0 < a <= 12.0), "certificate": None}
+        try:
+            report = min_operator_eigenvalue(
+                KernelParams(t=t, a=a), p["nodes"], p["half_width"]
+            )
+        except KpdError as exc:
+            entry["error"] = repr(exc)
+            rows.append(dict(zip(CSV_HEADER, (t, a, -1, 0, 0.0, _num(math.nan), "ERROR"))))
         else:
-            rec.update(_report_dict(entry["report"]))
-        payload["reports"].append(rec)
-    return payload
+            entry.update(_report_dict(report))
+            final = len(report.levels) - 1
+            for i, (n, L, me) in enumerate(report.levels):
+                verdict = report.verdict if i == final else ""
+                rows.append(dict(zip(CSV_HEADER, (t, a, i, n, L, _num(me), verdict))))
+        reports.append(entry)
+    return {"schema": SCHEMA_VERSION, "t": _num(t), "rows": rows, "reports": reports}
 
 
 _COMMANDS = {
@@ -596,21 +613,21 @@ def _build_parser() -> argparse.ArgumentParser:
     for run_command in (g, c, b, w, i, f, s, sw):
         run_command.add_argument("--out", dest="output_path", help="output file")
     for kernel in (g, c, w, s):
-        kernel.add_argument("--t", type=float, required=True)
-        kernel.add_argument("--a", type=float, required=True)
+        kernel.add_argument("--t", type=_finite, required=True)
+        kernel.add_argument("--a", type=_finite, required=True)
     for checked in (g, c, f):
         checked.add_argument("--tol", type=float, default=1e-10, dest="tolerance")
     for probe in (s, sw):
         probe.add_argument("--nodes", type=_parse_nodes, default="100,200,400")
-        probe.add_argument("--half-width", type=float, default=20.0, dest="half_width")
+        probe.add_argument("--half-width", type=_finite, default=20.0, dest="half_width")
     g.add_argument("--points", type=_float_list, required=True, help="comma-separated")
     c.add_argument("--points", type=_float_list, required=True, help="comma-separated")
     c.add_argument("--coeffs", type=_float_list, required=True, help="comma-separated")
-    b.add_argument("--t", type=float, required=True)
-    b.add_argument("--a", type=float, help="also search a violation")
+    b.add_argument("--t", type=_finite, required=True)
+    b.add_argument("--a", type=_finite, help="also search a violation")
     i.add_argument("--seed", type=int, default=0, help="RNG seed (recorded)")
     f.add_argument("--validate", action="store_true", help="accepted; always validates")
-    sw.add_argument("--t", type=float, default=2.0)
+    sw.add_argument("--t", type=_finite, default=2.0)
     sw.add_argument("--a-grid", type=_parse_floats, default="1,3,6,9,12", dest="a_grid")
     sw.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
     v.add_argument("record", help="path to a run record JSON")
@@ -632,7 +649,7 @@ def _emit_csv(record: RunRecord) -> str:
     writer = csv.DictWriter(buf, CSV_HEADER)
     writer.writeheader()
     writer.writerows(
-        {**r, "min_eigenvalue": r["min_eigenvalue"]["f64"]} for r in record.payload["rows"]
+        {**r, "min_eigenvalue": r["min_eigenvalue"]["dec"]} for r in record.payload["rows"]
     )
     return buf.getvalue()
 

@@ -1,16 +1,17 @@
 """Discretized spectral probe of the kernel integral operator on L2(R).
 
 The operator is truncated to [-L, L] and discretized by a symmetrized
-Nystrom rule M[i,j] = sqrt(w_i w_j) K(x_i, x_j) over a composite
-Gauss-Legendre scheme.  When all panels have one degree (node counts
-below 16 or multiples of 16) the scheme is its own exact mirror, and as
-K(-x, -y) == K(x, y) bit for bit, M commutes with the reversal J.  For
-an even node count its spectrum is then the union of those of the two
-half-size blocks A +- BJ (Cantoni and Butler, Linear Algebra Appl. 13,
-1976), which together take a quarter of the full eigensolve's O(n^3)
-work, and only half of M's rows are built.  Forming the blocks adds
-one rounding per entry, the order of the eigensolver's own backward
-error.  Other schemes get one full eigensolve.
+Nystrom matrix M[i,j] = sqrt(w_i w_j) K(x_i, x_j) over a composite
+Gauss-Legendre rule, plain arrays of nodes x and weights w.  A refinement
+ladder is a nondecreasing list of node counts on one half-width L.  When
+all panels have one degree (node counts below 16 or multiples of 16) the
+rule is its own exact mirror, and as K(-x, -y) == K(x, y) bit for bit, M
+commutes with the reversal J.  For an even node count its spectrum is
+then the union of those of the two half-size blocks A +- BJ (Cantoni and
+Butler, Linear Algebra Appl. 13, 1976), which together take a quarter of
+the full eigensolve's O(n^3) work, and only half of M's rows are built.
+Forming the blocks adds one rounding per entry, the order of the
+eigensolver's own backward error.  Other rules get one full eigensolve.
 
 A negative eigenvalue is evidence that prompts a search for a
 certificate: a few grid points with dyadic coefficients whose
@@ -24,20 +25,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EigensolverError, KpdError
+from .errors import DomainError, EigensolverError
 from .kernel import KernelParams, PointConfig, form_enclosure, kernel_matrix
 from .quadrature import composite_rule
 
 __all__ = [
-    "QuadratureScheme",
     "GridCertificate",
     "SpectralReport",
     "build_scheme",
     "nystrom_matrix",
     "certify_negative_direction",
     "min_operator_eigenvalue",
-    "open_problem_sweep",
-    "sweep_rows",
     "NEGATIVE_FOUND",
     "NO_NEGATIVE_AT_RESOLUTION",
 ]
@@ -55,72 +53,39 @@ SEARCH_SPACINGS = np.arange(2, 193) / 128.0
 COEFF_QUANTUM = 2.0**-16
 
 
-def _check_half_width(half_width) -> None:
+def build_scheme(node_count: int, half_width: float) -> tuple[np.ndarray, np.ndarray]:
+    """The composite Gauss-Legendre rule (nodes, weights) on [-L, L]:
+    panels of degree 16 plus one remainder panel."""
     if not (math.isfinite(half_width) and half_width > 0):
         raise DomainError(f"half_width must be finite and > 0, got {half_width}")
-
-
-@dataclass(frozen=True, eq=False)
-class QuadratureScheme:
-    """Composite Gauss-Legendre discretization of [-L, L]."""
-
-    node_count: int
-    half_width: float
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        _check_half_width(self.half_width)
-        if len(self.nodes) != self.node_count or len(self.weights) != self.node_count:
-            raise DomainError("nodes/weights length must equal node_count")
-        if np.any(self.weights <= 0):
-            raise DomainError("weights must be positive")
-        if np.any(np.diff(self.nodes) <= 0):
-            raise DomainError("nodes must be strictly increasing")
-        total = float(np.sum(self.weights))
-        if not math.isclose(total, 2.0 * self.half_width, rel_tol=1e-12):
-            raise DomainError(
-                f"weights sum {total!r} != interval length {2.0 * self.half_width!r}"
-            )
-
-
-def build_scheme(node_count: int, half_width: float) -> QuadratureScheme:
-    """Panels of degree 16 (plus one remainder panel) across [-L, L]."""
-    _check_half_width(half_width)
     if node_count < 1:
         raise DomainError(f"node_count must be >= 1, got {node_count}")
-    nodes, weights = composite_rule(-half_width, half_width, node_count)
-    return QuadratureScheme(
-        node_count=node_count,
-        half_width=float(half_width),
-        nodes=nodes,
-        weights=weights,
-    )
+    return composite_rule(-half_width, half_width, node_count)
 
 
-def nystrom_matrix(params: KernelParams, scheme: QuadratureScheme) -> np.ndarray:
-    """The symmetrized Nystrom matrix sqrt(w_i w_j) K(x_i, x_j).
+def nystrom_matrix(params: KernelParams, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The symmetrized Nystrom matrix sqrt(w_i w_j) K(x_i, x_j) of the rule
+    (x, w).
 
     Symmetric bit-for-bit, because :func:`~kpd.kernel.kernel_matrix` is:
     (x - y)^2 and x^2 + y^2 round the same when x and y swap.
     """
-    sw = np.sqrt(scheme.weights)
-    return kernel_matrix(params, scheme.nodes, scheme.nodes) * np.outer(sw, sw)
+    sw = np.sqrt(w)
+    return kernel_matrix(params, x, x) * np.outer(sw, sw)
 
 
-def _nystrom_spectrum(params: KernelParams, scheme: QuadratureScheme):
-    """Ascending eigenvalues of the Nystrom matrix M and its largest
-    diagonal entry.
+def _nystrom_spectrum(params: KernelParams, x: np.ndarray, w: np.ndarray):
+    """Ascending eigenvalues of the Nystrom matrix M of the rule (x, w) and
+    its largest diagonal entry.
 
-    On an exactly mirrored scheme with an even number n = 2h of nodes,
+    On an exactly mirrored rule with an even number n = 2h of nodes,
     M = [[A, B], [JBJ, JAJ]] commutes with the reversal J, so its spectrum
     is that of the two h x h blocks A + BJ and A - BJ.  Only the first h
-    rows of M are built.  Any other scheme gets one full eigensolve.
+    rows of M are built.  Any other rule gets one full eigensolve.
     """
-    x, w = scheme.nodes, scheme.weights
-    h, odd = divmod(scheme.node_count, 2)
+    h, odd = divmod(len(x), 2)
     if odd or not (np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])):
-        matrix = nystrom_matrix(params, scheme)
+        matrix = nystrom_matrix(params, x, w)
         blocks, diag = [matrix], np.diag(matrix)
     else:
         sw = np.sqrt(w)
@@ -229,24 +194,26 @@ class SpectralReport:
         return self.levels[-1][2]
 
 
-def min_operator_eigenvalue(params: KernelParams, ladder) -> SpectralReport:
-    """Minimum Nystrom eigenvalue across a refinement ladder.
+def min_operator_eigenvalue(
+    params: KernelParams, node_counts, half_width: float
+) -> SpectralReport:
+    """Minimum Nystrom eigenvalue across a refinement ladder: the rules of
+    ``node_counts`` nodes, a nonempty nondecreasing sequence, on one
+    interval [-half_width, half_width].
 
-    ``ladder`` is a nonempty sequence of (node_count, half_width) with
-    nondecreasing node counts.  The certificate search runs when the
-    final-level minimum eigenvalue is more negative than
-    -ATTEMPT_FACTOR * max(diag); only a certified negative certificate
-    yields NEGATIVE_FOUND.
+    The certificate search runs when the final-rung minimum eigenvalue is
+    more negative than -ATTEMPT_FACTOR * max(diag); only a certified
+    negative certificate yields NEGATIVE_FOUND.
     """
-    ladder = [(int(n), float(L)) for n, L in ladder]
-    if not ladder:
+    node_counts, half_width = [int(n) for n in node_counts], float(half_width)
+    if not node_counts:
         raise DomainError("refinement ladder must be nonempty")
-    if any(b[0] < a[0] for a, b in zip(ladder, ladder[1:])):
+    if any(b < a for a, b in zip(node_counts, node_counts[1:])):
         raise DomainError("ladder node counts must be nondecreasing")
 
     levels = []
-    for node_count, half_width in ladder:
-        vals, max_diag = _nystrom_spectrum(params, build_scheme(node_count, half_width))
+    for node_count in node_counts:
+        vals, max_diag = _nystrom_spectrum(params, *build_scheme(node_count, half_width))
         levels.append((node_count, half_width, float(vals[0])))
 
     certificate = None
@@ -260,64 +227,5 @@ def min_operator_eigenvalue(params: KernelParams, ladder) -> SpectralReport:
         smallest_eigenvalues=tuple(float(v) for v in vals[:6]),
         verdict=verdict,
         certificate=certificate,
-        tail_bound=truncation_tail_bound(params, ladder[-1][1]),
+        tail_bound=truncation_tail_bound(params, half_width),
     )
-
-
-def open_problem_sweep(a_grid, ladder, t: float = 2.0) -> list[dict]:
-    """Evidence sweep over anisotropy weights at fixed t (default 2).
-
-    The open region is 0 < a <= threshold(2) = 12; grid entries outside
-    it are allowed but labeled as controls.  Each entry yields a
-    SpectralReport; kpd diagnostics (KpdError) are recorded per point and
-    do not abort the sweep, while any other exception propagates.  Output
-    ordering follows the grid.
-    """
-    results = []
-    for a in a_grid:
-        a = float(a)
-        entry = {"t": float(t), "a": a, "control": not (0.0 < a <= 12.0)}
-        try:
-            entry["report"] = min_operator_eigenvalue(
-                KernelParams(t=float(t), a=a), ladder
-            )
-        except KpdError as exc:
-            entry["error"] = repr(exc)
-        results.append(entry)
-    return results
-
-
-def sweep_rows(results: list[dict]) -> list[dict]:
-    """Flatten sweep results into evidence-table rows (one per ladder
-    level) with columns t, a, level, node_count, L, min_eigenvalue,
-    verdict."""
-    rows = []
-    for entry in results:
-        report = entry.get("report")
-        if report is None:
-            rows.append(
-                {
-                    "t": entry["t"],
-                    "a": entry["a"],
-                    "level": -1,
-                    "node_count": 0,
-                    "L": 0.0,
-                    "min_eigenvalue": math.nan,
-                    "verdict": "ERROR",
-                }
-            )
-            continue
-        for level, (node_count, half_width, min_eig) in enumerate(report.levels):
-            last = level == len(report.levels) - 1
-            rows.append(
-                {
-                    "t": entry["t"],
-                    "a": entry["a"],
-                    "level": level,
-                    "node_count": node_count,
-                    "L": half_width,
-                    "min_eigenvalue": min_eig,
-                    "verdict": report.verdict if last else "",
-                }
-            )
-    return rows

@@ -205,14 +205,12 @@ def test_criterion_8_fracpow_representation():
 def test_criterion_9_spectral_probe(capsys, tmp_path):
     with _Stopwatch(300.0) as sw:
         # PD sanity at t=1, a=1 across 200-800 nodes
-        report = min_operator_eigenvalue(
-            KernelParams(1.0, 1.0), [(200, 20.0), (400, 20.0), (800, 20.0)]
-        )
+        report = min_operator_eigenvalue(KernelParams(1.0, 1.0), [200, 400, 800], 20.0)
         assert all(me >= -1e-10 for (_, _, me) in report.levels), report.levels
         assert report.verdict == NO_NEGATIVE_AT_RESOLUTION
 
         # certified negative for t=2, a=13
-        found = min_operator_eigenvalue(KernelParams(2.0, 13.0), [(100, 5.0), (200, 5.0)])
+        found = min_operator_eigenvalue(KernelParams(2.0, 13.0), [100, 200], 5.0)
         assert found.verdict == NEGATIVE_FOUND
         assert found.certificate is not None
         assert found.certificate.certified_negative

@@ -5,6 +5,7 @@ that would break the benchmark fails here first."""
 
 import importlib
 import os
+import subprocess
 import sys
 from dataclasses import asdict
 
@@ -77,3 +78,14 @@ def test_job_command_lines_parse(workload):
             assert all(type(a) is float for a in params["a_grid"])
         if command == "fracpow":
             assert params["validate"] is True
+
+
+def test_benchmark_checks_reject_corrupted_records():
+    # the benchmark's own corruption tests, which read kpd's payload layout;
+    # run apart from this suite, writing no byte code or cache into perfbench/
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_checks.py"],
+        cwd=PERFBENCH, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -21,6 +21,14 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def strict_json(text):
+    # strict JSON has no Infinity or NaN tokens
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestBoundaryCommand:
     def test_t2_report(self, capsys):
         code, out = run_cli(capsys, "boundary", "--t", "2")
@@ -185,6 +193,43 @@ class TestSpectrumCommand:
         assert json.loads(out)["payload"]["tail_bound"]["f64"] == 0.0
 
 
+class TestStrictJson:
+    @pytest.mark.parametrize(
+        "argv, path",
+        [
+            # t <= 1/2: the truncated tail is not integrable
+            (("spectrum", "--t", "0.4", "--a", "1", "--nodes", "16"), ("tail_bound",)),
+            # every scanned margin overflows
+            (("boundary", "--t", "2", "--a", "1e300"), ("violation", "scan", "min_g")),
+            # the ~1e800 form overflows binary64
+            (
+                ("cnd", "--t", "2", "--a", "1", "--points", "0,1e200", "--coeffs", "1,-1"),
+                ("form_value",),
+            ),
+        ],
+        ids=["spectrum-tail", "boundary-scan", "cnd-form"],
+    )
+    def test_non_finite_value_is_null_in_f64(self, capsys, argv, path):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        node = strict_json(out)["payload"]
+        for key in path:
+            node = node[key]
+        assert node["f64"] is None
+        assert node["dec"] in ("inf", "+inf", "-inf", "nan")
+
+    def test_error_row_is_null_in_json_and_nan_in_csv(self, capsys):
+        argv = ("sweep", "--a-grid", "-2", "--nodes", "16", "--half-width", "6")
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        (row,) = strict_json(out)["payload"]["rows"]
+        assert row["verdict"] == "ERROR"
+        assert row["min_eigenvalue"] == {"dec": "nan", "f64": None}
+        code, out = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert out.strip().splitlines()[1] == "2.0,-2.0,-1,0,0.0,nan,ERROR"
+
+
 class TestSweepCommand:
     def test_csv_schema(self, capsys):
         code, out = run_cli(
@@ -202,6 +247,85 @@ class TestSweepCommand:
         with pytest.raises(SystemExit) as exc:
             main(["boundary", "--t", "2", "--format", "csv"])
         assert exc.value.code == 2
+
+    def test_rows_schema_and_determinism(self, capsys):
+        argv = ("sweep", "--a-grid", "1,13", "--nodes", "48,96", "--half-width", "6")
+        runs = [run_cli(capsys, *argv) for _ in range(2)]
+        assert [code for code, _ in runs] == [0, 0]
+        payloads = [json.loads(out)["payload"] for _, out in runs]
+        assert payloads[0] == payloads[1]
+        rows = payloads[0]["rows"]
+        assert len(rows) == 4
+        assert all(set(row) == set(kpd.cli.CSV_HEADER) for row in rows)
+        # the verdict only on the last level of each weight
+        assert [row["verdict"] for row in rows[::2]] == ["", ""]
+        assert rows[1]["verdict"] in ("NEGATIVE_FOUND", "NO_NEGATIVE_AT_RESOLUTION")
+        assert rows[3]["verdict"] == "NEGATIVE_FOUND"
+
+    def test_control_labeling(self, capsys):
+        code, out = run_cli(
+            capsys, "sweep", "--a-grid", "6,12.5", "--nodes", "32", "--half-width", "6"
+        )
+        assert code == 0
+        reports = json.loads(out)["payload"]["reports"]
+        assert [r["control"] for r in reports] == [False, True]
+
+    def test_certified_negatives_only(self, capsys):
+        # every NEGATIVE_FOUND verdict carries a conclusive negative certificate
+        code, out = run_cli(
+            capsys, "sweep", "--a-grid", "3,13", "--nodes", "96,192", "--half-width", "6"
+        )
+        assert code == 0
+        reports = json.loads(out)["payload"]["reports"]
+        assert reports[1]["verdict"] == "NEGATIVE_FOUND"
+        for rep in reports:
+            if rep["verdict"] == "NEGATIVE_FOUND":
+                assert rep["certificate"]["kind"] == "gram"
+                assert rep["certificate_conclusive"] is True
+                bound = rep["certificate_error_bound"]["f64"]
+                assert rep["certificate_value"]["f64"] + bound < 0
+            else:
+                assert rep["certificate"] is None
+
+    def test_sweep_survives_bad_point(self, capsys):
+        code, out = run_cli(
+            capsys, "sweep", "--a-grid", "1,-2,13", "--nodes", "16,32", "--half-width", "6"
+        )
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        good, bad, above = payload["reports"]
+        assert "levels" in good and "levels" in above
+        assert bad["error"].startswith("DomainError(") and bad["certificate"] is None
+        verdicts = [(row["a"], row["verdict"]) for row in payload["rows"]]
+        assert verdicts == [
+            (1.0, ""), (1.0, good["verdict"]), (-2.0, "ERROR"), (13.0, ""),
+            (13.0, "NEGATIVE_FOUND"),
+        ]
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(params, node_counts, half_width):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(kpd.cli, "min_operator_eigenvalue", broken)
+        with pytest.raises(TypeError):
+            main(["sweep", "--a-grid", "1", "--nodes", "32", "--half-width", "6"])
+
+    def test_reports_agree_with_spectrum(self, capsys):
+        # run in one process, so that both see the same BLAS thread count
+        ladder = ("--nodes", "48,96", "--half-width", "5")
+        code, out = run_cli(capsys, "sweep", "--t", "2.5", "--a-grid", "0.5,3,13", *ladder)
+        assert code == 0
+        reports = json.loads(out)["payload"]["reports"]
+        assert [r["a"] for r in reports] == [0.5, 3.0, 13.0]
+        for entry in reports:
+            a = repr(entry.pop("a"))
+            entry.pop("control")
+            code, out = run_cli(capsys, "spectrum", "--t", "2.5", "--a", a, *ladder)
+            assert code == 0
+            spectrum = json.loads(out)["payload"]
+            for key in ("schema", "t", "a"):
+                spectrum.pop(key)
+            assert entry == spectrum
 
 
 class TestDeterminism:
@@ -513,8 +637,14 @@ class TestConfigValidation:
             ("spectrum", "--t", "2", "--a", "3", "--nodes", "10,2.5"),
             ("gram", "--t", "2", "--a", "13", "--points", "1,x"),
             ("cnd", "--t", "2", "--a", "13", "--points", "0,1", "--coeffs", "1,y"),
+            ("sweep", "--a-grid", "1,inf"),
+            ("gram", "--t", "2", "--a", "13", "--points", "0,nan"),
+            ("cnd", "--t", "2", "--a", "13", "--points", "0,1", "--coeffs", "1,-inf"),
         ],
-        ids=["a-grid", "nodes", "nodes-inf", "nodes-fraction", "gram-points", "cnd-coeffs"],
+        ids=[
+            "a-grid", "nodes", "nodes-inf", "nodes-fraction", "gram-points", "cnd-coeffs",
+            "a-grid-inf", "gram-points-nan", "cnd-coeffs-inf",
+        ],
     )
     def test_unparsable_list_rejected(self, capsys, argv):
         code = main(list(argv))
@@ -523,29 +653,55 @@ class TestConfigValidation:
         assert captured.err.startswith("configuration error: ")
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ("spectrum", "--t", "2", "--a", "13", "--nodes", "0"),
-            ("spectrum", "--t", "2", "--a", "13", "--nodes", "-3"),
-            ("spectrum", "--t", "2", "--a", "13", "--nodes", "100,0,400"),
-            ("sweep", "--a-grid", "13", "--nodes", "0"),
-            ("sweep", "--a-grid", "13", "--nodes", "-3"),
+            (("spectrum", "--t", "2", "--a", "13", "--nodes", "0"), ">= 1"),
+            (("spectrum", "--t", "2", "--a", "13", "--nodes", "-3"), ">= 1"),
+            (("spectrum", "--t", "2", "--a", "13", "--nodes", "100,0,400"), ">= 1"),
+            (("sweep", "--a-grid", "13", "--nodes", "0"), ">= 1"),
+            (("sweep", "--a-grid", "13", "--nodes", "-3"), ">= 1"),
+            (("spectrum", "--t", "2", "--a", "13", "--nodes", "32,16"), "nondecreasing"),
+            (("sweep", "--a-grid", "1,13", "--nodes", "32,16"), "nondecreasing"),
         ],
-        ids=["spectrum-0", "spectrum-neg", "spectrum-inner-0", "sweep-0", "sweep-neg"],
+        ids=[
+            "spectrum-0", "spectrum-neg", "spectrum-inner-0", "sweep-0", "sweep-neg",
+            "spectrum-decreasing", "sweep-decreasing",
+        ],
     )
-    def test_node_count_below_one_rejected(self, capsys, argv):
+    def test_node_count_below_one_rejected(self, capsys, argv, message):
         code = main(list(argv))
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.err.startswith("configuration error: node counts must be >= 1")
+        assert captured.err.startswith(f"configuration error: node counts must be {message}")
         assert captured.out == ""
 
     @pytest.mark.parametrize("half_width", ["inf", "nan"])
     def test_non_finite_half_width_is_a_domain_error(self, capsys, half_width):
+        # rejected with the other non-finite inputs, before any computation
         code = main(["spectrum", "--t", "2", "--a", "13", "--half-width", half_width])
         captured = capsys.readouterr()
-        assert code == 3
-        assert captured.err.startswith("error [DomainError]: half_width must be finite")
+        assert code == 2
+        assert captured.err.startswith("configuration error: numbers must be finite")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("spectrum", "--t", "inf", "--a", "13"),
+            ("spectrum", "--t", "2", "--a", "nan"),
+            ("boundary", "--t", "inf"),
+            ("boundary", "--t", "2", "--a=-inf"),
+            ("sweep", "--t", "nan"),
+            ("gram", "--t", "2", "--a", "inf", "--points", "0,1"),
+        ],
+        ids=["spectrum-t", "spectrum-a", "boundary-t", "boundary-a", "sweep-t", "gram-a"],
+    )
+    def test_non_finite_parameter_rejected(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("configuration error: numbers must be finite")
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "argv",

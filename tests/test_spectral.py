@@ -13,7 +13,6 @@ from kpd import (
     certify_negative_direction,
     min_operator_eigenvalue,
     nystrom_matrix,
-    open_problem_sweep,
     quadratic_form,
 )
 import kpd.spectral
@@ -21,9 +20,7 @@ from kpd.quadrature import PANEL_DEGREE, composite_rule, mapped_rule
 from kpd.spectral import (
     COEFF_QUANTUM,
     SEARCH_MAX_POINTS,
-    QuadratureScheme,
     _nystrom_spectrum,
-    sweep_rows,
     truncation_tail_bound,
 )
 
@@ -31,32 +28,30 @@ from kpd.spectral import (
 class TestScheme:
     def test_weights_sum_to_interval_length(self):
         for n in (1, 5, 16, 100, 257):
-            s = build_scheme(n, 20.0)
-            assert np.sum(s.weights) == pytest.approx(40.0, rel=1e-12)
-            assert s.node_count == n == len(s.nodes)
+            x, w = build_scheme(n, 20.0)
+            assert np.sum(w) == pytest.approx(40.0, rel=1e-12)
+            assert len(x) == len(w) == n
 
     def test_nodes_increasing_and_interior(self):
-        s = build_scheme(100, 5.0)
-        assert np.all(np.diff(s.nodes) > 0)
-        assert s.nodes[0] > -5.0 and s.nodes[-1] < 5.0
+        x, _ = build_scheme(100, 5.0)
+        assert np.all(np.diff(x) > 0)
+        assert x[0] > -5.0 and x[-1] < 5.0
 
     def test_single_node_is_midpoint(self):
-        s = build_scheme(1, 7.0)
-        assert s.nodes[0] == 0.0
-        assert s.weights[0] == pytest.approx(14.0, rel=1e-15)
+        x, w = build_scheme(1, 7.0)
+        assert x[0] == 0.0
+        assert w[0] == pytest.approx(14.0, rel=1e-15)
 
     def test_invalid_arguments(self):
         with pytest.raises(DomainError):
             build_scheme(10, -1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="node_count must be >= 1"):
             build_scheme(0, 1.0)
 
     @pytest.mark.parametrize("half_width", [math.inf, -math.inf, math.nan, 0.0])
     def test_non_finite_half_width_rejected_before_the_rule(self, half_width):
         with pytest.raises(DomainError, match="finite and > 0"):
             build_scheme(16, half_width)
-        with pytest.raises(DomainError, match="finite and > 0"):
-            QuadratureScheme(1, half_width, np.zeros(1), np.ones(1))
 
 
 class TestCompositeRule:
@@ -85,8 +80,7 @@ class TestCompositeRule:
 
 class TestNystromMatrix:
     def test_single_node_value(self):
-        s = build_scheme(1, 5.0)
-        m = nystrom_matrix(KernelParams(1.0, 1.0), s)
+        m = nystrom_matrix(KernelParams(1.0, 1.0), *build_scheme(1, 5.0))
         assert m.shape == (1, 1)
         assert m[0, 0] == pytest.approx(10.0 / math.pi, rel=1e-14)
 
@@ -99,17 +93,15 @@ class TestNystromMatrix:
             (200, 20.0, 5.0, 0.3),
             (96, 20.0, 7.5, 1.0),
         ]:
-            m = nystrom_matrix(KernelParams(t, a), build_scheme(n, L))
+            m = nystrom_matrix(KernelParams(t, a), *build_scheme(n, L))
             assert np.array_equal(m, m.T)
 
     def test_pd_kernel_is_numerically_psd(self):
-        s = build_scheme(200, 20.0)
-        m = nystrom_matrix(KernelParams(1.0, 1.0), s)
+        m = nystrom_matrix(KernelParams(1.0, 1.0), *build_scheme(200, 20.0))
         assert np.linalg.eigvalsh(m)[0] >= -1e-10
 
     def test_violating_kernel_goes_negative(self):
-        s = build_scheme(100, 5.0)
-        m = nystrom_matrix(KernelParams(2.0, 13.0), s)
+        m = nystrom_matrix(KernelParams(2.0, 13.0), *build_scheme(100, 5.0))
         assert np.linalg.eigvalsh(m)[0] < -1e-4
 
 
@@ -121,9 +113,9 @@ class TestSplitSpectrum:
         # the norm |lambda|_max, which exceeds max(diag) up to 14-fold here
         params = KernelParams(t, a)
         for n, L in ((16, 5.0), (64, 10.0), (400, 20.0)):
-            scheme = build_scheme(n, L)
-            m = nystrom_matrix(params, scheme)
-            vals, max_diag = _nystrom_spectrum(params, scheme)
+            x, w = build_scheme(n, L)
+            m = nystrom_matrix(params, x, w)
+            vals, max_diag = _nystrom_spectrum(params, x, w)
             full = np.linalg.eigvalsh(m)
             assert max_diag == np.max(np.diag(m))
             assert np.all(np.diff(vals) >= 0)
@@ -132,9 +124,9 @@ class TestSplitSpectrum:
     @pytest.mark.parametrize("n", [1, 15, 100, 200, 257])
     def test_other_schemes_take_the_full_solve(self, n):
         params = KernelParams(2.0, 13.0)
-        scheme = build_scheme(n, 20.0)
-        m = nystrom_matrix(params, scheme)
-        vals, max_diag = _nystrom_spectrum(params, scheme)
+        x, w = build_scheme(n, 20.0)
+        m = nystrom_matrix(params, x, w)
+        vals, max_diag = _nystrom_spectrum(params, x, w)
         assert vals.tobytes() == np.linalg.eigvalsh(m).tobytes()
         assert max_diag == np.max(np.diag(m))
 
@@ -147,7 +139,7 @@ class TestSplitSpectrum:
             return kernel_matrix(params, x, y)
 
         monkeypatch.setattr(kpd.spectral, "kernel_matrix", recorded)
-        min_operator_eigenvalue(KernelParams(1.0, 1.0), TestVerdicts.LADDER)
+        min_operator_eigenvalue(KernelParams(1.0, 1.0), *TestVerdicts.LADDER)
         # rungs 100 and 200 carry a remainder panel; rung 400 builds half its rows
         assert entries == [100 * 100, 200 * 200, 200 * 400]
 
@@ -157,14 +149,14 @@ class TestSplitSpectrum:
     )
     def test_ladder_matches_full_solve_reference(self, monkeypatch, t, a):
         params = KernelParams(t, a)
-        split = min_operator_eigenvalue(params, TestVerdicts.LADDER)
+        split = min_operator_eigenvalue(params, *TestVerdicts.LADDER)
 
-        def full_solve(params, scheme):
-            m = nystrom_matrix(params, scheme)
+        def full_solve(params, x, w):
+            m = nystrom_matrix(params, x, w)
             return np.linalg.eigvalsh(m), float(np.max(np.diag(m)))
 
         monkeypatch.setattr(kpd.spectral, "_nystrom_spectrum", full_solve)
-        ref = min_operator_eigenvalue(params, TestVerdicts.LADDER)
+        ref = min_operator_eigenvalue(params, *TestVerdicts.LADDER)
         assert split.verdict == ref.verdict
         assert (split.certificate is None) == (ref.certificate is None)
         if ref.certificate is not None:
@@ -172,7 +164,7 @@ class TestSplitSpectrum:
             assert split.certificate.value == ref.certificate.value
             assert split.certificate.error_bound == ref.certificate.error_bound
         assert split.levels[:2] == ref.levels[:2]
-        norm = np.linalg.norm(nystrom_matrix(params, build_scheme(400, 20.0)), 2)
+        norm = np.linalg.norm(nystrom_matrix(params, *build_scheme(400, 20.0)), 2)
         got = np.array(split.smallest_eigenvalues)
         assert np.max(np.abs(got - ref.smallest_eigenvalues)) <= 1e-14 * norm
 
@@ -214,24 +206,20 @@ class TestCertification:
 
 class TestLadder:
     def test_pd_sample_no_negative(self):
-        rep = min_operator_eigenvalue(
-            KernelParams(0.5, 2.0), [(50, 20.0), (100, 20.0), (200, 20.0)]
-        )
+        rep = min_operator_eigenvalue(KernelParams(0.5, 2.0), [50, 100, 200], 20.0)
         assert rep.verdict == NO_NEGATIVE_AT_RESOLUTION
         assert all(level[2] >= -1e-10 for level in rep.levels)
         assert rep.certificate is None
 
     def test_refinement_deltas_shrink_on_pd_sample(self):
-        rep = min_operator_eigenvalue(
-            KernelParams(1.0, 1.0), [(100, 20.0), (200, 20.0), (400, 20.0)]
-        )
+        rep = min_operator_eigenvalue(KernelParams(1.0, 1.0), [100, 200, 400], 20.0)
         eigs = [lvl[2] for lvl in rep.levels]
         d1 = abs(eigs[1] - eigs[0])
         d2 = abs(eigs[2] - eigs[1])
         assert d2 <= d1 + 1e-12
 
     def test_known_violation_certifies(self):
-        rep = min_operator_eigenvalue(KernelParams(2.0, 13.0), [(100, 5.0), (200, 5.0)])
+        rep = min_operator_eigenvalue(KernelParams(2.0, 13.0), [100, 200], 5.0)
         assert rep.verdict == NEGATIVE_FOUND
         assert rep.certificate is not None
         assert rep.certificate.certified_negative
@@ -239,20 +227,28 @@ class TestLadder:
 
     def test_open_region_report_only_at_coarse_resolution(self):
         # min eigenvalue ~ -1e-10 at this resolution: evidence, no claim
-        rep = min_operator_eigenvalue(KernelParams(2.0, 6.0), [(100, 20.0)])
+        rep = min_operator_eigenvalue(KernelParams(2.0, 6.0), [100], 20.0)
         assert rep.verdict == NO_NEGATIVE_AT_RESOLUTION
 
     def test_six_smallest_recorded_sorted(self):
-        rep = min_operator_eigenvalue(KernelParams(1.0, 1.0), [(100, 10.0)])
+        rep = min_operator_eigenvalue(KernelParams(1.0, 1.0), [100], 10.0)
         eigs = rep.smallest_eigenvalues
         assert len(eigs) == 6
         assert all(x <= y for x, y in zip(eigs, eigs[1:]))
 
     def test_empty_or_decreasing_ladder_rejected(self):
         with pytest.raises(DomainError):
-            min_operator_eigenvalue(KernelParams(1.0, 1.0), [])
+            min_operator_eigenvalue(KernelParams(1.0, 1.0), [], 5.0)
         with pytest.raises(DomainError):
-            min_operator_eigenvalue(KernelParams(1.0, 1.0), [(100, 5.0), (50, 5.0)])
+            min_operator_eigenvalue(KernelParams(1.0, 1.0), [100, 50], 5.0)
+
+    def test_empty_rung_or_bad_half_width_rejected(self):
+        # the CLI rejects both at parse time; a library caller gets a
+        # DomainError, which a sweep records for its weight
+        with pytest.raises(DomainError, match="node_count must be >= 1"):
+            min_operator_eigenvalue(KernelParams(1.0, 1.0), [0], 20.0)
+        with pytest.raises(DomainError, match="half_width must be finite and > 0"):
+            min_operator_eigenvalue(KernelParams(1.0, 1.0), [16], math.inf)
 
     def test_tail_bound(self):
         assert truncation_tail_bound(KernelParams(2.0, 1.0), 20.0) == pytest.approx(
@@ -265,8 +261,8 @@ class TestLadder:
 
 
 class TestVerdicts:
-    # the default ladder of kpd spectrum and sweep
-    LADDER = [(100, 20.0), (200, 20.0), (400, 20.0)]
+    # the default ladder of kpd spectrum and sweep: node counts, half-width
+    LADDER = ((100, 200, 400), 20.0)
 
     @pytest.mark.parametrize(
         "t, a, verdict",
@@ -275,7 +271,7 @@ class TestVerdicts:
         + [(2.5, 0.5, NEGATIVE_FOUND), (3.0, 0.5, NEGATIVE_FOUND)],
     )
     def test_default_ladder_verdict(self, t, a, verdict):
-        rep = min_operator_eigenvalue(KernelParams(t, a), self.LADDER)
+        rep = min_operator_eigenvalue(KernelParams(t, a), *self.LADDER)
         assert rep.verdict == verdict
         if verdict == NEGATIVE_FOUND:
             assert rep.certificate.certified_negative
@@ -283,49 +279,3 @@ class TestVerdicts:
         else:
             assert rep.certificate is None
 
-
-class TestSweep:
-    def test_rows_schema_and_determinism(self):
-        ladder = [(48, 6.0), (96, 6.0)]
-        res1 = open_problem_sweep([1.0, 13.0], ladder)
-        res2 = open_problem_sweep([1.0, 13.0], ladder)
-        rows1, rows2 = sweep_rows(res1), sweep_rows(res2)
-        assert rows1 == rows2
-        assert len(rows1) == 4
-        assert set(rows1[0]) == {"t", "a", "level", "node_count", "L", "min_eigenvalue", "verdict"}
-        # verdict only on the last level of each point
-        assert rows1[0]["verdict"] == ""
-        assert rows1[1]["verdict"] in (NEGATIVE_FOUND, NO_NEGATIVE_AT_RESOLUTION)
-
-    def test_control_labeling(self):
-        res = open_problem_sweep([6.0, 12.5], [(32, 6.0)])
-        assert res[0]["control"] is False
-        assert res[1]["control"] is True
-
-    def test_certified_negatives_only(self):
-        # every NEGATIVE_FOUND verdict must carry a conclusive certificate
-        res = open_problem_sweep([3.0, 13.0], [(96, 6.0), (192, 6.0)])
-        for entry in res:
-            rep = entry["report"]
-            if rep.verdict == NEGATIVE_FOUND:
-                assert rep.certificate is not None
-                assert rep.certificate.certified_negative
-
-    def test_sweep_survives_bad_point(self):
-        res = open_problem_sweep([1.0, -2.0], [(32, 6.0)])
-        assert "report" in res[0]
-        assert "error" in res[1]
-
-    def test_empty_rung_is_recorded_not_raised(self):
-        res = open_problem_sweep([1.0], [(0, 20.0)])
-        assert "node_count must be >= 1" in res[0]["error"]
-        rows = sweep_rows(res)
-        assert [row["verdict"] for row in rows] == ["ERROR"]
-
-    def test_programming_error_propagates(self, monkeypatch):
-        def broken(params, ladder):
-            raise TypeError("bug")
-
-        monkeypatch.setattr("kpd.spectral.min_operator_eigenvalue", broken)
-        with pytest.raises(TypeError):
-            open_problem_sweep([1.0], [(32, 6.0)])
