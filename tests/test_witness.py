@@ -4,6 +4,7 @@ from itertools import combinations
 
 import mpmath as mp
 import numpy as np
+from mpmath import libmp
 import pytest
 
 import kpd.kernel
@@ -26,10 +27,43 @@ from kpd import (
     WitnessConfig,
 )
 from kpd.kernel import _as_mpf, form_enclosure
-from kpd.witness import _pair_data
+from kpd.witness import SERIES_DPS, _pair_data
 
 # 9-term direct sum, our long-standing oracle for the T=1, t=1.5, a=1 case
 KAPPA_T15 = -(-4.0 + 2.0 * 4.0**1.5 + 4.0 * 2.0**1.5 - 4.0 * 5.0**1.5 + 8.0**1.5)
+
+# non-integer y and c, mixed signs: only the zeroth moment vanishes
+RATIONAL_WITNESS = WitnessConfig(
+    y=(Fraction(-5, 6), Fraction(1, 2), 2, Fraction(7, 3)),
+    c=(Fraction(2, 3), Fraction(-9, 7), 5, Fraction(-92, 21)),
+    moment_order=0,
+)
+
+
+def exact_expansion(params, w, dps=SERIES_DPS):
+    """sum_jk c_j c_k prod_{pq != jk} (1 + A_pq z + B_pq z^t) in exact
+    Fractions, one trinomial product per (j, k), with each B_pq taken as
+    the exact value of its mpf at ``dps`` digits; zero terms dropped."""
+    with mp.workdps(dps):
+        A, B = _pair_data(params, w)
+    B = {pq: Fraction(int(b.man)) * Fraction(2) ** int(b.exp) for pq, b in B.items()}
+    total = {}
+    for j, k in A:
+        weight = w.c[j] * w.c[k]
+        if not weight:
+            continue
+        poly = {(0, 0): weight}
+        for pq in A:
+            if pq == (j, k):
+                continue
+            out = dict(poly)
+            for (i, l), co in poly.items():
+                out[i + 1, l] = out.get((i + 1, l), 0) + co * A[pq]
+                out[i, l + 1] = out.get((i, l + 1), 0) + co * B[pq]
+            poly = out
+        for key, co in poly.items():
+            total[key] = total.get(key, 0) + co
+    return {key: co for key, co in total.items() if co}
 
 
 class TestBinomialWitness:
@@ -150,28 +184,39 @@ class TestSeriesExpansion:
                 series = mp.fsum(co * zm**k.i * zt**k.j for k, co in s.terms.items())
             assert abs(series - direct) <= mp.mpf("1e-9") * max(abs(direct), mp.mpf(1e-30))
 
+    @pytest.mark.parametrize("witness", [1, 2, RATIONAL_WITNESS], ids=["1", "2", "rational"])
+    def test_terms_are_the_exact_expansion_rounded_once(self, witness):
+        w = build_binomial_witness(witness) if isinstance(witness, int) else witness
+        t = (witness if isinstance(witness, int) else 1) + 0.37
+        params = KernelParams(t, 2.5)
+        terms = cleared_form_series(params, w).terms
+        want = exact_expansion(params, w)
+        assert set(terms) == set(want)
+        prec = libmp.dps_to_prec(SERIES_DPS)
+        for (i, j), exact in want.items():
+            got = terms[i, j]
+            if j:
+                rounded = libmp.from_rational(exact.numerator, exact.denominator, prec, libmp.round_nearest)
+                assert got._mpf_ == rounded, (i, j)
+            else:
+                assert type(got) is Fraction and got == exact, (i, j)
+
     @pytest.mark.parametrize(
         "witness,digest",
         [
-            (1, "a62f761a8824b341e31f62582a94b59773c9f1478514bb790c1c9b780affed94"),
-            (2, "7a6ce031389960df2f214b9e0fd482cb75bcce3e53ccaf58ac5a42a590cc65c7"),
-            (3, "f4057ea299bff5aa63c17a154df5035e605af6aabff2f6ed1996f9685e64a4e8"),
-            (4, "1f190f1ed633ad89875570ff1a3329b764f4add447d4081d454c0741e4937e19"),
+            pytest.param(1, "58510732e153f872d3e4fd4cee92da53ce6b89b185e20a5a3e190ae04a2fb008", id="1"),
+            pytest.param(2, "16e6ccbd9f77c4977b7b2ebb7b5b85e6491571a81b4cdab87fdda34530ed99cd", id="2"),
+            pytest.param(3, "5f12410d622dc44d805ba80c03437d5796d82c3766b45d70de0700f114b38342", id="3"),
+            pytest.param(4, "500a5c9cf16cb6a3e42f972f0685746a2ceab2645e693dc8aa41867b9568d9cd", id="4"),
             pytest.param(
-                WitnessConfig(
-                    y=(Fraction(-5, 6), Fraction(1, 2), 2, Fraction(7, 3)),
-                    c=(Fraction(2, 3), Fraction(-9, 7), 5, Fraction(-92, 21)),
-                    moment_order=0,
-                ),
-                "7b7b8a337913139ac10a5058504d389fd68d6769588c39386822ca91520bafd8",
-                id="rational",
+                RATIONAL_WITNESS, "fb9474a67df78ef94d91df45b2a955abc56348245a017f1d8125bd200e861678", id="rational"
             ),
         ],
     )
     def test_terms_pinned_bit_for_bit(self, witness, digest):
-        # digests of the expansion as the per-coefficient Fraction-to-mpf
-        # conversion computed it: every key, every coefficient's type and
-        # every mpf's exact bits must stay the same
+        # digests of the expansion with each z^t-carrying coefficient rounded
+        # once from its exact integer form: every key, every coefficient's
+        # type and every mpf's exact bits must stay the same
         w = build_binomial_witness(witness) if isinstance(witness, int) else witness
         t = (witness if isinstance(witness, int) else 1) + 0.37
         terms = cleared_form_series(KernelParams(t, 2.5), w).terms
@@ -179,6 +224,21 @@ class TestSeriesExpansion:
             sorted((k, type(v).__name__, getattr(v, "_mpf_", v)) for k, v in terms.items())
         )
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_expansion_at_the_size_cap(self):
+        # order 6: n = 8 points, the largest witness the cap admits
+        w, params = build_binomial_witness(6), KernelParams(6.4, 1.0)
+        s = cleared_form_series(params, w)
+        assert all((i, 0) not in s.terms for i in range(7))
+        kappa = t_power_coefficient(params, w, dps=50)
+        assert abs(s.coefficient(0, 1) - kappa) < mp.mpf("1e-40") * abs(kappa)
+        z = 0.3
+        direct = cleared_form_value(params, w, z, dps=60)
+        with mp.workdps(60):
+            zm = mp.mpf(z)
+            zt = zm ** mp.mpf(params.t)
+            series = mp.fsum(co * zm**k.i * zt**k.j for k, co in s.terms.items())
+        assert abs(series - direct) <= mp.mpf("1e-30") * abs(direct)
 
     def test_size_cap(self):
         w = build_binomial_witness(7)  # n = 9 > default cap 8
@@ -259,6 +319,18 @@ class TestTPowerCoefficient:
                 _as_mpf(c) * _as_mpf(s) ** _as_mpf(t) for c, s in zip(weights, sums) if s
             )
         assert t_power_coefficient(params, w, dps=60) == want
+
+
+class TestPrecisionArgument:
+    @pytest.mark.parametrize("dps", [0, -5, 2.5, 50.0, None])
+    def test_invalid_dps_rejected(self, dps):
+        w, params = build_binomial_witness(1), KernelParams(1.5, 1.0)
+        with pytest.raises(DomainError):
+            cleared_form_series(params, w, dps=dps)
+        with pytest.raises(DomainError):
+            cleared_form_value(params, w, 0.5, dps=dps)
+        with pytest.raises(DomainError):
+            t_power_coefficient(params, w, dps=dps)
 
 
 class TestPairData:
