@@ -30,6 +30,7 @@ from numbers import Rational
 
 import mpmath as mp
 import numpy as np
+from mpmath import libmp
 
 from .errors import DomainError, ToleranceError
 
@@ -68,9 +69,10 @@ def _require_finite(name: str, value: float) -> float:
 
 
 def _as_mpf(value) -> mp.mpf:
-    # Exact conversion for rationals; floats convert exactly by design.
+    # One correctly rounded conversion for rationals; floats convert exactly.
     if isinstance(value, Rational):
-        return mp.mpf(value.numerator) / value.denominator
+        num, den = value.numerator, value.denominator
+        return mp.make_mpf(libmp.from_rational(num, den, mp.mp.prec, libmp.round_nearest))
     if isinstance(value, mp.mpf):
         return value
     return mp.mpf(value)
@@ -256,8 +258,8 @@ def form_enclosure(
     Algorithms*, ch. 3).  Let u = 2^-53, or 2^(1-prec) in mpmath, and
     gamma_k = k u / (1 - k u); X = max |x_j|, W = max x_j - min x_j.
 
-    * Inputs.  Rounding a point or coefficient to the working format (two
-      roundings for a Fraction in mpmath) moves it by a relative
+    * Inputs.  Rounding a point or coefficient to the working format (at
+      most once) moves it by a relative delta <= u; the bound allows
       delta <= gamma_2.  So x - y moves by at most e = 2 X delta,
       (x - y)^2 by at most r = e (2W + e), and c_j c_k by gamma_4.
     * Entries.  x^2 + y^2 carries gamma_6 (the input roundings, the squares,

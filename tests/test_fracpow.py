@@ -2,6 +2,7 @@ import cmath
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import kpd.fracpow
 import kpd.quadrature
@@ -15,11 +16,13 @@ from kpd import (
     split_power,
     validate_representation,
 )
-from kpd.fracpow import DERIVATIVE_STEP, _taylor_remainder
+from kpd.fracpow import DERIVATIVE_STEP, INTEGER_GAP, _taylor_remainder
 from kpd.quadrature import adaptive_quad, fixed_quad
 
 GRID_S = (0.5, 1.5, 2.5, 3.7)
 GRID_W = (0.1, 1.0, 4.0, 10.0, 1.0 + 1.0j)
+# L1 norms at w = 1, from a 30-digit mpmath quadrature of the same integral
+L1_REFERENCE = {0.99: 100.436954666, 4.95: 0.182215504272, 5.9: 0.0170150749698}
 
 
 class TestSplitPower:
@@ -143,12 +146,34 @@ class TestL1Bound:
         norm = integrand_l1_norm(3.0, p)
         assert 0 < norm <= l1_bound_constant(p) * 3.0**1.5
 
-    @pytest.mark.parametrize("s", GRID_S)
-    @pytest.mark.parametrize("w", GRID_W)
+    # sigma near 1, and the imaginary axis, where the outer range has no decay
+    @pytest.mark.parametrize("s", GRID_S + (0.99, 4.95, 5.9, 0.999999))
+    @pytest.mark.parametrize("w", GRID_W + (1j, 1e-12 + 1j))
     def test_norm_respects_bound_grid(self, s, w):
         p = split_power(s)
         norm = integrand_l1_norm(w, p)
+        assert math.isfinite(norm)
         assert norm <= l1_bound_constant(p) * abs(w) ** s
+
+    @pytest.mark.parametrize("s", sorted(L1_REFERENCE))
+    def test_norm_is_above_reference(self, s):
+        norm, want = integrand_l1_norm(1.0, split_power(s)), L1_REFERENCE[s]
+        assert norm >= want
+        if s == 0.99:  # S = 0 at real w: the closed-form tail is tight
+            assert norm <= want * (1 + 1e-6)
+
+    @given(
+        st.floats(min_value=0.05, max_value=12.0),
+        st.floats(min_value=-math.pi / 2, max_value=math.pi / 2),
+        st.floats(min_value=0.1, max_value=10.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_norm_respects_bound_property(self, s, arg, modulus):
+        assume(abs(s - round(s)) > INTEGER_GAP)
+        p, w = split_power(s), cmath.rect(modulus, arg)
+        norm = integrand_l1_norm(w, p)
+        assert math.isfinite(norm)
+        assert 0 < norm <= l1_bound_constant(p) * modulus**s
 
     def test_zero_w(self):
         assert integrand_l1_norm(0.0, split_power(0.5)) == 0.0
@@ -163,9 +188,9 @@ class TestCancellationGuard:
         S = p.int_part
         for mu in (0.5, 0.7, 0.9, 1.0):
             z = mu * omega
-            series = _taylor_remainder(z, S)
+            series = _taylor_remainder(z, S)  # the remainder over z^(S+1)
             naive = sum((-z) ** l / math.factorial(l) for l in range(S + 1)) - cmath.exp(-z)
-            naive = -naive  # remainder = exp expansion tail = -(partial - exp)
+            naive = -naive / z ** (S + 1)  # remainder = exp expansion tail = -(partial - exp)
             assert abs(series - naive) <= 1e-10 * max(abs(series), 1e-12)
 
 
@@ -187,6 +212,19 @@ class TestValidation:
         report = validate_representation([(4.0, 0.5)], tol=1e-6)
         assert report.passed == (len(report.failures) == 0)
         assert report.passed
+
+    @pytest.mark.parametrize(
+        "part, reasons",
+        [
+            ("_l1_total", ["l1 bound violated"]),
+            ("_power_bracket", ["rel err nan > tol 1.0e-06", "derivative check failed"]),
+        ],
+    )
+    def test_nan_fails(self, monkeypatch, part, reasons):
+        monkeypatch.setattr(kpd.fracpow, part, lambda om, p, tol: math.nan)
+        report = validate_representation([(1.0, 5.9)], tol=1e-6)
+        assert not report.passed
+        assert [msg for _, _, msg in report.failures] == reasons
 
     def test_entries_equal_pointwise_values(self):
         # the scale-free part is shared between points of one direction, but

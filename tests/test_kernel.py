@@ -341,6 +341,20 @@ class TestFormEnclosure:
                             want = _form_and_bound(params, x, c, full, u, distance)
                         assert got == want, (n, t, dps, distance)
 
+    def test_fraction_converts_with_one_rounding(self):
+        # a wide Fraction is the nearest mpf: within half an ulp, checked
+        # in exact rational arithmetic
+        rng = np.random.default_rng(15)
+        with mp.workdps(15):
+            prec = mp.mp.prec
+            for _ in range(2000):
+                num = int("".join(map(str, rng.integers(0, 10, 40)))) + 1
+                den = int("".join(map(str, rng.integers(0, 10, 30)))) + 1
+                q = Fraction(int(rng.choice((-1, 1))) * num, den)
+                sign, man, exp, bits = _as_mpf(q)._mpf_
+                x = (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+                assert abs(q - x) <= Fraction(2) ** (exp + bits - 1 - prec), q
+
     def test_void_derivation_gets_infinite_bound(self):
         params = KernelParams(2.0, 1.0)
         cfg = PointConfig((0.0, 2.0), (1.0, 1.0))
