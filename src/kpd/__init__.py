@@ -22,12 +22,12 @@ from .errors import (
     ToleranceError,
 )
 from .kernel import (
-    GramMatrix,
+    Certificate,
     KernelParams,
     PointConfig,
+    certify_negative,
     distance_form,
     eval_kernel,
-    gram_matrix,
     kernel_matrix,
     nonneg_power,
     quadratic_form,
@@ -78,7 +78,6 @@ from .fracpow import (
 from .spectral import (
     NEGATIVE_FOUND,
     NO_NEGATIVE_AT_RESOLUTION,
-    GridCertificate,
     SpectralReport,
     build_scheme,
     certify_negative_direction,

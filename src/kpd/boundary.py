@@ -18,7 +18,9 @@ critical_weight(z) = a on the strictly decreasing branch.  The margin can
 also dip below zero for some weights *below* the threshold (the quadratic
 in a is negative on a whole interval around its minimizer, not only at
 it), so the violation finder falls back to a direct scan and reports
-whatever it can certify; a failed scan is never a PD claim.
+whatever it can certify; a failed scan is never a PD claim.  The margin
+only picks z: a violation needs :func:`~kpd.kernel.certify_negative` to
+certify the lowest eigenvector of the two-point Gram matrix.
 """
 
 import math
@@ -28,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .kernel import KernelParams, PointConfig, gram_matrix
+from .kernel import Certificate, KernelParams, certify_negative
 from .definiteness import pd_check
 
 __all__ = [
@@ -144,16 +146,16 @@ def threshold_weight(t: float) -> float:
 class SchwarzSearchResult:
     """Outcome of a violation search on the (x, 0) slice.
 
-    A found violation carries z, the margin value there, and the 2-point
-    configuration (sqrt(z), 0) with the negative-eigenvalue direction as
-    coefficients.  A not-found outcome is *not* a PD certificate; it
-    records the scan so the report is auditable.
+    A found violation carries z, the margin value there, and the
+    certificate of the 2-point configuration (sqrt(z), 0) with the
+    negative-eigenvalue direction as coefficients.  A not-found outcome is
+    *not* a PD certificate; it records the scan so the report is auditable.
     """
 
     found: bool
     z: float | None = None
     g_value: float | None = None
-    config: PointConfig | None = None
+    certificate: Certificate | None = None
     min_eigenvalue: float | None = None
     scan_lo: float | None = None
     scan_hi: float | None = None
@@ -186,18 +188,16 @@ def boundary_report(t: float) -> BoundaryReport:
 
 
 def _violation_from_z(t: float, a: float, z: float, scan_meta: dict) -> SchwarzSearchResult:
-    g = schwarz_margin(z, t, a)
-    x = math.sqrt(z)
     params = KernelParams(t=t, a=a)
-    gram = gram_matrix(params, PointConfig((x, 0.0), (1.0, 1.0)))
-    verdict = pd_check(gram, tolerance=0.0)
-    if g >= 0 or not verdict.failed or verdict.worst_config is None:
+    verdict = pd_check(params, (math.sqrt(z), 0.0), tolerance=0.0)
+    certificate = certify_negative(params, verdict.worst_config) if verdict.failed else None
+    if certificate is None:
         return SchwarzSearchResult(found=False, **scan_meta)
     return SchwarzSearchResult(
         found=True,
         z=z,
-        g_value=g,
-        config=verdict.worst_config,
+        g_value=schwarz_margin(z, t, a),
+        certificate=certificate,
         min_eigenvalue=verdict.statistic,
         **scan_meta,
     )

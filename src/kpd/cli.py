@@ -27,8 +27,11 @@ payload values carry both a decimal string at full working precision and
 a binary64 convenience field, null where the value is not finite, so
 records are strict JSON.
 Negative/FAIL verdicts embed replayable certificates: points,
-coefficients, and the value, checkable by ``kpd verify``.  The replay
-decides each sign from the error enclosure of
+coefficients, and the value, checkable by ``kpd verify``.  A gram, g or f
+certificate is written only when :func:`kpd.kernel.certify_negative` has
+certified its kernel form negative, and its value is that form; a gram
+FAIL whose eigenvector it does not certify carries ``"certificate":
+null``.  The replay decides each sign from the error enclosure of
 :func:`kpd.kernel.form_enclosure`, escalating precision as needed; a
 certificate is CONFIRMED, MISMATCH, or UNRESOLVED when no precision up to
 the cap separates its form from the side it claims.
@@ -58,7 +61,8 @@ from .kernel import (
     DPS_CAP,
     KernelParams,
     PointConfig,
-    gram_matrix,
+    certify_negative,
+    kernel_matrix,
     resolve_form_sign,
 )
 from .definiteness import cnd_check, pd_check
@@ -209,22 +213,17 @@ def _cmd_gram(cfg: RunConfig) -> dict:
     p = cfg.params
     params = KernelParams(t=p["t"], a=p["a"])
     points = _parse_floats(p["points"])
-    gram = gram_matrix(params, PointConfig(points, (1.0,) * len(points)))
-    verdict = pd_check(gram, tolerance=p["tolerance"])
-    payload = {
+    verdict = pd_check(params, points, tolerance=p["tolerance"])
+    cert = certify_negative(params, verdict.worst_config) if verdict.failed else None
+    return {
         "schema": SCHEMA_VERSION,
         "t": _num(params.t),
         "a": _num(params.a),
         "points": [_num(x) for x in points],
-        "entries": [[float(v) for v in row] for row in gram.entries],
+        "entries": [[float(v) for v in row] for row in kernel_matrix(params, points, points)],
         "pd": _verdict_dict(verdict),
-        "certificate": None,
+        "certificate": None if cert is None else _certificate("gram", cert.config, cert.value),
     }
-    if verdict.failed and verdict.worst_config is not None:
-        payload["certificate"] = _certificate(
-            "gram", verdict.worst_config, verdict.statistic
-        )
-    return payload
 
 
 def _cmd_cnd(cfg: RunConfig) -> dict:
@@ -271,9 +270,8 @@ def _cmd_boundary(cfg: RunConfig) -> dict:
             violation["z"] = _num(result.z)
             violation["g_value"] = _num(result.g_value)
             violation["min_eigenvalue"] = _num(result.min_eigenvalue)
-            violation["certificate"] = _certificate(
-                "g", result.config, result.g_value, z=_dec(result.z)
-            )
+            cert = result.certificate
+            violation["certificate"] = _certificate("g", cert.config, cert.value, z=_dec(result.z))
         payload["violation"] = violation
     return payload
 
@@ -420,7 +418,7 @@ def _report_dict(report) -> dict:
         cert, params = report.certificate, report.params
         out["certificate_value"] = _num(cert.value)
         out["certificate_error_bound"] = _num(cert.error_bound)
-        out["certificate_conclusive"] = cert.conclusive
+        out["certificate_conclusive"] = True
         out["certificate"] = _certificate(
             "gram", cert.config, cert.value, dps=17, t=params.t, a=params.a
         )
@@ -566,7 +564,7 @@ def verify_certificate(record_path: str) -> dict:
         threshold = cnd_tolerance if distance else 0.0
         side = 1 if distance else -1  # the claim: side * (value - threshold) > 0
         try:
-            replayed, _ = resolve_form_sign(
+            replayed, _, _ = resolve_form_sign(
                 params, config, dps_start, distance=distance, threshold=threshold
             )
         except ToleranceError:

@@ -3,9 +3,9 @@
 Positive-definiteness of the kernel is probed through eigenvalues of Gram
 matrices; conditional negative-definiteness of the underlying distance
 form is probed through its quadratic form restricted to zero-sum
-coefficient vectors.  Every FAIL verdict carries a replayable
-configuration (points + coefficients) so it can be confirmed with kernel
-arithmetic alone.
+coefficient vectors.  Every FAIL verdict carries a configuration; a PD
+FAIL's eigenvector is a candidate that only :func:`~kpd.kernel.certify_negative`
+turns into a certificate.
 """
 
 import math
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigensolverError, DomainError, PreconditionError
-from .kernel import GramMatrix, KernelParams, PointConfig, resolve_form_sign
+from .kernel import KernelParams, PointConfig, kernel_matrix, resolve_form_sign
 
 __all__ = [
     "DefinitenessVerdict",
@@ -55,27 +55,27 @@ class DefinitenessVerdict:
         return self.verdict == FAIL
 
 
-def _symmetric_eigh(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        return np.linalg.eigh(entries)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare path
-        raise EigensolverError(f"symmetric eigensolver failed: {exc}") from exc
-
-
-def pd_check(gram: GramMatrix, tolerance: float) -> DefinitenessVerdict:
-    """PASS iff the minimum Gram eigenvalue is >= -tolerance.
+def pd_check(params: KernelParams, points, tolerance: float) -> DefinitenessVerdict:
+    """PASS iff the minimum eigenvalue of the Gram matrix of the kernel at
+    ``points`` is >= -tolerance.
 
     On FAIL the corresponding unit eigenvector is returned as the
-    coefficient vector of ``worst_config`` together with the Gram points;
-    replaying the kernel quadratic form on it reproduces the negative
-    eigenvalue.
+    coefficient vector of ``worst_config``, for
+    :func:`~kpd.kernel.certify_negative` to certify or reject.
     """
     if not 0 <= tolerance < math.inf:
         raise DomainError(f"tolerance must be finite and >= 0, got {tolerance}")
-    vals, vecs = _symmetric_eigh(gram.entries)
+    x = np.array(points, dtype=float)
+    entries = kernel_matrix(params, x, x)
+    if np.any(np.diag(entries) <= 0.0):
+        raise DomainError("Gram diagonal must be strictly positive")
+    try:
+        vals, vecs = np.linalg.eigh(entries)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare path
+        raise EigensolverError(f"symmetric eigensolver failed: {exc}") from exc
     min_eig = float(vals[0])
     if min_eig < -tolerance:
-        worst = PointConfig(gram.points, tuple(float(v) for v in vecs[:, 0]))
+        worst = PointConfig(tuple(x.tolist()), tuple(float(v) for v in vecs[:, 0]))
         return DefinitenessVerdict(FAIL, min_eig, tolerance, worst)
     return DefinitenessVerdict(PASS, min_eig, tolerance, boundary=min_eig < 0.0)
 
@@ -105,7 +105,7 @@ def cnd_check(
         )
     if not 0 <= tolerance < math.inf:
         raise DomainError(f"tolerance must be finite and >= 0, got {tolerance}")
-    value, _ = resolve_form_sign(params, config, distance=True, threshold=tolerance)
+    value, _, _ = resolve_form_sign(params, config, distance=True, threshold=tolerance)
     value = float(value)
     if value > tolerance:
         return DefinitenessVerdict(FAIL, -value, tolerance, config)

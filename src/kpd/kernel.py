@@ -1,4 +1,4 @@
-"""Kernel evaluation, Gram matrices, and quadratic forms.
+"""Kernel evaluation, quadratic forms, and the one negativity certificate.
 
 The family under study is
 
@@ -9,7 +9,7 @@ together with the anisotropic distance form
     d(x, y) = (x - y)^2 + a*(x^2 + y^2)^t
 
 that appears in its denominator.  Every other module reduces its question
-to Gram matrices and quadratic forms built from these two evaluations, so
+to kernel matrices and quadratic forms built from these two evaluations, so
 this module is the single source of truth for kernel arithmetic.
 
 Conventions
@@ -22,6 +22,9 @@ Conventions
   returns the form together with an a-priori bound on its rounding error,
   and :func:`resolve_form_sign` escalates from binary64 through mpmath
   precisions until the enclosure excludes the threshold in question.
+* Every certificate that the kernel is not positive definite is made by
+  :func:`certify_negative`: a :class:`Certificate` exists only where
+  :func:`resolve_form_sign` resolved the kernel form negative.
 """
 
 import math
@@ -37,16 +40,16 @@ from .errors import DomainError, ToleranceError
 __all__ = [
     "KernelParams",
     "PointConfig",
-    "GramMatrix",
+    "Certificate",
     "nonneg_power",
     "eval_kernel",
     "distance_form",
-    "gram_matrix",
     "distance_matrix",
     "kernel_matrix",
     "form_enclosure",
     "quadratic_form",
     "resolve_form_sign",
+    "certify_negative",
 ]
 
 UNIT_ROUNDOFF = 2.0**-53
@@ -136,32 +139,6 @@ class PointConfig:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class GramMatrix:
-    """A symmetric matrix of kernel values at a point configuration.
-
-    Symmetry must hold bit-for-bit, and is checked on construction.  The
-    generating points are retained so failing directions can be reported
-    as replayable configurations.
-    """
-
-    order: int
-    entries: np.ndarray
-    points: tuple
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        object.__setattr__(self, "entries", entries)
-        if entries.shape != (self.order, self.order):
-            raise DomainError(
-                f"entries must be {self.order}x{self.order}, got {entries.shape}"
-            )
-        if not np.array_equal(entries, entries.T):
-            raise DomainError("Gram matrix must be exactly symmetric")
-        if np.any(np.diag(entries) <= 0.0):
-            raise DomainError("Gram diagonal must be strictly positive")
-
-
 def nonneg_power(base, exponent):
     """``base**exponent`` in binary64 for base >= 0, with 0**s = 0."""
     if base < 0:
@@ -212,17 +189,6 @@ def kernel_matrix(params: KernelParams, x, y) -> np.ndarray:
     # the array goes left: mpf * ndarray would first try to convert the
     # whole array through its repr
     return 1 / ((1 + d) * (+mp.pi if d.dtype == object else np.pi))
-
-
-def gram_matrix(params: KernelParams, config: PointConfig) -> GramMatrix:
-    """The n x n matrix of kernel values at the configuration points.
-
-    Exactly symmetric, because :func:`kernel_matrix` is: (x - y)^2 and
-    x^2 + y^2 round the same when x and y swap.
-    """
-    pts, _ = config.as_float_arrays()
-    entries = kernel_matrix(params, pts, pts)
-    return GramMatrix(order=config.n, entries=entries, points=tuple(pts))
 
 
 def _gamma(k, u=UNIT_ROUNDOFF):
@@ -364,9 +330,9 @@ def resolve_form_sign(
 
     Tries binary64 first, reported as dps 17, then mpmath from
     ``dps_start`` digits, doubling up to ``DPS_CAP``.  Returns
-    ``(value, dps)`` from the first stage whose :func:`form_enclosure`
-    excludes ``threshold``; raises ToleranceError if none does, so an
-    unresolved value is never read as a sign.
+    ``(value, dps, bound)`` from the first stage whose
+    :func:`form_enclosure` excludes ``threshold``; raises ToleranceError
+    if none does, so an unresolved value is never read as a sign.
     """
     if dps_start < 1:
         raise DomainError(f"dps_start must be >= 1, got {dps_start}")
@@ -378,10 +344,35 @@ def resolve_form_sign(
         with mp.workdps(dps or 15):
             resolved = abs(value - threshold) > bound
         if resolved:
-            return value, dps or 17
+            return value, dps or 17, bound
         if dps is not None and dps >= DPS_CAP:
             raise ToleranceError(
                 f"form {mp.nstr(value, 8)} is within its error bound "
                 f"{mp.nstr(bound, 3)} of {threshold} at dps {dps}"
             )
         dps = dps_start if dps is None else min(2 * dps, DPS_CAP)
+
+
+@dataclass(frozen=True, eq=False)
+class Certificate:
+    """A configuration whose kernel form is certified negative: ``value``
+    is the form at ``dps`` digits (17 for binary64), within ``error_bound``
+    of the exact form of ``config``, and value + error_bound < 0."""
+
+    config: PointConfig
+    value: float | mp.mpf
+    error_bound: float | mp.mpf
+    dps: int
+
+
+def certify_negative(
+    params: KernelParams, config: PointConfig, dps_start: int = 30
+) -> Certificate | None:
+    """The certificate that the kernel form of ``config`` is negative, or
+    None when :func:`resolve_form_sign` (from ``dps_start`` digits after
+    binary64) resolves it positive or cannot resolve it at all."""
+    try:
+        value, dps, bound = resolve_form_sign(params, config, dps_start)
+    except ToleranceError:
+        return None
+    return Certificate(config, value, bound, dps) if value < 0 else None

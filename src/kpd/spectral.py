@@ -14,10 +14,10 @@ Forming the blocks adds one rounding per entry, the order of the
 eigensolver's own backward error.  Other rules get one full eigensolve.
 
 A negative eigenvalue is evidence that prompts a search for a
-certificate: a few grid points with dyadic coefficients whose
-kernel form is negative beyond an a-priori rounding-error bound.  Such a
-form at finitely many points proves that the kernel is not positive
-definite, and only it yields NEGATIVE_FOUND; the rest is evidence.
+certificate: a few grid points with dyadic coefficients whose kernel form
+:func:`~kpd.kernel.certify_negative` certifies negative.  Such a form at
+finitely many points proves that the kernel is not positive definite, and
+only it yields NEGATIVE_FOUND; the rest is evidence.
 """
 
 import math
@@ -26,11 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EigensolverError
-from .kernel import KernelParams, PointConfig, form_enclosure, kernel_matrix
+from .kernel import Certificate, KernelParams, PointConfig, certify_negative, kernel_matrix
 from .quadrature import composite_rule
 
 __all__ = [
-    "GridCertificate",
     "SpectralReport",
     "build_scheme",
     "nystrom_matrix",
@@ -121,25 +120,7 @@ def truncation_tail_bound(params: KernelParams, half_width: float) -> float:
         return float(np.exp(log_bound))
 
 
-@dataclass(frozen=True, eq=False)
-class GridCertificate:
-    """A finite point/coefficient configuration, its float kernel quadratic
-    form, and an a-priori bound on the rounding error of that value."""
-
-    config: PointConfig
-    value: float
-    error_bound: float
-
-    @property
-    def conclusive(self) -> bool:
-        return abs(self.value) > self.error_bound
-
-    @property
-    def certified_negative(self) -> bool:
-        return self.value < 0 and self.value + self.error_bound < 0
-
-
-def certify_negative_direction(params: KernelParams) -> GridCertificate | None:
+def certify_negative_direction(params: KernelParams) -> Certificate | None:
     """Search few-point configurations for a certified negative kernel form.
 
     For m = 2..SEARCH_MAX_POINTS the candidates are the symmetric grids
@@ -147,11 +128,11 @@ def certify_negative_direction(params: KernelParams) -> GridCertificate | None:
     whose Gram matrix has the most negative lambda_min / lambda_max wins;
     its lowest eigenvector, scaled so that its largest entry is 1 and
     rounded to multiples of COEFF_QUANTUM, gives the coefficients.  The
-    first m whose configuration is negative beyond the rounding-error
-    bound of :func:`~kpd.kernel.form_enclosure` is returned, else None.
-    Points and coefficients are dyadic, so the decimals that ``repr``
-    prints are exactly the configuration certified, and ``value`` is the
-    float form that ``kpd verify`` replays.
+    certificate of the first m that :func:`~kpd.kernel.certify_negative`
+    certifies is returned, else None.  Points and coefficients are dyadic,
+    so the decimals that ``repr`` prints are exactly the configuration
+    certified, and a binary64 ``value`` is the float form that ``kpd
+    verify`` replays.
     """
     for m in range(2, SEARCH_MAX_POINTS + 1):
         grids = SEARCH_SPACINGS[:, None] * (np.arange(m) - (m - 1) / 2)
@@ -162,8 +143,7 @@ def certify_negative_direction(params: KernelParams) -> GridCertificate | None:
         vec = vec / vec[np.argmax(np.abs(vec))]
         coeffs = np.round(vec / COEFF_QUANTUM) * COEFF_QUANTUM
         config = PointConfig(tuple(grids[best].tolist()), tuple(coeffs.tolist()))
-        cert = GridCertificate(config, *form_enclosure(params, config))
-        if cert.certified_negative:
+        if (cert := certify_negative(params, config)) is not None:
             return cert
     return None
 
@@ -174,11 +154,10 @@ class SpectralReport:
 
     ``levels`` records (node_count, half_width, min_eigenvalue) per rung;
     ``smallest_eigenvalues`` holds the six smallest at the final rung.
-    ``certificate`` is the few-point grid configuration found by
+    ``certificate`` is the few-point grid certificate found by
     :func:`certify_negative_direction`, or None.  The verdict is
     resolution-qualified by design: NEGATIVE_FOUND is issued only with a
-    certificate whose quadratic form is negative with its error bound
-    excluding zero, and NO_NEGATIVE_AT_RESOLUTION never claims
+    certificate, and NO_NEGATIVE_AT_RESOLUTION never claims
     positive-definiteness.
     """
 
@@ -186,7 +165,7 @@ class SpectralReport:
     levels: tuple
     smallest_eigenvalues: tuple
     verdict: str
-    certificate: GridCertificate | None
+    certificate: Certificate | None
     tail_bound: float
 
     @property

@@ -27,7 +27,7 @@ the B_pq's own roundings are the only other error.  At small z the
 kernel form is dominated by cancellation.  The certificate search
 therefore takes z = 4^-m, where the scaled points y_j / 2^m are exact
 dyadic rationals, and settles the form's sign with
-:func:`~kpd.kernel.resolve_form_sign`, which escalates precision up to
+:func:`~kpd.kernel.certify_negative`, whose precision escalation goes up to
 ``kernel.DPS_CAP`` digits until the error bound excludes zero.  The
 configuration it certifies is the one the certificate stores.
 """
@@ -47,8 +47,8 @@ from .kernel import (
     KernelParams,
     PointConfig,
     _as_mpf,
+    certify_negative,
     form_enclosure,
-    resolve_form_sign,
 )
 
 __all__ = [
@@ -353,9 +353,9 @@ def find_negative_scale(
     returns it (which checks the witness moments).  Precondition: it is
     negative (checked).  At z = 4^-m the points y_j sqrt(z) are the exact
     dyadic Fractions y_j / 2^m, so one configuration serves every
-    precision, and :func:`~kpd.kernel.resolve_form_sign` decides the sign
-    of its kernel form, from ``dps_start`` digits after binary64; a z it
-    cannot resolve is skipped, not trusted.  A sign that binary64 settles
+    precision, and :func:`~kpd.kernel.certify_negative` certifies its
+    kernel form, from ``dps_start`` digits after binary64; a z it does not
+    certify is skipped, not trusted.  A sign that binary64 settles
     is still reported with the form's ``dps_start``-digit value.  The
     kernel form equals f(z) / (pi prod_pq (1 + D_pq)), so the cleared form
     f(z), evaluated once at the end, must agree in sign.
@@ -367,12 +367,10 @@ def find_negative_scale(
         )
     for m in range(1, SCAN_STEPS + 1):
         config = PointConfig(tuple(yj / 2**m for yj in w.y), w.c)
-        try:
-            q_value, dps = resolve_form_sign(params, config, dps_start)
-        except ToleranceError:
+        cert = certify_negative(params, config, dps_start)
+        if cert is None:
             continue
-        if q_value > 0:
-            continue
+        q_value, dps = cert.value, cert.dps
         if isinstance(q_value, float):  # the binary64 stage settled it
             dps = dps_start
             q_value, _ = form_enclosure(params, config, dps)

@@ -15,7 +15,6 @@ from kpd import (
     KernelParams,
     NEGATIVE_FOUND,
     NO_NEGATIVE_AT_RESOLUTION,
-    PointConfig,
     build_binomial_witness,
     check_moments,
     cleared_form_series,
@@ -23,7 +22,6 @@ from kpd import (
     difference_power_sum,
     find_negative_scale,
     find_schwarz_violation,
-    gram_matrix,
     integrand_l1_norm,
     l1_bound_constant,
     min_operator_eigenvalue,
@@ -81,11 +79,10 @@ def test_criterion_2_schwarz_violation():
         assert schwarz_margin_exact(Fraction(1, 5), 2, Fraction(13)) == Fraction(-76, 625)
         # derived 2-point Gram matrix has a negative eigenvalue ...
         params = KernelParams(2.0, 13.0)
-        gram = gram_matrix(params, PointConfig(result.config.points, (1.0, 1.0)))
-        verdict = pd_check(gram, tolerance=1e-12)
+        verdict = pd_check(params, result.certificate.config.points, tolerance=1e-12)
         assert verdict.verdict == "FAIL"
         # ... confirmed by certificate replay through the quadratic form
-        replay, _ = resolve_form_sign(params, result.config)
+        replay, _, _ = resolve_form_sign(params, result.certificate.config)
         assert replay < 0
     sw.check("2 schwarz-violation")
 
@@ -101,10 +98,7 @@ def test_criterion_3_pd_region_property_suite():
                 for _ in range(500):
                     n = int(rng.integers(1, 9))
                     pts = tuple(float(x) for x in rng.uniform(-10, 10, n))
-                    verdict = pd_check(
-                        gram_matrix(params, PointConfig(pts, (1.0,) * n)),
-                        tolerance=1e-10,
-                    )
+                    verdict = pd_check(params, pts, tolerance=1e-10)
                     assert verdict.verdict == "PASS", (t, a, pts)
                 for _ in range(500):
                     n = int(rng.integers(2, 9))
@@ -158,7 +152,7 @@ def test_criterion_6_end_to_end_certificates():
             assert cert.f_value < 0, (t, a)
             # recompute the kernel quadratic form independently, at
             # elevated precision, from the stored configuration alone
-            replay, dps = resolve_form_sign(params, cert.config, dps_start=cert.dps)
+            replay, dps, _ = resolve_form_sign(params, cert.config, dps_start=cert.dps)
             assert replay < 0, (t, a, dps)
     sw.check("6 end-to-end-certificates")
 
@@ -213,7 +207,7 @@ def test_criterion_9_spectral_probe(capsys, tmp_path):
         found = min_operator_eigenvalue(KernelParams(2.0, 13.0), [100, 200], 5.0)
         assert found.verdict == NEGATIVE_FOUND
         assert found.certificate is not None
-        assert found.certificate.certified_negative
+        assert found.certificate.value + found.certificate.error_bound < 0
 
         # evidence sweep over the open region; CSV emitted; verdicts are
         # resolution-qualified and any NEGATIVE_FOUND is backed by a

@@ -4,6 +4,7 @@ These tests read those names and command lines, so that a change to kpd
 that would break the benchmark fails here first."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from dataclasses import asdict
 import pytest
 
 from kpd import KernelParams, build_binomial_witness, cleared_form_series
-from kpd.cli import _build_parser, _config_from_args
+from kpd.cli import _build_parser, _config_from_args, main, verify_certificate
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
@@ -103,3 +104,20 @@ def test_series_pass_the_benchmark_check(seed):
     for t, a, order in series_ops:
         series = cleared_form_series(KernelParams(t, a), build_binomial_witness(order))
         assert checks.check_series(series, t, a, order) == []
+
+
+@pytest.mark.parametrize("workload", ["spectral-sweep", "witness-certify"])
+def test_round_passes_the_benchmark_checks(workload, tmp_path, capsys):
+    # every job of the seed-1 round, held to the checks the benchmark applies
+    # to its records; a record with certificates must replay CONFIRMED
+    ops, _ = jobs.build(workload, 1)
+    job_ops = [op for op in ops if "argv" in op]
+    assert job_ops
+    for op in job_ops:
+        path = tmp_path / f"{op['id']}.json"
+        assert main(op["argv"] + ["--out", str(path)]) == 0, op["argv"]
+        capsys.readouterr()
+        record = json.loads(path.read_text())
+        assert checks.check_record(record, op["expect"]) == [], op["argv"]
+        if checks.count_points(record["payload"])[0]:
+            assert verify_certificate(str(path))["verdict"] == "CONFIRMED", op["argv"]

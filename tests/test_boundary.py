@@ -7,11 +7,9 @@ import pytest
 from kpd import (
     DomainError,
     KernelParams,
-    PointConfig,
     boundary_report,
     critical_weight,
     find_schwarz_violation,
-    gram_matrix,
     pd_check,
     quadratic_form,
     resolve_form_sign,
@@ -140,9 +138,8 @@ class TestViolationSearch:
     def test_certificate_replays_negative(self):
         res = find_schwarz_violation(2.0, 13.0)
         params = KernelParams(2.0, 13.0)
-        assert quadratic_form(params, res.config) < 0
-        gram = gram_matrix(params, PointConfig(res.config.points, (1.0, 1.0)))
-        assert pd_check(gram, 1e-12).verdict == "FAIL"
+        assert quadratic_form(params, res.certificate.config) < 0
+        assert pd_check(params, res.certificate.config.points, 1e-12).verdict == "FAIL"
 
     def test_below_slice_boundary_not_found(self):
         # for t=2 the margin is nonnegative on the whole slice for a <= ~8.8
@@ -157,7 +154,7 @@ class TestViolationSearch:
         res = find_schwarz_violation(2.0, 12.0)
         assert res.found
         assert res.g_value < 0
-        assert quadratic_form(KernelParams(2.0, 12.0), res.config) < 0
+        assert quadratic_form(KernelParams(2.0, 12.0), res.certificate.config) < 0
 
     @pytest.mark.parametrize("t,a", [(2.0, 13.0), (2.5, 3.0)])
     def test_vectorized_scan_matches_scalar_margins(self, t, a):
@@ -181,7 +178,7 @@ class TestViolationSearch:
         res = find_schwarz_violation(t, a)
         assert res.found
         assert res.g_value < 0
-        value, _ = resolve_form_sign(KernelParams(t, a), res.config)
+        value, _, _ = resolve_form_sign(KernelParams(t, a), res.certificate.config)
         assert value < 0
 
     def test_invalid_inputs(self):

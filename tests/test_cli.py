@@ -12,7 +12,7 @@ import kpd.cli
 import kpd.witness
 from kpd.cli import RunConfig, main, run, verify_certificate
 from kpd.errors import KpdError
-from kpd.kernel import DPS_CAP
+from kpd.kernel import DPS_CAP, KernelParams, PointConfig, resolve_form_sign
 
 
 def run_cli(capsys, *argv):
@@ -50,6 +50,41 @@ class TestBoundaryCommand:
         assert float(cert["value"]) < 0
         assert len(cert["points"]) == len(cert["coeffs"]) == 2
 
+    @pytest.mark.parametrize("t, a", [(29.9, 1e4), (12.0, 1e300), (30.0, 1e300)])
+    def test_extreme_violations_confirm(self, capsys, tmp_path, t, a):
+        # at a = 1e300 the binary64 bound exceeds the form from t = 12 on,
+        # so these certificates need the mpmath stage of certify_negative
+        rec = tmp_path / "b.json"
+        assert main(["boundary", "--t", repr(t), "--a", repr(a), "--out", str(rec)]) == 0
+        capsys.readouterr()
+        assert json.loads(rec.read_text())["payload"]["violation"]["found"] is True
+        assert verify_certificate(str(rec))["verdict"] == "CONFIRMED"
+
+
+class TestStoredValueIsTheReplayedForm:
+    @pytest.mark.parametrize(
+        "argv, where",
+        [
+            (["boundary", "--t", "1.5", "--a", "40"], ("violation", "certificate")),
+            (["gram", "--t", "3", "--a", "5", "--points", "0.3,0,-0.3,0.6"], ("certificate",)),
+        ],
+    )
+    def test_value_is_binary64_form_of_stored_decimals(self, capsys, argv, where):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        cert = json.loads(out)["payload"]
+        for key in where:
+            cert = cert[key]
+        config = PointConfig(
+            tuple(Fraction(p) for p in cert["points"]),
+            tuple(Fraction(c) for c in cert["coeffs"]),
+        )
+        t, a = float(argv[2]), float(argv[4])
+        value, dps = resolve_form_sign(KernelParams(t, a), config)[:2]
+        assert dps == 17
+        assert float(cert["value"]) == value
+        assert cert["value"] == repr(value)
+
 
 class TestGramCommand:
     def test_fail_verdict_with_certificate_and_zero_exit(self, capsys):
@@ -61,6 +96,25 @@ class TestGramCommand:
         payload = json.loads(out)["payload"]
         assert payload["pd"]["verdict"] == "FAIL"
         assert payload["certificate"]["kind"] == "gram"
+
+    def test_uncertified_fail_has_no_certificate(self, capsys):
+        # duplicated points: eigh reads the zero eigenvalue as -2.6e-17, below
+        # the tolerance, but the eigenvector's form is +3.7e-30
+        code, out = run_cli(
+            capsys, "gram", "--t", "2", "--a", "13", "--points", "0.5,0,0.5", "--tol", "1e-300"
+        )
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert payload["pd"]["verdict"] == "FAIL"
+        assert payload["pd"]["statistic"]["f64"] < -1e-300
+        assert payload["certificate"] is None
+
+    def test_diagonal_underflow_is_a_diagnostic(self, capsys):
+        # at t = 1e6 the kernel at (2, 2) underflows to 0
+        code = main(["gram", "--t", "1e6", "--a", "2", "--points", "0,2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "Gram diagonal must be strictly positive" in captured.err
 
     def test_pass_verdict(self, capsys):
         code, out = run_cli(

@@ -5,13 +5,12 @@ import pytest
 
 from kpd import (
     DomainError,
-    GramMatrix,
     KernelParams,
     PointConfig,
     PreconditionError,
     cnd_check,
     distance_form,
-    gram_matrix,
+    kernel_matrix,
     pd_check,
     quadratic_form,
     random_zero_sum_config,
@@ -20,73 +19,53 @@ from kpd import (
 INV_PI = 1.0 / math.pi
 
 
-def two_point_gram(t, a, x):
-    return gram_matrix(KernelParams(t, a), PointConfig((x, 0.0), (1.0, 1.0)))
+TWO_POINTS = (math.sqrt(0.2), 0.0)
 
 
 class TestPdCheck:
     def test_single_entry_passes(self):
-        g = gram_matrix(KernelParams(1.0, 1.0), PointConfig((0.0,), (1.0,)))
-        v = pd_check(g, tolerance=1e-10)
+        v = pd_check(KernelParams(1.0, 1.0), (0.0,), tolerance=1e-10)
         assert v.verdict == "PASS"
         assert v.statistic == pytest.approx(INV_PI, rel=1e-15)
 
     def test_small_t_grid_passes(self):
-        g = gram_matrix(
-            KernelParams(0.5, 1.0), PointConfig((0.0, 1.0, 2.0, 3.0), (1.0,) * 4)
-        )
-        assert pd_check(g, tolerance=1e-10).verdict == "PASS"
+        assert pd_check(KernelParams(0.5, 1.0), (0.0, 1.0, 2.0, 3.0), 1e-10).verdict == "PASS"
 
     def test_two_point_failure_matches_closed_form(self):
-        x = math.sqrt(0.2)
-        g = two_point_gram(2.0, 13.0, x)
-        v = pd_check(g, tolerance=1e-12)
+        params = KernelParams(2.0, 13.0)
+        v = pd_check(params, TWO_POINTS, tolerance=1e-12)
         assert v.verdict == "FAIL"
         # closed-form 2x2 minimum eigenvalue
-        aa, dd = g.entries[0, 0], g.entries[1, 1]
-        bb = g.entries[0, 1]
+        g = kernel_matrix(params, TWO_POINTS, TWO_POINTS)
+        aa, dd = g[0, 0], g[1, 1]
+        bb = g[0, 1]
         lam = 0.5 * ((aa + dd) - math.hypot(aa - dd, 2.0 * bb))
         assert v.statistic == pytest.approx(lam, rel=1e-12)
         assert v.worst_config is not None
+        assert v.worst_config.points == TWO_POINTS
 
     def test_failure_certificate_replays(self):
-        x = math.sqrt(0.2)
         params = KernelParams(2.0, 13.0)
-        v = pd_check(gram_matrix(params, PointConfig((x, 0.0), (1.0, 1.0))), 1e-12)
+        v = pd_check(params, TWO_POINTS, 1e-12)
         q = quadratic_form(params, v.worst_config)
         assert abs(q - v.statistic) <= 1e-12 * 2
 
-    def test_scaling_invariance(self):
-        x = math.sqrt(0.2)
-        g = two_point_gram(2.0, 13.0, x)
-        v1 = pd_check(g, tolerance=1e-12)
-        scaled = GramMatrix(order=2, entries=g.entries * math.pi, points=g.points)
-        v2 = pd_check(scaled, tolerance=1e-12 * math.pi)
-        assert v1.verdict == v2.verdict
-        assert v2.statistic == pytest.approx(v1.statistic * math.pi, rel=1e-12)
-        # the failing direction is unchanged (up to sign) under scaling
-        c1 = np.array(v1.worst_config.coeffs)
-        c2 = np.array(v2.worst_config.coeffs)
-        assert abs(float(c1 @ c2)) == pytest.approx(1.0, rel=1e-12)
-
     def test_boundary_flag_for_duplicated_points(self):
-        g = gram_matrix(KernelParams(1.0, 1.0), PointConfig((2.0, 2.0), (1.0, 1.0)))
-        v = pd_check(g, tolerance=1e-10)
+        v = pd_check(KernelParams(1.0, 1.0), (2.0, 2.0), tolerance=1e-10)
         assert v.verdict == "PASS"
         # a zero eigenvalue may land on either side of 0.0 at rounding level
         assert abs(v.statistic) < 1e-15
         assert v.boundary == (v.statistic < 0.0)
 
     def test_negative_tolerance_rejected(self):
-        g = gram_matrix(KernelParams(1.0, 1.0), PointConfig((0.0,), (1.0,)))
         with pytest.raises(DomainError):
-            pd_check(g, tolerance=-1.0)
+            pd_check(KernelParams(1.0, 1.0), (0.0,), tolerance=-1.0)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf])
     def test_non_finite_tolerance_rejected(self, tol):
         # at 1e-10 this Gram matrix FAILs, and this distance form is positive
         with pytest.raises(DomainError):
-            pd_check(two_point_gram(2.0, 13.0, math.sqrt(0.2)), tolerance=tol)
+            pd_check(KernelParams(2.0, 13.0), TWO_POINTS, tolerance=tol)
         with pytest.raises(DomainError):
             cnd_check(KernelParams(2.0, 13.0), PointConfig((0.0, 1.0), (1.0, -1.0)), tol)
 

@@ -7,17 +7,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kpd import (
+    Certificate,
     DomainError,
-    GramMatrix,
     KernelParams,
     PointConfig,
     ToleranceError,
+    certify_negative,
     cnd_check,
     distance_form,
     eval_kernel,
-    gram_matrix,
     kernel_matrix,
     nonneg_power,
+    pd_check,
     quadratic_form,
     resolve_form_sign,
 )
@@ -66,9 +67,10 @@ class TestValidation:
         with pytest.raises(DomainError):
             PointConfig((), ())
 
-    def test_gram_requires_symmetry(self):
-        with pytest.raises(DomainError):
-            GramMatrix(order=2, entries=np.array([[1.0, 0.5], [0.4, 1.0]]), points=(0, 1))
+    def test_gram_requires_positive_diagonal(self):
+        # at t = 1e6 the entry at (2, 2) underflows to 0
+        with pytest.raises(DomainError, match="Gram diagonal must be strictly positive"):
+            pd_check(KernelParams(1e6, 2.0), (0.0, 2.0), tolerance=1e-10)
 
 
 class TestEvalKernel:
@@ -146,28 +148,29 @@ class TestDistanceForm:
 
 
 class TestGramMatrix:
+    """The Gram matrix of kernel values at a point set: kernel_matrix(x, x)."""
+
     def test_single_point(self):
-        g = gram_matrix(KernelParams(0.7, 2.0), PointConfig((0.0,), (1.0,)))
-        assert g.order == 1
-        assert g.entries[0, 0] == pytest.approx(INV_PI, rel=1e-15)
+        g = kernel_matrix(KernelParams(0.7, 2.0), [0.0], [0.0])
+        assert g.shape == (1, 1)
+        assert g[0, 0] == pytest.approx(INV_PI, rel=1e-15)
 
     def test_duplicated_points_rank_one(self):
-        g = gram_matrix(KernelParams(1.0, 1.0), PointConfig((0.0, 0.0), (1.0, 1.0)))
-        assert np.all(g.entries == g.entries[0, 0])
-        assert abs(np.linalg.det(g.entries)) < 1e-30
+        g = kernel_matrix(KernelParams(1.0, 1.0), [0.0, 0.0], [0.0, 0.0])
+        assert np.all(g == g[0, 0])
+        assert abs(np.linalg.det(g)) < 1e-30
 
     def test_two_point_negative_determinant(self):
         # Schwarz check: margin(0.2; 2, 13) = 1.72^2 - 3.08 < 0, so det < 0
-        x = math.sqrt(0.2)
-        g = gram_matrix(KernelParams(2.0, 13.0), PointConfig((x, 0.0), (1.0, 1.0)))
-        assert np.linalg.det(g.entries) < 0
+        x = [math.sqrt(0.2), 0.0]
+        assert np.linalg.det(kernel_matrix(KernelParams(2.0, 13.0), x, x)) < 0
 
     @given(params_st, st.lists(finite_floats, min_size=1, max_size=5))
     @settings(max_examples=40, deadline=None)
     def test_exact_symmetry_and_positive_diagonal(self, params, pts):
-        g = gram_matrix(params, PointConfig(tuple(pts), (1.0,) * len(pts)))
-        assert np.array_equal(g.entries, g.entries.T)
-        assert np.all(np.diag(g.entries) > 0)
+        g = kernel_matrix(params, pts, pts)
+        assert np.array_equal(g, g.T)
+        assert np.all(np.diag(g) > 0)
 
     def test_vectorized_matches_scalar(self):
         params = KernelParams(1.7, 0.3)
@@ -196,8 +199,7 @@ class TestQuadraticForm:
         # 2x2 eigen-decomposition oracle
         params = KernelParams(2.0, 13.0)
         x = math.sqrt(0.2)
-        g = gram_matrix(params, PointConfig((x, 0.0), (1.0, 1.0)))
-        vals, vecs = np.linalg.eigh(g.entries)
+        vals, vecs = np.linalg.eigh(kernel_matrix(params, [x, 0.0], [x, 0.0]))
         assert vals[0] < 0
         cfg = PointConfig((x, 0.0), tuple(vecs[:, 0]))
         assert quadratic_form(params, cfg) == pytest.approx(vals[0], abs=1e-14)
@@ -239,13 +241,58 @@ class TestQuadraticForm:
         z = 2.0**-30
         r = math.sqrt(z)
         cfg = PointConfig((0.0, r, 2.0 * r), (1.0, -2.0, 1.0))
-        value, dps = resolve_form_sign(params, cfg)
+        value, dps, bound = resolve_form_sign(params, cfg)
         assert value < 0
         assert dps >= 30
+        assert value + bound < 0
         # an exactly zero form is never resolved, however far it escalates
         zero = PointConfig((0.5, 0.5), (1, -1))
         with pytest.raises(ToleranceError, match="at dps 800"):
             resolve_form_sign(params, zero)
+
+
+class TestCertifyNegative:
+    def test_negative_form_certifies(self):
+        # the two-point violation at t = 2, a = 13: binary64 settles it
+        params = KernelParams(2.0, 13.0)
+        cfg = pd_check(params, (math.sqrt(0.2), 0.0), tolerance=0.0).worst_config
+        cert = certify_negative(params, cfg)
+        assert isinstance(cert, Certificate)
+        assert cert.config is cfg
+        assert cert.dps == 17
+        assert (cert.value, cert.error_bound) == form_enclosure(params, cfg)
+        assert cert.value + cert.error_bound < 0
+
+    def test_escalated_form_certifies_in_mpmath(self):
+        # the cancelling witness of test_resolve_form_sign_escalates
+        params = KernelParams(1.5, 1.0)
+        r = math.sqrt(2.0**-30)
+        cert = certify_negative(params, PointConfig((0.0, r, 2.0 * r), (1.0, -2.0, 1.0)))
+        assert cert is not None and cert.dps >= 30
+        assert isinstance(cert.value, mp.mpf)
+        assert cert.value + cert.error_bound < 0
+
+    def test_positive_form_gives_none(self):
+        params = KernelParams(2.0, 13.0)
+        assert certify_negative(params, PointConfig((0.0, 1.0), (1.0, 1.0))) is None
+        # the lowest Gram eigenvector at duplicated points, with eigenvalue
+        # -2.6e-17: its form, +3.7e-30, is inside the binary64 bound and
+        # resolved positive at 30 digits
+        cfg = PointConfig(
+            (0.5, 0.0, 0.5), (-0.707106781186663, 1.1207701433590955e-13, 0.7071067811864318)
+        )
+        assert form_enclosure(params, cfg)[1] > 1e-20
+        assert resolve_form_sign(params, cfg)[0] > 0
+        assert certify_negative(params, cfg) is None
+
+    def test_zero_form_gives_none(self):
+        # exactly zero: resolve_form_sign raises ToleranceError at the cap
+        zero = PointConfig((0.5, 0.5), (1, -1))
+        assert certify_negative(KernelParams(1.5, 1.0), zero) is None
+
+    def test_rejects_bad_dps_start(self):
+        with pytest.raises(DomainError):
+            certify_negative(KernelParams(2.0, 13.0), PointConfig((0.0,), (1.0,)), dps_start=0)
 
 
 def _as_kind(kind, value):

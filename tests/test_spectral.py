@@ -173,7 +173,6 @@ class TestCertification:
     def test_negative_direction_certifies(self):
         cert = certify_negative_direction(KernelParams(2.0, 13.0))
         assert cert is not None
-        assert cert.certified_negative
         assert cert.value + cert.error_bound < 0
         assert cert.config.n <= SEARCH_MAX_POINTS
 
@@ -189,7 +188,7 @@ class TestCertification:
         # dyadic points and coefficients: repr prints them exactly, so the
         # stored text read as a Fraction is the configuration certified
         cert = certify_negative_direction(KernelParams(t, a))
-        assert cert.certified_negative
+        assert cert is not None and cert.value + cert.error_bound < 0
         assert 2 <= cert.config.n <= SEARCH_MAX_POINTS
         for v in cert.config.points + cert.config.coeffs:
             assert Fraction(repr(v)) == Fraction(v)
@@ -222,7 +221,7 @@ class TestLadder:
         rep = min_operator_eigenvalue(KernelParams(2.0, 13.0), [100, 200], 5.0)
         assert rep.verdict == NEGATIVE_FOUND
         assert rep.certificate is not None
-        assert rep.certificate.certified_negative
+        assert rep.certificate.value + rep.certificate.error_bound < 0
         assert rep.min_eigenvalue < -1e-3
 
     def test_open_region_report_only_at_coarse_resolution(self):
@@ -274,7 +273,8 @@ class TestVerdicts:
         rep = min_operator_eigenvalue(KernelParams(t, a), *self.LADDER)
         assert rep.verdict == verdict
         if verdict == NEGATIVE_FOUND:
-            assert rep.certificate.certified_negative
+            assert rep.certificate is not None
+            assert rep.certificate.value + rep.certificate.error_bound < 0
             assert rep.certificate.config.n <= SEARCH_MAX_POINTS
         else:
             assert rep.certificate is None
