@@ -19,8 +19,8 @@ also dip below zero for some weights *below* the threshold (the quadratic
 in a is negative on a whole interval around its minimizer, not only at
 it), so the violation finder falls back to a direct scan and reports
 whatever it can certify; a failed scan is never a PD claim.  The margin
-only picks z: a violation needs :func:`~kpd.kernel.certify_negative` to
-certify the lowest eigenvector of the two-point Gram matrix.
+only picks z: a violation is a FAIL of :func:`~kpd.definiteness.pd_check`,
+whose certificate is the lowest eigenvector of the two-point Gram matrix.
 """
 
 import math
@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .kernel import Certificate, KernelParams, certify_negative
+from .kernel import Certificate, KernelParams
 from .definiteness import pd_check
 
 __all__ = [
@@ -152,7 +152,6 @@ class SchwarzSearchResult:
     *not* a PD certificate; it records the scan so the report is auditable.
     """
 
-    found: bool
     z: float | None = None
     g_value: float | None = None
     certificate: Certificate | None = None
@@ -162,6 +161,10 @@ class SchwarzSearchResult:
     scan_points: int = 0
     scan_min_g: float | None = None
     scan_argmin_z: float | None = None
+
+    @property
+    def found(self) -> bool:
+        return self.certificate is not None
 
 
 @dataclass(frozen=True)
@@ -188,16 +191,13 @@ def boundary_report(t: float) -> BoundaryReport:
 
 
 def _violation_from_z(t: float, a: float, z: float, scan_meta: dict) -> SchwarzSearchResult:
-    params = KernelParams(t=t, a=a)
-    verdict = pd_check(params, (math.sqrt(z), 0.0), tolerance=0.0)
-    certificate = certify_negative(params, verdict.worst_config) if verdict.failed else None
-    if certificate is None:
-        return SchwarzSearchResult(found=False, **scan_meta)
+    verdict = pd_check(KernelParams(t=t, a=a), (math.sqrt(z), 0.0), tolerance=0.0)
+    if not verdict.failed:
+        return SchwarzSearchResult(**scan_meta)
     return SchwarzSearchResult(
-        found=True,
         z=z,
         g_value=schwarz_margin(z, t, a),
-        certificate=certificate,
+        certificate=verdict.certificate,
         min_eigenvalue=verdict.statistic,
         **scan_meta,
     )
@@ -256,4 +256,4 @@ def find_schwarz_violation(t: float, a: float) -> SchwarzSearchResult:
     # verify: fall back to the scan minimum.
     if gs[argmin] < 0:
         return _violation_from_z(t, a, float(zs[argmin]), scan_meta)
-    return SchwarzSearchResult(found=False, **scan_meta)
+    return SchwarzSearchResult(**scan_meta)

@@ -26,15 +26,16 @@ Timestamps and wall time live only in the metadata block.  Numeric
 payload values carry both a decimal string at full working precision and
 a binary64 convenience field, null where the value is not finite, so
 records are strict JSON.
-Negative/FAIL verdicts embed replayable certificates: points,
-coefficients, and the value, checkable by ``kpd verify``.  A gram, g or f
-certificate is written only when :func:`kpd.kernel.certify_negative` has
-certified its kernel form negative, and its value is that form; a gram
-FAIL whose eigenvector it does not certify carries ``"certificate":
-null``.  The replay decides each sign from the error enclosure of
-:func:`kpd.kernel.form_enclosure`, escalating precision as needed; a
-certificate is CONFIRMED, MISMATCH, or UNRESOLVED when no precision up to
-the cap separates its form from the side it claims.
+A negative verdict (FAIL, a found violation or witness, NEGATIVE_FOUND)
+is the presence of a :class:`kpd.kernel.Certificate`, written as points,
+coefficients and value for ``kpd verify`` to replay (an f certificate's
+value is f(z), its q_value the kernel form); any other verdict, such as a
+gram eigenvalue below -tol whose eigenvector is not certified (a PASS with
+``boundary: true``), has ``"certificate": null``.  The replay decides each
+sign from the error enclosure of :func:`kpd.kernel.form_enclosure`,
+escalating precision as needed; a certificate is CONFIRMED, MISMATCH, or
+UNRESOLVED when no precision up to the cap separates its form from the
+side it claims.
 
 Exit status: 0 for a completed analysis (a mathematical FAIL is still a
 completed analysis), 2 for configuration errors, 3 for numerical
@@ -59,9 +60,9 @@ from . import __version__
 from .errors import KpdError, ToleranceError
 from .kernel import (
     DPS_CAP,
+    Certificate,
     KernelParams,
     PointConfig,
-    certify_negative,
     kernel_matrix,
     resolve_form_sign,
 )
@@ -153,15 +154,17 @@ def _num(x, dps: int = 30) -> dict:
     return {"dec": _dec(x, dps), "f64": f64 if math.isfinite(f64) else None}
 
 
-def _certificate(kind: str, config: PointConfig, value, dps: int = 30, **extra) -> dict:
-    cert = {
+def _certificate(kind: str, cert: Certificate | None, dps: int = 30, **extra) -> dict | None:
+    """A certificate's record, with ``extra`` keys added or overriding."""
+    if cert is None:
+        return None
+    return {
         "kind": kind,
-        "points": [_dec(p, dps) for p in config.points],
-        "coeffs": [_dec(c, dps) for c in config.coeffs],
-        "value": _dec(value, dps),
+        "points": [_dec(p, dps) for p in cert.config.points],
+        "coeffs": [_dec(c, dps) for c in cert.config.coeffs],
+        "value": _dec(cert.value, dps),
+        **extra,
     }
-    cert.update(extra)
-    return cert
 
 
 def _verdict_dict(verdict) -> dict:
@@ -214,7 +217,6 @@ def _cmd_gram(cfg: RunConfig) -> dict:
     params = KernelParams(t=p["t"], a=p["a"])
     points = _parse_floats(p["points"])
     verdict = pd_check(params, points, tolerance=p["tolerance"])
-    cert = certify_negative(params, verdict.worst_config) if verdict.failed else None
     return {
         "schema": SCHEMA_VERSION,
         "t": _num(params.t),
@@ -222,7 +224,7 @@ def _cmd_gram(cfg: RunConfig) -> dict:
         "points": [_num(x) for x in points],
         "entries": [[float(v) for v in row] for row in kernel_matrix(params, points, points)],
         "pd": _verdict_dict(verdict),
-        "certificate": None if cert is None else _certificate("gram", cert.config, cert.value),
+        "certificate": _certificate("gram", verdict.certificate),
     }
 
 
@@ -231,17 +233,14 @@ def _cmd_cnd(cfg: RunConfig) -> dict:
     params = KernelParams(t=p["t"], a=p["a"])
     config = PointConfig(_parse_floats(p["points"]), _parse_floats(p["coeffs"]))
     verdict = cnd_check(params, config, tolerance=p["tolerance"])
-    payload = {
+    return {
         "schema": SCHEMA_VERSION,
         "t": _num(params.t),
         "a": _num(params.a),
         "cnd": _verdict_dict(verdict),
         "form_value": _num(-verdict.statistic),
-        "certificate": None,
+        "certificate": _certificate("cnd", verdict.certificate),
     }
-    if verdict.failed:
-        payload["certificate"] = _certificate("cnd", config, -verdict.statistic)
-    return payload
 
 
 def _cmd_boundary(cfg: RunConfig) -> dict:
@@ -270,8 +269,7 @@ def _cmd_boundary(cfg: RunConfig) -> dict:
             violation["z"] = _num(result.z)
             violation["g_value"] = _num(result.g_value)
             violation["min_eigenvalue"] = _num(result.min_eigenvalue)
-            cert = result.certificate
-            violation["certificate"] = _certificate("g", cert.config, cert.value, z=_dec(result.z))
+            violation["certificate"] = _certificate("g", result.certificate, z=_dec(result.z))
         payload["violation"] = violation
     return payload
 
@@ -304,13 +302,13 @@ def _cmd_witness(cfg: RunConfig) -> dict:
         payload["negativity"] = "certified"
         payload["certificate"] = _certificate(
             "f",
-            cert.config,
-            cert.f_value,
+            cert,
             dps=cert.dps,
             # the certified points themselves, which dps digits may not hold
             points=[_dyadic_dec(p, cert.dps) for p in cert.config.points],
+            value=_dec(cert.f_value, cert.dps),
             z=repr(cert.z),
-            q_value=_dec(cert.q_value, cert.dps),
+            q_value=_dec(cert.value, cert.dps),
             dps_used=cert.dps,
         )
     else:
@@ -412,16 +410,14 @@ def _report_dict(report) -> dict:
         "smallest_eigenvalues": [_num(v) for v in report.smallest_eigenvalues],
         "verdict": report.verdict,
         "tail_bound": _num(report.tail_bound),
-        "certificate": None,
+        "certificate": _certificate(
+            "gram", report.certificate, dps=17, t=report.params.t, a=report.params.a
+        ),
     }
     if report.certificate is not None:
-        cert, params = report.certificate, report.params
-        out["certificate_value"] = _num(cert.value)
-        out["certificate_error_bound"] = _num(cert.error_bound)
+        out["certificate_value"] = _num(report.certificate.value)
+        out["certificate_error_bound"] = _num(report.certificate.error_bound)
         out["certificate_conclusive"] = True
-        out["certificate"] = _certificate(
-            "gram", cert.config, cert.value, dps=17, t=params.t, a=params.a
-        )
     return out
 
 

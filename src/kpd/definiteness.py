@@ -1,11 +1,12 @@
 """Finite-sample definiteness testing.
 
-Positive-definiteness of the kernel is probed through eigenvalues of Gram
-matrices; conditional negative-definiteness of the underlying distance
-form is probed through its quadratic form restricted to zero-sum
-coefficient vectors.  Every FAIL verdict carries a configuration; a PD
-FAIL's eigenvector is a candidate that only :func:`~kpd.kernel.certify_negative`
-turns into a certificate.
+Positive-definiteness of the kernel is probed through the lowest eigenpair
+of a Gram matrix; conditional negative-definiteness of the underlying
+distance form through its quadratic form on zero-sum coefficient vectors.
+A FAIL verdict is the presence of a :class:`~kpd.kernel.Certificate`: the
+lowest eigenvector, if :func:`~kpd.kernel.certify_negative` certifies its
+kernel form negative, or the configuration whose distance form
+:func:`~kpd.kernel.resolve_form_sign` places above the tolerance.
 """
 
 import math
@@ -14,55 +15,49 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigensolverError, DomainError, PreconditionError
-from .kernel import KernelParams, PointConfig, kernel_matrix, resolve_form_sign
+from .kernel import Certificate, KernelParams, PointConfig, certify_negative, kernel_matrix
+from .kernel import resolve_form_sign
 
-__all__ = [
-    "DefinitenessVerdict",
-    "pd_check",
-    "cnd_check",
-    "random_zero_sum_config",
-]
-
-PASS = "PASS"
-FAIL = "FAIL"
+__all__ = ["DefinitenessVerdict", "pd_check", "cnd_check", "random_zero_sum_config"]
 
 
 @dataclass(frozen=True)
 class DefinitenessVerdict:
     """Outcome of a definiteness test.
 
-    ``statistic`` is the signed decision quantity: the smallest Gram
-    eigenvalue for PD checks, and the *negated* quadratic-form value for
-    CND checks, so that uniformly
+    ``statistic`` is the smallest Gram eigenvalue for PD checks and the
+    *negated* quadratic-form value for CND checks.  The verdict is FAIL
+    exactly when ``certificate`` is present, and then statistic <=
+    -tolerance.  For CND a statistic below -tolerance is a FAIL; for PD it
+    is not where the eigenvector's form is not certified negative.
 
-        FAIL  <=>  statistic < -tolerance   (worst_config present),
-        PASS  <=>  statistic >= -tolerance.
-
-    ``boundary`` flags PASS verdicts whose statistic is within
-    [-tolerance, 0]: duplicated points legitimately create zero
-    eigenvalues, so these are reported as PASS with a marker rather than
-    as failures.
+    ``boundary`` flags PASS verdicts with a negative statistic, such as
+    the zero eigenvalues of duplicated points, which read slightly
+    negative, and uncertified eigenvalues below -tolerance.
     """
 
-    verdict: str
     statistic: float
     tolerance: float
-    worst_config: PointConfig | None = None
-    boundary: bool = False
+    certificate: Certificate | None = None
 
     @property
     def failed(self) -> bool:
-        return self.verdict == FAIL
+        return self.certificate is not None
+
+    @property
+    def verdict(self) -> str:
+        return "FAIL" if self.failed else "PASS"
+
+    @property
+    def boundary(self) -> bool:
+        return not self.failed and self.statistic < 0.0
 
 
 def pd_check(params: KernelParams, points, tolerance: float) -> DefinitenessVerdict:
-    """PASS iff the minimum eigenvalue of the Gram matrix of the kernel at
-    ``points`` is >= -tolerance.
-
-    On FAIL the corresponding unit eigenvector is returned as the
-    coefficient vector of ``worst_config``, for
-    :func:`~kpd.kernel.certify_negative` to certify or reject.
-    """
+    """FAIL iff the minimum eigenvalue of the Gram matrix of the kernel at
+    ``points`` is below -tolerance and :func:`~kpd.kernel.certify_negative`
+    certifies the kernel form of its unit eigenvector negative; the
+    certificate is the verdict's."""
     if not 0 <= tolerance < math.inf:
         raise DomainError(f"tolerance must be finite and >= 0, got {tolerance}")
     x = np.array(points, dtype=float)
@@ -73,11 +68,11 @@ def pd_check(params: KernelParams, points, tolerance: float) -> DefinitenessVerd
         vals, vecs = np.linalg.eigh(entries)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare path
         raise EigensolverError(f"symmetric eigensolver failed: {exc}") from exc
-    min_eig = float(vals[0])
+    min_eig, certificate = float(vals[0]), None
     if min_eig < -tolerance:
-        worst = PointConfig(tuple(x.tolist()), tuple(float(v) for v in vecs[:, 0]))
-        return DefinitenessVerdict(FAIL, min_eig, tolerance, worst)
-    return DefinitenessVerdict(PASS, min_eig, tolerance, boundary=min_eig < 0.0)
+        lowest = PointConfig(tuple(x.tolist()), tuple(float(v) for v in vecs[:, 0]))
+        certificate = certify_negative(params, lowest)
+    return DefinitenessVerdict(min_eig, tolerance, certificate)
 
 
 def cnd_check(
@@ -105,11 +100,9 @@ def cnd_check(
         )
     if not 0 <= tolerance < math.inf:
         raise DomainError(f"tolerance must be finite and >= 0, got {tolerance}")
-    value, _, _ = resolve_form_sign(params, config, distance=True, threshold=tolerance)
-    value = float(value)
-    if value > tolerance:
-        return DefinitenessVerdict(FAIL, -value, tolerance, config)
-    return DefinitenessVerdict(PASS, -value, tolerance, boundary=value > 0.0)
+    value, dps, bound = resolve_form_sign(params, config, distance=True, threshold=tolerance)
+    certificate = Certificate(config, value, bound, dps) if value > tolerance else None
+    return DefinitenessVerdict(-float(value), tolerance, certificate)
 
 
 def random_zero_sum_config(rng: np.random.Generator, n: int) -> PointConfig:

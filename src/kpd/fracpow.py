@@ -49,6 +49,9 @@ MAX_POWER = 30.0
 DERIVATIVE_STEP = 1e-5
 # Default tolerance of integrand_l1_norm, also used by validate_representation.
 L1_TOL = 1e-8
+# The largest cutoff M of integral_power's outer quadrature on [1, M], which
+# grows like 1 / Re(w/|w|): w nearer the imaginary axis raise ToleranceError.
+MAX_CUTOFF = 1e9
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,8 @@ def integral_power(w: complex, p: FracPowerParams, tol: float = 1e-10) -> comple
     """Evaluate the integral representation of w^s for Re(w) > 0.
 
     Absolute accuracy target tol * |w|^s.  w = 0 returns 0 under the
-    global 0^s = 0 convention.
+    global 0^s = 0 convention.  Raises ToleranceError where Re(w) / |w| is
+    too small for the tail cutoff to stay within MAX_CUTOFF.
     """
     return _integral_power(w, p, tol, _power_bracket)
 
@@ -175,8 +179,8 @@ def _power_bracket(om: complex, p: FracPowerParams, tol: float) -> complex:
     M = 2.0
     while math.exp(-M * re) / (re * M ** (s + 1.0)) > budget / 10.0:
         M *= 1.5
-        if M > 1e9:  # pragma: no cover - re > 0 guarantees termination
-            raise ToleranceError("tail cutoff search diverged")
+        if M > MAX_CUTOFF:
+            raise ToleranceError(f"Re(w)/|w| = {re:.3g} is too close to the imaginary axis")
     J = adaptive_quad(
         lambda mu: cmath.exp(-mu * om) * mu ** (-s - 1.0), 1.0, M, budget / 2.0
     )

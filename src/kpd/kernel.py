@@ -24,7 +24,8 @@ Conventions
   precisions until the enclosure excludes the threshold in question.
 * Every certificate that the kernel is not positive definite is made by
   :func:`certify_negative`: a :class:`Certificate` exists only where
-  :func:`resolve_form_sign` resolved the kernel form negative.
+  :func:`resolve_form_sign` resolved the kernel form negative (or the
+  distance form above a CND tolerance).
 """
 
 import math
@@ -355,9 +356,12 @@ def resolve_form_sign(
 
 @dataclass(frozen=True, eq=False)
 class Certificate:
-    """A configuration whose kernel form is certified negative: ``value``
-    is the form at ``dps`` digits (17 for binary64), within ``error_bound``
-    of the exact form of ``config``, and value + error_bound < 0."""
+    """A configuration whose form is certified on the side it claims:
+    ``value`` is the form at ``dps`` digits (17 for binary64), within
+    ``error_bound`` of the exact form of ``config``.  Made by
+    :func:`certify_negative`, it claims value + error_bound < 0 for the
+    kernel form; by :func:`~kpd.definiteness.cnd_check`, value -
+    error_bound > tolerance for the distance form."""
 
     config: PointConfig
     value: float | mp.mpf

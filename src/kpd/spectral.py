@@ -164,9 +164,12 @@ class SpectralReport:
     params: KernelParams
     levels: tuple
     smallest_eigenvalues: tuple
-    verdict: str
     certificate: Certificate | None
     tail_bound: float
+
+    @property
+    def verdict(self) -> str:
+        return NO_NEGATIVE_AT_RESOLUTION if self.certificate is None else NEGATIVE_FOUND
 
     @property
     def min_eigenvalue(self) -> float:
@@ -198,13 +201,11 @@ def min_operator_eigenvalue(
     certificate = None
     if vals[0] < -ATTEMPT_FACTOR * max_diag:
         certificate = certify_negative_direction(params)
-    verdict = NO_NEGATIVE_AT_RESOLUTION if certificate is None else NEGATIVE_FOUND
 
     return SpectralReport(
         params=params,
         levels=tuple(levels),
         smallest_eigenvalues=tuple(float(v) for v in vals[:6]),
-        verdict=verdict,
         certificate=certificate,
         tail_bound=truncation_tail_bound(params, half_width),
     )

@@ -44,6 +44,7 @@ from mpmath import libmp
 from .errors import DomainError, PreconditionError, SizeCapError, ToleranceError
 from .kernel import (
     DPS_CAP,
+    Certificate,
     KernelParams,
     PointConfig,
     _as_mpf,
@@ -332,15 +333,13 @@ def predict_t_coefficient_sign(t: float) -> Literal["nonnegative", "nonpositive"
 
 
 @dataclass(frozen=True, eq=False)
-class NegativeScaleCertificate:
-    """A z with f(z) < 0 plus the scaled point configuration whose kernel
-    quadratic form is negative -- an end-to-end non-PD certificate."""
+class NegativeScaleCertificate(Certificate):
+    """The certificate of the witness points scaled by sqrt(z), with the
+    kernel form and its error bound at the scan's ``dps`` digits, plus
+    f(z) < 0 at the same precision -- an end-to-end non-PD certificate."""
 
     z: float
     f_value: mp.mpf
-    config: PointConfig
-    q_value: mp.mpf
-    dps: int
 
 
 def find_negative_scale(
@@ -356,7 +355,7 @@ def find_negative_scale(
     precision, and :func:`~kpd.kernel.certify_negative` certifies its
     kernel form, from ``dps_start`` digits after binary64; a z it does not
     certify is skipped, not trusted.  A sign that binary64 settles
-    is still reported with the form's ``dps_start``-digit value.  The
+    is still reported with the form's ``dps_start``-digit enclosure.  The
     kernel form equals f(z) / (pi prod_pq (1 + D_pq)), so the cleared form
     f(z), evaluated once at the end, must agree in sign.
     """
@@ -370,20 +369,18 @@ def find_negative_scale(
         cert = certify_negative(params, config, dps_start)
         if cert is None:
             continue
-        q_value, dps = cert.value, cert.dps
-        if isinstance(q_value, float):  # the binary64 stage settled it
+        value, bound, dps = cert.value, cert.error_bound, cert.dps
+        if isinstance(value, float):  # the binary64 stage settled it
             dps = dps_start
-            q_value, _ = form_enclosure(params, config, dps)
+            value, bound = form_enclosure(params, config, dps)
         z = 4.0**-m
         f_value = cleared_form_value(params, w, z, dps)
-        if not (f_value < 0):
+        if not (f_value < 0 and value + bound < 0):
             raise ToleranceError(
-                f"internal disagreement at z=4^-{m}: kernel form "
-                f"{mp.nstr(q_value, 8)} but f={mp.nstr(f_value, 8)} (dps={dps})"
+                f"internal disagreement at z=4^-{m}: kernel form {mp.nstr(value, 8)} "
+                f"+- {mp.nstr(bound, 3)} but f={mp.nstr(f_value, 8)} (dps={dps})"
             )
-        return NegativeScaleCertificate(
-            z=z, f_value=f_value, config=config, q_value=q_value, dps=dps
-        )
+        return NegativeScaleCertificate(config, value, bound, dps, z, f_value)
     raise ToleranceError(
         f"no negative value found for z down to 4^-{SCAN_STEPS} with up to "
         f"{DPS_CAP} digits"

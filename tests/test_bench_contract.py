@@ -106,13 +106,30 @@ def test_series_pass_the_benchmark_check(seed):
         assert checks.check_series(series, t, a, order) == []
 
 
+def _claims(payload):
+    """(negative?, certificate) for each verdict a payload states: a FAIL,
+    a found violation, a certified witness or NEGATIVE_FOUND is negative."""
+    for key in ("pd", "cnd"):
+        if key in payload:
+            yield payload[key]["verdict"] == "FAIL", payload["certificate"]
+    if payload.get("violation"):
+        yield payload["violation"]["found"], payload["violation"].get("certificate")
+    if "negativity" in payload:
+        yield payload["negativity"] == "certified", payload["certificate"]
+    for report in [payload, *payload.get("reports", [])]:
+        if "verdict" in report:
+            yield report["verdict"] == "NEGATIVE_FOUND", report["certificate"]
+
+
 @pytest.mark.parametrize("workload", ["spectral-sweep", "witness-certify"])
 def test_round_passes_the_benchmark_checks(workload, tmp_path, capsys):
     # every job of the seed-1 round, held to the checks the benchmark applies
-    # to its records; a record with certificates must replay CONFIRMED
+    # to its records; a record with certificates must replay CONFIRMED, and
+    # a verdict is negative exactly where it carries a certificate
     ops, _ = jobs.build(workload, 1)
     job_ops = [op for op in ops if "argv" in op]
     assert job_ops
+    seen = set()
     for op in job_ops:
         path = tmp_path / f"{op['id']}.json"
         assert main(op["argv"] + ["--out", str(path)]) == 0, op["argv"]
@@ -121,3 +138,7 @@ def test_round_passes_the_benchmark_checks(workload, tmp_path, capsys):
         assert checks.check_record(record, op["expect"]) == [], op["argv"]
         if checks.count_points(record["payload"])[0]:
             assert verify_certificate(str(path))["verdict"] == "CONFIRMED", op["argv"]
+        for negative, certificate in _claims(record["payload"]):
+            assert negative == (certificate is not None), op["argv"]
+            seen.add(negative)
+    assert seen == {True, False}

@@ -97,15 +97,17 @@ class TestGramCommand:
         assert payload["pd"]["verdict"] == "FAIL"
         assert payload["certificate"]["kind"] == "gram"
 
-    def test_uncertified_fail_has_no_certificate(self, capsys):
+    def test_uncertified_eigenvalue_is_a_boundary_pass(self, capsys):
         # duplicated points: eigh reads the zero eigenvalue as -2.6e-17, below
-        # the tolerance, but the eigenvector's form is +3.7e-30
+        # the tolerance, but the eigenvector's form is +3.7e-30, so nothing
+        # is certified and the verdict is PASS on the boundary
         code, out = run_cli(
             capsys, "gram", "--t", "2", "--a", "13", "--points", "0.5,0,0.5", "--tol", "1e-300"
         )
         assert code == 0
         payload = json.loads(out)["payload"]
-        assert payload["pd"]["verdict"] == "FAIL"
+        assert payload["pd"]["verdict"] == "PASS"
+        assert payload["pd"]["boundary"] is True
         assert payload["pd"]["statistic"]["f64"] < -1e-300
         assert payload["certificate"] is None
 

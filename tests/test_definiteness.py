@@ -1,7 +1,11 @@
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath import libmp
 
 from kpd import (
     DomainError,
@@ -41,14 +45,16 @@ class TestPdCheck:
         bb = g[0, 1]
         lam = 0.5 * ((aa + dd) - math.hypot(aa - dd, 2.0 * bb))
         assert v.statistic == pytest.approx(lam, rel=1e-12)
-        assert v.worst_config is not None
-        assert v.worst_config.points == TWO_POINTS
+        assert v.certificate is not None
+        assert v.certificate.config.points == TWO_POINTS
 
     def test_failure_certificate_replays(self):
         params = KernelParams(2.0, 13.0)
         v = pd_check(params, TWO_POINTS, 1e-12)
-        q = quadratic_form(params, v.worst_config)
+        q = quadratic_form(params, v.certificate.config)
         assert abs(q - v.statistic) <= 1e-12 * 2
+        assert v.certificate.value == q
+        assert v.certificate.value + v.certificate.error_bound < 0
 
     def test_boundary_flag_for_duplicated_points(self):
         v = pd_check(KernelParams(1.0, 1.0), (2.0, 2.0), tolerance=1e-10)
@@ -143,4 +149,53 @@ class TestCndCheck:
         v = cnd_check(params, cfg, tolerance=1e-10)
         assert (v.verdict == "FAIL") == (value > 1e-10)
         if v.failed:
-            assert v.worst_config is cfg
+            assert v.certificate.config is cfg
+            assert v.certificate.value == -v.statistic
+
+
+def _exact(v) -> Fraction:
+    """The rational a float or an mpf denotes."""
+    return Fraction(*libmp.to_rational(v._mpf_)) if isinstance(v, mp.mpf) else Fraction(v)
+
+
+class TestFailIsCertified:
+    # every FAIL is a certificate whose enclosure excludes the pass side,
+    # checked in exact rationals
+    @given(
+        st.floats(min_value=1.05, max_value=4.0),
+        st.floats(min_value=0.1, max_value=30.0),
+        # about half of such configurations fail
+        st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=2, max_size=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pd_fail_certificate_is_negative(self, t, a, points):
+        v = pd_check(KernelParams(t, a), points, tolerance=0.0)
+        assert v.verdict == ("FAIL" if v.certificate is not None else "PASS")
+        assert v.boundary == (v.certificate is None and v.statistic < 0)
+        if v.failed:
+            cert = v.certificate
+            assert v.statistic < 0
+            assert cert.config.points == tuple(points)
+            assert _exact(cert.value) + _exact(cert.error_bound) < 0
+
+    @given(
+        st.floats(min_value=0.25, max_value=3.0),
+        st.floats(min_value=0.1, max_value=30.0),
+        st.lists(
+            st.tuples(st.floats(min_value=-5.0, max_value=5.0), st.integers(-5, 5)),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cnd_fail_certificate_exceeds_tolerance(self, t, a, pairs):
+        points = [x for x, _ in pairs] + [0.5]
+        coeffs = [c for _, c in pairs] + [-sum(c for _, c in pairs)]
+        tolerance = 1e-10
+        v = cnd_check(KernelParams(t, a), PointConfig(points, coeffs), tolerance)
+        # for CND the statistic decides the verdict both ways
+        assert v.failed == (v.statistic < -tolerance)
+        assert v.boundary == (not v.failed and v.statistic < 0)
+        if v.failed:
+            cert = v.certificate
+            assert _exact(cert.value) - _exact(cert.error_bound) > _exact(tolerance)

@@ -120,6 +120,11 @@ class TestIntegralPower:
             want = w**s
             assert abs(got - want) <= 1e-8 * abs(want)
 
+    def test_too_close_to_imaginary_axis_raises(self):
+        # the tail cutoff would pass MAX_CUTOFF: a diagnostic, not a hang
+        with pytest.raises(ToleranceError, match="too close to the imaginary axis"):
+            integral_power(1e-12 + 1j, split_power(0.5), tol=1e-8)
+
     def test_pure_imaginary_rejected(self):
         with pytest.raises(DomainError):
             integral_power(1.0j, split_power(0.5))

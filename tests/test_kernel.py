@@ -255,7 +255,7 @@ class TestCertifyNegative:
     def test_negative_form_certifies(self):
         # the two-point violation at t = 2, a = 13: binary64 settles it
         params = KernelParams(2.0, 13.0)
-        cfg = pd_check(params, (math.sqrt(0.2), 0.0), tolerance=0.0).worst_config
+        cfg = pd_check(params, (math.sqrt(0.2), 0.0), tolerance=0.0).certificate.config
         cert = certify_negative(params, cfg)
         assert isinstance(cert, Certificate)
         assert cert.config is cfg

@@ -10,6 +10,7 @@ import pytest
 import kpd.kernel
 import kpd.witness
 from kpd import (
+    Certificate,
     DomainError,
     KernelParams,
     PreconditionError,
@@ -369,7 +370,7 @@ class TestFindNegativeScale:
         cert = scan(params, build_binomial_witness(1))
         assert cert.z <= 2.0**-1
         assert cert.f_value < 0
-        assert cert.q_value < 0
+        assert cert.value < 0
         # replay independently through the kernel quadratic form
         replay = quadratic_form(params, cert.config, dps=cert.dps + 20)
         assert replay < 0
@@ -378,7 +379,7 @@ class TestFindNegativeScale:
         params = KernelParams(3.5, 0.01)
         cert = scan(params, build_binomial_witness(3))
         assert cert.f_value < 0
-        assert cert.q_value < 0
+        assert cert.value < 0
 
     def test_even_integer_part_rejected(self):
         with pytest.raises(PreconditionError):
@@ -411,7 +412,10 @@ class TestFindNegativeScale:
             monkeypatch.setattr(module, "form_enclosure", counted)
         cert = scan(KernelParams(t, a), build_binomial_witness(int(t)))
         assert (cert.z, cert.dps) == (z, dps)
-        assert mp.nstr(cert.q_value, cert.dps, strip_zeros=False) == q_value
+        assert mp.nstr(cert.value, cert.dps, strip_zeros=False) == q_value
+        # the enclosure at the reported dps, kept even where binary64 settled
+        assert isinstance(cert, Certificate) and isinstance(cert.error_bound, mp.mpf)
+        assert cert.value + cert.error_bound < 0
         assert sum(d is not None for d in stages) <= mp_calls
 
 
