@@ -33,12 +33,7 @@ from .kernel import (
     quadratic_form,
     resolve_form_sign,
 )
-from .definiteness import (
-    DefinitenessVerdict,
-    cnd_check,
-    pd_check,
-    random_zero_sum_config,
-)
+from .definiteness import DefinitenessVerdict, cnd_check, pd_check
 from .boundary import (
     BoundaryReport,
     SchwarzSearchResult,

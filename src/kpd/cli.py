@@ -1,4 +1,4 @@
-"""Command-line interface: reproducible runs with machine-readable reports.
+"""Command-line interface: the subcommands, their parser and the run record.
 
 Subcommands map one-to-one onto the library modules:
 
@@ -27,15 +27,11 @@ payload values carry both a decimal string at full working precision and
 a binary64 convenience field, null where the value is not finite, so
 records are strict JSON.
 A negative verdict (FAIL, a found violation or witness, NEGATIVE_FOUND)
-is the presence of a :class:`kpd.kernel.Certificate`, written as points,
-coefficients and value for ``kpd verify`` to replay (an f certificate's
-value is f(z), its q_value the kernel form); any other verdict, such as a
-gram eigenvalue below -tol whose eigenvector is not certified (a PASS with
-``boundary: true``), has ``"certificate": null``.  The replay decides each
-sign from the error enclosure of :func:`kpd.kernel.form_enclosure`,
-escalating precision as needed; a certificate is CONFIRMED, MISMATCH, or
-UNRESOLVED when no precision up to the cap separates its form from the
-side it claims.
+is the presence of a :class:`kpd.kernel.Certificate`, which
+:mod:`kpd.certificate` writes into the payload and ``kpd verify`` replays;
+any other verdict, such as a gram eigenvalue below -tol whose eigenvector
+is not certified (a PASS with ``boundary: true``), has
+``"certificate": null``.
 
 Exit status: 0 for a completed analysis (a mathematical FAIL is still a
 completed analysis), 2 for configuration errors, 3 for numerical
@@ -57,15 +53,9 @@ import mpmath as mp
 import numpy as np
 
 from . import __version__
-from .errors import KpdError, ToleranceError
-from .kernel import (
-    DPS_CAP,
-    Certificate,
-    KernelParams,
-    PointConfig,
-    kernel_matrix,
-    resolve_form_sign,
-)
+from .certificate import dec, encode, verify_certificate
+from .errors import KpdError
+from .kernel import KernelParams, PointConfig, kernel_matrix
 from .definiteness import cnd_check, pd_check
 from .boundary import boundary_report, find_schwarz_violation
 from .witness import (
@@ -83,7 +73,6 @@ from .spectral import min_operator_eigenvalue
 
 SCHEMA_VERSION = 1
 CSV_HEADER = ["t", "a", "level", "node_count", "L", "min_eigenvalue", "verdict"]
-CERTIFICATE_KINDS = ("gram", "g", "f", "cnd")
 
 
 @dataclass(frozen=True)
@@ -130,41 +119,12 @@ class RunRecord:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2, allow_nan=False)
 
 
-def _dec(x, dps: int = 30) -> str:
-    """A number as an exact or ``dps``-digit decimal string."""
-    if isinstance(x, mp.mpf):
-        return mp.nstr(x, dps, strip_zeros=False)
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
-    return repr(float(x))
-
-
-def _dyadic_dec(x: Fraction, dps: int) -> str:
-    """A dyadic rational n / 2^e as an exact decimal of at least ``dps``
-    digits; n 5^e / 10^e needs as many as n 5^e has."""
-    digits = len(str(abs(x.numerator) * 5 ** (x.denominator.bit_length() - 1)))
-    return _dec(mp.mpf(x.numerator) / x.denominator, max(dps, digits))
-
-
 def _num(x, dps: int = 30) -> dict:
     """Encode a number as {dec, f64}: full-precision decimal plus binary64,
     which is null where the number is not finite in binary64 (strict JSON
     has no inf or nan; ``dec`` keeps them)."""
     f64 = float(x)
-    return {"dec": _dec(x, dps), "f64": f64 if math.isfinite(f64) else None}
-
-
-def _certificate(kind: str, cert: Certificate | None, dps: int = 30, **extra) -> dict | None:
-    """A certificate's record, with ``extra`` keys added or overriding."""
-    if cert is None:
-        return None
-    return {
-        "kind": kind,
-        "points": [_dec(p, dps) for p in cert.config.points],
-        "coeffs": [_dec(c, dps) for c in cert.config.coeffs],
-        "value": _dec(cert.value, dps),
-        **extra,
-    }
+    return {"dec": dec(x, dps), "f64": f64 if math.isfinite(f64) else None}
 
 
 def _verdict_dict(verdict) -> dict:
@@ -224,7 +184,7 @@ def _cmd_gram(cfg: RunConfig) -> dict:
         "points": [_num(x) for x in points],
         "entries": [[float(v) for v in row] for row in kernel_matrix(params, points, points)],
         "pd": _verdict_dict(verdict),
-        "certificate": _certificate("gram", verdict.certificate),
+        "certificate": encode("gram", verdict.certificate),
     }
 
 
@@ -233,13 +193,14 @@ def _cmd_cnd(cfg: RunConfig) -> dict:
     params = KernelParams(t=p["t"], a=p["a"])
     config = PointConfig(_parse_floats(p["points"]), _parse_floats(p["coeffs"]))
     verdict = cnd_check(params, config, tolerance=p["tolerance"])
+    s = verdict.statistic  # negated exactly, as cnd_check does
     return {
         "schema": SCHEMA_VERSION,
         "t": _num(params.t),
         "a": _num(params.a),
         "cnd": _verdict_dict(verdict),
-        "form_value": _num(-verdict.statistic),
-        "certificate": _certificate("cnd", verdict.certificate),
+        "form_value": _num(-s if isinstance(s, float) else mp.fneg(s, exact=True)),
+        "certificate": encode("cnd", verdict.certificate),
     }
 
 
@@ -269,7 +230,7 @@ def _cmd_boundary(cfg: RunConfig) -> dict:
             violation["z"] = _num(result.z)
             violation["g_value"] = _num(result.g_value)
             violation["min_eigenvalue"] = _num(result.min_eigenvalue)
-            violation["certificate"] = _certificate("g", result.certificate, z=_dec(result.z))
+            violation["certificate"] = encode("g", result.certificate, z=dec(result.z))
         payload["violation"] = violation
     return payload
 
@@ -289,10 +250,10 @@ def _cmd_witness(cfg: RunConfig) -> dict:
         "witness": {
             "n": w.n,
             "moment_order": w.moment_order,
-            "y": [_dec(v) for v in w.y],
-            "c": [_dec(v) for v in w.c],
+            "y": [dec(v) for v in w.y],
+            "c": [dec(v) for v in w.c],
         },
-        "moments": [_dec(m) for m in moments],
+        "moments": [dec(m) for m in moments],
         "t_power_coefficient": _num(kappa, dps=SERIES_DPS),
         "predicted_sign": sign,
         "certificate": None,
@@ -300,16 +261,9 @@ def _cmd_witness(cfg: RunConfig) -> dict:
     if kappa < 0:
         cert = find_negative_scale(params, w, kappa)
         payload["negativity"] = "certified"
-        payload["certificate"] = _certificate(
-            "f",
-            cert,
-            dps=cert.dps,
-            # the certified points themselves, which dps digits may not hold
-            points=[_dyadic_dec(p, cert.dps) for p in cert.config.points],
-            value=_dec(cert.f_value, cert.dps),
-            z=repr(cert.z),
-            q_value=_dec(cert.value, cert.dps),
-            dps_used=cert.dps,
+        payload["certificate"] = encode(
+            "f", cert, value=dec(cert.f_value, cert.dps), q_value=dec(cert.value, cert.dps),
+            z=repr(cert.z), dps_used=cert.dps,
         )
     else:
         # Even integer part: the coefficient is nonnegative and this route
@@ -410,9 +364,7 @@ def _report_dict(report) -> dict:
         "smallest_eigenvalues": [_num(v) for v in report.smallest_eigenvalues],
         "verdict": report.verdict,
         "tail_bound": _num(report.tail_bound),
-        "certificate": _certificate(
-            "gram", report.certificate, dps=17, t=report.params.t, a=report.params.a
-        ),
+        "certificate": encode("gram", report.certificate, t=report.params.t, a=report.params.a),
     }
     if report.certificate is not None:
         out["certificate_value"] = _num(report.certificate.value)
@@ -485,102 +437,6 @@ def run(config: RunConfig) -> RunRecord:
         wall_ms=wall_ms,
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     )
-
-
-# ---------------------------------------------------------------------------
-# Certificate replay.
-
-
-def _find_certificates(node, path="payload"):
-    found = []
-    if isinstance(node, dict):
-        if node.get("kind") in CERTIFICATE_KINDS and "points" in node:
-            found.append((path, node))
-        else:
-            for key, child in node.items():
-                found.extend(_find_certificates(child, f"{path}.{key}"))
-    elif isinstance(node, list):
-        for i, child in enumerate(node):
-            found.extend(_find_certificates(child, f"{path}[{i}]"))
-    return found
-
-
-def verify_certificate(record_path: str) -> dict:
-    """Re-evaluate every certificate stored in a run record.
-
-    Each kind claims a sign: the kernel forms of gram, f and g are
-    negative, and the cnd distance form exceeds the record's tolerance.
-    The form of the stored points and coefficients, read as exact
-    decimals, is replayed with :func:`~kpd.kernel.resolve_form_sign`
-    (binary64 first, then mpmath from the certificate's ``dps_used``, or
-    50 digits).  A certificate is CONFIRMED when both its stored value and
-    the replay make the claim, MISMATCH when either contradicts it, and
-    UNRESOLVED when the stored value makes the claim but no precision up
-    to the cap separates the replayed form from the threshold.  The
-    record's verdict is MISMATCH if any certificate mismatches, else
-    UNRESOLVED if any is unresolved, else CONFIRMED.  A malformed
-    certificate, one with a ``dps_used`` outside [15, DPS_CAP] among
-    them, raises KpdError.
-    """
-    with open(record_path, "r", encoding="utf-8") as fh:
-        record = json.load(fh)
-    try:
-        cmd_params = record["config"]["params"]
-        payload = record["payload"]
-        # records before the config became {command, params} kept it at the top
-        cnd_tolerance = float(
-            cmd_params.get("tolerance", record["config"].get("tolerance", 0.0))
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise KpdError(f"record at {record_path} has no valid config/payload: {exc!r}") from exc
-    certificates = _find_certificates(payload)
-    if not certificates:
-        raise KpdError(f"no certificate payload found in {record_path}")
-
-    results = []
-    for path, cert in certificates:
-        # certificate-level parameters win (sweep records carry one per a)
-        t = cert.get("t", cmd_params.get("t"))
-        a = cert.get("a", cmd_params.get("a"))
-        if t is None or a is None:
-            raise KpdError(f"certificate at {path} lacks kernel parameters")
-        try:
-            params = KernelParams(t=float(t), a=float(a))
-            config = PointConfig(
-                tuple(Fraction(p) for p in cert["points"]),
-                tuple(Fraction(c) for c in cert["coeffs"]),
-            )
-            stored = mp.mpf(cert["value"])  # only its sign and magnitude matter
-            dps_start = int(cert.get("dps_used", 50))
-            if not 15 <= dps_start <= DPS_CAP:
-                raise ValueError(f"dps_used {dps_start} is outside [15, {DPS_CAP}]")
-        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
-            raise KpdError(f"certificate at {path} is malformed: {exc!r}") from exc
-        distance = cert["kind"] == "cnd"
-        threshold = cnd_tolerance if distance else 0.0
-        side = 1 if distance else -1  # the claim: side * (value - threshold) > 0
-        try:
-            replayed, _, _ = resolve_form_sign(
-                params, config, dps_start, distance=distance, threshold=threshold
-            )
-        except ToleranceError:
-            replayed = None
-        if not all(side * (v - threshold) > 0 for v in (stored, replayed) if v is not None):
-            verdict = "MISMATCH"
-        else:
-            verdict = "UNRESOLVED" if replayed is None else "CONFIRMED"
-        results.append(
-            {
-                "path": path,
-                "kind": cert["kind"],
-                "stored_value": float(stored),
-                "replayed_value": math.nan if replayed is None else float(replayed),
-                "verdict": verdict,
-            }
-        )
-    verdicts = {r["verdict"] for r in results}
-    overall = next((v for v in ("MISMATCH", "UNRESOLVED") if v in verdicts), "CONFIRMED")
-    return {"record": record_path, "results": results, "verdict": overall}
 
 
 # ---------------------------------------------------------------------------

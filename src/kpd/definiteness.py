@@ -12,13 +12,14 @@ kernel form negative, or the configuration whose distance form
 import math
 from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
 
 from .errors import EigensolverError, DomainError, PreconditionError
 from .kernel import Certificate, KernelParams, PointConfig, certify_negative, kernel_matrix
 from .kernel import resolve_form_sign
 
-__all__ = ["DefinitenessVerdict", "pd_check", "cnd_check", "random_zero_sum_config"]
+__all__ = ["DefinitenessVerdict", "pd_check", "cnd_check"]
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,8 @@ class DefinitenessVerdict:
     """Outcome of a definiteness test.
 
     ``statistic`` is the smallest Gram eigenvalue for PD checks and the
-    *negated* quadratic-form value for CND checks.  The verdict is FAIL
+    *negated* distance-form value for CND checks, kept as an mpf where
+    binary64 does not resolve its side.  The verdict is FAIL
     exactly when ``certificate`` is present, and then statistic <=
     -tolerance.  For CND a statistic below -tolerance is a FAIL; for PD it
     is not where the eigenvector's form is not certified negative.
@@ -36,7 +38,7 @@ class DefinitenessVerdict:
     negative, and uncertified eigenvalues below -tolerance.
     """
 
-    statistic: float
+    statistic: float | mp.mpf
     tolerance: float
     certificate: Certificate | None = None
 
@@ -102,14 +104,7 @@ def cnd_check(
         raise DomainError(f"tolerance must be finite and >= 0, got {tolerance}")
     value, dps, bound = resolve_form_sign(params, config, distance=True, threshold=tolerance)
     certificate = Certificate(config, value, bound, dps) if value > tolerance else None
-    return DefinitenessVerdict(-float(value), tolerance, certificate)
+    # an mpf's unary minus would round it to the caller's precision
+    statistic = -value if isinstance(value, float) else mp.fneg(value, exact=True)
+    return DefinitenessVerdict(statistic, tolerance, certificate)
 
-
-def random_zero_sum_config(rng: np.random.Generator, n: int) -> PointConfig:
-    """Uniform points on [-10, 10]; standard-normal coefficients projected
-    to zero sum (the projection leaves a residual at float rounding level,
-    well inside cnd_check's 1e-12 gate)."""
-    pts = rng.uniform(-10.0, 10.0, size=n)
-    c = rng.standard_normal(n)
-    c = c - c.mean()
-    return PointConfig(tuple(float(p) for p in pts), tuple(float(v) for v in c))

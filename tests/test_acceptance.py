@@ -27,7 +27,6 @@ from kpd import (
     min_operator_eigenvalue,
     pd_check,
     predict_t_coefficient_sign,
-    random_zero_sum_config,
     resolve_form_sign,
     schwarz_margin_exact,
     split_power,
@@ -87,7 +86,7 @@ def test_criterion_2_schwarz_violation():
     sw.check("2 schwarz-violation")
 
 
-def test_criterion_3_pd_region_property_suite():
+def test_criterion_3_pd_region_property_suite(random_zero_sum_config):
     with _Stopwatch(30.0) as sw:
         combo_index = 0
         for t in (0.25, 0.5, 0.75, 1.0):

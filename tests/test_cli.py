@@ -150,6 +150,34 @@ class TestCndCommand:
         assert payload["cnd"]["verdict"] == "FAIL"
         assert payload["certificate"]["kind"] == "cnd"
 
+    def test_fail_keeps_the_resolved_value(self, capsys):
+        # the distance form, about 2e800, is past binary64: the verdict and
+        # form_value keep the mpmath value that the certificate holds
+        code, out = run_cli(
+            capsys, "cnd", "--t", "2", "--a", "1", "--points", "0,1e200", "--coeffs", "1,-1"
+        )
+        assert code == 0
+        payload = strict_json(out)["payload"]
+        value = payload["certificate"]["value"]
+        assert mp.mpf(value) > mp.mpf("1e800")
+        assert payload["form_value"]["dec"] == value
+        assert payload["cnd"]["statistic"]["dec"] == "-" + value
+
+    def test_pass_keeps_the_resolved_value(self, capsys):
+        # the form is -18 x^2 + (sqrt 2 - 2) x at x = 1e200, past binary64
+        code, out = run_cli(
+            capsys,
+            "cnd", "--t", "0.5", "--a", "1",
+            "--points", "0,1e200,-1e200", "--coeffs", "1,-2,1",
+        )
+        assert code == 0
+        payload = strict_json(out)["payload"]
+        assert payload["cnd"]["verdict"] == "PASS" and payload["certificate"] is None
+        form = payload["form_value"]["dec"]
+        assert payload["cnd"]["statistic"]["dec"] == form.lstrip("-")
+        with mp.workdps(40):
+            assert mp.almosteq(mp.mpf(form), -18 * mp.mpf(1e200) ** 2, rel_eps=mp.mpf("1e-29"))
+
 
 class TestWitnessCommand:
     def test_t15_record(self, capsys, tmp_path):
@@ -182,28 +210,6 @@ class TestWitnessCommand:
         assert code == 0
         assert json.loads(out)["payload"]["negativity"] == "certified"
         assert len(calls) == 1
-
-    @pytest.mark.parametrize(
-        "t, a",
-        [
-            # a scan over z = 2^-k first certified this case at k = 17, with
-            # the irrational points y_j 2^-8.5 rounded to 50 digits
-            ("1.36887", "0.022884"),
-            # certified at z = 4^-94: y_j / 2^94 takes up to 66 digits, more
-            # than the 50 the form needed
-            ("1.1", "1e60"),
-        ],
-    )
-    def test_certified_points_are_the_stored_dyadics(self, capsys, tmp_path, t, a):
-        out_path = tmp_path / "witness.json"
-        code, _ = run_cli(capsys, "witness", "--t", t, "--a", a, "--out", str(out_path))
-        assert code == 0
-        cert = json.loads(out_path.read_text())["payload"]["certificate"]
-        m = round(-math.log2(float(cert["z"]))) // 2
-        assert float(cert["z"]) == 4.0**-m
-        assert [Fraction(p) for p in cert["points"]] == [Fraction(j, 2**m) for j in range(3)]
-        assert all(len(p) > cert["dps_used"] for p in cert["points"][1:])
-        assert verify_certificate(str(out_path))["verdict"] == "CONFIRMED"
 
     def test_even_integer_part_is_inconclusive(self, capsys):
         code, out = run_cli(capsys, "witness", "--t", "2.5", "--a", "1")
@@ -251,28 +257,29 @@ class TestSpectrumCommand:
 
 class TestStrictJson:
     @pytest.mark.parametrize(
-        "argv, path",
+        "argv, path, dec",
         [
             # t <= 1/2: the truncated tail is not integrable
-            (("spectrum", "--t", "0.4", "--a", "1", "--nodes", "16"), ("tail_bound",)),
+            (("spectrum", "--t", "0.4", "--a", "1", "--nodes", "16"), ("tail_bound",), "inf"),
             # every scanned margin overflows
-            (("boundary", "--t", "2", "--a", "1e300"), ("violation", "scan", "min_g")),
-            # the ~1e800 form overflows binary64
+            (("boundary", "--t", "2", "--a", "1e300"), ("violation", "scan", "min_g"), "inf"),
+            # the ~2e800 form overflows binary64; dec keeps its mpmath value
             (
                 ("cnd", "--t", "2", "--a", "1", "--points", "0,1e200", "--coeffs", "1,-1"),
                 ("form_value",),
+                "1.99999999999999975786497770008e+800",
             ),
         ],
         ids=["spectrum-tail", "boundary-scan", "cnd-form"],
     )
-    def test_non_finite_value_is_null_in_f64(self, capsys, argv, path):
+    def test_non_finite_value_is_null_in_f64(self, capsys, argv, path, dec):
         code, out = run_cli(capsys, *argv)
         assert code == 0
         node = strict_json(out)["payload"]
         for key in path:
             node = node[key]
         assert node["f64"] is None
-        assert node["dec"] in ("inf", "+inf", "-inf", "nan")
+        assert node["dec"] == dec
 
     def test_error_row_is_null_in_json_and_nan_in_csv(self, capsys):
         argv = ("sweep", "--a-grid", "-2", "--nodes", "16", "--half-width", "6")
@@ -429,6 +436,13 @@ class TestDeterminism:
                 },
             ),
             RunConfig(command="boundary", params={"t": 2.0, "a": 13.0}),
+            # a distance form that only mpmath resolves
+            RunConfig(
+                command="cnd",
+                params={
+                    "t": 2.0, "a": 1.0, "points": "0,1e200", "coeffs": "1,-1", "tolerance": 1e-10
+                },
+            ),
         )
         for cfg in configs:
             with mp.workdps(15):

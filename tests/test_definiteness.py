@@ -17,7 +17,6 @@ from kpd import (
     kernel_matrix,
     pd_check,
     quadratic_form,
-    random_zero_sum_config,
 )
 
 INV_PI = 1.0 / math.pi
@@ -106,7 +105,7 @@ class TestCndCheck:
         with pytest.raises(PreconditionError):
             cnd_check(KernelParams(1.0, 1.0), PointConfig((0.0,), (0.0,)), 1e-12)
 
-    def test_random_small_t_configs_pass(self):
+    def test_random_small_t_configs_pass(self, random_zero_sum_config):
         rng = np.random.default_rng(7)
         params = KernelParams(0.5, 3.0)
         for _ in range(200):
@@ -114,7 +113,7 @@ class TestCndCheck:
             cfg = random_zero_sum_config(rng, n)
             assert cnd_check(params, cfg, tolerance=1e-10).verdict == "PASS"
 
-    def test_t1_value_equals_squared_difference_sum(self):
+    def test_t1_value_equals_squared_difference_sum(self, random_zero_sum_config):
         # at t=1 the additive a*(y_j^2 + y_k^2) part annihilates under the
         # zero-sum constraint, leaving exactly sum c_j c_k (y_j - y_k)^2
         rng = np.random.default_rng(99)
