@@ -387,28 +387,18 @@ def _cmd_spectrum(cfg: RunConfig) -> dict:
 
 def _cmd_sweep(cfg: RunConfig) -> dict:
     """One spectral report per weight, in grid order, and its evidence-table
-    rows (the CSV_HEADER columns): one per rung, the verdict on the last.  A
-    kpd diagnostic (KpdError) is recorded for its weight with one ERROR row
-    and does not end the sweep; any other exception propagates."""
+    rows (the CSV_HEADER columns): one per rung, the verdict on the last.
+    Any error ends the sweep, as it ends ``kpd spectrum``."""
     p = cfg.params
     t, rows, reports = p["t"], [], []
     for a in p["a_grid"]:
+        report = min_operator_eigenvalue(KernelParams(t=t, a=a), p["nodes"], p["half_width"])
+        final = len(report.levels) - 1
+        for i, (n, L, me) in enumerate(report.levels):
+            verdict = report.verdict if i == final else ""
+            rows.append(dict(zip(CSV_HEADER, (t, a, i, n, L, _num(me), verdict))))
         # the open region of t = 2 is 0 < a <= a_threshold(2) = 12
-        entry = {"a": a, "control": not (0.0 < a <= 12.0), "certificate": None}
-        try:
-            report = min_operator_eigenvalue(
-                KernelParams(t=t, a=a), p["nodes"], p["half_width"]
-            )
-        except KpdError as exc:
-            entry["error"] = repr(exc)
-            rows.append(dict(zip(CSV_HEADER, (t, a, -1, 0, 0.0, _num(math.nan), "ERROR"))))
-        else:
-            entry.update(_report_dict(report))
-            final = len(report.levels) - 1
-            for i, (n, L, me) in enumerate(report.levels):
-                verdict = report.verdict if i == final else ""
-                rows.append(dict(zip(CSV_HEADER, (t, a, i, n, L, _num(me), verdict))))
-        reports.append(entry)
+        reports.append({"a": a, "control": not (0.0 < a <= 12.0), **_report_dict(report)})
     return {"schema": SCHEMA_VERSION, "t": _num(t), "rows": rows, "reports": reports}
 
 

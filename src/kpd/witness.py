@@ -1,13 +1,15 @@
 """Vanishing-moment witnesses and the small-scale expansion that turns
 them into explicit non-PD certificates.
 
-Clearing denominators shows that the kernel quadratic form at scaled
+Clearing denominators shows that the kernel quadratic form Q at scaled
 points x_j = y_j*sqrt(z) has, for every z > 0, the same sign as
 
-    f(z) = sum_jk c_j c_k  prod_{(p,q) != (j,k)} (1 + A_pq*z + B_pq*z^t),
+    f(z) = sum_jk c_j c_k  prod_{(p,q) != (j,k)} (1 + A_pq*z + B_pq*z^t)
+         = pi * Q * prod_pq (1 + D_pq),
 
-a double sum over ordered index pairs, with A_pq = (y_p - y_q)^2 exact
-rational and B_pq = a*(y_p^2 + y_q^2)^t irrational in general.  If the
+double sum and product over ordered index pairs, with A_pq = (y_p - y_q)^2
+exact rational, B_pq = a*(y_p^2 + y_q^2)^t irrational in general and
+D_pq = A_pq*z + B_pq*z^t the distance form d(x_p, x_q).  If the
 coefficients annihilate all moments sum_j c_j y_j^l for l = 0..T with
 T = floor(t), the integer powers z^0..z^T cancel *exactly* and the lowest
 surviving term is z^t with coefficient
@@ -29,7 +31,10 @@ therefore takes z = 4^-m, where the scaled points y_j / 2^m are exact
 dyadic rationals, and settles the form's sign with
 :func:`~kpd.kernel.certify_negative`, whose precision escalation goes up to
 ``kernel.DPS_CAP`` digits until the error bound excludes zero.  The
-configuration it certifies is the one the certificate stores.
+configuration it certifies is the one the certificate stores, and its
+f(z) is pi Q prod(1 + D) of that Q: at the certifying digits when those
+are mpmath with a bound of at most 1e-15 |Q|, else at about twice as many,
+so the certificate's digits can exceed those that certified the sign.
 """
 
 import math
@@ -39,6 +44,7 @@ from itertools import combinations
 from typing import Literal, NamedTuple
 
 import mpmath as mp
+import numpy as np
 from mpmath import libmp
 
 from .errors import DomainError, PreconditionError, SizeCapError, ToleranceError
@@ -49,6 +55,7 @@ from .kernel import (
     PointConfig,
     _as_mpf,
     certify_negative,
+    distance_matrix,
     form_enclosure,
 )
 
@@ -276,25 +283,26 @@ def cleared_form_series(
     return PowerSeries(terms=terms, dps=dps)
 
 
+def _clear(params: KernelParams, config: PointConfig, q, dps: int):
+    """pi * q * prod_pq (1 + D_pq) at ``dps`` digits: the cleared form of
+    ``config``, whose kernel form is ``q`` and distance matrix D."""
+    with mp.workdps(dps):
+        x = np.array([_as_mpf(p) for p in config.points], dtype=object)
+        return mp.pi * q * math.prod((1 + distance_matrix(params, x, x)).flat)
+
+
 def cleared_form_value(params: KernelParams, w: WitnessConfig, z, dps: int):
-    """Evaluate f(z) directly from the product form, without expansion, in
-    mpmath at ``dps`` digits: at small z the terms cancel heavily (see
-    :func:`find_negative_scale`).
-    """
+    """f(z) = pi Q prod_pq (1 + D_pq) in mpmath at ``dps`` digits, with Q
+    the :func:`~kpd.kernel.form_enclosure` value and D the distance matrix
+    of the points y_j sqrt(z) and coefficients c_j; no expansion.  At small
+    z the form cancels heavily (see :func:`find_negative_scale`)."""
     if not (float(z) > 0):
         raise DomainError(f"z must be > 0, got {z!r}")
     _check_dps(dps)
     with mp.workdps(dps):
-        A, B = _pair_data(params, w)
-        zv = _as_mpf(z)
-        zt = zv ** _as_mpf(params.t)
-        factors = {pq: 1 + _as_mpf(A[pq]) * zv + B[pq] * zt for pq in A}
-        full = math.prod(factors.values())
-        return mp.fsum(
-            _as_mpf((1 if j == k else 2) * w.c[j] * w.c[k]) * (full / factors[(j, k)])
-            for j in range(w.n)
-            for k in range(j, w.n)
-        )
+        root = mp.sqrt(_as_mpf(z))
+        config = PointConfig(tuple(_as_mpf(yj) * root for yj in w.y), w.c)
+    return _clear(params, config, form_enclosure(params, config, dps)[0], dps)
 
 
 def t_power_coefficient(params: KernelParams, w: WitnessConfig, dps: int):
@@ -335,8 +343,8 @@ def predict_t_coefficient_sign(t: float) -> Literal["nonnegative", "nonpositive"
 @dataclass(frozen=True, eq=False)
 class NegativeScaleCertificate(Certificate):
     """The certificate of the witness points scaled by sqrt(z), with the
-    kernel form and its error bound at the scan's ``dps`` digits, plus
-    f(z) < 0 at the same precision -- an end-to-end non-PD certificate."""
+    kernel form and its error bound at ``dps`` digits, plus the cleared
+    form f(z) < 0 made from it -- an end-to-end non-PD certificate."""
 
     z: float
     f_value: mp.mpf
@@ -353,11 +361,14 @@ def find_negative_scale(
     negative (checked).  At z = 4^-m the points y_j sqrt(z) are the exact
     dyadic Fractions y_j / 2^m, so one configuration serves every
     precision, and :func:`~kpd.kernel.certify_negative` certifies its
-    kernel form, from ``dps_start`` digits after binary64; a z it does not
-    certify is skipped, not trusted.  A sign that binary64 settles
-    is still reported with the form's ``dps_start``-digit enclosure.  The
-    kernel form equals f(z) / (pi prod_pq (1 + D_pq)), so the cleared form
-    f(z), evaluated once at the end, must agree in sign.
+    kernel form Q, from ``dps_start`` digits after binary64; a z it does
+    not certify is skipped, not trusted.  The certificate keeps that
+    enclosure if it is mpmath, at ``dps_start`` digits or more, with a
+    bound of at most 1e-15 |Q|; else it encloses Q once more at
+    min(DPS_CAP, max(dps_start, 2 dps)) digits, where the bound is about
+    10^-dps smaller, so its ``dps`` can exceed the certifying digits.  Its
+    f(z) = pi Q prod_pq (1 + D_pq), D the distance matrix of the same
+    points, has Q's certified sign.
     """
     if not (kappa < 0):
         raise PreconditionError(
@@ -370,17 +381,11 @@ def find_negative_scale(
         if cert is None:
             continue
         value, bound, dps = cert.value, cert.error_bound, cert.dps
-        if isinstance(value, float):  # the binary64 stage settled it
-            dps = dps_start
+        if not (isinstance(value, mp.mpf) and dps >= dps_start and bound <= 1e-15 * abs(value)):
+            dps = min(DPS_CAP, max(dps_start, 2 * dps))
             value, bound = form_enclosure(params, config, dps)
-        z = 4.0**-m
-        f_value = cleared_form_value(params, w, z, dps)
-        if not (f_value < 0 and value + bound < 0):
-            raise ToleranceError(
-                f"internal disagreement at z=4^-{m}: kernel form {mp.nstr(value, 8)} "
-                f"+- {mp.nstr(bound, 3)} but f={mp.nstr(f_value, 8)} (dps={dps})"
-            )
-        return NegativeScaleCertificate(config, value, bound, dps, z, f_value)
+        f_value = _clear(params, config, value, dps)
+        return NegativeScaleCertificate(config, value, bound, dps, 4.0**-m, f_value)
     raise ToleranceError(
         f"no negative value found for z down to 4^-{SCAN_STEPS} with up to "
         f"{DPS_CAP} digits"

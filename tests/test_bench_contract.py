@@ -121,7 +121,7 @@ def _claims(payload):
             yield report["verdict"] == "NEGATIVE_FOUND", report["certificate"]
 
 
-@pytest.mark.parametrize("workload", ["spectral-sweep", "witness-certify"])
+@pytest.mark.parametrize("workload", sorted(jobs.WORKLOADS))
 def test_round_passes_the_benchmark_checks(workload, tmp_path, capsys):
     # every job of the seed-1 round, held to the checks the benchmark applies
     # to its records; a record with certificates must replay CONFIRMED, and
@@ -142,3 +142,16 @@ def test_round_passes_the_benchmark_checks(workload, tmp_path, capsys):
             assert negative == (certificate is not None), op["argv"]
             seen.add(negative)
     assert seen == {True, False}
+
+
+def test_witness_record_holds_its_digits(tmp_path, capsys):
+    # the scan certifies this form's sign at 50 digits with a bound of 0.77
+    # |Q|; the record's value and q_value come from the form enclosed again
+    # at 100 digits, so they pass the benchmark's 1e-8 relative checks
+    path = tmp_path / "witness.json"
+    assert main(["witness", "--t", "3.70308", "--a", "0.0168", "--out", str(path)]) == 0
+    capsys.readouterr()
+    record = json.loads(path.read_text())
+    assert checks.check_record(record, {"floor": "odd"}) == []
+    assert record["payload"]["certificate"]["dps_used"] == 100
+    assert verify_certificate(str(path))["verdict"] == "CONFIRMED"

@@ -7,12 +7,13 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kpd.cli
 import kpd.witness
 from kpd.cli import RunConfig, main, run, verify_certificate
 from kpd.errors import KpdError
-from kpd.kernel import DPS_CAP, KernelParams, PointConfig, resolve_form_sign
+from kpd.kernel import DPS_CAP, KernelParams, PointConfig, form_enclosure, resolve_form_sign
 
 
 def run_cli(capsys, *argv):
@@ -211,6 +212,29 @@ class TestWitnessCommand:
         assert json.loads(out)["payload"]["negativity"] == "certified"
         assert len(calls) == 1
 
+    @given(
+        floor=st.sampled_from([1, 3]),
+        frac=st.floats(0.05, 0.95),
+        log_a=st.floats(math.log(0.01), math.log(13.0)),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_stored_values_hold_their_digits(self, floor, frac, log_a):
+        # value (f) and q_value (Q) as written agree with both forms
+        # evaluated 40 digits beyond the record's dps_used
+        t, a = floor + frac, math.exp(log_a)
+        cert = run(RunConfig(command="witness", params={"t": t, "a": a})).payload["certificate"]
+        params, dps = KernelParams(t, a), cert["dps_used"] + 40
+        config = PointConfig(
+            tuple(Fraction(p) for p in cert["points"]), tuple(Fraction(c) for c in cert["coeffs"])
+        )
+        q, _ = form_enclosure(params, config, dps)
+        f = kpd.witness.cleared_form_value(
+            params, kpd.witness.build_binomial_witness(floor), float(cert["z"]), dps
+        )
+        with mp.workdps(dps):
+            for stored, want in ((cert["q_value"], q), (cert["value"], f)):
+                assert abs(mp.mpf(stored) - want) <= mp.mpf("1e-12") * abs(want), (t, a)
+
     def test_even_integer_part_is_inconclusive(self, capsys):
         code, out = run_cli(capsys, "witness", "--t", "2.5", "--a", "1")
         payload = json.loads(out)["payload"]
@@ -281,17 +305,6 @@ class TestStrictJson:
         assert node["f64"] is None
         assert node["dec"] == dec
 
-    def test_error_row_is_null_in_json_and_nan_in_csv(self, capsys):
-        argv = ("sweep", "--a-grid", "-2", "--nodes", "16", "--half-width", "6")
-        code, out = run_cli(capsys, *argv)
-        assert code == 0
-        (row,) = strict_json(out)["payload"]["rows"]
-        assert row["verdict"] == "ERROR"
-        assert row["min_eigenvalue"] == {"dec": "nan", "f64": None}
-        code, out = run_cli(capsys, *argv, "--format", "csv")
-        assert code == 0
-        assert out.strip().splitlines()[1] == "2.0,-2.0,-1,0,0.0,nan,ERROR"
-
 
 class TestSweepCommand:
     def test_csv_schema(self, capsys):
@@ -350,20 +363,35 @@ class TestSweepCommand:
             else:
                 assert rep["certificate"] is None
 
-    def test_sweep_survives_bad_point(self, capsys):
-        code, out = run_cli(
-            capsys, "sweep", "--a-grid", "1,-2,13", "--nodes", "16,32", "--half-width", "6"
-        )
-        assert code == 0
-        payload = json.loads(out)["payload"]
-        good, bad, above = payload["reports"]
-        assert "levels" in good and "levels" in above
-        assert bad["error"].startswith("DomainError(") and bad["certificate"] is None
-        verdicts = [(row["a"], row["verdict"]) for row in payload["rows"]]
-        assert verdicts == [
-            (1.0, ""), (1.0, good["verdict"]), (-2.0, "ERROR"), (13.0, ""),
-            (13.0, "NEGATIVE_FOUND"),
-        ]
+    def test_bad_weight_fails_the_run(self, capsys, tmp_path):
+        # one invalid weight ends the sweep as it ends kpd spectrum: exit 3,
+        # the error on stderr, no record on stdout or in --out
+        out_path = tmp_path / "sweep.json"
+        argv = ["sweep", "--a-grid", "1,-2,13", "--nodes", "16,32", "--half-width", "6"]
+        code = main(argv + ["--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error [DomainError]: a must be > 0")
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--a-grid", "-2", "--nodes", "16", "--half-width", "6"),
+            ("--a-grid", "0,1", "--nodes", "16"),
+            ("--half-width", "-1", "--nodes", "16"),
+            ("--t", "-1", "--nodes", "16"),
+        ],
+        ids=["a-negative", "a-zero", "half-width", "t"],
+    )
+    def test_invalid_input_writes_no_rows(self, capsys, argv, fmt):
+        code = main(["sweep", *argv, "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error [DomainError]:")
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(params, node_counts, half_width):
