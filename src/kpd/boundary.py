@@ -33,18 +33,6 @@ from .errors import DomainError
 from .kernel import Certificate, KernelParams
 from .definiteness import pd_check
 
-__all__ = [
-    "BoundaryReport",
-    "SchwarzSearchResult",
-    "schwarz_margin",
-    "schwarz_margin_exact",
-    "critical_weight",
-    "tangency_z",
-    "threshold_weight",
-    "boundary_report",
-    "find_schwarz_violation",
-]
-
 # 2^(t^2 - 1) grows too fast for floats well before this cap bites.
 T_CAP = 30.0
 # The size of the violation search's log-spaced margin scan over

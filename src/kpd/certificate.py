@@ -102,7 +102,7 @@ def verify_certificate(record_path: str) -> dict:
         payload = record["payload"]
         # records before the config became {command, params} kept it at the top
         cnd_tolerance = float(cmd_params.get("tolerance", record["config"].get("tolerance", 0)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise KpdError(f"record at {record_path} has no valid config/payload: {exc!r}") from exc
     certificates = _find_certificates(payload)
     if not certificates:

@@ -178,7 +178,6 @@ def _cmd_gram(cfg: RunConfig) -> dict:
     points = _parse_floats(p["points"])
     verdict = pd_check(params, points, tolerance=p["tolerance"])
     return {
-        "schema": SCHEMA_VERSION,
         "t": _num(params.t),
         "a": _num(params.a),
         "points": [_num(x) for x in points],
@@ -195,7 +194,6 @@ def _cmd_cnd(cfg: RunConfig) -> dict:
     verdict = cnd_check(params, config, tolerance=p["tolerance"])
     s = verdict.statistic  # negated exactly, as cnd_check does
     return {
-        "schema": SCHEMA_VERSION,
         "t": _num(params.t),
         "a": _num(params.a),
         "cnd": _verdict_dict(verdict),
@@ -208,7 +206,6 @@ def _cmd_boundary(cfg: RunConfig) -> dict:
     p = cfg.params
     report = boundary_report(p["t"])
     payload = {
-        "schema": SCHEMA_VERSION,
         "t": _num(report.t),
         "z_tangent": _num(report.z_tangent),
         "a_threshold": _num(report.a_threshold),
@@ -244,7 +241,6 @@ def _cmd_witness(cfg: RunConfig) -> dict:
     kappa = t_power_coefficient(params, w, dps=SERIES_DPS)
     sign = predict_t_coefficient_sign(params.t)
     payload = {
-        "schema": SCHEMA_VERSION,
         "t": _num(params.t),
         "a": _num(params.a),
         "witness": {
@@ -313,7 +309,6 @@ def _cmd_identities(cfg: RunConfig) -> dict:
             if m_val != 0:
                 moment_failures.append({"order": order, "ell": ell})
     return {
-        "schema": SCHEMA_VERSION,
         "inputs_sha256": inputs.hexdigest(),
         "subset_identity": {"cases": subset_cases, "failures": subset_failures},
         "difference_power_sums": {"cases": diff_cases, "failures": diff_failures},
@@ -340,7 +335,6 @@ def _cmd_fracpow(cfg: RunConfig) -> dict:
             }
         )
     return {
-        "schema": SCHEMA_VERSION,
         "tol": _num(tol),
         "entries": entries,
         "failures": [[repr(w), s, msg] for (w, s, msg) in report.failures],
@@ -378,7 +372,6 @@ def _cmd_spectrum(cfg: RunConfig) -> dict:
     params = KernelParams(t=p["t"], a=p["a"])
     report = min_operator_eigenvalue(params, p["nodes"], p["half_width"])
     return {
-        "schema": SCHEMA_VERSION,
         "t": _num(params.t),
         "a": _num(params.a),
         **_report_dict(report),
@@ -399,7 +392,7 @@ def _cmd_sweep(cfg: RunConfig) -> dict:
             rows.append(dict(zip(CSV_HEADER, (t, a, i, n, L, _num(me), verdict))))
         # the open region of t = 2 is 0 < a <= a_threshold(2) = 12
         reports.append({"a": a, "control": not (0.0 < a <= 12.0), **_report_dict(report)})
-    return {"schema": SCHEMA_VERSION, "t": _num(t), "rows": rows, "reports": reports}
+    return {"t": _num(t), "rows": rows, "reports": reports}
 
 
 _COMMANDS = {
@@ -419,7 +412,7 @@ def run(config: RunConfig) -> RunRecord:
     if config.command not in _COMMANDS:
         raise KpdError(f"unknown command {config.command!r}")
     start = time.perf_counter()
-    payload = _COMMANDS[config.command](config)
+    payload = {"schema": SCHEMA_VERSION, **_COMMANDS[config.command](config)}
     wall_ms = (time.perf_counter() - start) * 1000.0
     return RunRecord(
         config=config,

@@ -19,8 +19,6 @@ from .errors import EigensolverError, DomainError, PreconditionError
 from .kernel import Certificate, KernelParams, PointConfig, certify_negative, kernel_matrix
 from .kernel import resolve_form_sign
 
-__all__ = ["DefinitenessVerdict", "pd_check", "cnd_check"]
-
 
 @dataclass(frozen=True)
 class DefinitenessVerdict:

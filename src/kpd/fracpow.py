@@ -32,17 +32,6 @@ from dataclasses import dataclass
 from .errors import DomainError, ToleranceError
 from .quadrature import adaptive_quad
 
-__all__ = [
-    "FracPowerParams",
-    "split_power",
-    "rising_factorial",
-    "integral_power",
-    "integrand_l1_norm",
-    "l1_bound_constant",
-    "validate_representation",
-    "ValidationReport",
-]
-
 INTEGER_GAP = 1e-9
 MAX_POWER = 30.0
 # Step of the forward difference in validate_representation's derivative check.

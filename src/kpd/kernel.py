@@ -38,21 +38,6 @@ from mpmath import libmp
 
 from .errors import DomainError, ToleranceError
 
-__all__ = [
-    "KernelParams",
-    "PointConfig",
-    "Certificate",
-    "nonneg_power",
-    "eval_kernel",
-    "distance_form",
-    "distance_matrix",
-    "kernel_matrix",
-    "form_enclosure",
-    "quadratic_form",
-    "resolve_form_sign",
-    "certify_negative",
-]
-
 UNIT_ROUNDOFF = 2.0**-53
 # The precision cap, in decimal digits, of resolve_form_sign, the one
 # escalation in kpd (the witness scan and kpd verify run through it), and the
@@ -188,8 +173,10 @@ def kernel_matrix(params: KernelParams, x, y) -> np.ndarray:
     Bit-symmetric: swapping x and y gives the transpose exactly."""
     d = distance_matrix(params, x, y)
     # the array goes left: mpf * ndarray would first try to convert the
-    # whole array through its repr
-    return 1 / ((1 + d) * (+mp.pi if d.dtype == object else np.pi))
+    # whole array through its repr; a finite d near the binary64 maximum
+    # overflows to inf, whose entry is 0 as in distance_matrix
+    with np.errstate(over="ignore"):
+        return 1 / ((1 + d) * (+mp.pi if d.dtype == object else np.pi))
 
 
 def _gamma(k, u=UNIT_ROUNDOFF):

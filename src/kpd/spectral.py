@@ -29,16 +29,6 @@ from .errors import DomainError, EigensolverError
 from .kernel import Certificate, KernelParams, PointConfig, certify_negative, kernel_matrix
 from .quadrature import composite_rule
 
-__all__ = [
-    "SpectralReport",
-    "build_scheme",
-    "nystrom_matrix",
-    "certify_negative_direction",
-    "min_operator_eigenvalue",
-    "NEGATIVE_FOUND",
-    "NO_NEGATIVE_AT_RESOLUTION",
-]
-
 NEGATIVE_FOUND = "NEGATIVE_FOUND"
 NO_NEGATIVE_AT_RESOLUTION = "NO_NEGATIVE_AT_RESOLUTION"
 

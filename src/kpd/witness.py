@@ -59,22 +59,6 @@ from .kernel import (
     form_enclosure,
 )
 
-__all__ = [
-    "WitnessConfig",
-    "ExponentKey",
-    "PowerSeries",
-    "NegativeScaleCertificate",
-    "build_binomial_witness",
-    "check_moments",
-    "cleared_form_series",
-    "cleared_form_value",
-    "t_power_coefficient",
-    "predict_t_coefficient_sign",
-    "find_negative_scale",
-    "subset_product_identity",
-    "difference_power_sum",
-]
-
 # The series expansion's cost grows about as n^6 (2n^2 trinomial multiplies
 # over O(n^4) keys).  At 50 digits on a 2-vCPU Xeon, in Python integer
 # arithmetic, it takes 0.1 s for n = 7 and 0.3 s for n = 8 (best of three,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kpd import PointConfig
+from kpd.kernel import PointConfig
 
 
 @pytest.fixture

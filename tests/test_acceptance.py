@@ -11,30 +11,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kpd import (
-    KernelParams,
-    NEGATIVE_FOUND,
-    NO_NEGATIVE_AT_RESOLUTION,
+from kpd.boundary import find_schwarz_violation, schwarz_margin_exact
+from kpd.cli import main
+from kpd.definiteness import cnd_check, pd_check
+from kpd.fracpow import integrand_l1_norm, l1_bound_constant, split_power, validate_representation
+from kpd.kernel import KernelParams, resolve_form_sign
+from kpd.spectral import NEGATIVE_FOUND, NO_NEGATIVE_AT_RESOLUTION, min_operator_eigenvalue
+from kpd.witness import (
     build_binomial_witness,
     check_moments,
     cleared_form_series,
-    cnd_check,
     difference_power_sum,
     find_negative_scale,
-    find_schwarz_violation,
-    integrand_l1_norm,
-    l1_bound_constant,
-    min_operator_eigenvalue,
-    pd_check,
     predict_t_coefficient_sign,
-    resolve_form_sign,
-    schwarz_margin_exact,
-    split_power,
     subset_product_identity,
     t_power_coefficient,
-    validate_representation,
 )
-from kpd.cli import main
 
 
 class _Stopwatch:

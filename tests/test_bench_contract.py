@@ -12,8 +12,9 @@ from dataclasses import asdict
 
 import pytest
 
-from kpd import KernelParams, build_binomial_witness, cleared_form_series
 from kpd.cli import _build_parser, _config_from_args, main, verify_certificate
+from kpd.kernel import KernelParams
+from kpd.witness import build_binomial_witness, cleared_form_series
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 

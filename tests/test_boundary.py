@@ -4,20 +4,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kpd import (
-    DomainError,
-    KernelParams,
+from kpd.boundary import (
     boundary_report,
     critical_weight,
     find_schwarz_violation,
-    pd_check,
-    quadratic_form,
-    resolve_form_sign,
     schwarz_margin,
     schwarz_margin_exact,
     tangency_z,
     threshold_weight,
 )
+from kpd.definiteness import pd_check
+from kpd.errors import DomainError
+from kpd.kernel import KernelParams, quadratic_form, resolve_form_sign
 
 
 class TestMargin:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -103,6 +106,18 @@ class TestReplay:
     def test_cli_replays_through_this_module(self):
         # the benchmark's tracer wraps kpd.cli.verify_certificate by name
         assert kpd.cli.verify_certificate is kpd.certificate.verify_certificate
+
+    def test_replay_modules_load_no_command_module(self):
+        # a fresh interpreter: this one has imported every kpd module
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        code = "import sys, kpd.kernel, kpd.certificate; print(*sorted(sys.modules))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        others = ("spectral", "fracpow", "boundary", "witness", "definiteness", "quadrature")
+        loaded = {f"kpd.{m}" for m in others} & set(proc.stdout.split())
+        assert not loaded
 
 
 class TestWitnessRecord:

@@ -600,6 +600,22 @@ class TestVerify:
         assert code == 3
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("params", [[1], "x", 5], ids=["list", "str", "int"])
+    def test_params_not_an_object_errors(self, capsys, tmp_path, params):
+        rec = tmp_path / "p.json"
+        argv = ["gram", "--t", "3", "--a", "5", "--points", "0.3,0,-0.3,0.6"]
+        assert main(argv + ["--out", str(rec)]) == 0
+        capsys.readouterr()
+        record = json.loads(rec.read_text())
+        record["config"]["params"] = params
+        rec.write_text(json.dumps(record))
+        with pytest.raises(KpdError, match="no valid config/payload"):
+            verify_certificate(str(rec))
+        code = main(["verify", str(rec)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error: ")
+
     def test_cnd_tolerance_read_from_params_or_old_top_level(self, capsys, tmp_path):
         # the form of this certificate is 21328
         rec = tmp_path / "c.json"

@@ -7,17 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import libmp
 
-from kpd import (
-    DomainError,
-    KernelParams,
-    PointConfig,
-    PreconditionError,
-    cnd_check,
-    distance_form,
-    kernel_matrix,
-    pd_check,
-    quadratic_form,
-)
+from kpd.definiteness import cnd_check, pd_check
+from kpd.errors import DomainError, PreconditionError
+from kpd.kernel import KernelParams, PointConfig, distance_form, kernel_matrix, quadratic_form
 
 INV_PI = 1.0 / math.pi
 

@@ -6,9 +6,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 import kpd.fracpow
 import kpd.quadrature
-from kpd import (
-    DomainError,
-    ToleranceError,
+from kpd.errors import DomainError, ToleranceError
+from kpd.fracpow import (
+    DERIVATIVE_STEP,
+    INTEGER_GAP,
+    _taylor_remainder,
     integral_power,
     integrand_l1_norm,
     l1_bound_constant,
@@ -16,7 +18,6 @@ from kpd import (
     split_power,
     validate_representation,
 )
-from kpd.fracpow import DERIVATIVE_STEP, INTEGER_GAP, _taylor_remainder
 from kpd.quadrature import adaptive_quad, fixed_quad
 
 GRID_S = (0.5, 1.5, 2.5, 3.7)

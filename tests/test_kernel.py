@@ -6,28 +6,23 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kpd import (
+from kpd.definiteness import cnd_check, pd_check
+from kpd.errors import DomainError, ToleranceError
+from kpd.kernel import (
     Certificate,
-    DomainError,
     KernelParams,
     PointConfig,
-    ToleranceError,
-    certify_negative,
-    cnd_check,
-    distance_form,
-    eval_kernel,
-    kernel_matrix,
-    nonneg_power,
-    pd_check,
-    quadratic_form,
-    resolve_form_sign,
-)
-from kpd.kernel import (
     _as_mpf,
     _form_and_bound,
+    certify_negative,
+    distance_form,
     distance_matrix,
+    eval_kernel,
     form_enclosure,
     kernel_matrix,
+    nonneg_power,
+    quadratic_form,
+    resolve_form_sign,
 )
 
 INV_PI = 1.0 / math.pi
@@ -171,6 +166,11 @@ class TestGramMatrix:
         g = kernel_matrix(params, pts, pts)
         assert np.array_equal(g, g.T)
         assert np.all(np.diag(g) > 0)
+
+    def test_entry_beyond_binary64_is_zero_without_warning(self):
+        # d(0, 1e154) = 1e308 + 1e154 is finite, pi (1 + d) is not; the
+        # entry is the limit 0, under pyproject's error::RuntimeWarning:kpd
+        assert kernel_matrix(KernelParams(0.5, 1.0), [0.0], [1e154])[0, 0] == 0.0
 
     def test_vectorized_matches_scalar(self):
         params = KernelParams(1.7, 0.3)

@@ -4,23 +4,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kpd import (
-    DomainError,
-    KernelParams,
+import kpd.spectral
+from kpd.errors import DomainError
+from kpd.kernel import KernelParams, quadratic_form
+from kpd.quadrature import PANEL_DEGREE, composite_rule, mapped_rule
+from kpd.spectral import (
+    COEFF_QUANTUM,
     NEGATIVE_FOUND,
     NO_NEGATIVE_AT_RESOLUTION,
+    SEARCH_MAX_POINTS,
+    _nystrom_spectrum,
     build_scheme,
     certify_negative_direction,
     min_operator_eigenvalue,
     nystrom_matrix,
-    quadratic_form,
-)
-import kpd.spectral
-from kpd.quadrature import PANEL_DEGREE, composite_rule, mapped_rule
-from kpd.spectral import (
-    COEFF_QUANTUM,
-    SEARCH_MAX_POINTS,
-    _nystrom_spectrum,
     truncation_tail_bound,
 )
 

@@ -9,12 +9,12 @@ import pytest
 
 import kpd.kernel
 import kpd.witness
-from kpd import (
-    Certificate,
-    DomainError,
-    KernelParams,
-    PreconditionError,
-    SizeCapError,
+from kpd.errors import DomainError, PreconditionError, SizeCapError
+from kpd.kernel import Certificate, KernelParams, _as_mpf, form_enclosure, quadratic_form
+from kpd.witness import (
+    SERIES_DPS,
+    WitnessConfig,
+    _pair_data,
     build_binomial_witness,
     check_moments,
     cleared_form_series,
@@ -22,13 +22,9 @@ from kpd import (
     difference_power_sum,
     find_negative_scale,
     predict_t_coefficient_sign,
-    quadratic_form,
     subset_product_identity,
     t_power_coefficient,
-    WitnessConfig,
 )
-from kpd.kernel import _as_mpf, form_enclosure
-from kpd.witness import SERIES_DPS, _pair_data
 
 # 9-term direct sum, our long-standing oracle for the T=1, t=1.5, a=1 case
 KAPPA_T15 = -(-4.0 + 2.0 * 4.0**1.5 + 4.0 * 2.0**1.5 - 4.0 * 5.0**1.5 + 8.0**1.5)
