@@ -16,9 +16,9 @@ form) and ``dps_used``, and store the cleared form f(z) as ``value``.
 
 Each kind claims a side of a threshold (``CLAIMS``): the kernel form of a
 gram, g or f certificate is below 0, the distance form of a cnd
-certificate above the record's tolerance.  :func:`verify_certificate`
-replays the stored points and coefficients as exact rationals and checks
-that claim.
+certificate, whose coefficients must sum to zero, above the record's
+tolerance.  :func:`verify_certificate` reads the stored numbers back with
+:func:`_read`, replays their form and checks that claim.
 """
 
 import json
@@ -27,8 +27,9 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .errors import KpdError, ToleranceError
-from .kernel import DPS_CAP, Certificate, KernelParams, PointConfig, resolve_form_sign
+from .errors import KpdError, PreconditionError, ToleranceError
+from .kernel import DPS_CAP, Certificate, KernelParams, PointConfig, check_zero_sum
+from .kernel import resolve_form_sign
 
 # kind -> (distance form?, side of the threshold it claims)
 CLAIMS = {"gram": (False, -1), "g": (False, -1), "f": (False, -1), "cnd": (True, 1)}
@@ -67,6 +68,13 @@ def encode(kind: str, cert: Certificate | None, **provenance) -> dict | None:
     }
 
 
+def _read(text) -> float | Fraction:
+    """A stored number: a float's shortest ``repr`` reads back as that
+    float, anything else as the exact rational it spells."""
+    exact = Fraction(text)
+    return float(exact) if repr(float(exact)) == text else exact
+
+
 def _find_certificates(node, path="payload"):
     found = []
     if isinstance(node, dict):
@@ -88,12 +96,13 @@ def verify_certificate(record_path: str) -> dict:
     :func:`~kpd.kernel.resolve_form_sign` (binary64 first, then mpmath from
     the certificate's ``dps_used``, or 50 digits).  A certificate is
     CONFIRMED when both its stored value and the replay make its kind's
-    claim, MISMATCH when either contradicts it, and UNRESOLVED when the
-    stored value makes the claim but no precision up to the cap separates
-    the replay from the threshold.  The record's verdict is the first of
-    MISMATCH, UNRESOLVED and CONFIRMED that any certificate has.  A
-    malformed certificate, or a ``dps_used`` outside [15, DPS_CAP], raises
-    KpdError.
+    claim, MISMATCH when either contradicts it or a cnd certificate's
+    coefficients fail :func:`~kpd.kernel.check_zero_sum`, and UNRESOLVED
+    when the stored value makes the claim but no precision up to the cap
+    separates the replay from the threshold.  The record's verdict is the
+    first of MISMATCH, UNRESOLVED and CONFIRMED that any certificate has.
+    A malformed certificate, or a ``dps_used`` outside [15, DPS_CAP],
+    raises KpdError.
     """
     with open(record_path, "r", encoding="utf-8") as fh:
         record = json.load(fh)
@@ -118,8 +127,7 @@ def verify_certificate(record_path: str) -> dict:
         try:
             params = KernelParams(t=float(t), a=float(a))
             config = PointConfig(
-                tuple(Fraction(p) for p in cert["points"]),
-                tuple(Fraction(c) for c in cert["coeffs"]),
+                tuple(map(_read, cert["points"])), tuple(map(_read, cert["coeffs"]))
             )
             stored = mp.mpf(cert["value"])  # only its sign and magnitude matter
             dps_start = int(cert.get("dps_used", 50))
@@ -130,11 +138,15 @@ def verify_certificate(record_path: str) -> dict:
         distance, side = CLAIMS[cert["kind"]]
         threshold = cnd_tolerance if distance else 0.0
         try:
+            if distance:
+                check_zero_sum(config.coeffs)
             replayed, _, _ = resolve_form_sign(
                 params, config, dps_start, distance=distance, threshold=threshold
             )
         except ToleranceError:
             replayed = None
+        except PreconditionError:
+            replayed = math.nan  # a claim on no side: MISMATCH
         if not all(side * (v - threshold) > 0 for v in (stored, replayed) if v is not None):
             verdict = "MISMATCH"
         else:

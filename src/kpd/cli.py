@@ -238,7 +238,7 @@ def _cmd_witness(cfg: RunConfig) -> dict:
     order = math.floor(params.t)
     w = build_binomial_witness(order)
     moments = check_moments(w, order)
-    kappa = t_power_coefficient(params, w, dps=SERIES_DPS)
+    kappa = t_power_coefficient(params, w)
     sign = predict_t_coefficient_sign(params.t)
     payload = {
         "t": _num(params.t),
@@ -286,7 +286,7 @@ def _cmd_identities(cfg: RunConfig) -> dict:
                 inputs.update((",".join(map(str, y)) + ";").encode())
                 for j in range(n):
                     for k in range(n):
-                        lhs, rhs = subset_product_identity(n, m, j, k, y)
+                        lhs, rhs = subset_product_identity(m, j, k, y)
                         subset_cases += 1
                         if lhs != rhs:
                             subset_failures.append(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import EigensolverError, DomainError, PreconditionError
 from .kernel import Certificate, KernelParams, PointConfig, certify_negative, kernel_matrix
-from .kernel import resolve_form_sign
+from .kernel import check_zero_sum, resolve_form_sign
 
 
 @dataclass(frozen=True)
@@ -80,24 +80,15 @@ def cnd_check(
 ) -> DefinitenessVerdict:
     """PASS iff the zero-sum quadratic form of the distance form is <= tolerance.
 
-    Preconditions: n >= 2 and sum(c) = 0 to within 1e-12 of the
-    coefficient scale.  The side of the tolerance is decided by
-    :func:`~kpd.kernel.resolve_form_sign`, whose error enclosure must
-    exclude it; a form it cannot separate from the tolerance raises
-    ToleranceError.
+    Preconditions: n >= 2 and zero-sum coefficients, as
+    :func:`~kpd.kernel.check_zero_sum` states them.  The side of the
+    tolerance is decided by :func:`~kpd.kernel.resolve_form_sign`, whose
+    error enclosure must exclude it; a form it cannot separate from the
+    tolerance raises ToleranceError.
     """
     if config.n < 2:
         raise PreconditionError("cnd_check needs at least two points")
-    _, c = config.as_float_arrays()
-    coeff_scale = float(np.sum(np.abs(c)))
-    if coeff_scale == 0.0:
-        coeff_sum = 0.0
-    else:
-        coeff_sum = abs(math.fsum(c)) / coeff_scale
-    if coeff_sum > 1e-12:
-        raise PreconditionError(
-            f"coefficients must sum to zero (relative residual {coeff_sum:.3e})"
-        )
+    check_zero_sum(config.coeffs)
     if not 0 <= tolerance < math.inf:
         raise DomainError(f"tolerance must be finite and >= 0, got {tolerance}")
     value, dps, bound = resolve_form_sign(params, config, distance=True, threshold=tolerance)

@@ -30,13 +30,14 @@ Conventions
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from numbers import Rational
 
 import mpmath as mp
 import numpy as np
 from mpmath import libmp
 
-from .errors import DomainError, ToleranceError
+from .errors import DomainError, PreconditionError, ToleranceError
 
 UNIT_ROUNDOFF = 2.0**-53
 # The precision cap, in decimal digits, of resolve_form_sign, the one
@@ -160,10 +161,10 @@ def distance_matrix(params: KernelParams, x, y) -> np.ndarray:
     give stacks of matrices.  Object arrays of mpfs evaluate in mpmath at
     the working precision, anything else in binary64."""
     x, y = _grid(x)[..., :, None], _grid(y)[..., None, :]
-    diff = x - y
-    # At large t the binary64 power overflows to inf on purpose: inf is the
-    # right limit, as the kernel entry 1 / (pi (1 + d)) becomes 0.
+    # At large t or |x - y| the binary64 result overflows to inf on purpose:
+    # inf is the right limit, as the kernel entry 1 / (pi (1 + d)) becomes 0.
     with np.errstate(over="ignore"):
+        diff = x - y
         return diff * diff + params.a * np.power(x * x + y * y, params.t)
 
 
@@ -339,6 +340,18 @@ def resolve_form_sign(
                 f"{mp.nstr(bound, 3)} of {threshold} at dps {dps}"
             )
         dps = dps_start if dps is None else min(2 * dps, DPS_CAP)
+
+
+def check_zero_sum(coeffs) -> None:
+    """Raise PreconditionError unless |sum c| <= 1e-12 sum |c| in exact
+    rationals: the zero-sum precondition of a distance-form (CND) claim."""
+    c = [Fraction(*libmp.to_rational(v._mpf_)) if isinstance(v, mp.mpf) else Fraction(v)
+         for v in coeffs]
+    residual, scale = abs(sum(c)), sum(map(abs, c))
+    if residual > scale / 10**12:
+        raise PreconditionError(
+            f"coefficients must sum to zero (relative residual {float(residual / scale):.3e})"
+        )
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,8 +22,8 @@ witness that the kernel is not positive-definite, for every a > 0.
 
 The series expansion keeps coefficients of pure integer powers as exact
 Fractions (the cancellation is an exact statement, not an approximate
-one), while coefficients involving z^t carry mpmath values at a
-configurable working precision.  The expansion runs in exact integers,
+one), while coefficients involving z^t carry mpmath values at
+``SERIES_DPS`` digits.  The expansion runs in exact integers,
 so each of those is the exact expansion at the mpf B_pq rounded once;
 the B_pq's own roundings are the only other error.  At small z the
 kernel form is dominated by cancellation.  The certificate search
@@ -68,6 +68,7 @@ SERIES_DPS = 50
 INTEGER_GAP = 1e-9
 # The witness scan tries z = 4^-m for m = 1..SCAN_STEPS.
 SCAN_STEPS = 100
+SUBSET_CAP = 2_000_000
 
 
 def _as_fraction(v) -> Fraction:
@@ -87,11 +88,6 @@ def _check_noninteger_t(t: float) -> int:
             "machinery requires a fractional part"
         )
     return int(math.floor(t))
-
-
-def _check_dps(dps) -> None:
-    if not isinstance(dps, int) or dps < 1:
-        raise DomainError(f"dps must be an integer >= 1, got {dps!r}")
 
 
 @dataclass(frozen=True)
@@ -114,10 +110,7 @@ class WitnessConfig:
         object.__setattr__(self, "c", c)
         if len(y) != len(c) or not y:
             raise DomainError("y and c must be nonempty and of equal length")
-        if self.moment_order < 0:
-            raise DomainError("moment_order must be >= 0")
-        for ell in range(self.moment_order + 1):
-            m = sum(cj * yj**ell for cj, yj in zip(c, y))
+        for ell, m in enumerate(check_moments(self, self.moment_order)):
             if m != 0:
                 raise PreconditionError(
                     f"moment l={ell} is {m}, not 0: not a valid witness"
@@ -199,20 +192,17 @@ class PowerSeries:
     """The expansion of the cleared form in powers z^(i + j*t).
 
     Coefficients of keys with j = 0 are exact Fractions; the rest are
-    mpmath floats at the precision used to build the series.  Zero
-    coefficients are not stored.
+    mpmath floats at ``SERIES_DPS`` digits.  Zero coefficients are not
+    stored.
     """
 
     terms: dict
-    dps: int
 
     def coefficient(self, i: int, j: int):
         return self.terms.get(ExponentKey(i, j), Fraction(0))
 
 
-def cleared_form_series(
-    params: KernelParams, w: WitnessConfig, dps: int = SERIES_DPS
-) -> PowerSeries:
+def cleared_form_series(params: KernelParams, w: WitnessConfig) -> PowerSeries:
     """Expand the cleared form into a keyed power series.
 
     One product-rule pass over the n^2 ordered pairs pq, with factors
@@ -222,17 +212,16 @@ def cleared_form_series(
     Keyed accumulation keeps the term count at O(n^4) instead of the
     3^(n^2) raw products.
 
-    The pass runs in integers.  Each B_pq, an mpf at ``dps`` digits, is
-    exactly man * 2^exp; writing all of them over one 2^e0 and scaling y
-    and c by the lcms L and C of their denominators makes every factor and
-    weight an integer, and the coefficient of z^(i + j*t) exactly
-    N_ij * 2^(j*e0) / (L^(2i) C^2).  A j = 0 coefficient is that Fraction,
-    so the cancellation of z^0..z^T is exact; a j >= 1 coefficient is that
-    value rounded once to ``dps`` digits.  The only other error is each
-    B_pq's own rounding.
+    The pass runs in integers.  Each B_pq, an mpf at ``SERIES_DPS``
+    digits, is exactly man * 2^exp; writing all of them over one 2^e0 and
+    scaling y and c by the lcms L and C of their denominators makes every
+    factor and weight an integer, and the coefficient of z^(i + j*t)
+    exactly N_ij * 2^(j*e0) / (L^(2i) C^2).  A j = 0 coefficient is that
+    Fraction, so the cancellation of z^0..z^T is exact; a j >= 1
+    coefficient is that value rounded once to ``SERIES_DPS`` digits.  The
+    only other error is each B_pq's own rounding.
     """
     _check_noninteger_t(params.t)
-    _check_dps(dps)
     n = w.n
     if n > DEFAULT_MAX_POINTS:
         keys = (n * n) * (n * n + 1) // 2
@@ -240,7 +229,7 @@ def cleared_form_series(
             f"witness has n={n} points (> cap {DEFAULT_MAX_POINTS}): the "
             f"ordered-pair product would carry ~{keys} expansion keys"
         )
-    with mp.workdps(dps):
+    with mp.workdps(SERIES_DPS):
         A, B = _pair_data(params, w)
     L = math.lcm(*(v.denominator for v in w.y))
     C = math.lcm(*(v.denominator for v in w.c))
@@ -256,7 +245,7 @@ def cleared_form_series(
             for key, co in P.items():
                 D[key] = D.get(key, 0) + weight * co
         P = _times(P, *g)
-    prec, terms = libmp.dps_to_prec(dps), {}
+    prec, terms = libmp.dps_to_prec(SERIES_DPS), {}
     for (i, j), N in D.items():
         den = L ** (2 * i) * C * C
         if N and j:
@@ -264,7 +253,7 @@ def cleared_form_series(
             terms[ExponentKey(i, j)] = mp.make_mpf(libmp.mpf_shift(rounded, j * e0))
         elif N:
             terms[ExponentKey(i, j)] = Fraction(N, den)
-    return PowerSeries(terms=terms, dps=dps)
+    return PowerSeries(terms)
 
 
 def _clear(params: KernelParams, config: PointConfig, q, dps: int):
@@ -282,29 +271,29 @@ def cleared_form_value(params: KernelParams, w: WitnessConfig, z, dps: int):
     z the form cancels heavily (see :func:`find_negative_scale`)."""
     if not (float(z) > 0):
         raise DomainError(f"z must be > 0, got {z!r}")
-    _check_dps(dps)
+    if not isinstance(dps, int) or dps < 1:
+        raise DomainError(f"dps must be an integer >= 1, got {dps!r}")
     with mp.workdps(dps):
         root = mp.sqrt(_as_mpf(z))
         config = PointConfig(tuple(_as_mpf(yj) * root for yj in w.y), w.c)
     return _clear(params, config, form_enclosure(params, config, dps)[0], dps)
 
 
-def t_power_coefficient(params: KernelParams, w: WitnessConfig, dps: int):
+def t_power_coefficient(params: KernelParams, w: WitnessConfig):
     """The coefficient of z^t: -a * sum_jk c_j c_k (y_j^2 + y_k^2)^t, in
-    mpmath at ``dps`` digits.
+    mpmath at ``SERIES_DPS`` digits.
 
     Requires the witness moments to vanish through T = floor(t), which
     ``w.moment_order`` certifies exactly; otherwise the closed form above
     is not the z^t coefficient.
     """
     T = _check_noninteger_t(params.t)
-    _check_dps(dps)
     if w.moment_order < T:
         raise PreconditionError(
             f"witness moments must vanish through T={T} for the z^t "
             "coefficient closed form"
         )
-    with mp.workdps(dps):
+    with mp.workdps(SERIES_DPS):
         powers = _sum_square_powers(w, _as_mpf(params.t))
         total = mp.fsum(
             _as_mpf(w.c[j] * w.c[k]) * powers[w.y[j] ** 2 + w.y[k] ** 2]
@@ -334,9 +323,7 @@ class NegativeScaleCertificate(Certificate):
     f_value: mp.mpf
 
 
-def find_negative_scale(
-    params: KernelParams, w: WitnessConfig, kappa, dps_start: int = SERIES_DPS
-) -> NegativeScaleCertificate:
+def find_negative_scale(params: KernelParams, w: WitnessConfig, kappa) -> NegativeScaleCertificate:
     """Scan z = 4^-m until the kernel form at the scaled points is
     resolved negative.
 
@@ -345,11 +332,11 @@ def find_negative_scale(
     negative (checked).  At z = 4^-m the points y_j sqrt(z) are the exact
     dyadic Fractions y_j / 2^m, so one configuration serves every
     precision, and :func:`~kpd.kernel.certify_negative` certifies its
-    kernel form Q, from ``dps_start`` digits after binary64; a z it does
+    kernel form Q, from ``SERIES_DPS`` digits after binary64; a z it does
     not certify is skipped, not trusted.  The certificate keeps that
-    enclosure if it is mpmath, at ``dps_start`` digits or more, with a
+    enclosure if it is mpmath, so at ``SERIES_DPS`` digits or more, with a
     bound of at most 1e-15 |Q|; else it encloses Q once more at
-    min(DPS_CAP, max(dps_start, 2 dps)) digits, where the bound is about
+    min(DPS_CAP, max(SERIES_DPS, 2 dps)) digits, where the bound is about
     10^-dps smaller, so its ``dps`` can exceed the certifying digits.  Its
     f(z) = pi Q prod_pq (1 + D_pq), D the distance matrix of the same
     points, has Q's certified sign.
@@ -361,12 +348,12 @@ def find_negative_scale(
         )
     for m in range(1, SCAN_STEPS + 1):
         config = PointConfig(tuple(yj / 2**m for yj in w.y), w.c)
-        cert = certify_negative(params, config, dps_start)
+        cert = certify_negative(params, config, SERIES_DPS)
         if cert is None:
             continue
         value, bound, dps = cert.value, cert.error_bound, cert.dps
-        if not (isinstance(value, mp.mpf) and dps >= dps_start and bound <= 1e-15 * abs(value)):
-            dps = min(DPS_CAP, max(dps_start, 2 * dps))
+        if not (isinstance(value, mp.mpf) and bound <= 1e-15 * abs(value)):
+            dps = min(DPS_CAP, max(SERIES_DPS, 2 * dps))
             value, bound = form_enclosure(params, config, dps)
         f_value = _clear(params, config, value, dps)
         return NegativeScaleCertificate(config, value, bound, dps, 4.0**-m, f_value)
@@ -380,31 +367,26 @@ def find_negative_scale(
 # Exact combinatorial identities (brute-force verification at bounded size).
 
 
-def subset_product_identity(
-    n: int, m: int, j: int, k: int, y, cap: int = 2_000_000
-) -> tuple[Fraction, Fraction]:
+def subset_product_identity(m: int, j: int, k: int, y) -> tuple[Fraction, Fraction]:
     """Both sides of the all-but-one-pair subset-sum identity.
 
-    LHS: the sum over m-element subsets J of the ordered-pair set minus
-    {(j,k)} of prod_{(p,q) in J} (y_p - y_q)^2.  RHS: the alternating
-    expansion sum_v (-1)^v (y_j - y_k)^(2v) * e_{m-v}, where e_r is the
-    unrestricted r-subset sum.  Indices are 0-based.  Both sides are
+    LHS: the sum over m-element subsets J of the ordered-pair set of the
+    n = len(y) points minus {(j,k)} of prod_{(p,q) in J} (y_p - y_q)^2.
+    RHS: the alternating expansion sum_v (-1)^v (y_j - y_k)^(2v) e_{m-v},
+    where e_r is the unrestricted r-subset sum.  Indices are 0-based,
+    and each sum has at most ``SUBSET_CAP`` subsets.  Both sides are
     enumerated in integers: the points are scaled by the lcm L of their
     denominators, which multiplies every term of either side by L^(2m),
     and each side is divided by L^(2m) once at the end.  The two exact
     Fractions are returned so callers assert equality.
     """
-    y = [_as_fraction(v) for v in y]
-    if n < 1 or len(y) != n:
-        raise DomainError("y must have length n >= 1")
-    if not (0 <= m <= n * n - 1):
-        raise DomainError(f"m must lie in [0, n^2-1], got {m}")
+    y, n = [_as_fraction(v) for v in y], len(y)
+    if not (0 <= m <= n * n - 1):  # also rejects an empty y
+        raise DomainError(f"m must lie in [0, n^2 - 1] for n = {n} points, got {m}")
     if not (0 <= j < n and 0 <= k < n):
         raise DomainError(f"(j, k) must lie in [0, n)^2, got ({j}, {k})")
-    if math.comb(n * n, m) > cap:
-        raise SizeCapError(
-            f"subset enumeration C({n * n}, {m}) exceeds the cap {cap}"
-        )
+    if math.comb(n * n, m) > SUBSET_CAP:
+        raise SizeCapError(f"subset enumeration C({n * n}, {m}) exceeds the cap {SUBSET_CAP}")
     L = math.lcm(*(v.denominator for v in y))
     Y = [v.numerator * (L // v.denominator) for v in y]
     pairs = [(p, q) for p in range(n) for q in range(n)]

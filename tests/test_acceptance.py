@@ -119,17 +119,17 @@ def test_criterion_5_t_power_parity():
         nonnegative_ts = (2.5, 4.5)
         for t in negative_ts:
             w = build_binomial_witness(int(t))
-            value = t_power_coefficient(KernelParams(t, 1.0), w, dps=50)
+            value = t_power_coefficient(KernelParams(t, 1.0), w)
             assert predict_t_coefficient_sign(t) == "nonpositive"
             assert value < 0 and abs(value) > 1e-6, t
         for t in nonnegative_ts:
             w = build_binomial_witness(int(t))
-            value = t_power_coefficient(KernelParams(t, 1.0), w, dps=50)
+            value = t_power_coefficient(KernelParams(t, 1.0), w)
             assert predict_t_coefficient_sign(t) == "nonnegative"
             assert value >= 0 and abs(value) > 1e-6, t
         # independent 9-term direct-sum oracle for t = 1.5
         oracle = -(-4.0 + 2.0 * 4.0**1.5 + 4.0 * 2.0**1.5 - 4.0 * 5.0**1.5 + 8.0**1.5)
-        got = t_power_coefficient(KernelParams(1.5, 1.0), build_binomial_witness(1), dps=50)
+        got = t_power_coefficient(KernelParams(1.5, 1.0), build_binomial_witness(1))
         assert abs(got - oracle) <= 1e-9 * abs(oracle)
     sw.check("5 t-power-parity")
 
@@ -139,7 +139,7 @@ def test_criterion_6_end_to_end_certificates():
         for (t, a) in ((1.5, 1.0), (1.5, 10.0), (3.5, 0.01)):
             params = KernelParams(t, a)
             w = build_binomial_witness(int(t))
-            cert = find_negative_scale(params, w, t_power_coefficient(params, w, dps=50))
+            cert = find_negative_scale(params, w, t_power_coefficient(params, w))
             assert cert.f_value < 0, (t, a)
             # recompute the kernel quadratic form independently, at
             # elevated precision, from the stored configuration alone
@@ -160,7 +160,7 @@ def test_criterion_7_identity_suite():
                     ]
                     for j in range(n):
                         for k in range(n):
-                            lhs, rhs = subset_product_identity(n, m, j, k, y)
+                            lhs, rhs = subset_product_identity(m, j, k, y)
                             assert lhs == rhs, (n, m, j, k, y)
         for order in range(7):
             w = build_binomial_witness(order)

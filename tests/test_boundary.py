@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import kpd.boundary
 from kpd.boundary import (
     boundary_report,
     critical_weight,
@@ -45,6 +46,11 @@ class TestMargin:
     def test_small_t_guard_and_override(self):
         with pytest.raises(DomainError):
             schwarz_margin(0.1, 1.0, 1.0)
+
+    @pytest.mark.parametrize("z, t", [(0.1, math.nan), (0.1, math.inf), (-0.1, 2.0), (math.inf, 2.0)])
+    def test_invalid_inputs_rejected(self, z, t):
+        with pytest.raises(DomainError):
+            schwarz_margin(z, t, 1.0)
 
 
 class TestCriticalWeight:
@@ -121,6 +127,11 @@ class TestBoundaryReport:
     def test_requires_t_above_one(self):
         with pytest.raises(DomainError):
             boundary_report(1.0)
+
+    def test_failed_cross_check_raises(self, monkeypatch):
+        monkeypatch.setattr(kpd.boundary, "threshold_weight", lambda t: 13.0)
+        with pytest.raises(DomainError, match="cross-check failed"):
+            boundary_report(2.0)
 
 
 class TestViolationSearch:

@@ -10,16 +10,14 @@ import pytest
 
 import kpd.certificate
 import kpd.cli
-from kpd.certificate import encode, verify_certificate
+from kpd.certificate import _read, encode, verify_certificate
 from kpd.cli import main
-from kpd.kernel import Certificate, PointConfig
+from kpd.kernel import Certificate, PointConfig, resolve_form_sign
 
 
 def _reads_back(text, x):
-    """A Fraction field parses back to the same rational; a binary64 field,
-    written as its shortest repr, parses back to the same float (its
-    Fraction is the decimal, not the binary value)."""
-    return Fraction(text) == x if isinstance(x, Fraction) else float(text) == x
+    """A stored field reads back as the number the producer certified."""
+    return _read(text) == x
 
 
 def _record(capsys, tmp_path, argv):
@@ -103,6 +101,26 @@ class TestEncoder:
 
 
 class TestReplay:
+    def test_replays_the_certified_configuration(self, capsys, tmp_path, monkeypatch):
+        # "0.3" is the float 0.3's shortest repr; the rational 3/10 is
+        # another configuration
+        encoded, replayed = [], []
+
+        def spy_encode(kind, cert, **provenance):
+            encoded.append(cert)
+            return encode(kind, cert, **provenance)
+
+        def spy_replay(params, config, *args, **kwargs):
+            replayed.append(config)
+            return resolve_form_sign(params, config, *args, **kwargs)
+
+        monkeypatch.setattr(kpd.cli, "encode", spy_encode)
+        monkeypatch.setattr(kpd.certificate, "resolve_form_sign", spy_replay)
+        path, _ = _record(capsys, tmp_path, ("gram", "--t", "3", "--a", "5", "--points", "0.3,0,-0.3,0.6"))
+        assert verify_certificate(str(path))["verdict"] == "CONFIRMED"
+        assert replayed == [encoded[0].config]
+        assert 0.3 in replayed[0].points
+
     def test_cli_replays_through_this_module(self):
         # the benchmark's tracer wraps kpd.cli.verify_certificate by name
         assert kpd.cli.verify_certificate is kpd.certificate.verify_certificate

@@ -180,6 +180,19 @@ class TestCndCommand:
             assert mp.almosteq(mp.mpf(form), -18 * mp.mpf(1e200) ** 2, rel_eps=mp.mpf("1e-29"))
 
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        ["1.7e308,-1.7e308,1.7e308", "1e308,1e308,-1e308"],
+        ids=["abs-sum-overflows", "sum-overflows"],
+    )
+    def test_huge_coefficients_that_do_not_sum_to_zero_are_rejected(self, capsys, coeffs):
+        # in exact rationals the relative residual is 1/3; binary64 sums
+        # of these coefficients overflow
+        argv = ["cnd", "--t", "0.5", "--a", "1", "--points=0,1,5", f"--coeffs={coeffs}"]
+        assert main(argv) == 3
+        assert "PreconditionError" in capsys.readouterr().err
+
+
 class TestWitnessCommand:
     def test_t15_record(self, capsys, tmp_path):
         out_path = tmp_path / "witness.json"
@@ -269,6 +282,10 @@ class TestParser:
         assert exc.value.code == 2
         again = gram_then_verify(tmp_path / "again.json")
         assert again == first  # --out is not part of the config
+
+    def test_unknown_command_rejected(self):
+        with pytest.raises(KpdError, match="unknown command"):
+            run(RunConfig("nope", {}))
 
 
 class TestSpectrumCommand:
@@ -635,6 +652,31 @@ class TestVerify:
         ):
             rec.write_text(json.dumps({**record, "config": config}))
             assert verify_certificate(str(rec))["verdict"] == "MISMATCH"
+
+    def test_cnd_coefficients_must_sum_to_zero(self, capsys, tmp_path):
+        # a real cnd record, edited to coefficients 1, 1 at t = 0.5: their
+        # distance form is positive, but a CND claim needs a zero sum
+        rec = tmp_path / "c.json"
+        argv = ["cnd", "--t", "2", "--a", "13", "--points=0,2", "--coeffs=1,-1"]
+        assert main(argv + ["--out", str(rec)]) == 0
+        capsys.readouterr()
+        assert verify_certificate(str(rec))["verdict"] == "CONFIRMED"
+        record = json.loads(rec.read_text())
+        record["config"]["params"].update(t=0.5, a=1.0)
+        record["payload"]["certificate"].update(points=["0", "1"], coeffs=["1", "1"])
+        rec.write_text(json.dumps(record))
+        assert verify_certificate(str(rec))["verdict"] == "MISMATCH"
+
+    def test_certificate_without_t_errors(self, tmp_path):
+        rec = tmp_path / "no-t.json"
+        rec.write_text(json.dumps({
+            "config": {"command": "gram", "params": {"a": 13.0}},
+            "payload": {"certificate": {
+                "kind": "gram", "points": ["0", "1"], "coeffs": ["1", "-1"], "value": "-0.5",
+            }},
+        }))
+        with pytest.raises(KpdError, match="lacks kernel parameters"):
+            verify_certificate(str(rec))
 
     def test_unparsable_tolerance_errors(self, capsys, tmp_path):
         rec = tmp_path / "tol.json"

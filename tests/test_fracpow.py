@@ -10,6 +10,7 @@ from kpd.errors import DomainError, ToleranceError
 from kpd.fracpow import (
     DERIVATIVE_STEP,
     INTEGER_GAP,
+    FracPowerParams,
     _taylor_remainder,
     integral_power,
     integrand_l1_norm,
@@ -18,7 +19,7 @@ from kpd.fracpow import (
     split_power,
     validate_representation,
 )
-from kpd.quadrature import adaptive_quad, fixed_quad
+from kpd.quadrature import adaptive_quad, composite_rule, fixed_quad, unit_rule
 
 GRID_S = (0.5, 1.5, 2.5, 3.7)
 GRID_W = (0.1, 1.0, 4.0, 10.0, 1.0 + 1.0j)
@@ -63,6 +64,13 @@ class TestSplitPower:
             split_power(-0.5)
         with pytest.raises(DomainError):
             split_power(31.5)
+
+
+class TestFracPowerParams:
+    @pytest.mark.parametrize("frac_part, prefactor", [(0.0, 1.0), (1.0, 1.0), (0.5, 0.0), (0.5, -1.0)])
+    def test_invalid_fields_rejected(self, frac_part, prefactor):
+        with pytest.raises(DomainError):
+            FracPowerParams(0.5, 0, frac_part, prefactor)
 
 
 class TestRisingFactorial:
@@ -130,6 +138,11 @@ class TestIntegralPower:
         with pytest.raises(DomainError):
             integral_power(1.0j, split_power(0.5))
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
+    def test_nonpositive_tol_rejected(self, tol):
+        with pytest.raises(DomainError):
+            integral_power(1.0, split_power(0.5), tol=tol)
+
     def test_small_real_limit(self):
         # |h| <= B(s) C(s) |w|^s forces h -> 0 along the positive reals
         p = split_power(2.5)
@@ -183,6 +196,10 @@ class TestL1Bound:
 
     def test_zero_w(self):
         assert integrand_l1_norm(0.0, split_power(0.5)) == 0.0
+
+    def test_left_half_plane_rejected(self):
+        with pytest.raises(DomainError):
+            integrand_l1_norm(-1.0 + 1.0j, split_power(0.5))
 
 
 class TestCancellationGuard:
@@ -314,6 +331,12 @@ class TestAdaptiveQuadrature:
 
         assert got == reintegrating(0.0, 1.0, 1e-12)
         assert got == pytest.approx(math.atan(10.0) / 10.0, rel=1e-12)
+
+    def test_empty_rules_rejected(self):
+        with pytest.raises(ValueError):
+            unit_rule(0)
+        with pytest.raises(ValueError):
+            composite_rule(0.0, 1.0, 0)
 
     def test_depth_exhaustion_raises(self):
         spike = lambda x: 1.0 / math.sqrt(abs(x - 0.123456789) + 1e-300)

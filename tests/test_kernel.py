@@ -169,8 +169,10 @@ class TestGramMatrix:
 
     def test_entry_beyond_binary64_is_zero_without_warning(self):
         # d(0, 1e154) = 1e308 + 1e154 is finite, pi (1 + d) is not; the
-        # entry is the limit 0, under pyproject's error::RuntimeWarning:kpd
+        # entry is the limit 0, under pyproject's error::RuntimeWarning
         assert kernel_matrix(KernelParams(0.5, 1.0), [0.0], [1e154])[0, 0] == 0.0
+        # here x - y itself overflows
+        assert kernel_matrix(KernelParams(2.0, 1.0), [1e308], [-1e308])[0, 0] == 0.0
 
     def test_vectorized_matches_scalar(self):
         params = KernelParams(1.7, 0.3)

@@ -9,7 +9,7 @@ import pytest
 
 import kpd.kernel
 import kpd.witness
-from kpd.errors import DomainError, PreconditionError, SizeCapError
+from kpd.errors import DomainError, PreconditionError, SizeCapError, ToleranceError
 from kpd.kernel import Certificate, KernelParams, _as_mpf, form_enclosure, quadratic_form
 from kpd.witness import (
     SERIES_DPS,
@@ -88,6 +88,27 @@ class TestBinomialWitness:
         with pytest.raises(DomainError):
             WitnessConfig(y=(0.0, 1.1), c=(1, -1), moment_order=0)
 
+    @pytest.mark.parametrize(
+        "y, c, order",
+        [((), (), 0), ((0, 1), (1,), 0), ((0, 1), (1, -1), -1)],
+        ids=["empty", "unequal", "negative-order"],
+    )
+    def test_malformed_witness_rejected(self, y, c, order):
+        with pytest.raises(DomainError):
+            WitnessConfig(y=y, c=c, moment_order=order)
+
+    def test_negative_arguments_rejected(self):
+        w = build_binomial_witness(1)
+        for call in (
+            lambda: build_binomial_witness(-1),
+            lambda: check_moments(w, -1),
+            lambda: predict_t_coefficient_sign(float("nan")),
+            lambda: subset_product_identity(0, 0, 0, []),
+            lambda: difference_power_sum(-1, w),
+        ):
+            with pytest.raises(DomainError):
+                call()
+
 
 class TestMoments:
     def test_order_one_moments(self):
@@ -152,7 +173,7 @@ class TestSeriesExpansion:
         w = build_binomial_witness(1)
         params = KernelParams(1.5, 1.0)
         s = cleared_form_series(params, w)
-        kappa = t_power_coefficient(params, w, dps=50)
+        kappa = t_power_coefficient(params, w)
         assert abs(s.coefficient(0, 1) - kappa) < mp.mpf("1e-40")
 
     @pytest.mark.parametrize(
@@ -227,7 +248,7 @@ class TestSeriesExpansion:
         w, params = build_binomial_witness(6), KernelParams(6.4, 1.0)
         s = cleared_form_series(params, w)
         assert all((i, 0) not in s.terms for i in range(7))
-        kappa = t_power_coefficient(params, w, dps=50)
+        kappa = t_power_coefficient(params, w)
         assert abs(s.coefficient(0, 1) - kappa) < mp.mpf("1e-40") * abs(kappa)
         z = 0.3
         direct = cleared_form_value(params, w, z, dps=60)
@@ -271,26 +292,26 @@ class TestDirectEvaluation:
 class TestTPowerCoefficient:
     def test_t15_matches_nine_term_oracle(self):
         w = build_binomial_witness(1)
-        got = float(t_power_coefficient(KernelParams(1.5, 1.0), w, dps=50))
+        got = float(t_power_coefficient(KernelParams(1.5, 1.0), w))
         assert got == pytest.approx(KAPPA_T15, rel=1e-14)
         assert got == pytest.approx(-1.2197659469584872, rel=1e-9)
 
     def test_t25_nonnegative(self):
         w = build_binomial_witness(2)
-        got = float(t_power_coefficient(KernelParams(2.5, 1.0), w, dps=50))
+        got = float(t_power_coefficient(KernelParams(2.5, 1.0), w))
         assert got > 0
         assert got == pytest.approx(10.191692368477602, rel=1e-12)
 
     def test_linearity_in_weight(self):
         w = build_binomial_witness(1)
-        v1 = t_power_coefficient(KernelParams(1.5, 1.0), w, dps=50)
-        v2 = t_power_coefficient(KernelParams(1.5, 2.0), w, dps=50)
+        v1 = t_power_coefficient(KernelParams(1.5, 1.0), w)
+        v2 = t_power_coefficient(KernelParams(1.5, 2.0), w)
         assert float(v2) == pytest.approx(2.0 * float(v1), rel=1e-15)
 
     def test_moment_precondition(self):
         w = build_binomial_witness(1)  # moments vanish through 1 only
         with pytest.raises(PreconditionError):
-            t_power_coefficient(KernelParams(2.5, 1.0), w, dps=50)
+            t_power_coefficient(KernelParams(2.5, 1.0), w)
 
     @pytest.mark.parametrize(
         "t,order,sign",
@@ -298,7 +319,7 @@ class TestTPowerCoefficient:
     )
     def test_parity_suite(self, t, order, sign):
         w = build_binomial_witness(order)
-        got = t_power_coefficient(KernelParams(t, 1.0), w, dps=50)
+        got = t_power_coefficient(KernelParams(t, 1.0), w)
         predicted = predict_t_coefficient_sign(t)
         assert (predicted == "nonpositive") == (sign < 0)
         assert float(got) * sign > 1e-6
@@ -311,11 +332,11 @@ class TestTPowerCoefficient:
         pairs = [(j, k) for j in range(w.n) for k in range(w.n)]
         sums = [w.y[j] ** 2 + w.y[k] ** 2 for j, k in pairs]
         weights = [w.c[j] * w.c[k] for j, k in pairs]
-        with mp.workdps(60):
+        with mp.workdps(SERIES_DPS):
             want = -_as_mpf(params.a) * mp.fsum(
                 _as_mpf(c) * _as_mpf(s) ** _as_mpf(t) for c, s in zip(weights, sums) if s
             )
-        assert t_power_coefficient(params, w, dps=60) == want
+        assert t_power_coefficient(params, w) == want
 
 
 class TestPrecisionArgument:
@@ -323,11 +344,7 @@ class TestPrecisionArgument:
     def test_invalid_dps_rejected(self, dps):
         w, params = build_binomial_witness(1), KernelParams(1.5, 1.0)
         with pytest.raises(DomainError):
-            cleared_form_series(params, w, dps=dps)
-        with pytest.raises(DomainError):
             cleared_form_value(params, w, 0.5, dps=dps)
-        with pytest.raises(DomainError):
-            t_power_coefficient(params, w, dps=dps)
 
 
 class TestPairData:
@@ -357,7 +374,7 @@ class TestSignPrediction:
 
 
 def scan(params, w):
-    return find_negative_scale(params, w, t_power_coefficient(params, w, dps=50))
+    return find_negative_scale(params, w, t_power_coefficient(params, w))
 
 
 class TestFindNegativeScale:
@@ -376,6 +393,11 @@ class TestFindNegativeScale:
         cert = scan(params, build_binomial_witness(3))
         assert cert.f_value < 0
         assert cert.value < 0
+
+    def test_no_certified_scale_raises(self, monkeypatch):
+        monkeypatch.setattr(kpd.witness, "certify_negative", lambda *args: None)
+        with pytest.raises(ToleranceError, match="no negative value"):
+            scan(KernelParams(1.5, 1.0), build_binomial_witness(1))
 
     def test_even_integer_part_rejected(self):
         with pytest.raises(PreconditionError):
@@ -417,16 +439,16 @@ class TestFindNegativeScale:
 
 class TestExactIdentities:
     def test_two_point_hand_case(self):
-        lhs, rhs = subset_product_identity(2, 1, 0, 1, [0, 1])
+        lhs, rhs = subset_product_identity(1, 0, 1, [0, 1])
         assert lhs == 1
         assert rhs == 1
 
     def test_empty_subset_case(self):
-        lhs, rhs = subset_product_identity(3, 0, 1, 2, [0, 1, 3])
+        lhs, rhs = subset_product_identity(0, 1, 2, [0, 1, 3])
         assert lhs == rhs == 1
 
     def test_three_point_case(self):
-        lhs, rhs = subset_product_identity(3, 2, 1, 2, [0, 1, 3])
+        lhs, rhs = subset_product_identity(2, 1, 2, [0, 1, 3])
         assert lhs == rhs
 
     def test_full_grid_with_random_rationals(self):
@@ -440,7 +462,7 @@ class TestExactIdentities:
                     ]
                     for j in range(n):
                         for k in range(n):
-                            lhs, rhs = subset_product_identity(n, m, j, k, y)
+                            lhs, rhs = subset_product_identity(m, j, k, y)
                             assert lhs == rhs
 
     @pytest.mark.parametrize(
@@ -473,19 +495,20 @@ class TestExactIdentities:
                     ((-1) ** v * sq[j, k] ** v * e(pairs, m - v) for v in range(m + 1)),
                     Fraction(0),
                 )
-                got = subset_product_identity(n, m, j, k, y)
+                got = subset_product_identity(m, j, k, y)
                 assert got == (lhs, rhs), (m, j, k)
                 assert all(type(v) is Fraction for v in got)
 
     def test_cap_error(self):
+        # C(25, 12) = 5200300 subsets exceeds SUBSET_CAP
         with pytest.raises(SizeCapError):
-            subset_product_identity(5, 12, 0, 1, list(range(5)), cap=1000)
+            subset_product_identity(12, 0, 1, list(range(5)))
 
     def test_bad_indices(self):
         with pytest.raises(DomainError):
-            subset_product_identity(2, 1, 0, 2, [0, 1])
+            subset_product_identity(1, 0, 2, [0, 1])
         with pytest.raises(DomainError):
-            subset_product_identity(2, 4, 0, 1, [0, 1])
+            subset_product_identity(4, 0, 1, [0, 1])
 
 
 class TestDifferencePowerSums:
