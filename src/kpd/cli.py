@@ -5,8 +5,8 @@ Subcommands map one-to-one onto the library modules:
     gram       Gram matrix + PD verdict at an explicit point set
     cnd        zero-sum distance-form test at an explicit configuration
     boundary   closed-form two-point boundary (optionally: violation search)
-    witness    binomial witness of order floor t, moment table, z^t
-               coefficient, certificate
+    witness    binomial witness of order floor t (floor t + 1 where that
+               scan fails), moments, z^t coefficient, certificate
     identities exact combinatorial identity suite on seeded rational points
     fracpow    fractional-power integral representation validation
     spectrum   Nystrom spectral probe at one (t, a)
@@ -54,8 +54,8 @@ import numpy as np
 
 from . import __version__
 from .certificate import dec, encode, verify_certificate
-from .errors import KpdError
-from .kernel import KernelParams, PointConfig, kernel_matrix
+from .errors import KpdError, ToleranceError
+from .kernel import KernelParams, PointConfig, check_zero_sum, kernel_matrix
 from .definiteness import cnd_check, pd_check
 from .boundary import boundary_report, find_schwarz_violation
 from .witness import (
@@ -89,6 +89,11 @@ class RunConfig:
             raise KpdError(f"tolerance must be finite and > 0, got {tolerance}")
         if self.params.get("seed", 0) < 0:
             raise KpdError(f"seed must be >= 0, got {self.params['seed']}")
+        if self.command == "cnd":  # cnd_check's preconditions on the input
+            n, c = len(_parse_floats(self.params["points"])), _parse_floats(self.params["coeffs"])
+            if n < 2 or len(c) != n:
+                raise KpdError(f"cnd needs n >= 2 points and n coefficients, got {n} and {len(c)}")
+            check_zero_sum(c)
 
 
 @dataclass
@@ -237,9 +242,15 @@ def _cmd_witness(cfg: RunConfig) -> dict:
     params = KernelParams(t=p["t"], a=p["a"])
     order = math.floor(params.t)
     w = build_binomial_witness(order)
-    moments = check_moments(w, order)
-    kappa = t_power_coefficient(params, w)
-    sign = predict_t_coefficient_sign(params.t)
+    kappa, cert = t_power_coefficient(params, w), None
+    if kappa < 0:
+        try:
+            cert = find_negative_scale(params, w, kappa)
+        except ToleranceError:
+            # near t = T + 1 the order-T window of f < 0 closes (see kpd.witness)
+            w = build_binomial_witness(order + 1)
+            kappa = t_power_coefficient(params, w)
+            cert = find_negative_scale(params, w, kappa)
     payload = {
         "t": _num(params.t),
         "a": _num(params.a),
@@ -249,13 +260,12 @@ def _cmd_witness(cfg: RunConfig) -> dict:
             "y": [dec(v) for v in w.y],
             "c": [dec(v) for v in w.c],
         },
-        "moments": [dec(m) for m in moments],
+        "moments": [dec(m) for m in check_moments(w, w.moment_order)],
         "t_power_coefficient": _num(kappa, dps=SERIES_DPS),
-        "predicted_sign": sign,
+        "predicted_sign": predict_t_coefficient_sign(params.t),
         "certificate": None,
     }
-    if kappa < 0:
-        cert = find_negative_scale(params, w, kappa)
+    if cert is not None:
         payload["negativity"] = "certified"
         payload["certificate"] = encode(
             "f", cert, value=dec(cert.f_value, cert.dps), q_value=dec(cert.value, cert.dps),

@@ -58,11 +58,15 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+def _ratio(num: int, den: int) -> mp.mpf:
+    """num / den correctly rounded at the working precision."""
+    return mp.make_mpf(libmp.from_rational(num, den, mp.mp.prec, libmp.round_nearest))
+
+
 def _as_mpf(value) -> mp.mpf:
     # One correctly rounded conversion for rationals; floats convert exactly.
     if isinstance(value, Rational):
-        num, den = value.numerator, value.denominator
-        return mp.make_mpf(libmp.from_rational(num, den, mp.mp.prec, libmp.round_nearest))
+        return _ratio(value.numerator, value.denominator)
     if isinstance(value, mp.mpf):
         return value
     return mp.mpf(value)
@@ -164,8 +168,15 @@ def distance_matrix(params: KernelParams, x, y) -> np.ndarray:
     # At large t or |x - y| the binary64 result overflows to inf on purpose:
     # inf is the right limit, as the kernel entry 1 / (pi (1 + d)) becomes 0.
     with np.errstate(over="ignore"):
-        diff = x - y
-        return diff * diff + params.a * np.power(x * x + y * y, params.t)
+        diff, xx, yy = x - y, x * x, y * y
+        d = np.power(xx + yy, params.t)
+        if d.dtype != object and xx.max(initial=0) + yy.max(initial=0) == np.inf:
+            # where x^2 + y^2 overflows, its power hypot(x, y)^(2t) may be finite
+            big = np.isinf(xx + yy)
+            d[big] = np.power(np.hypot(x, y)[big], 2 * params.t)
+        d *= params.a  # d = a power + (x - y)^2, in place to spare an n^2 buffer
+        d += diff * diff
+        return d
 
 
 def kernel_matrix(params: KernelParams, x, y) -> np.ndarray:
@@ -205,9 +216,7 @@ def form_enclosure(
     Fractions or mpfs denote.  With ``dps=None`` the form is ``c @ M @ c``
     in binary64; with an integer ``dps`` the same expression runs in
     mpmath at that many digits, where M's n(n+1)/2 upper-triangle entries
-    are evaluated once and mirrored.  mpf subtraction and addition are
-    correctly rounded, so (x_j - x_k)^2 and x_j^2 + x_k^2 do not depend on
-    the order of j and k, and the full grid would hold the same entries.
+    are evaluated once and mirrored (see :func:`_mirrored`).
 
     The bound is a-priori (Higham, *Accuracy and Stability of Numerical
     Algorithms*, ch. 3).  Let u = 2^-53, or 2^(1-prec) in mpmath, and
@@ -265,11 +274,17 @@ def form_enclosure(
     with mp.workdps(dps):
         x = np.array([_as_mpf(p) for p in config.points], dtype=object)
         c = np.array([_as_mpf(v) for v in config.coeffs], dtype=object)
-        # the upper triangle as a stack of 1 x 1 grids, then mirrored
-        i, j = np.triu_indices(n)
-        m = np.empty((n, n), dtype=object)
-        m[i, j] = m[j, i] = matrix(params, x[i, None], x[j, None])[:, 0, 0]
+        m = _mirrored(matrix, params, x)
         return _form_and_bound(params, x, c, m, mp.ldexp(1, 1 - mp.mp.prec), distance)
+
+
+def _mirrored(matrix, params: KernelParams, x: np.ndarray) -> np.ndarray:
+    """``matrix(params, x, x)`` for mpfs ``x`` from its upper triangle, mirrored:
+    mpf - and + round correctly, so the full grid holds the same entries."""
+    i, j = np.triu_indices(len(x))
+    m = np.empty((len(x), len(x)), dtype=object)
+    m[i, j] = m[j, i] = matrix(params, x[i, None], x[j, None])[:, 0, 0]
+    return m
 
 
 def _form_and_bound(params: KernelParams, x, c, m, u, distance: bool):

@@ -16,25 +16,32 @@ surviving term is z^t with coefficient
 
     kappa = -a * sum_jk c_j c_k (y_j^2 + y_k^2)^t,
 
-which for the binomial witnesses below is nonzero with the sign of
-(-1)^(T+1).  For odd T this makes f negative at small z, a replayable
-witness that the kernel is not positive-definite, for every a > 0.
+which has the sign of (-1)^T for every witness whose moments vanish
+through T, whatever its order: for T < t < T + 1, s^t is 1/Gamma(-t), of
+sign (-1)^(T+1), times int_0^oo (e^(-lam s) - sum_{m<=T} (-lam s)^m/m!)
+lam^(-t-1) dlam; the moments kill the polynomial part, whose monomials
+y_j^(2 alpha) y_k^(2 beta) have min(2 alpha, 2 beta) <= T, and leave the
+integral of (sum_j c_j e^(-lam y_j^2))^2 lam^(-t-1), positive for distinct
+y_j^2 and c != 0.  For odd T this makes f negative at small z, a
+replayable witness that the kernel is not positive-definite, for every
+a > 0.
 
-The series expansion keeps coefficients of pure integer powers as exact
-Fractions (the cancellation is an exact statement, not an approximate
-one), while coefficients involving z^t carry mpmath values at
-``SERIES_DPS`` digits.  The expansion runs in exact integers,
-so each of those is the exact expansion at the mpf B_pq rounded once;
-the B_pq's own roundings are the only other error.  At small z the
-kernel form is dominated by cancellation.  The certificate search
-therefore takes z = 4^-m, where the scaled points y_j / 2^m are exact
-dyadic rationals, and settles the form's sign with
-:func:`~kpd.kernel.certify_negative`, whose precision escalation goes up to
-``kernel.DPS_CAP`` digits until the error bound excludes zero.  The
-configuration it certifies is the one the certificate stores, and its
-f(z) is pi Q prod(1 + D) of that Q: at the certifying digits when those
-are mpmath with a bound of at most 1e-15 |Q|, else at about twice as many,
-so the certificate's digits can exceed those that certified the sign.
+The series expansion (:func:`cleared_form_series`) keeps coefficients of
+pure integer powers as exact Fractions, so the cancellation is exact;
+those involving z^t are mpfs at ``SERIES_DPS`` digits, each rounded once.
+The exact work runs in integers: y and c are scaled by the lcms of their
+denominators (:func:`_scaled`), so the moments, difference sums, series
+and z^t weights are integer sums with one division at the end, and the
+symmetric sum of kappa and the distance grid of f take each unordered pair
+once.  At small z the kernel form is dominated by cancellation, so the
+certificate search takes z = 4^-m, where the points y_j / 2^m are exact
+dyadic rationals, and settles the sign with
+:func:`~kpd.kernel.certify_negative` (see :func:`find_negative_scale`).
+
+With f ~ kappa z^t + C z^(T+1), f < 0 only for z < (|kappa| / C)^(1/(T+1-t)),
+which closes as t -> T + 1.  Where the order-T scan certifies no scale,
+``kpd witness`` scans with the order T + 1 witness, which cancels z^(T+1)
+too and keeps kappa's sign, so f ~ kappa z^t + O(z^(t+1)).
 """
 
 import math
@@ -54,6 +61,8 @@ from .kernel import (
     KernelParams,
     PointConfig,
     _as_mpf,
+    _mirrored,
+    _ratio,
     certify_negative,
     distance_matrix,
     form_enclosure,
@@ -78,6 +87,13 @@ def _as_fraction(v) -> Fraction:
             "(pass a Fraction instead)"
         )
     return Fraction(v)
+
+
+def _scaled(values) -> tuple[list[int], int]:
+    """Integers N_j and the lcm L of the denominators of the Fractions
+    ``values``, with values[j] = N_j / L exactly."""
+    L = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (L // v.denominator) for v in values], L
 
 
 def _check_noninteger_t(t: float) -> int:
@@ -147,33 +163,27 @@ def check_moments(w: WitnessConfig, l_max: int) -> list[Fraction]:
     """Exact moments sum_j c_j y_j^l for l = 0..l_max."""
     if l_max < 0:
         raise DomainError("l_max must be >= 0")
+    (Y, L), (c, C) = _scaled(w.y), _scaled(w.c)
     return [
-        sum((cj * yj**ell for cj, yj in zip(w.c, w.y)), start=Fraction(0))
+        Fraction(sum(cj * yj**ell for cj, yj in zip(c, Y)), C * L**ell)
         for ell in range(l_max + 1)
     ]
 
 
 def _pair_data(params: KernelParams, w: WitnessConfig):
-    """A_pq (exact Fraction) and B_pq (mpf at the ambient precision),
-    each a dict keyed by the ordered pair (p, q).  B is symmetric: each
-    distinct y_p^2 + y_q^2 is raised to the power t once."""
-    a = _as_mpf(params.a)
-    powers = _sum_square_powers(w, _as_mpf(params.t))
-    A: dict[tuple[int, int], Fraction] = {}
-    B: dict[tuple[int, int], mp.mpf] = {}
-    for p in range(w.n):
-        for q in range(w.n):
-            A[(p, q)] = (w.y[p] - w.y[q]) ** 2
-            s = w.y[p] ** 2 + w.y[q] ** 2
-            B[(p, q)] = a * powers[s] if s != 0 else mp.mpf(0)
-    return A, B
+    """Y and L with y = Y / L (:func:`_scaled`), and B_pq = a (y_p^2 +
+    y_q^2)^t, mpfs at the ambient precision keyed by the ordered pair (p, q).
+    B is symmetric: each distinct y_p^2 + y_q^2 is raised to the power t once."""
+    Y, L = _scaled(w.y)
+    a, powers = _as_mpf(params.a), _square_sum_powers(Y, L, _as_mpf(params.t))
+    B = {(p, q): a * powers[yp**2 + yq**2] for p, yp in enumerate(Y) for q, yq in enumerate(Y)}
+    return Y, L, B
 
 
-def _sum_square_powers(w: WitnessConfig, t: mp.mpf) -> dict:
-    """s -> s^t in mpmath at the ambient precision, for each distinct
-    nonzero s = y_j^2 + y_k^2."""
-    sums = {yj**2 + yk**2 for yj in w.y for yk in w.y} - {0}
-    return {s: _as_mpf(s) ** t for s in sums}
+def _square_sum_powers(Y: list[int], L: int, t: mp.mpf) -> dict:
+    """S -> (S / L^2)^t = (y_j^2 + y_k^2)^t, an mpf at the ambient precision,
+    for each distinct S = Y_j^2 + Y_k^2 of the points y = Y / L."""
+    return {s: _ratio(s, L * L) ** t for s in {yj**2 + yk**2 for yj in Y for yk in Y}}
 
 
 def _times(poly: dict, A: int, B: int) -> dict:
@@ -213,13 +223,12 @@ def cleared_form_series(params: KernelParams, w: WitnessConfig) -> PowerSeries:
     3^(n^2) raw products.
 
     The pass runs in integers.  Each B_pq, an mpf at ``SERIES_DPS``
-    digits, is exactly man * 2^exp; writing all of them over one 2^e0 and
-    scaling y and c by the lcms L and C of their denominators makes every
-    factor and weight an integer, and the coefficient of z^(i + j*t)
-    exactly N_ij * 2^(j*e0) / (L^(2i) C^2).  A j = 0 coefficient is that
-    Fraction, so the cancellation of z^0..z^T is exact; a j >= 1
-    coefficient is that value rounded once to ``SERIES_DPS`` digits.  The
-    only other error is each B_pq's own rounding.
+    digits, is exactly man * 2^exp; over one 2^e0, and with y = Y / L and
+    c = c' / C (:func:`_scaled`), every factor and weight is an integer,
+    and the coefficient of z^(i + j*t) is N_ij * 2^(j*e0) / (L^(2i) C^2).
+    A j = 0 coefficient is that Fraction, so the cancellation of z^0..z^T
+    is exact; a j >= 1 coefficient is that value rounded once to
+    ``SERIES_DPS`` digits.  The only other error is each B_pq's own rounding.
     """
     _check_noninteger_t(params.t)
     n = w.n
@@ -230,17 +239,16 @@ def cleared_form_series(params: KernelParams, w: WitnessConfig) -> PowerSeries:
             f"ordered-pair product would carry ~{keys} expansion keys"
         )
     with mp.workdps(SERIES_DPS):
-        A, B = _pair_data(params, w)
-    L = math.lcm(*(v.denominator for v in w.y))
-    C = math.lcm(*(v.denominator for v in w.c))
+        Y, L, B = _pair_data(params, w)
+    c, C = _scaled(w.c)
     # each B_pq >= 0 is exactly man * 2^exp (0 * 2^0 when zero)
     e0 = min(0, *(b.exp for b in B.values()))
     P: dict = {(0, 0): 1}
     D: dict = {}
-    for (p, q), A_pq in A.items():
-        g = int(A_pq * L * L), B[p, q].man << (B[p, q].exp - e0)
+    for (p, q), b in B.items():
+        g = (Y[p] - Y[q]) ** 2, b.man << (b.exp - e0)
         D = _times(D, *g)
-        weight = int(w.c[p] * w.c[q] * C * C)
+        weight = c[p] * c[q]
         if weight:
             for key, co in P.items():
                 D[key] = D.get(key, 0) + weight * co
@@ -261,7 +269,7 @@ def _clear(params: KernelParams, config: PointConfig, q, dps: int):
     ``config``, whose kernel form is ``q`` and distance matrix D."""
     with mp.workdps(dps):
         x = np.array([_as_mpf(p) for p in config.points], dtype=object)
-        return mp.pi * q * math.prod((1 + distance_matrix(params, x, x)).flat)
+        return mp.pi * q * math.prod((1 + _mirrored(distance_matrix, params, x)).flat)
 
 
 def cleared_form_value(params: KernelParams, w: WitnessConfig, z, dps: int):
@@ -281,7 +289,8 @@ def cleared_form_value(params: KernelParams, w: WitnessConfig, z, dps: int):
 
 def t_power_coefficient(params: KernelParams, w: WitnessConfig):
     """The coefficient of z^t: -a * sum_jk c_j c_k (y_j^2 + y_k^2)^t, in
-    mpmath at ``SERIES_DPS`` digits.
+    mpmath at ``SERIES_DPS`` digits.  It sums j <= k with weight 2 - delta_jk,
+    which is exact in binary, and ``mp.fsum`` rounds once: the n^2 sum.
 
     Requires the witness moments to vanish through T = floor(t), which
     ``w.moment_order`` certifies exactly; otherwise the closed form above
@@ -293,13 +302,13 @@ def t_power_coefficient(params: KernelParams, w: WitnessConfig):
             f"witness moments must vanish through T={T} for the z^t "
             "coefficient closed form"
         )
+    (Y, L), (c, C) = _scaled(w.y), _scaled(w.c)
     with mp.workdps(SERIES_DPS):
-        powers = _sum_square_powers(w, _as_mpf(params.t))
+        powers = _square_sum_powers(Y, L, _as_mpf(params.t))
         total = mp.fsum(
-            _as_mpf(w.c[j] * w.c[k]) * powers[w.y[j] ** 2 + w.y[k] ** 2]
+            _ratio((2 - (j == k)) * c[j] * c[k], C * C) * powers[Y[j] ** 2 + Y[k] ** 2]
             for j in range(w.n)
-            for k in range(w.n)
-            if w.y[j] ** 2 + w.y[k] ** 2 != 0
+            for k in range(j, w.n)
         )
         return -_as_mpf(params.a) * total
 
@@ -387,8 +396,7 @@ def subset_product_identity(m: int, j: int, k: int, y) -> tuple[Fraction, Fracti
         raise DomainError(f"(j, k) must lie in [0, n)^2, got ({j}, {k})")
     if math.comb(n * n, m) > SUBSET_CAP:
         raise SizeCapError(f"subset enumeration C({n * n}, {m}) exceeds the cap {SUBSET_CAP}")
-    L = math.lcm(*(v.denominator for v in y))
-    Y = [v.numerator * (L // v.denominator) for v in y]
+    Y, L = _scaled(y)
     pairs = [(p, q) for p in range(n) for q in range(n)]
     sq = {pq: (Y[pq[0]] - Y[pq[1]]) ** 2 for pq in pairs}
 
@@ -409,12 +417,6 @@ def difference_power_sum(v: int, w: WitnessConfig) -> Fraction:
     """
     if v < 0:
         raise DomainError("v must be >= 0")
-    total = sum(
-        (
-            w.c[j] * w.c[k] * (w.y[j] - w.y[k]) ** (2 * v)
-            for j in range(w.n)
-            for k in range(w.n)
-        ),
-        start=Fraction(0),
-    )
-    return (-1) ** v * total
+    (Y, L), (c, C) = _scaled(w.y), _scaled(w.c)
+    total = sum(cj * ck * (yj - yk) ** (2 * v) for cj, yj in zip(c, Y) for ck, yk in zip(c, Y))
+    return Fraction((-1) ** v * total, C * C * L ** (2 * v))

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import kpd.cli
 import kpd.witness
@@ -189,8 +189,20 @@ class TestCndCommand:
         # in exact rationals the relative residual is 1/3; binary64 sums
         # of these coefficients overflow
         argv = ["cnd", "--t", "0.5", "--a", "1", "--points=0,1,5", f"--coeffs={coeffs}"]
-        assert main(argv) == 3
-        assert "PreconditionError" in capsys.readouterr().err
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("configuration error: coefficients must sum to zero")
+
+    @pytest.mark.parametrize(
+        "points, coeffs",
+        [("0,1", "1,1"), ("0", "0"), ("0,1", "1,-1,0"), ("0,1,2", "1,-1")],
+        ids=["nonzero-sum", "one-point", "more-coeffs", "fewer-coeffs"],
+    )
+    def test_input_preconditions_are_configuration_errors(self, capsys, monkeypatch, points, coeffs):
+        # rejected with the configuration, before any computation
+        monkeypatch.setattr(kpd.cli, "run", None)
+        assert main(["cnd", "--t", "1", "--a", "1", "--points", points, "--coeffs", coeffs]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: ") and captured.out == ""
 
 
 class TestWitnessCommand:
@@ -230,23 +242,43 @@ class TestWitnessCommand:
         frac=st.floats(0.05, 0.95),
         log_a=st.floats(math.log(0.01), math.log(13.0)),
     )
+    # the order-3 scan certifies no scale here; the record holds the order-4 witness
+    @example(floor=3, frac=0.94921875, log_a=-4.5)
     @settings(max_examples=25, deadline=None)
     def test_stored_values_hold_their_digits(self, floor, frac, log_a):
         # value (f) and q_value (Q) as written agree with both forms
         # evaluated 40 digits beyond the record's dps_used
         t, a = floor + frac, math.exp(log_a)
-        cert = run(RunConfig(command="witness", params={"t": t, "a": a})).payload["certificate"]
+        payload = run(RunConfig(command="witness", params={"t": t, "a": a})).payload
+        cert, wit = payload["certificate"], payload["witness"]
         params, dps = KernelParams(t, a), cert["dps_used"] + 40
         config = PointConfig(
             tuple(Fraction(p) for p in cert["points"]), tuple(Fraction(c) for c in cert["coeffs"])
         )
         q, _ = form_enclosure(params, config, dps)
-        f = kpd.witness.cleared_form_value(
-            params, kpd.witness.build_binomial_witness(floor), float(cert["z"]), dps
+        w = kpd.witness.WitnessConfig(
+            tuple(map(Fraction, wit["y"])), tuple(map(Fraction, wit["c"])), wit["moment_order"]
         )
+        f = kpd.witness.cleared_form_value(params, w, float(cert["z"]), dps)
         with mp.workdps(dps):
             for stored, want in ((cert["q_value"], q), (cert["value"], f)):
                 assert abs(mp.mpf(stored) - want) <= mp.mpf("1e-12") * abs(want), (t, a)
+
+    def test_order_t_plus_one_where_the_order_t_scan_fails(self, capsys, tmp_path):
+        # near t = 2 the order-1 witness's negative window closes below
+        # z = 4^-100; the order-2 witness certifies at z = 4^-8
+        out_path = tmp_path / "witness.json"
+        code, _ = run_cli(capsys, "witness", "--t", "1.999", "--a", "1", "--out", str(out_path))
+        assert code == 0
+        payload = json.loads(out_path.read_text())["payload"]
+        assert payload["witness"]["moment_order"] == 2 and payload["witness"]["n"] == 4
+        assert payload["moments"] == ["0/1"] * 3
+        assert payload["t_power_coefficient"]["f64"] < 0
+        assert payload["negativity"] == "certified"
+        assert payload["certificate"]["coeffs"] == ["1/1", "-3/1", "3/1", "-1/1"]
+        assert payload["certificate"]["z"] == repr(4.0**-8)
+        assert main(["verify", str(out_path)]) == 0
+        assert capsys.readouterr().out.endswith("CONFIRMED\n")
 
     def test_even_integer_part_is_inconclusive(self, capsys):
         code, out = run_cli(capsys, "witness", "--t", "2.5", "--a", "1")

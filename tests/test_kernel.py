@@ -174,6 +174,17 @@ class TestGramMatrix:
         # here x - y itself overflows
         assert kernel_matrix(KernelParams(2.0, 1.0), [1e308], [-1e308])[0, 0] == 0.0
 
+    def test_overflowing_square_sum_keeps_a_finite_entry(self):
+        # 1e154^2 + 1e154^2 overflows binary64, yet its square root, the
+        # distance at t = 1/2, and the entry 2.25e-155 are finite; the entries
+        # whose x^2 + y^2 stays finite are computed as before
+        x = [0.0, 1e154]
+        got = kernel_matrix(KernelParams(0.5, 1.0), x, x)
+        with mp.workdps(30):
+            want = 1 / (mp.pi * (1 + mp.sqrt(2) * mp.mpf(1e154)))
+        assert got[1, 1] == pytest.approx(float(want), rel=1e-15)
+        assert (got[0, 0], got[0, 1], got[1, 0]) == (INV_PI, 0.0, 0.0)
+
     def test_vectorized_matches_scalar(self):
         params = KernelParams(1.7, 0.3)
         x = np.array([-2.0, 0.0, 0.5, 3.0])

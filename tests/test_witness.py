@@ -1,4 +1,5 @@
 import hashlib
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -6,14 +7,24 @@ import mpmath as mp
 import numpy as np
 from mpmath import libmp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kpd.kernel
 import kpd.witness
 from kpd.errors import DomainError, PreconditionError, SizeCapError, ToleranceError
-from kpd.kernel import Certificate, KernelParams, _as_mpf, form_enclosure, quadratic_form
+from kpd.kernel import (
+    Certificate,
+    KernelParams,
+    PointConfig,
+    _as_mpf,
+    distance_matrix,
+    form_enclosure,
+    quadratic_form,
+)
 from kpd.witness import (
     SERIES_DPS,
     WitnessConfig,
+    _clear,
     _pair_data,
     build_binomial_witness,
     check_moments,
@@ -42,8 +53,9 @@ def exact_expansion(params, w, dps=SERIES_DPS):
     Fractions, one trinomial product per (j, k), with each B_pq taken as
     the exact value of its mpf at ``dps`` digits; zero terms dropped."""
     with mp.workdps(dps):
-        A, B = _pair_data(params, w)
+        _, _, B = _pair_data(params, w)
     B = {pq: Fraction(int(b.man)) * Fraction(2) ** int(b.exp) for pq, b in B.items()}
+    A = {(p, q): (w.y[p] - w.y[q]) ** 2 for p, q in B}
     total = {}
     for j, k in A:
         weight = w.c[j] * w.c[k]
@@ -352,12 +364,12 @@ class TestPairData:
     def test_b_is_symmetric_and_exact(self, order):
         w, params = build_binomial_witness(order), KernelParams(3.75, 0.01)
         with mp.workdps(50):
-            A, B = _pair_data(params, w)
+            Y, L, B = _pair_data(params, w)
+            assert [Fraction(v, L) for v in Y] == list(w.y)
             for (p, q), b in B.items():
                 assert b == B[q, p]
                 s = w.y[p] ** 2 + w.y[q] ** 2
                 assert b == (_as_mpf(params.a) * _as_mpf(s) ** _as_mpf(params.t) if s else 0)
-                assert A[p, q] == (w.y[p] - w.y[q]) ** 2
 
 
 class TestSignPrediction:
@@ -529,3 +541,61 @@ class TestDifferencePowerSums:
         w = build_binomial_witness(order)
         for v in range(order + 1):
             assert difference_power_sum(v, w) == 0
+
+
+@st.composite
+def rational_witnesses(draw):
+    """Distinct rational points y and the divided-difference weights
+    c_j = s / prod_{k != j} (y_j - y_k) times a rational s, which
+    annihilate the moments 0..n-2; the stated moment order is drawn from 0..n-2."""
+    values = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+    y = draw(st.lists(values, min_size=2, max_size=5, unique=True))
+    s = draw(values.filter(bool))
+    c = [s / math.prod(yj - yk for yk in y if yk != yj) for yj in y]
+    return WitnessConfig(tuple(y), tuple(c), draw(st.integers(0, len(y) - 2)))
+
+
+class TestIntegerArithmetic:
+    """The integer sums over scaled points and the once-per-pair
+    evaluations equal their plain Fraction and n^2 references exactly."""
+
+    @given(rational_witnesses(), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_moments_and_difference_sums_are_the_fraction_sums(self, w, v):
+        pairs = [(cj * ck, yj - yk) for cj, yj in zip(w.c, w.y) for ck, yk in zip(w.c, w.y)]
+        moments = check_moments(w, w.n + 1)
+        assert all(type(m) is Fraction for m in moments)
+        for ell, moment in enumerate(moments):
+            assert moment == sum((cj * yj**ell for cj, yj in zip(w.c, w.y)), Fraction(0))
+        total = sum((weight * d ** (2 * v) for weight, d in pairs), Fraction(0))
+        assert difference_power_sum(v, w) == (-1) ** v * total
+
+    @given(rational_witnesses(), st.floats(0.05, 0.95), st.floats(0.01, 13.0))
+    @settings(max_examples=60, deadline=None)
+    def test_t_power_coefficient_is_the_full_sum_bit_for_bit(self, w, frac, a):
+        params = KernelParams(w.moment_order + frac, a)
+        with mp.workdps(SERIES_DPS):
+            want = -_as_mpf(a) * mp.fsum(
+                _as_mpf(w.c[j] * w.c[k]) * _as_mpf(w.y[j] ** 2 + w.y[k] ** 2) ** _as_mpf(params.t)
+                for j in range(w.n)
+                for k in range(w.n)
+                if w.y[j] ** 2 + w.y[k] ** 2
+            )
+        assert t_power_coefficient(params, w)._mpf_ == want._mpf_
+
+    @given(
+        rational_witnesses(),
+        st.floats(0.1, 6.0),
+        st.floats(0.01, 13.0),
+        st.integers(0, 30),
+        st.sampled_from([50, 100, 200]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_cleared_form_is_the_full_grid_product_bit_for_bit(self, w, t, a, m, dps):
+        params = KernelParams(t, a)
+        config = PointConfig(tuple(yj / 2**m for yj in w.y), w.c)
+        q = form_enclosure(params, config, dps)[0]
+        with mp.workdps(dps):
+            x = np.array([_as_mpf(p) for p in config.points], dtype=object)
+            want = mp.pi * q * math.prod((1 + distance_matrix(params, x, x)).flat)
+        assert _clear(params, config, q, dps)._mpf_ == want._mpf_
