@@ -13,12 +13,14 @@ set whose form is certified on the side it claims.  A record stores it as
 Provenance is the producer's: ``t`` and ``a`` on spectral records, ``z``
 on boundary records; witness records add ``z``, ``q_value`` (the kernel
 form) and ``dps_used``, and store the cleared form f(z) as ``value``.
+The replay reads no provenance but ``t`` and ``a``.
 
 Each kind claims a side of a threshold (``CLAIMS``): the kernel form of a
 gram, g or f certificate is below 0, the distance form of a cnd
 certificate, whose coefficients must sum to zero, above the record's
 tolerance.  :func:`verify_certificate` reads the stored numbers back with
-:func:`_read`, replays their form and checks that claim.
+:func:`_read`, replays their form on the kernel's precision ladder, as
+its producer resolved it, and checks that claim.
 """
 
 import json
@@ -28,8 +30,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .errors import KpdError, PreconditionError, ToleranceError
-from .kernel import DPS_CAP, Certificate, KernelParams, PointConfig, check_zero_sum
-from .kernel import resolve_form_sign
+from .kernel import Certificate, KernelParams, PointConfig, check_zero_sum, resolve_form_sign
 
 # kind -> (distance form?, side of the threshold it claims)
 CLAIMS = {"gram": (False, -1), "g": (False, -1), "f": (False, -1), "cnd": (True, 1)}
@@ -93,15 +94,17 @@ def verify_certificate(record_path: str) -> dict:
     """Re-evaluate every certificate stored in a run record.
 
     The form of the stored points and coefficients is replayed with
-    :func:`~kpd.kernel.resolve_form_sign` (binary64 first, then mpmath from
-    the certificate's ``dps_used``, or 50 digits).  A certificate is
+    :func:`~kpd.kernel.resolve_form_sign`, which climbs the precision
+    ladder that made the certificate and so resolves it at the rung that
+    certified it; a record's ``dps_used`` is not read.  A certificate is
     CONFIRMED when both its stored value and the replay make its kind's
     claim, MISMATCH when either contradicts it or a cnd certificate's
     coefficients fail :func:`~kpd.kernel.check_zero_sum`, and UNRESOLVED
     when the stored value makes the claim but no precision up to the cap
     separates the replay from the threshold.  The record's verdict is the
     first of MISMATCH, UNRESOLVED and CONFIRMED that any certificate has.
-    A malformed certificate, or a ``dps_used`` outside [15, DPS_CAP],
+    A malformed certificate, or a cnd certificate whose tolerance is not
+    finite and >= 0 (as :func:`~kpd.definiteness.cnd_check` requires),
     raises KpdError.
     """
     with open(record_path, "r", encoding="utf-8") as fh:
@@ -130,19 +133,16 @@ def verify_certificate(record_path: str) -> dict:
                 tuple(map(_read, cert["points"])), tuple(map(_read, cert["coeffs"]))
             )
             stored = mp.mpf(cert["value"])  # only its sign and magnitude matter
-            dps_start = int(cert.get("dps_used", 50))
-            if not 15 <= dps_start <= DPS_CAP:
-                raise ValueError(f"dps_used {dps_start} is outside [15, {DPS_CAP}]")
+            distance, side = CLAIMS[cert["kind"]]
+            threshold = cnd_tolerance if distance else 0.0
+            if not 0 <= threshold < math.inf:
+                raise ValueError(f"tolerance {threshold} is not finite and >= 0")
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise KpdError(f"certificate at {path} is malformed: {exc!r}") from exc
-        distance, side = CLAIMS[cert["kind"]]
-        threshold = cnd_tolerance if distance else 0.0
         try:
             if distance:
                 check_zero_sum(config.coeffs)
-            replayed, _, _ = resolve_form_sign(
-                params, config, dps_start, distance=distance, threshold=threshold
-            )
+            replayed = resolve_form_sign(params, config, distance=distance, threshold=threshold)[0]
         except ToleranceError:
             replayed = None
         except PreconditionError:

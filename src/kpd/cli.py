@@ -135,7 +135,7 @@ def _num(x, dps: int = 30) -> dict:
 def _verdict_dict(verdict) -> dict:
     return {
         "verdict": verdict.verdict,
-        "statistic": _num(verdict.statistic),
+        "statistic": _num(verdict.statistic, verdict.dps),
         "tolerance": _num(verdict.tolerance),
         "boundary": verdict.boundary,
     }
@@ -202,7 +202,7 @@ def _cmd_cnd(cfg: RunConfig) -> dict:
         "t": _num(params.t),
         "a": _num(params.a),
         "cnd": _verdict_dict(verdict),
-        "form_value": _num(-s if isinstance(s, float) else mp.fneg(s, exact=True)),
+        "form_value": _num(-s if isinstance(s, float) else mp.fneg(s, exact=True), verdict.dps),
         "certificate": encode("cnd", verdict.certificate),
     }
 

@@ -25,8 +25,9 @@ class DefinitenessVerdict:
     """Outcome of a definiteness test.
 
     ``statistic`` is the smallest Gram eigenvalue for PD checks and the
-    *negated* distance-form value for CND checks, kept as an mpf where
-    binary64 does not resolve its side.  The verdict is FAIL
+    *negated* distance-form value for CND checks, kept as an mpf at the
+    ``dps`` digits that resolved its side where binary64 (dps 17) does
+    not.  The verdict is FAIL
     exactly when ``certificate`` is present, and then statistic <=
     -tolerance.  For CND a statistic below -tolerance is a FAIL; for PD it
     is not where the eigenvector's form is not certified negative.
@@ -39,6 +40,7 @@ class DefinitenessVerdict:
     statistic: float | mp.mpf
     tolerance: float
     certificate: Certificate | None = None
+    dps: int = 17
 
     @property
     def failed(self) -> bool:
@@ -95,5 +97,5 @@ def cnd_check(
     certificate = Certificate(config, value, bound, dps) if value > tolerance else None
     # an mpf's unary minus would round it to the caller's precision
     statistic = -value if isinstance(value, float) else mp.fneg(value, exact=True)
-    return DefinitenessVerdict(statistic, tolerance, certificate)
+    return DefinitenessVerdict(statistic, tolerance, certificate, dps)
 

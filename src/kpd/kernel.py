@@ -20,8 +20,10 @@ Conventions
   concurrent use.
 * A form's sign is claimed only from an enclosure: :func:`form_enclosure`
   returns the form together with an a-priori bound on its rounding error,
-  and :func:`resolve_form_sign` escalates from binary64 through mpmath
-  precisions until the enclosure excludes the threshold in question.
+  and :func:`resolve_form_sign` climbs ``DPS_LADDER``, from binary64 through
+  mpmath precisions, until the enclosure excludes the threshold in
+  question.  The ladder is kpd's one precision policy: no caller picks
+  digits, so a replay climbs the rungs its producer climbed.
 * Every certificate that the kernel is not positive definite is made by
   :func:`certify_negative`: a :class:`Certificate` exists only where
   :func:`resolve_form_sign` resolved the kernel form negative (or the
@@ -40,10 +42,11 @@ from mpmath import libmp
 from .errors import DomainError, PreconditionError, ToleranceError
 
 UNIT_ROUNDOFF = 2.0**-53
-# The precision cap, in decimal digits, of resolve_form_sign, the one
-# escalation in kpd (the witness scan and kpd verify run through it), and the
-# largest dps_used that kpd verify accepts in a certificate.
-DPS_CAP = 800
+# The rungs of resolve_form_sign, the one escalation in kpd (every sign
+# claim and every kpd verify replay climbs it): binary64 (None, reported as
+# 17 digits), then mpmath at these many decimal digits, up to DPS_CAP.
+DPS_LADDER = (None, 50, 100, 200, 400, 800)
+DPS_CAP = DPS_LADDER[-1]
 # np.power and mpmath's pow need not be correctly rounded; the error bound
 # allows them this many ulps.
 POW_ULPS = 4
@@ -323,38 +326,34 @@ def quadratic_form(
 
 
 def resolve_form_sign(
-    params: KernelParams,
-    config: PointConfig,
-    dps_start: int = 30,
-    distance: bool = False,
-    threshold: float = 0.0,
+    params: KernelParams, config: PointConfig, *, distance: bool = False, threshold: float = 0.0
 ) -> tuple:
     """Decide on which side of ``threshold`` the kernel form (or with
     ``distance`` the distance form) lies.
 
-    Tries binary64 first, reported as dps 17, then mpmath from
-    ``dps_start`` digits, doubling up to ``DPS_CAP``.  Returns
-    ``(value, dps, bound)`` from the first stage whose
-    :func:`form_enclosure` excludes ``threshold``; raises ToleranceError
-    if none does, so an unresolved value is never read as a sign.
+    Climbs ``DPS_LADDER``: binary64 first, reported as dps 17, then mpmath
+    from 50 digits, doubling up to ``DPS_CAP``.  Returns ``(value, dps,
+    bound)`` from the first rung whose :func:`form_enclosure` excludes
+    ``threshold``; raises ToleranceError if none does, so an unresolved
+    value is never read as a sign.
     """
-    if dps_start < 1:
-        raise DomainError(f"dps_start must be >= 1, got {dps_start}")
-    dps = None
-    while True:
+    for dps in DPS_LADDER:
         value, bound = form_enclosure(params, config, dps, distance)
-        # Rounding is monotone and the bound is representable at the stage's
+        # Rounding is monotone and the bound is representable at the rung's
         # precision, so a rounded difference above it is a true one.
         with mp.workdps(dps or 15):
-            resolved = abs(value - threshold) > bound
-        if resolved:
-            return value, dps or 17, bound
-        if dps is not None and dps >= DPS_CAP:
-            raise ToleranceError(
-                f"form {mp.nstr(value, 8)} is within its error bound "
-                f"{mp.nstr(bound, 3)} of {threshold} at dps {dps}"
-            )
-        dps = dps_start if dps is None else min(2 * dps, DPS_CAP)
+            if abs(value - threshold) > bound:
+                return value, dps or 17, bound
+    raise ToleranceError(
+        f"form {mp.nstr(value, 8)} is within its error bound "
+        f"{mp.nstr(bound, 3)} of {threshold} at dps {DPS_CAP}"
+    )
+
+
+def next_rung(dps: int) -> int:
+    """The ladder's first mpmath rung above ``dps`` digits (17 for
+    binary64), or ``DPS_CAP`` from the top rung."""
+    return next((d for d in DPS_LADDER[1:] if d > dps), DPS_CAP)
 
 
 def check_zero_sum(coeffs) -> None:
@@ -384,14 +383,12 @@ class Certificate:
     dps: int
 
 
-def certify_negative(
-    params: KernelParams, config: PointConfig, dps_start: int = 30
-) -> Certificate | None:
+def certify_negative(params: KernelParams, config: PointConfig) -> Certificate | None:
     """The certificate that the kernel form of ``config`` is negative, or
-    None when :func:`resolve_form_sign` (from ``dps_start`` digits after
-    binary64) resolves it positive or cannot resolve it at all."""
+    None when :func:`resolve_form_sign` resolves it positive or cannot
+    resolve it at all."""
     try:
-        value, dps, bound = resolve_form_sign(params, config, dps_start)
+        value, dps, bound = resolve_form_sign(params, config)
     except ToleranceError:
         return None
     return Certificate(config, value, bound, dps) if value < 0 else None

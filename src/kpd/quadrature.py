@@ -5,23 +5,22 @@ adaptive integrator that works for complex-valued integrands (real and
 imaginary parts share the same nodes).
 """
 
+import functools
+
 import numpy as np
 
 from .errors import ToleranceError
 
-_RULE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 # Nodes per Gauss-Legendre panel, in composite rules and adaptive steps.
 PANEL_DEGREE = 16
 
 
+@functools.cache
 def unit_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [-1, 1], cached by degree."""
     if degree < 1:
         raise ValueError(f"rule degree must be >= 1, got {degree}")
-    if degree not in _RULE_CACHE:
-        x, w = np.polynomial.legendre.leggauss(degree)
-        _RULE_CACHE[degree] = (x, w)
-    return _RULE_CACHE[degree]
+    return np.polynomial.legendre.leggauss(degree)
 
 
 def mapped_rule(a: float, b: float, degree: int) -> tuple[np.ndarray, np.ndarray]:

@@ -44,9 +44,10 @@ COEFF_QUANTUM = 2.0**-16
 
 def build_scheme(node_count: int, half_width: float) -> tuple[np.ndarray, np.ndarray]:
     """The composite Gauss-Legendre rule (nodes, weights) on [-L, L]:
-    panels of degree 16 plus one remainder panel."""
-    if not (math.isfinite(half_width) and half_width > 0):
-        raise DomainError(f"half_width must be finite and > 0, got {half_width}")
+    panels of degree 16 plus one remainder panel.  The width 2L must be
+    finite too, or the panel edges would be NaN."""
+    if not (math.isfinite(2 * half_width) and half_width > 0):
+        raise DomainError(f"half_width must be finite and > 0 with 2 L finite, got {half_width}")
     if node_count < 1:
         raise DomainError(f"node_count must be >= 1, got {node_count}")
     return composite_rule(-half_width, half_width, node_count)

@@ -66,6 +66,7 @@ from .kernel import (
     certify_negative,
     distance_matrix,
     form_enclosure,
+    next_rung,
 )
 
 # The series expansion's cost grows about as n^6 (2n^2 trinomial multiplies
@@ -73,7 +74,7 @@ from .kernel import (
 # arithmetic, it takes 0.1 s for n = 7 and 0.3 s for n = 8 (best of three,
 # binomial witnesses at t = n - 1.5, a = 1).
 DEFAULT_MAX_POINTS = 8
-SERIES_DPS = 50
+SERIES_DPS = 50  # the series' z^t terms and kappa; the scan climbs the kernel's ladder
 INTEGER_GAP = 1e-9
 # The witness scan tries z = 4^-m for m = 1..SCAN_STEPS.
 SCAN_STEPS = 100
@@ -341,14 +342,13 @@ def find_negative_scale(params: KernelParams, w: WitnessConfig, kappa) -> Negati
     negative (checked).  At z = 4^-m the points y_j sqrt(z) are the exact
     dyadic Fractions y_j / 2^m, so one configuration serves every
     precision, and :func:`~kpd.kernel.certify_negative` certifies its
-    kernel form Q, from ``SERIES_DPS`` digits after binary64; a z it does
-    not certify is skipped, not trusted.  The certificate keeps that
-    enclosure if it is mpmath, so at ``SERIES_DPS`` digits or more, with a
-    bound of at most 1e-15 |Q|; else it encloses Q once more at
-    min(DPS_CAP, max(SERIES_DPS, 2 dps)) digits, where the bound is about
-    10^-dps smaller, so its ``dps`` can exceed the certifying digits.  Its
-    f(z) = pi Q prod_pq (1 + D_pq), D the distance matrix of the same
-    points, has Q's certified sign.
+    kernel form Q on the kernel's precision ladder; a z it does not
+    certify is skipped, not trusted.  The certificate keeps that enclosure
+    if it is mpmath with a bound of at most 1e-15 |Q|; else it encloses Q
+    once more at the ladder's next rung (:func:`~kpd.kernel.next_rung`),
+    where the bound is about 10^-dps smaller, so its ``dps`` can exceed
+    the certifying digits.  Its f(z) = pi Q prod_pq (1 + D_pq), D the
+    distance matrix of the same points, has Q's certified sign.
     """
     if not (kappa < 0):
         raise PreconditionError(
@@ -357,12 +357,12 @@ def find_negative_scale(params: KernelParams, w: WitnessConfig, kappa) -> Negati
         )
     for m in range(1, SCAN_STEPS + 1):
         config = PointConfig(tuple(yj / 2**m for yj in w.y), w.c)
-        cert = certify_negative(params, config, SERIES_DPS)
+        cert = certify_negative(params, config)
         if cert is None:
             continue
         value, bound, dps = cert.value, cert.error_bound, cert.dps
         if not (isinstance(value, mp.mpf) and bound <= 1e-15 * abs(value)):
-            dps = min(DPS_CAP, max(SERIES_DPS, 2 * dps))
+            dps = next_rung(dps)
             value, bound = form_enclosure(params, config, dps)
         f_value = _clear(params, config, value, dps)
         return NegativeScaleCertificate(config, value, bound, dps, 4.0**-m, f_value)

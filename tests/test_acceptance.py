@@ -141,9 +141,9 @@ def test_criterion_6_end_to_end_certificates():
             w = build_binomial_witness(int(t))
             cert = find_negative_scale(params, w, t_power_coefficient(params, w))
             assert cert.f_value < 0, (t, a)
-            # recompute the kernel quadratic form independently, at
-            # elevated precision, from the stored configuration alone
-            replay, dps, _ = resolve_form_sign(params, cert.config, dps_start=cert.dps)
+            # recompute the kernel quadratic form independently, on the
+            # kernel's precision ladder, from the stored configuration alone
+            replay, dps, _ = resolve_form_sign(params, cert.config)
             assert replay < 0, (t, a, dps)
     sw.check("6 end-to-end-certificates")
 

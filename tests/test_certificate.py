@@ -1,15 +1,21 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import kpd.certificate
 import kpd.cli
+import kpd.kernel
+import kpd.witness
 from kpd.certificate import _read, encode, verify_certificate
 from kpd.cli import main
 from kpd.kernel import Certificate, PointConfig, resolve_form_sign
@@ -120,6 +126,51 @@ class TestReplay:
         assert verify_certificate(str(path))["verdict"] == "CONFIRMED"
         assert replayed == [encoded[0].config]
         assert 0.3 in replayed[0].points
+
+    @pytest.mark.parametrize("dps_used", [None, 15, 800, "x"], ids=["deleted", "15", "800", "x"])
+    def test_dps_used_is_not_read(self, capsys, tmp_path, dps_used):
+        # the scan certified this form at 100 digits, its record's dps_used
+        path, _ = _record(capsys, tmp_path, ("witness", "--t", "3.75", "--a", "0.01"))
+        before = verify_certificate(str(path))
+        record = json.loads(path.read_text())
+        assert record["payload"]["certificate"].pop("dps_used") == 100
+        if dps_used is not None:
+            record["payload"]["certificate"]["dps_used"] = dps_used
+        path.write_text(json.dumps(record))
+        after = verify_certificate(str(path))
+        assert after["verdict"] == before["verdict"] == "CONFIRMED"
+        assert after["results"] == before["results"]
+
+    @given(st.sampled_from((1, 3)), st.floats(0.1, 0.75), st.floats(-2.0, math.log10(13.0)))
+    # certified at 50 digits, recorded at 100 for a bound below 1e-15 |Q|
+    @example(3, 0.532644, math.log10(0.010993))
+    @settings(max_examples=60, deadline=None)
+    def test_replay_resolves_at_the_certifying_rung(self, floor, frac, log_a):
+        # the scan and the replay climb one ladder: the replay stops where
+        # the scan certified, which is never above the record's dps_used
+        t, a = repr(round(floor + frac, 6)), repr(round(10**log_a, 6))
+        certified, replayed = [], []
+
+        def scan_spy(params, config):
+            certified.append(cert := kpd.kernel.certify_negative(params, config))
+            return cert
+
+        def replay_spy(params, config, **kwargs):
+            replayed.append(result := resolve_form_sign(params, config, **kwargs))
+            return result
+
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mpatch:
+            mpatch.setattr(kpd.witness, "certify_negative", scan_spy)
+            mpatch.setattr(kpd.certificate, "resolve_form_sign", replay_spy)
+            path = os.path.join(tmp, "w.json")
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["witness", "--t", t, "--a", a, "--out", path]) == 0
+            with open(path, encoding="utf-8") as fh:
+                dps_used = json.load(fh)["payload"]["certificate"]["dps_used"]
+            assert verify_certificate(path)["verdict"] == "CONFIRMED"
+        rung = next(c for c in reversed(certified) if c is not None).dps
+        assert [r[1] for r in replayed] == [rung]
+        assert rung <= dps_used
 
     def test_cli_replays_through_this_module(self):
         # the benchmark's tracer wraps kpd.cli.verify_certificate by name

@@ -9,6 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from kpd.definiteness import cnd_check, pd_check
 from kpd.errors import DomainError, ToleranceError
 from kpd.kernel import (
+    DPS_CAP,
+    DPS_LADDER,
     Certificate,
     KernelParams,
     PointConfig,
@@ -20,6 +22,7 @@ from kpd.kernel import (
     eval_kernel,
     form_enclosure,
     kernel_matrix,
+    next_rung,
     nonneg_power,
     quadratic_form,
     resolve_form_sign,
@@ -256,12 +259,22 @@ class TestQuadraticForm:
         cfg = PointConfig((0.0, r, 2.0 * r), (1.0, -2.0, 1.0))
         value, dps, bound = resolve_form_sign(params, cfg)
         assert value < 0
-        assert dps >= 30
+        assert dps in DPS_LADDER[1:]
         assert value + bound < 0
         # an exactly zero form is never resolved, however far it escalates
         zero = PointConfig((0.5, 0.5), (1, -1))
         with pytest.raises(ToleranceError, match="at dps 800"):
             resolve_form_sign(params, zero)
+
+    def test_one_ladder_and_no_precision_argument(self):
+        # binary64, then mpmath from 50 digits doubling to the cap
+        assert DPS_LADDER == (None, 50, 100, 200, 400, 800) and DPS_CAP == 800
+        assert [next_rung(d) for d in (17, 50, 100, 200, 400, 800)] == [
+            50, 100, 200, 400, 800, 800
+        ]
+        # distance and threshold are keywords: a third positional is refused
+        with pytest.raises(TypeError):
+            resolve_form_sign(KernelParams(2.0, 13.0), PointConfig((0.0,), (1.0,)), 30)
 
 
 class TestCertifyNegative:
@@ -290,7 +303,7 @@ class TestCertifyNegative:
         assert certify_negative(params, PointConfig((0.0, 1.0), (1.0, 1.0))) is None
         # the lowest Gram eigenvector at duplicated points, with eigenvalue
         # -2.6e-17: its form, +3.7e-30, is inside the binary64 bound and
-        # resolved positive at 30 digits
+        # resolved positive at 50 digits
         cfg = PointConfig(
             (0.5, 0.0, 0.5), (-0.707106781186663, 1.1207701433590955e-13, 0.7071067811864318)
         )
@@ -302,10 +315,6 @@ class TestCertifyNegative:
         # exactly zero: resolve_form_sign raises ToleranceError at the cap
         zero = PointConfig((0.5, 0.5), (1, -1))
         assert certify_negative(KernelParams(1.5, 1.0), zero) is None
-
-    def test_rejects_bad_dps_start(self):
-        with pytest.raises(DomainError):
-            certify_negative(KernelParams(2.0, 13.0), PointConfig((0.0,), (1.0,)), dps_start=0)
 
 
 def _as_kind(kind, value):
@@ -421,8 +430,6 @@ class TestFormEnclosure:
         # 7 bits or fewer: gamma_k or kappa would reach 1
         for dps in (-1, 0, 1):
             assert form_enclosure(params, cfg, dps=dps)[1] == math.inf
-        with pytest.raises(DomainError):
-            resolve_form_sign(params, cfg, dps_start=0)
         # binary64 rounding of points near 2e15 moves x - y by about 1:
         # the float value is -2.2e-78, the form +4.5e-85
         far = PointConfig((2000000000000031.0, 2000000000007837.0), (-1.0, 1.0))
