@@ -11,7 +11,7 @@ Subcommands map one-to-one onto the library modules:
     fracpow    fractional-power integral representation validation
     spectrum   Nystrom spectral probe at one (t, a)
     sweep      evidence sweep over weights a at fixed t
-    verify     replay a stored certificate using kernel arithmetic only
+    verify     replay stored certificates using kernel arithmetic only
 
 Each subcommand declares only the options it reads: ``--out`` on every
 run command, ``--tol`` on gram, cnd and fracpow, ``--seed`` on
@@ -40,6 +40,7 @@ diagnostics or a replay that is not CONFIRMED.
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -55,7 +56,7 @@ import numpy as np
 from . import __version__
 from .certificate import dec, encode, verify_certificate
 from .errors import KpdError, ToleranceError
-from .kernel import KernelParams, PointConfig, check_zero_sum, kernel_matrix
+from .kernel import KernelParams, PointConfig, check_zero_sum
 from .definiteness import cnd_check, pd_check
 from .boundary import boundary_report, find_schwarz_violation
 from .witness import (
@@ -186,7 +187,7 @@ def _cmd_gram(cfg: RunConfig) -> dict:
         "t": _num(params.t),
         "a": _num(params.a),
         "points": [_num(x) for x in points],
-        "entries": [[float(v) for v in row] for row in kernel_matrix(params, points, points)],
+        "entries": [[float(v) for v in row] for row in verdict.gram],
         "pd": _verdict_dict(verdict),
         "certificate": encode("gram", verdict.certificate),
     }
@@ -436,6 +437,7 @@ def run(config: RunConfig) -> RunRecord:
 # Argument parsing and entry point.
 
 
+@functools.cache  # one parser per process: building it costs more than a small job
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kpd",
@@ -450,7 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("fracpow", help="integral representation checks")
     s = sub.add_parser("spectrum", help="Nystrom spectral probe")
     sw = sub.add_parser("sweep", help="weight sweep at fixed t")
-    v = sub.add_parser("verify", help="replay a stored certificate")
+    v = sub.add_parser("verify", help="replay stored certificates")
 
     # each option on exactly the commands that read it
     for run_command in (g, c, b, w, i, f, s, sw):
@@ -473,7 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--t", type=_finite, default=2.0)
     sw.add_argument("--a-grid", type=_parse_floats, default="1,3,6,9,12", dest="a_grid")
     sw.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
-    v.add_argument("record", help="path to a run record JSON")
+    v.add_argument("records", nargs="+", metavar="record", help="path to a run record JSON")
     return parser
 
 
@@ -497,6 +499,31 @@ def _emit_csv(record: RunRecord) -> str:
     return buf.getvalue()
 
 
+def _verify(paths: list) -> int:
+    """Replay each record, one block of output per record (headed by its
+    path when there are several); 0 only when every record is CONFIRMED.
+    A record that cannot be read prints its error and does not stop the rest."""
+    code = 0
+    for path in paths:
+        if len(paths) > 1:
+            print(f"==> {path} <==")
+        try:
+            outcome = verify_certificate(path)
+        except (KpdError, OSError, json.JSONDecodeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 3
+            continue
+        for r in outcome["results"]:
+            print(
+                f"{r['path']}: kind={r['kind']} stored={r['stored_value']:.6e} "
+                f"replayed={r['replayed_value']:.6e} -> {r['verdict']}"
+            )
+        print(outcome["verdict"])
+        if outcome["verdict"] != "CONFIRMED":
+            code = 3
+    return code
+
+
 def main(argv=None) -> int:
     try:
         # the list options' type functions raise KpdError, which argparse passes on
@@ -508,18 +535,7 @@ def main(argv=None) -> int:
         return 2
 
     if args.command == "verify":
-        try:
-            outcome = verify_certificate(args.record)
-        except (KpdError, OSError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-        for r in outcome["results"]:
-            print(
-                f"{r['path']}: kind={r['kind']} stored={r['stored_value']:.6e} "
-                f"replayed={r['replayed_value']:.6e} -> {r['verdict']}"
-            )
-        print(outcome["verdict"])
-        return 0 if outcome["verdict"] == "CONFIRMED" else 3
+        return _verify(args.records)
 
     try:
         record = run(config)

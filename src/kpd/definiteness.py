@@ -10,7 +10,7 @@ kernel form negative, or the configuration whose distance form
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import mpmath as mp
 import numpy as np
@@ -35,12 +35,15 @@ class DefinitenessVerdict:
     ``boundary`` flags PASS verdicts with a negative statistic, such as
     the zero eigenvalues of duplicated points, which read slightly
     negative, and uncertified eigenvalues below -tolerance.
+
+    ``gram`` is the Gram matrix a PD check read its eigenvalues from.
     """
 
     statistic: float | mp.mpf
     tolerance: float
     certificate: Certificate | None = None
     dps: int = 17
+    gram: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def failed(self) -> bool:
@@ -74,7 +77,7 @@ def pd_check(params: KernelParams, points, tolerance: float) -> DefinitenessVerd
     if min_eig < -tolerance:
         lowest = PointConfig(tuple(x.tolist()), tuple(float(v) for v in vecs[:, 0]))
         certificate = certify_negative(params, lowest)
-    return DefinitenessVerdict(min_eig, tolerance, certificate)
+    return DefinitenessVerdict(min_eig, tolerance, certificate, gram=entries)
 
 
 def cnd_check(

@@ -38,6 +38,7 @@ from numbers import Rational
 import mpmath as mp
 import numpy as np
 from mpmath import libmp
+from mpmath.libmp import fone, mpf_abs, mpf_add, mpf_mul, mpf_pow, mpf_rdiv_int, mpf_sub
 
 from .errors import DomainError, PreconditionError, ToleranceError
 
@@ -52,6 +53,7 @@ DPS_CAP = DPS_LADDER[-1]
 POW_ULPS = 4
 # Nonzero binary64 inputs below this magnitude could underflow when squared.
 _TINY = 2.0**-511
+_RND = libmp.round_nearest  # the mpmath rungs' rounding, as mpf arithmetic's
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -157,23 +159,18 @@ def eval_kernel(params: KernelParams, x: float, y: float) -> float:
     return 1.0 / (math.pi * (1.0 + distance_form(params, x, y)))
 
 
-def _grid(values) -> np.ndarray:
-    values = np.asarray(values)
-    return values if values.dtype == object else values.astype(float)
-
-
 def distance_matrix(params: KernelParams, x, y) -> np.ndarray:
-    """Vectorized distance form d(x_i, y_j) on the grid ``x`` (rows) by
-    ``y`` (cols), broadcast over any leading axes: stacks of point sets
-    give stacks of matrices.  Object arrays of mpfs evaluate in mpmath at
-    the working precision, anything else in binary64."""
-    x, y = _grid(x)[..., :, None], _grid(y)[..., None, :]
+    """Vectorized distance form d(x_i, y_j) in binary64 on the grid ``x``
+    (rows) by ``y`` (cols), broadcast over any leading axes: stacks of
+    point sets give stacks of matrices."""
+    x = np.asarray(x, dtype=float)[..., :, None]
+    y = np.asarray(y, dtype=float)[..., None, :]
     # At large t or |x - y| the binary64 result overflows to inf on purpose:
     # inf is the right limit, as the kernel entry 1 / (pi (1 + d)) becomes 0.
     with np.errstate(over="ignore"):
         diff, xx, yy = x - y, x * x, y * y
         d = np.power(xx + yy, params.t)
-        if d.dtype != object and xx.max(initial=0) + yy.max(initial=0) == np.inf:
+        if xx.max(initial=0) + yy.max(initial=0) == np.inf:
             # where x^2 + y^2 overflows, its power hypot(x, y)^(2t) may be finite
             big = np.isinf(xx + yy)
             d[big] = np.power(np.hypot(x, y)[big], 2 * params.t)
@@ -187,11 +184,43 @@ def kernel_matrix(params: KernelParams, x, y) -> np.ndarray:
 
     Bit-symmetric: swapping x and y gives the transpose exactly."""
     d = distance_matrix(params, x, y)
-    # the array goes left: mpf * ndarray would first try to convert the
-    # whole array through its repr; a finite d near the binary64 maximum
-    # overflows to inf, whose entry is 0 as in distance_matrix
+    # a finite d near the binary64 maximum overflows to inf, whose entry is
+    # 0 as in distance_matrix
     with np.errstate(over="ignore"):
-        return 1 / ((1 + d) * (+mp.pi if d.dtype == object else np.pi))
+        return 1 / ((1 + d) * np.pi)
+
+
+def _libmp_matrix(params: KernelParams, x: list, prec: int, distance: bool) -> list:
+    """:func:`distance_matrix` (or with ``distance`` false
+    :func:`kernel_matrix`) of the libmp values ``x`` against themselves,
+    as a symmetric list of rows, in libmp at ``prec`` bits rounding to
+    nearest.  Each entry runs the binary64 functions' operations in their
+    order, as mpfs would; the n(n+1)/2 upper-triangle entries are evaluated
+    once and mirrored, which holds the full grid's entries, as sub and add
+    round correctly."""
+    t, a = libmp.from_float(params.t), libmp.from_float(params.a)
+    pi = libmp.mpf_pi(prec, _RND)
+    squares = [mpf_mul(v, v, prec, _RND) for v in x]
+    m = [[None] * len(x) for _ in x]
+    for j, xj in enumerate(x):
+        for k in range(j, len(x)):
+            diff = mpf_sub(xj, x[k], prec, _RND)
+            d = mpf_pow(mpf_add(squares[j], squares[k], prec, _RND), t, prec, _RND)
+            d = mpf_add(mpf_mul(d, a, prec, _RND), mpf_mul(diff, diff, prec, _RND), prec, _RND)
+            if not distance:
+                d = mpf_mul(mpf_add(d, fone, prec, _RND), pi, prec, _RND)
+                d = mpf_rdiv_int(1, d, prec, _RND)
+            m[j][k] = m[k][j] = d
+    return m
+
+
+def _libmp_dot(u: list, v: list, prec: int):
+    """sum_j u_j v_j of libmp values, left to right from the first product
+    (numpy's order for arrays of mpfs), rounding to nearest at ``prec`` bits."""
+    total = mpf_mul(u[0], v[0], prec, _RND)
+    for uj, vj in zip(u[1:], v[1:]):
+        total = mpf_add(total, mpf_mul(uj, vj, prec, _RND), prec, _RND)
+    return total
 
 
 def _gamma(k, u=UNIT_ROUNDOFF):
@@ -217,9 +246,11 @@ def form_enclosure(
     Returns ``(value, bound)`` with |value - F| <= bound, where F is the
     exact form of the configuration as given: the real numbers its floats,
     Fractions or mpfs denote.  With ``dps=None`` the form is ``c @ M @ c``
-    in binary64; with an integer ``dps`` the same expression runs in
-    mpmath at that many digits, where M's n(n+1)/2 upper-triangle entries
-    are evaluated once and mirrored (see :func:`_mirrored`).
+    in binary64, in numpy; with an integer ``dps`` the same operations run
+    in the same order on libmp values at that many digits, rounding to
+    nearest, where M's n(n+1)/2 upper-triangle entries are evaluated once
+    and mirrored (see :func:`_libmp_matrix`).  Each rung passes the same
+    few scalars to one bound derivation (:func:`_bound`).
 
     The bound is a-priori (Higham, *Accuracy and Stability of Numerical
     Algorithms*, ch. 3).  Let u = 2^-53, or 2^(1-prec) in mpmath, and
@@ -263,58 +294,59 @@ def form_enclosure(
     bound infinite or NaN, which excludes nothing.
     """
     n = config.n
-    matrix = distance_matrix if distance else kernel_matrix
     if dps is None:
         x, c = config.as_float_arrays()
+        ac = np.abs(c)
         with np.errstate(invalid="ignore", over="ignore"):  # inf and NaN exclude nothing
-            m = matrix(params, x, x)
-            value, bound = _form_and_bound(params, x, c, m, UNIT_ROUNDOFF, distance)
+            m = (distance_matrix if distance else kernel_matrix)(params, x, x)
+            value, scale = c @ m @ c, ac @ np.abs(m) @ ac
+            scalars = np.abs(x).max(), x.max() - x.min(), ac.sum()
+            bound = _bound(params, n, UNIT_ROUNDOFF, distance, scale, *scalars)
         if _underflows(config.points, x) or _underflows(config.coeffs, c):
             return float(value), math.inf
-        s = float(np.sum(np.abs(c)))
+        s = float(scalars[2])
         slack = 2.0**-1020 * ((1.0 + params.a) * s * s + n * (s + 1.0))
         return float(value), float(bound) + slack
     with mp.workdps(dps):
-        x = np.array([_as_mpf(p) for p in config.points], dtype=object)
-        c = np.array([_as_mpf(v) for v in config.coeffs], dtype=object)
-        m = _mirrored(matrix, params, x)
-        return _form_and_bound(params, x, c, m, mp.ldexp(1, 1 - mp.mp.prec), distance)
+        prec = mp.mp.prec
+        xs = [_as_mpf(p) for p in config.points]
+        x = [v._mpf_ for v in xs]
+        c = [_as_mpf(v)._mpf_ for v in config.coeffs]
+        ac = [mpf_abs(v, prec, _RND) for v in c]
+        # entries are >= 0 and exact at prec, so |m| is m
+        m = _libmp_matrix(params, x, prec, distance)
+        value = _libmp_dot([_libmp_dot(c, row, prec) for row in m], c, prec)
+        scale = _libmp_dot([_libmp_dot(ac, row, prec) for row in m], ac, prec)
+        # mpf abs rounds a wider point to the working precision; sum adds
+        # left to right from the first term, as numpy sums mpf arrays
+        scalars = max(map(abs, xs)), max(xs) - min(xs), sum(map(mp.make_mpf, ac))
+        u = mp.ldexp(1, 1 - prec)
+        bound = _bound(params, n, u, distance, mp.make_mpf(scale), *scalars)
+        return mp.make_mpf(value), bound
 
 
-def _mirrored(matrix, params: KernelParams, x: np.ndarray) -> np.ndarray:
-    """``matrix(params, x, x)`` for mpfs ``x`` from its upper triangle, mirrored:
-    mpf - and + round correctly, so the full grid holds the same entries."""
-    i, j = np.triu_indices(len(x))
-    m = np.empty((len(x), len(x)), dtype=object)
-    m[i, j] = m[j, i] = matrix(params, x[i, None], x[j, None])[:, 0, 0]
-    return m
-
-
-def _form_and_bound(params: KernelParams, x, c, m, u, distance: bool):
-    """The form ``c @ m @ c`` of the matrix ``m`` built at the points ``x``
-    and its bound, as derived in :func:`form_enclosure`, in the arithmetic
-    of the arrays (binary64, or mpf objects at the working precision) with
-    unit roundoff ``u``."""
-    n = len(c)
-    value = c @ m @ c
+def _bound(params: KernelParams, n: int, u, distance: bool, scale, big_x, width, sum_c):
+    """The error bound of :func:`form_enclosure` for a form of ``n``
+    points, from the scalars its rung computed in its own arithmetic
+    (binary64, or mpfs at the working precision, with unit roundoff ``u``):
+    scale = sum_jk |c_j| |M_jk| |c_k|, big_x = max |x_j|, width = max x_j -
+    min x_j and sum_c = sum |c_j|."""
     k = 6 * math.ceil(params.t) + 2 * POW_ULPS + 2
     if max(k, 2 * n + 16) >= 1 / (4 * u):  # some gamma_j would reach 1/3
-        return value, math.inf
-    e = 2 * np.abs(x).max() * _gamma(2, u)
-    g = _gamma(k, u)
-    ac = np.abs(c)
+        return math.inf
+    e = 2 * big_x * _gamma(2, u)
+    g, g4 = _gamma(k, u), _gamma(4, u)
     if distance:
         rel = g / (1 - g)
-        absolute = e * (2 * (x.max() - x.min()) + e) * (1 + 2 * g) * ac.sum() ** 2
+        absolute = e * (2 * width + e) * (1 + 2 * g) * sum_c**2
     else:
         phi = g + (1 + g) * e * (1 + e)
-        if not 2 * phi + _gamma(4, u) < 0.5:  # kappa would reach 1/2
-            return value, math.inf
-        kappa = (_gamma(4, u) + phi) / (1 - phi)
+        if not 2 * phi + g4 < 0.5:  # kappa would reach 1/2
+            return math.inf
+        kappa = (g4 + phi) / (1 - phi)
         rel, absolute = kappa / (1 - kappa), 0
-    scale = ac @ np.abs(m) @ ac
-    bound = _gamma(2 * n + 8, u) * scale + (rel * scale + absolute) / (1 - _gamma(4, u))
-    return value, bound / (1 - _gamma(2 * n + 16, u))
+    bound = _gamma(2 * n + 8, u) * scale + (rel * scale + absolute) / (1 - g4)
+    return bound / (1 - _gamma(2 * n + 16, u))
 
 
 def quadratic_form(

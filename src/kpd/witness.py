@@ -51,7 +51,6 @@ from itertools import combinations
 from typing import Literal, NamedTuple
 
 import mpmath as mp
-import numpy as np
 from mpmath import libmp
 
 from .errors import DomainError, PreconditionError, SizeCapError, ToleranceError
@@ -61,10 +60,9 @@ from .kernel import (
     KernelParams,
     PointConfig,
     _as_mpf,
-    _mirrored,
+    _libmp_matrix,
     _ratio,
     certify_negative,
-    distance_matrix,
     form_enclosure,
     next_rung,
 )
@@ -267,10 +265,16 @@ def cleared_form_series(params: KernelParams, w: WitnessConfig) -> PowerSeries:
 
 def _clear(params: KernelParams, config: PointConfig, q, dps: int):
     """pi * q * prod_pq (1 + D_pq) at ``dps`` digits: the cleared form of
-    ``config``, whose kernel form is ``q`` and distance matrix D."""
+    ``config``, whose kernel form is ``q`` and distance matrix D.  The
+    product runs over the n^2 entries in row order, in libmp."""
     with mp.workdps(dps):
-        x = np.array([_as_mpf(p) for p in config.points], dtype=object)
-        return mp.pi * q * math.prod((1 + _mirrored(distance_matrix, params, x)).flat)
+        prec, rnd = mp.mp.prec, libmp.round_nearest
+        product = libmp.fone
+        for row in _libmp_matrix(params, [_as_mpf(p)._mpf_ for p in config.points], prec, True):
+            for d in row:
+                product = libmp.mpf_mul(product, libmp.mpf_add(d, libmp.fone, prec, rnd), prec, rnd)
+        pi_q = libmp.mpf_mul(libmp.mpf_pi(prec, rnd), q._mpf_, prec, rnd)
+        return mp.make_mpf(libmp.mpf_mul(pi_q, product, prec, rnd))
 
 
 def cleared_form_value(params: KernelParams, w: WitnessConfig, z, dps: int):

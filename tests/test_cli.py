@@ -10,10 +10,19 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import kpd.cli
+import kpd.definiteness
+import kpd.kernel
 import kpd.witness
-from kpd.cli import RunConfig, main, run, verify_certificate
+from kpd.cli import RunConfig, _build_parser, main, run, verify_certificate
 from kpd.errors import KpdError
-from kpd.kernel import DPS_CAP, KernelParams, PointConfig, form_enclosure, resolve_form_sign
+from kpd.kernel import (
+    DPS_CAP,
+    KernelParams,
+    PointConfig,
+    form_enclosure,
+    kernel_matrix,
+    resolve_form_sign,
+)
 
 
 def run_cli(capsys, *argv):
@@ -118,6 +127,26 @@ class TestGramCommand:
         captured = capsys.readouterr()
         assert code == 3
         assert "Gram diagonal must be strictly positive" in captured.err
+
+    @pytest.mark.parametrize(
+        "points, builds", [("0,1,2,3", 1), (f"{math.sqrt(0.2)!r},0", 2)], ids=["pass", "fail"]
+    )
+    def test_gram_matrix_is_built_once(self, capsys, monkeypatch, points, builds):
+        # the payload's entries are the matrix pd_check read; a FAIL's
+        # certificate builds one more, in its binary64 rung
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return kernel_matrix(*args)
+
+        for module in (kpd.kernel, kpd.definiteness, kpd.cli):
+            monkeypatch.setattr(module, "kernel_matrix", counted, raising=False)
+        code, out = run_cli(capsys, "gram", "--t", "2", "--a", "13", "--points", points)
+        assert code == 0 and len(calls) == builds
+        x = [float(v) for v in points.split(",")]
+        want = kernel_matrix(KernelParams(2.0, 13.0), x, x).tolist()
+        assert json.loads(out)["payload"]["entries"] == want
 
     def test_pass_verdict(self, capsys):
         code, out = run_cli(
@@ -299,6 +328,9 @@ class TestFracpowCommand:
 
 class TestParser:
     def test_repeated_calls_in_one_process_agree(self, capsys, tmp_path):
+        # main builds its parser once per process; no call leaves a trace
+        # in the next one's config
+        assert _build_parser() is _build_parser()
         gram = ["gram", "--t", "2", "--a", "13", "--points", "0.4472135954999579,0"]
 
         def gram_then_verify(path):
@@ -308,12 +340,26 @@ class TestParser:
             record = json.loads(path.read_text())
             return record["config"], record["payload"], capsys.readouterr().out
 
+        def config(argv, path):
+            assert main(argv + ["--out", str(path)]) == 0
+            capsys.readouterr()
+            return json.loads(path.read_text())["config"]["params"]
+
         first = gram_then_verify(tmp_path / "first.json")
         with pytest.raises(SystemExit) as exc:
             main(["gram", "--t", "x", "--a", "1", "--points", "0"])
         assert exc.value.code == 2
         again = gram_then_verify(tmp_path / "again.json")
         assert again == first  # --out is not part of the config
+        assert config(gram + ["--tol", "1e-3"], tmp_path / "tol.json")["tolerance"] == 1e-3
+        assert config(gram, tmp_path / "default.json")["tolerance"] == 1e-10
+        spectrum = ["spectrum", "--t", "2", "--a", "13"]
+        assert config(spectrum + ["--nodes", "16"], tmp_path / "n16.json")["nodes"] == [16]
+        with pytest.raises(SystemExit) as exc:
+            main(spectrum + ["--nodes", "16", "--bogus"])
+        assert exc.value.code == 2
+        assert config(spectrum, tmp_path / "n.json")["nodes"] == [100, 200, 400]
+        assert gram_then_verify(tmp_path / "last.json") == first
 
     def test_unknown_command_rejected(self):
         with pytest.raises(KpdError, match="unknown command"):
@@ -531,6 +577,45 @@ class TestDeterminism:
 
 
 class TestVerify:
+    def test_several_records(self, capsys, tmp_path):
+        # one block per record, each as a lone path prints it; exit 0 only
+        # when every record is CONFIRMED; a bad record does not stop the rest
+        w, g, bad = tmp_path / "w.json", tmp_path / "g.json", tmp_path / "bad.json"
+        assert main(["witness", "--t", "1.5", "--a", "1", "--out", str(w)]) == 0
+        assert main(["gram", "--t", "2", "--a", "13", "--points", "0.4472135954999579,0",
+                     "--out", str(g)]) == 0
+        bad.write_text("{")
+        capsys.readouterr()
+        blocks = {}
+        for path in (w, g):
+            assert main(["verify", str(path)]) == 0
+            blocks[path] = capsys.readouterr().out
+        assert blocks[w].splitlines()[-1] == "CONFIRMED"
+        assert main(["verify", str(w), str(g)]) == 0
+        assert capsys.readouterr().out == f"==> {w} <==\n{blocks[w]}==> {g} <==\n{blocks[g]}"
+        missing = tmp_path / "missing.json"
+        assert main(["verify", str(g), str(missing), str(bad), str(w)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == (
+            f"==> {g} <==\n{blocks[g]}==> {missing} <==\n==> {bad} <==\n==> {w} <==\n{blocks[w]}"
+        )
+        assert len(captured.err.splitlines()) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["verify"])
+        assert exc.value.code == 2
+
+    def test_one_record_that_is_not_confirmed_fails_the_run(self, capsys, tmp_path):
+        good, tampered = tmp_path / "good.json", tmp_path / "tampered.json"
+        assert main(["witness", "--t", "1.5", "--a", "1", "--out", str(good)]) == 0
+        record = json.loads(good.read_text())
+        cert = record["payload"]["certificate"]
+        cert["value"] = cert["value"].lstrip("-")  # flip the stored sign
+        tampered.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert main(["verify", str(good), str(tampered)]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln for ln in lines if " " not in ln] == ["CONFIRMED", "MISMATCH"]
+
     def test_witness_certificate_confirms(self, capsys, tmp_path):
         rec = tmp_path / "w.json"
         assert main(["witness", "--t", "1.5", "--a", "1", "--out", str(rec)]) == 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import object_reference
 from kpd.definiteness import cnd_check, pd_check
 from kpd.errors import DomainError, ToleranceError
 from kpd.kernel import (
@@ -15,7 +16,6 @@ from kpd.kernel import (
     KernelParams,
     PointConfig,
     _as_mpf,
-    _form_and_bound,
     certify_negative,
     distance_form,
     distance_matrix,
@@ -27,6 +27,7 @@ from kpd.kernel import (
     quadratic_form,
     resolve_form_sign,
 )
+from kpd.witness import build_binomial_witness
 
 INV_PI = 1.0 / math.pi
 
@@ -383,31 +384,34 @@ class TestFormEnclosure:
         assert math.isnan(value) and bound == math.inf
         assert cnd_check(params, cfg, 1e-10).failed
 
-    @pytest.mark.parametrize("kind", ["mpf", "float", "fraction"])
+    @pytest.mark.parametrize("kind", ["mpf", "wide", "float", "fraction", "dyadic"])
     def test_triangle_stage_equals_full_grid(self, kind):
-        # the mpmath stage evaluates the upper triangle once; its value and
-        # bound must be exactly those of the full n x n grid
+        # the mpmath rungs evaluate the upper triangle once, in libmp; their
+        # value and bound must be exactly those of the full n x n grid of
+        # mpf object arrays.  "mpf" inputs carry 60 digits, between the
+        # rungs; "wide" ones 1000, more than any rung, so abs must round
+        # them; "dyadic" points are the witness scan's y_j / 2^m.
         def convert(v):
-            with mp.workdps(60):  # an mpf with more digits than a float
-                return mp.mpf(v) / 3 if kind == "mpf" else _as_kind(kind, v)
+            with mp.workdps(1000 if kind == "wide" else 60):
+                return mp.mpf(v) / 3 if kind in ("mpf", "wide") else _as_kind(kind, v)
 
         rng = np.random.default_rng(8)
         for n in range(1, 10):
-            cfg = PointConfig(
-                [convert(v) for v in rng.uniform(-2, 2, n)],
-                [convert(v) for v in rng.uniform(-3, 3, n)],
-            )
-            for t in (2.0, 1.37):
+            if kind == "dyadic":
+                w = build_binomial_witness(n - 1)
+                m = int(rng.integers(0, 40))
+                cfg = PointConfig([y / 2**m for y in w.y], w.c)
+            else:
+                cfg = PointConfig(
+                    [convert(v) for v in rng.uniform(-2, 2, n)],
+                    [convert(v) for v in rng.uniform(-3, 3, n)],
+                )
+            for t in (2.0, 1.37, 3.0):
                 params = KernelParams(t, 0.7)
-                for dps in (30, 120):
+                for dps in (30, 120, (50, 200, 400, 800)[n % 4]):
                     for distance in (False, True):
                         got = form_enclosure(params, cfg, dps=dps, distance=distance)
-                        with mp.workdps(dps):
-                            x = np.array([_as_mpf(p) for p in cfg.points], dtype=object)
-                            c = np.array([_as_mpf(v) for v in cfg.coeffs], dtype=object)
-                            full = (distance_matrix if distance else kernel_matrix)(params, x, x)
-                            u = mp.ldexp(1, 1 - mp.mp.prec)
-                            want = _form_and_bound(params, x, c, full, u, distance)
+                        want = object_reference.form_enclosure(params, cfg, dps, distance)
                         assert got == want, (n, t, dps, distance)
 
     def test_fraction_converts_with_one_rounding(self):

@@ -11,13 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 import kpd.kernel
 import kpd.witness
+import object_reference
 from kpd.errors import DomainError, PreconditionError, SizeCapError, ToleranceError
 from kpd.kernel import (
     Certificate,
     KernelParams,
     PointConfig,
     _as_mpf,
-    distance_matrix,
     form_enclosure,
     quadratic_form,
 )
@@ -588,14 +588,14 @@ class TestIntegerArithmetic:
         st.floats(0.1, 6.0),
         st.floats(0.01, 13.0),
         st.integers(0, 30),
-        st.sampled_from([50, 100, 200]),
+        st.sampled_from([50, 100, 200, 400, 800]),
     )
     @settings(max_examples=40, deadline=None)
     def test_cleared_form_is_the_full_grid_product_bit_for_bit(self, w, t, a, m, dps):
+        # the libmp rungs against the full grid of mpf object arrays
         params = KernelParams(t, a)
         config = PointConfig(tuple(yj / 2**m for yj in w.y), w.c)
         q = form_enclosure(params, config, dps)[0]
-        with mp.workdps(dps):
-            x = np.array([_as_mpf(p) for p in config.points], dtype=object)
-            want = mp.pi * q * math.prod((1 + distance_matrix(params, x, x)).flat)
+        assert q == object_reference.form_enclosure(params, config, dps)[0]
+        want = object_reference.cleared_form(params, config, q, dps)
         assert _clear(params, config, q, dps)._mpf_ == want._mpf_
