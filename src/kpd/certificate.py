@@ -103,12 +103,15 @@ def verify_certificate(record_path: str) -> dict:
     when the stored value makes the claim but no precision up to the cap
     separates the replay from the threshold.  The record's verdict is the
     first of MISMATCH, UNRESOLVED and CONFIRMED that any certificate has.
-    A malformed certificate, or a cnd certificate whose tolerance is not
-    finite and >= 0 (as :func:`~kpd.definiteness.cnd_check` requires),
-    raises KpdError.
+    A record that is not JSON, a malformed certificate, or a cnd
+    certificate whose tolerance is not finite and >= 0 (as
+    :func:`~kpd.definiteness.cnd_check` requires), raises KpdError.
     """
     with open(record_path, "r", encoding="utf-8") as fh:
-        record = json.load(fh)
+        try:
+            record = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise KpdError(f"record at {record_path} is not JSON: {exc}") from exc
     try:
         cmd_params = record["config"]["params"]
         payload = record["payload"]

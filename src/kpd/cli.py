@@ -509,7 +509,7 @@ def _verify(paths: list) -> int:
             print(f"==> {path} <==")
         try:
             outcome = verify_certificate(path)
-        except (KpdError, OSError, json.JSONDecodeError) as exc:
+        except (KpdError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             code = 3
             continue

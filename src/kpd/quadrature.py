@@ -1,8 +1,11 @@
 """Gauss-Legendre quadrature helpers shared by the numerical modules.
 
-Plain composite rules for building discretization schemes, plus a small
-adaptive integrator that works for complex-valued integrands (real and
-imaginary parts share the same nodes).
+Plain composite rules for building discretization schemes, as numpy
+arrays, plus a small adaptive integrator that works for complex-valued
+integrands (real and imaginary parts share the same nodes).  The
+integrator's panels run on Python floats: each integrand is called with a
+float node, and the weighted terms are added left to right, not with
+``sum()``, so that every Python version rounds them alike.
 """
 
 import functools
@@ -60,9 +63,14 @@ def composite_rule(a: float, b: float, node_count: int) -> tuple[np.ndarray, np.
 
 
 def fixed_quad(f, a: float, b: float):
-    """One-panel Gauss-Legendre integral of a scalar callable."""
+    """One-panel Gauss-Legendre integral of a scalar callable, called with
+    Python floats.  A plain loop adds the terms left to right: from Python
+    3.12, ``sum()`` of floats is compensated and would round differently."""
     x, w = mapped_rule(a, b, PANEL_DEGREE)
-    return sum(wi * f(xi) for xi, wi in zip(x, w))
+    total = 0.0
+    for xi, wi in zip(x.tolist(), w.tolist()):
+        total += wi * f(xi)
+    return total
 
 
 def adaptive_quad(f, a: float, b: float, tol: float, max_depth: int = 40):

@@ -67,10 +67,10 @@ from .kernel import (
     next_rung,
 )
 
-# The series expansion's cost grows about as n^6 (2n^2 trinomial multiplies
-# over O(n^4) keys).  At 50 digits on a 2-vCPU Xeon, in Python integer
-# arithmetic, it takes 0.1 s for n = 7 and 0.3 s for n = 8 (best of three,
-# binomial witnesses at t = n - 1.5, a = 1).
+# The series expansion's cost grows about as n^6 (n^2 in-place trinomial
+# multiplies of tables with O(n^4) entries).  At 50 digits on a 2-vCPU Xeon,
+# in Python integer arithmetic, it takes 0.06 s for n = 7 and 0.16 s for
+# n = 8 (best of three, binomial witnesses at t = n - 1.5, a = 1).
 DEFAULT_MAX_POINTS = 8
 SERIES_DPS = 50  # the series' z^t terms and kappa; the scan climbs the kernel's ladder
 INTEGER_GAP = 1e-9
@@ -185,15 +185,23 @@ def _square_sum_powers(Y: list[int], L: int, t: mp.mpf) -> dict:
     return {s: _ratio(s, L * L) ** t for s in {yj**2 + yk**2 for yj in Y for yk in Y}}
 
 
-def _times(poly: dict, A: int, B: int) -> dict:
-    """poly * (1 + A z + B z^t), poly keyed by (i, j) for z^(i + j*t)."""
-    out = dict(poly)
-    for (i, j), co in poly.items():
-        if A:
-            out[i + 1, j] = out.get((i + 1, j), 0) + co * A
-        if B:
-            out[i, j + 1] = out.get((i, j + 1), 0) + co * B
-    return out
+def _times(P: list, D: list, rows: int, cols: int, g: tuple, weight: int) -> None:
+    """D <- D*g + weight*P and P <- P*g in place, for the factor
+    g = 1 + A z + B z^t with (A, B) = ``g``.
+
+    Entry [i][j] of a table is the coefficient of z^(i + j*t).  Only the
+    block of the first ``rows`` x ``cols`` entries, the one the product
+    reaches, is visited, from the highest powers down, so that each entry
+    is read before it is overwritten.  Each table is a row and a column
+    wider than any block, so row -1 and column -1 read as zeros.
+    """
+    A, B = g
+    for i in range(rows - 1, -1, -1):
+        p_row, d_row, p_up, d_up = P[i], D[i], P[i - 1], D[i - 1]
+        for j in range(cols - 1, -1, -1):
+            p = p_row[j]
+            d_row[j] += weight * p + A * d_up[j] + B * d_row[j - 1]
+            p_row[j] = p + A * p_up[j] + B * p_row[j - 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,8 +226,9 @@ def cleared_form_series(params: KernelParams, w: WitnessConfig) -> PowerSeries:
     g_pq = 1 + A_pq z + B_pq z^t.  P is the product of the factors folded
     so far and D the cleared form over them; each pair sets
     D <- D*g_pq + c_p c_q P, then P <- P*g_pq, so at the end D = f.
-    Keyed accumulation keeps the term count at O(n^4) instead of the
-    3^(n^2) raw products.
+    P and D are dense tables of the coefficients of z^(i + j*t), with i and
+    j at most n^2, multiplied in place (:func:`_times`): O(n^4) entries
+    instead of the 3^(n^2) raw products.
 
     The pass runs in integers.  Each B_pq, an mpf at ``SERIES_DPS``
     digits, is exactly man * 2^exp; over one 2^e0, and with y = Y / L and
@@ -242,24 +251,23 @@ def cleared_form_series(params: KernelParams, w: WitnessConfig) -> PowerSeries:
     c, C = _scaled(w.c)
     # each B_pq >= 0 is exactly man * 2^exp (0 * 2^0 when zero)
     e0 = min(0, *(b.exp for b in B.values()))
-    P: dict = {(0, 0): 1}
-    D: dict = {}
+    # n^2 factors reach n^2 + 1 rows and columns; one more of each reads zero
+    size = n * n + 2
+    P, D = [[0] * size for _ in range(size)], [[0] * size for _ in range(size)]
+    P[0][0] = rows = cols = 1
     for (p, q), b in B.items():
         g = (Y[p] - Y[q]) ** 2, b.man << (b.exp - e0)
-        D = _times(D, *g)
-        weight = c[p] * c[q]
-        if weight:
-            for key, co in P.items():
-                D[key] = D.get(key, 0) + weight * co
-        P = _times(P, *g)
+        rows, cols = rows + (g[0] != 0), cols + (g[1] != 0)
+        _times(P, D, rows, cols, g, c[p] * c[q])
     prec, terms = libmp.dps_to_prec(SERIES_DPS), {}
-    for (i, j), N in D.items():
+    for i, row in enumerate(D[:rows]):
         den = L ** (2 * i) * C * C
-        if N and j:
-            rounded = libmp.from_rational(N, den, prec, libmp.round_nearest)
-            terms[ExponentKey(i, j)] = mp.make_mpf(libmp.mpf_shift(rounded, j * e0))
-        elif N:
-            terms[ExponentKey(i, j)] = Fraction(N, den)
+        for j, N in enumerate(row[:cols]):
+            if N and j:
+                rounded = libmp.from_rational(N, den, prec, libmp.round_nearest)
+                terms[ExponentKey(i, j)] = mp.make_mpf(libmp.mpf_shift(rounded, j * e0))
+            elif N:
+                terms[ExponentKey(i, j)] = Fraction(N, den)
     return PowerSeries(terms)
 
 
@@ -275,21 +283,6 @@ def _clear(params: KernelParams, config: PointConfig, q, dps: int):
                 product = libmp.mpf_mul(product, libmp.mpf_add(d, libmp.fone, prec, rnd), prec, rnd)
         pi_q = libmp.mpf_mul(libmp.mpf_pi(prec, rnd), q._mpf_, prec, rnd)
         return mp.make_mpf(libmp.mpf_mul(pi_q, product, prec, rnd))
-
-
-def cleared_form_value(params: KernelParams, w: WitnessConfig, z, dps: int):
-    """f(z) = pi Q prod_pq (1 + D_pq) in mpmath at ``dps`` digits, with Q
-    the :func:`~kpd.kernel.form_enclosure` value and D the distance matrix
-    of the points y_j sqrt(z) and coefficients c_j; no expansion.  At small
-    z the form cancels heavily (see :func:`find_negative_scale`)."""
-    if not (float(z) > 0):
-        raise DomainError(f"z must be > 0, got {z!r}")
-    if not isinstance(dps, int) or dps < 1:
-        raise DomainError(f"dps must be an integer >= 1, got {dps!r}")
-    with mp.workdps(dps):
-        root = mp.sqrt(_as_mpf(z))
-        config = PointConfig(tuple(_as_mpf(yj) * root for yj in w.y), w.c)
-    return _clear(params, config, form_enclosure(params, config, dps)[0], dps)
 
 
 def t_power_coefficient(params: KernelParams, w: WitnessConfig):

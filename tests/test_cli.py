@@ -13,6 +13,7 @@ import kpd.cli
 import kpd.definiteness
 import kpd.kernel
 import kpd.witness
+import object_reference
 from kpd.cli import RunConfig, _build_parser, main, run, verify_certificate
 from kpd.errors import KpdError
 from kpd.kernel import (
@@ -288,7 +289,7 @@ class TestWitnessCommand:
         w = kpd.witness.WitnessConfig(
             tuple(map(Fraction, wit["y"])), tuple(map(Fraction, wit["c"])), wit["moment_order"]
         )
-        f = kpd.witness.cleared_form_value(params, w, float(cert["z"]), dps)
+        f = object_reference.cleared_form_value(params, w, float(cert["z"]), dps)
         with mp.workdps(dps):
             for stored, want in ((cert["q_value"], q), (cert["value"], f)):
                 assert abs(mp.mpf(stored) - want) <= mp.mpf("1e-12") * abs(want), (t, a)
@@ -599,10 +600,31 @@ class TestVerify:
         assert captured.out == (
             f"==> {g} <==\n{blocks[g]}==> {missing} <==\n==> {bad} <==\n==> {w} <==\n{blocks[w]}"
         )
-        assert len(captured.err.splitlines()) == 2
+        errors = captured.err.splitlines()
+        assert len(errors) == 2 and all(line.startswith("error: ") for line in errors)
+        assert str(missing) in errors[0] and str(bad) in errors[1]
         with pytest.raises(SystemExit) as exc:
             main(["verify"])
         assert exc.value.code == 2
+
+    def test_records_that_are_not_json_are_named(self, capsys, tmp_path):
+        # text that is not JSON and bytes that are not UTF-8 each print one
+        # error naming the record; the good records around them still replay
+        w, g = tmp_path / "w.json", tmp_path / "g.json"
+        bad, binary = tmp_path / "bad.json", tmp_path / "binary.json"
+        assert main(["witness", "--t", "1.5", "--a", "1", "--out", str(w)]) == 0
+        assert main(["gram", "--t", "2", "--a", "13", "--points", "0.4472135954999579,0",
+                     "--out", str(g)]) == 0
+        bad.write_text('{"config": ')
+        binary.write_bytes(b"\xff\xfe{}")
+        capsys.readouterr()
+        assert main(["verify", str(w), str(bad), str(g), str(binary)]) == 3
+        captured = capsys.readouterr()
+        assert [ln for ln in captured.out.splitlines() if " " not in ln] == ["CONFIRMED", "CONFIRMED"]
+        errors = captured.err.splitlines()
+        assert len(errors) == 2
+        for line, path in zip(errors, (bad, binary)):
+            assert line.startswith(f"error: record at {path} is not JSON: "), line
 
     def test_one_record_that_is_not_confirmed_fails_the_run(self, capsys, tmp_path):
         good, tampered = tmp_path / "good.json", tmp_path / "tampered.json"

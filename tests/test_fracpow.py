@@ -19,12 +19,27 @@ from kpd.fracpow import (
     split_power,
     validate_representation,
 )
-from kpd.quadrature import adaptive_quad, composite_rule, fixed_quad, unit_rule
+from kpd.quadrature import (
+    PANEL_DEGREE,
+    adaptive_quad,
+    composite_rule,
+    fixed_quad,
+    mapped_rule,
+    unit_rule,
+)
 
 GRID_S = (0.5, 1.5, 2.5, 3.7)
 GRID_W = (0.1, 1.0, 4.0, 10.0, 1.0 + 1.0j)
 # L1 norms at w = 1, from a 30-digit mpmath quadrature of the same integral
 L1_REFERENCE = {0.99: 100.436954666, 4.95: 0.182215504272, 5.9: 0.0170150749698}
+
+
+def numpy_scalar_fixed_quad(f, a, b):
+    """fixed_quad on numpy scalars, the reference for the float panels: the
+    integrand gets numpy float64 nodes, and ``sum()`` adds the products of
+    numpy weights from 0."""
+    x, w = mapped_rule(a, b, PANEL_DEGREE)
+    return sum(wi * f(xi) for xi, wi in zip(x, w))
 
 
 class TestSplitPower:
@@ -342,3 +357,37 @@ class TestAdaptiveQuadrature:
         spike = lambda x: 1.0 / math.sqrt(abs(x - 0.123456789) + 1e-300)
         with pytest.raises(ToleranceError):
             adaptive_quad(spike, 0.0, 1.0, tol=1e-14, max_depth=3)
+
+
+class TestFloatPanels:
+    def test_integrand_gets_python_floats(self):
+        seen = []
+        got = fixed_quad(lambda x: seen.append(type(x)) or cmath.exp(1j * x), 0.0, 1.0)
+        assert seen == [float] * PANEL_DEGREE
+        assert type(got) is complex
+
+    def test_terms_are_added_left_to_right(self):
+        # 1e16 and -1e16 at the ends and 1 between: a plain loop rounds each
+        # small term into the large partial sum, a compensated sum does not
+        x, w = mapped_rule(-1.0, 1.0, PANEL_DEGREE)
+        values = dict(zip(x.tolist(), [1e16] + [1.0] * (PANEL_DEGREE - 2) + [-1e16]))
+        terms = [wi * values[xi] for xi, wi in zip(x.tolist(), w.tolist())]
+        total = 0.0
+        for term in terms:
+            total += term
+        got = fixed_quad(values.__getitem__, -1.0, 1.0)
+        assert got == total
+        assert got != math.fsum(terms)
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8, 1e-10])
+    def test_validation_matches_the_numpy_scalar_path(self, monkeypatch, tol):
+        # the same floats, bit for bit; derivative_rel_err is left out: it
+        # divided a numpy complex by multiplying with the step's reciprocal
+        pairs = [(w, s) for s in GRID_S for w in GRID_W]
+        entries = validate_representation(pairs, tol=tol).entries
+        monkeypatch.setattr(kpd.quadrature, "fixed_quad", numpy_scalar_fixed_quad)
+        reference = validate_representation(pairs, tol=tol).entries
+        for e, ref in zip(entries, reference):
+            assert type(e["h"]) is complex and repr(e["h"]) == repr(complex(ref["h"]))
+            for key in ("rel_err", "l1_norm_upper"):
+                assert float(e[key]).hex() == float(ref[key]).hex(), (e["w"], e["s"], key)

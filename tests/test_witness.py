@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import kpd.kernel
 import kpd.witness
 import object_reference
+from object_reference import cleared_form_value
 from kpd.errors import DomainError, PreconditionError, SizeCapError, ToleranceError
 from kpd.kernel import (
     Certificate,
@@ -23,13 +24,13 @@ from kpd.kernel import (
 )
 from kpd.witness import (
     SERIES_DPS,
+    ExponentKey,
     WitnessConfig,
     _clear,
     _pair_data,
     build_binomial_witness,
     check_moments,
     cleared_form_series,
-    cleared_form_value,
     difference_power_sum,
     find_negative_scale,
     predict_t_coefficient_sign,
@@ -46,6 +47,40 @@ RATIONAL_WITNESS = WitnessConfig(
     c=(Fraction(2, 3), Fraction(-9, 7), 5, Fraction(-92, 21)),
     moment_order=0,
 )
+# zero weights c_p c_q for every pair with index 1 or 3, and B_00 = 0
+ZERO_WEIGHT_WITNESS = WitnessConfig(
+    y=(0, Fraction(1, 3), 1, Fraction(5, 2)),
+    c=(Fraction(1, 2), 0, Fraction(-1, 2), 0),
+    moment_order=0,
+)
+# a repeated point: A_pq = 0 off the diagonal too
+REPEATED_POINT_WITNESS = WitnessConfig(
+    y=(Fraction(1, 2), Fraction(1, 2), Fraction(3, 4)), c=(1, 1, -2), moment_order=0
+)
+
+
+def assert_reference_series(params, w):
+    """cleared_form_series has the terms of the dict-keyed expansion: the
+    same keys, coefficient types and exact bits."""
+    got, want = cleared_form_series(params, w).terms, object_reference.keyed_series(params, w)
+    assert got.keys() == want.keys()
+    for key, co in want.items():
+        assert type(got[key]) is type(co), key
+        if isinstance(co, Fraction):
+            assert got[key] == co, key
+        else:
+            assert got[key]._mpf_ == co._mpf_, key
+    assert all(type(key) is ExponentKey for key in got)
+
+
+@st.composite
+def rational_witnesses(draw):
+    """2-5 rational points and coefficients with a zero sum, some of them 0."""
+    n = draw(st.integers(2, 5))
+    rational = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+    y = draw(st.lists(rational, min_size=n, max_size=n))
+    c = draw(st.lists(rational, min_size=n - 1, max_size=n - 1))
+    return WitnessConfig(y=tuple(y), c=(*c, -sum(c, Fraction(0))), moment_order=0)
 
 
 def exact_expansion(params, w, dps=SERIES_DPS):
@@ -254,6 +289,29 @@ class TestSeriesExpansion:
             sorted((k, type(v).__name__, getattr(v, "_mpf_", v)) for k, v in terms.items())
         )
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("order", range(7))
+    def test_binomial_series_is_the_keyed_expansion(self, order):
+        # order 6 has n = 8 points, the most the cap admits
+        assert_reference_series(KernelParams(order + 0.37, 2.5), build_binomial_witness(order))
+
+    @pytest.mark.parametrize(
+        "w,t",
+        [(RATIONAL_WITNESS, 1.37), (RATIONAL_WITNESS, 2.81), (ZERO_WEIGHT_WITNESS, 0.6),
+         (REPEATED_POINT_WITNESS, 3.3)],
+        ids=["rational-1.37", "rational-2.81", "zero-weights", "repeated-point"],
+    )
+    def test_rational_series_is_the_keyed_expansion(self, w, t):
+        assert_reference_series(KernelParams(t, 0.7), w)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        w=rational_witnesses(),
+        t=st.floats(0.05, 4.95).filter(lambda t: abs(t - round(t)) > 0.01),
+        a=st.floats(0.01, 20.0),
+    )
+    def test_random_series_is_the_keyed_expansion(self, w, t, a):
+        assert_reference_series(KernelParams(t, a), w)
 
     def test_expansion_at_the_size_cap(self):
         # order 6: n = 8 points, the largest witness the cap admits
