@@ -69,10 +69,11 @@ def schwarz_margin(z: float, t: float, a: float) -> float:
     return _margin(z, t, a)
 
 
-def _margin(z, t: float, a: float):
-    """The margin formula for z >= 0, a float or a numpy array."""
+def _margin(z, t, a):
+    """The margin formula for z >= 0: floats, numpy arrays, or for an
+    integer t exact Fractions."""
     azt = a * z**t
-    return (1.0 + z) ** 2 - 1.0 + 2.0 * azt * ((1.0 + z) - 2.0 ** (t - 1.0)) + azt**2
+    return (1 + z) ** 2 - 1 + 2 * azt * ((1 + z) - 2 ** (t - 1)) + azt**2
 
 
 def schwarz_margin_exact(z: Fraction, t: int, a: Fraction) -> Fraction:
@@ -83,11 +84,7 @@ def schwarz_margin_exact(z: Fraction, t: int, a: Fraction) -> Fraction:
     """
     if int(t) != t or t < 2:
         raise DomainError(f"exact margin requires an integer t >= 2, got {t!r}")
-    t = int(t)
-    z = Fraction(z)
-    a = Fraction(a)
-    zt = z**t
-    return (1 + z) ** 2 - 1 + 2 * a * zt * ((1 + z) - Fraction(2) ** (t - 1)) + (a * zt) ** 2
+    return _margin(Fraction(z), int(t), Fraction(a))
 
 
 def critical_weight(z: float, t: float) -> float:

@@ -26,6 +26,7 @@ once per direction, power and tolerance within a call.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,16 +81,6 @@ def split_power(s: float) -> FracPowerParams:
         math.lgamma(s + 1.0) - math.lgamma(sigma) - math.lgamma(1.0 - sigma)
     )
     return FracPowerParams(s=s, int_part=S, frac_part=sigma, prefactor=prefactor)
-
-
-def rising_factorial(alpha: float, n: int) -> float:
-    """alpha * (alpha+1) * ... * (alpha+n-1); empty product 1 at n = 0."""
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    out = 1.0
-    for k in range(n):
-        out *= alpha + k
-    return out
 
 
 def l1_bound_constant(p: FracPowerParams) -> float:
@@ -262,19 +253,7 @@ def validate_representation(pairs, tol: float = 1e-6) -> ValidationReport:
     once per distinct (w / |w|, s, tol) within the call: all real w share
     direction 1.  Nothing is kept between calls.
     """
-    memo = {}
-
-    def once(part):
-        def cached(om, p, tol):
-            # repr tells apart the signed zeros that == merges
-            key = (part, repr(om), p, tol)
-            if key not in memo:
-                memo[key] = part(om, p, tol)
-            return memo[key]
-
-        return cached
-
-    bracket, l1_total = once(_power_bracket), once(_l1_total)
+    bracket, l1_total = functools.cache(_power_bracket), functools.cache(_l1_total)
     entries = []
     failures = []
     for w, s in pairs:

@@ -14,10 +14,12 @@ this module is the single source of truth for kernel arithmetic.
 
 Conventions
 -----------
-* Powers of a nonnegative base use the convention 0**s = 0 for s > 0
-  (see :func:`nonneg_power`); this is applied globally.
-* All operations are pure functions of immutable inputs and are safe for
-  concurrent use.
+* Powers of a nonnegative base use the convention 0**s = 0 for s > 0;
+  this is applied globally.
+* All operations are functions of immutable inputs, but the mpmath rungs
+  (:func:`form_enclosure`, :func:`resolve_form_sign`, and the witness layer
+  above them) set mpmath's process-global precision: results are
+  deterministic only while no other thread changes that precision.
 * A form's sign is claimed only from an enclosure: :func:`form_enclosure`
   returns the form together with an a-priori bound on its rounding error,
   and :func:`resolve_form_sign` climbs ``DPS_LADDER``, from binary64 through
@@ -135,28 +137,16 @@ class PointConfig:
         )
 
 
-def nonneg_power(base, exponent):
-    """``base**exponent`` in binary64 for base >= 0, with 0**s = 0."""
-    if base < 0:
-        raise DomainError(f"power base must be >= 0, got {base!r}")
-    if base == 0:
-        return 0.0
-    return float(base) ** float(exponent)
-
-
 def distance_form(params: KernelParams, x: float, y: float) -> float:
-    """The anisotropic distance form (x-y)^2 + a*(x^2+y^2)^t.
+    """The anisotropic distance form (x-y)^2 + a*(x^2+y^2)^t, zero exactly
+    at x = y = 0: the :func:`distance_matrix` entry of finite x and y.
 
-    Nonnegative everywhere; zero exactly at x = y = 0.
+    Kept, like :func:`quadratic_form`, because ``perfbench/tracing.py``
+    and ``tests/test_bench_contract.py`` look it up by name.
     """
     x = _require_finite("x", x)
     y = _require_finite("y", y)
-    return (x - y) * (x - y) + params.a * nonneg_power(x * x + y * y, params.t)
-
-
-def eval_kernel(params: KernelParams, x: float, y: float) -> float:
-    """Evaluate the kernel; the value lies in (0, 1/pi]."""
-    return 1.0 / (math.pi * (1.0 + distance_form(params, x, y)))
+    return float(distance_matrix(params, [x], [y])[0, 0])
 
 
 def distance_matrix(params: KernelParams, x, y) -> np.ndarray:

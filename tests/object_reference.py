@@ -10,6 +10,9 @@ precision.
 The witness series as a dict keyed by (i, j), as kpd.witness expanded it
 before it moved to dense integer tables, and the cleared form evaluated
 directly at one z.
+
+The two-point margin in float literals, as kpd.boundary evaluated floats
+and arrays before one integer-literal formula also served Fractions.
 """
 
 import math
@@ -135,3 +138,10 @@ def cleared_form_value(params, w, z, dps: int):
         root = mp.sqrt(_as_mpf(z))
         config = PointConfig(tuple(_as_mpf(yj) * root for yj in w.y), w.c)
     return _clear(params, config, kpd.kernel.form_enclosure(params, config, dps)[0], dps)
+
+
+def margin(z, t: float, a: float):
+    """The two-point margin of :mod:`kpd.boundary` for a float or a numpy
+    array z >= 0."""
+    azt = a * z**t
+    return (1.0 + z) ** 2 - 1.0 + 2.0 * azt * ((1.0 + z) - 2.0 ** (t - 1.0)) + azt**2

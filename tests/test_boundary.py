@@ -3,9 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kpd.boundary
+import object_reference
 from kpd.boundary import (
+    SCAN_POINTS,
+    _margin,
     boundary_report,
     critical_weight,
     find_schwarz_violation,
@@ -38,6 +42,37 @@ class TestMargin:
 
     def test_exact_rational_tangency(self):
         assert schwarz_margin_exact(Fraction(1, 4), 2, Fraction(12)) == 0
+
+    @pytest.mark.parametrize(
+        "z, a, want",
+        [
+            (Fraction(1, 5), 13, Fraction(-76, 625)),
+            (Fraction(1, 4), 12, 0),
+            (Fraction(1, 5), 12, Fraction(-61, 625)),
+        ],
+    )
+    def test_formula_is_exact_on_fractions(self, z, a, want):
+        got = _margin(z, 2, Fraction(a))
+        assert type(got) is Fraction and got == want
+
+    @given(
+        st.floats(min_value=0.0, max_value=10.0),
+        st.floats(min_value=1.0, max_value=12.0, exclude_min=True),
+        st.floats(min_value=1e-6, max_value=1e6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_formula_matches_float_reference_bitwise(self, z, t, a):
+        assert _margin(z, t, a).hex() == object_reference.margin(z, t, a).hex()
+
+    @pytest.mark.parametrize(
+        "t, a", [(1.3, 1e300), (2.0, 8.0), (2.0, 13.0), (2.5, 3.0), (3.0, 1e308), (25.0, 1e300)]
+    )
+    def test_formula_matches_float_reference_on_scan(self, t, a):
+        z0 = tangency_z(t)
+        zs = np.exp(np.linspace(math.log(z0 * 1e-12), math.log(z0), SCAN_POINTS))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = _margin(zs, t, a), object_reference.margin(zs, t, a)
+        assert got.tobytes() == want.tobytes()
 
     def test_exact_requires_integer_t(self):
         with pytest.raises(DomainError):

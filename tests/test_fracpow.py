@@ -15,7 +15,6 @@ from kpd.fracpow import (
     integral_power,
     integrand_l1_norm,
     l1_bound_constant,
-    rising_factorial,
     split_power,
     validate_representation,
 )
@@ -59,9 +58,9 @@ class TestSplitPower:
     def test_prefactor_matches_rising_factorial_route(self):
         for s in (0.3, 1.25, 2.75, 5.5, 9.1):
             p = split_power(s)
-            direct = rising_factorial(p.frac_part, p.int_part + 1) / math.gamma(
-                1.0 - p.frac_part
-            )
+            # the rising factorial (sigma)_{S+1} = sigma (sigma+1) ... (sigma+S)
+            rising = math.prod(p.frac_part + k for k in range(p.int_part + 1))
+            direct = rising / math.gamma(1.0 - p.frac_part)
             assert p.prefactor == pytest.approx(direct, rel=1e-12)
 
     def test_prefactor_positive_across_grid(self):
@@ -86,21 +85,6 @@ class TestFracPowerParams:
     def test_invalid_fields_rejected(self, frac_part, prefactor):
         with pytest.raises(DomainError):
             FracPowerParams(0.5, 0, frac_part, prefactor)
-
-
-class TestRisingFactorial:
-    def test_empty_product(self):
-        assert rising_factorial(7.3, 0) == 1.0
-
-    def test_half_cubed(self):
-        assert rising_factorial(0.5, 3) == pytest.approx(1.875, rel=1e-15)
-
-    def test_small_alpha(self):
-        assert rising_factorial(0.3, 4) == pytest.approx(2.9601, rel=1e-14)
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(DomainError):
-            rising_factorial(1.0, -1)
 
 
 class TestIntegralPower:
@@ -311,6 +295,30 @@ class TestValidation:
             validate_representation(grid, tol=1e-6)
             costs.append(count[0])
         assert len(real) == 4 and costs[0] == costs[1] > 0
+
+    @pytest.mark.parametrize("part", ["_power_bracket", "_l1_total"])
+    def test_scale_free_part_once_per_key_and_call(self, monkeypatch, part):
+        calls = []
+        original = getattr(kpd.fracpow, part)
+
+        def recorded(om, p, tol):
+            calls.append((om, p.s, tol))
+            return original(om, p, tol)
+
+        monkeypatch.setattr(kpd.fracpow, part, recorded)
+        pairs = [(w, s) for s in (0.5, 1.5) for w in (1.0, 4.0, 1.0 + 1.0j)]
+        runs = []
+        for _ in range(2):
+            calls.clear()
+            validate_representation(pairs, tol=1e-6)
+            runs.append(list(calls))
+        assert runs[0] == runs[1]
+        assert len(set(runs[0])) == len(runs[0])
+        # real w and their shifts share direction 1; 1 + 1j and its shift
+        # have one each.  The bracket is needed at s and s + 1 (the shift at
+        # s + 1 only), the L1 total at s: s = 0.5 and 1.5 share s + 1 = 1.5.
+        want = {"_power_bracket": 8, "_l1_total": 4}[part]
+        assert len(runs[0]) == want
 
 
 class TestAdaptiveQuadrature:

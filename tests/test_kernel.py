@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -19,17 +20,21 @@ from kpd.kernel import (
     certify_negative,
     distance_form,
     distance_matrix,
-    eval_kernel,
     form_enclosure,
     kernel_matrix,
     next_rung,
-    nonneg_power,
     quadratic_form,
     resolve_form_sign,
 )
 from kpd.witness import build_binomial_witness
 
 INV_PI = 1.0 / math.pi
+
+
+def kernel_entry(params, x, y):
+    """K(x, y): the kernel_matrix entry of the points x and y."""
+    return float(kernel_matrix(params, [x], [y])[0, 0])
+
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -56,9 +61,9 @@ class TestValidation:
         with pytest.raises(DomainError):
             KernelParams(t=float("nan"), a=1.0)
         with pytest.raises(DomainError):
-            eval_kernel(KernelParams(1.0, 1.0), float("nan"), 0.0)
+            distance_form(KernelParams(1.0, 1.0), float("nan"), 0.0)
         with pytest.raises(DomainError):
-            eval_kernel(KernelParams(1.0, 1.0), 0.0, float("inf"))
+            distance_form(KernelParams(1.0, 1.0), 0.0, float("inf"))
 
     def test_config_length_mismatch(self):
         with pytest.raises(DomainError):
@@ -73,21 +78,23 @@ class TestValidation:
 
 
 class TestEvalKernel:
+    """Single kernel values: kernel_matrix entries."""
+
     def test_origin_is_inv_pi(self):
-        assert eval_kernel(KernelParams(2.0, 1.0), 0.0, 0.0) == pytest.approx(
+        assert kernel_entry(KernelParams(2.0, 1.0), 0.0, 0.0) == pytest.approx(
             INV_PI, rel=1e-15
         )
 
     def test_unit_points(self):
         # denominator 1 + 1 + 1*(1+0)^1 = 3
-        assert eval_kernel(KernelParams(1.0, 1.0), 1.0, 0.0) == pytest.approx(
+        assert kernel_entry(KernelParams(1.0, 1.0), 1.0, 0.0) == pytest.approx(
             1.0 / (3.0 * math.pi), rel=1e-15
         )
 
     def test_against_high_precision(self):
         # independent mpmath evaluation at the exact same float inputs
         x = math.sqrt(0.2)
-        got = eval_kernel(KernelParams(2.0, 13.0), x, 0.0)
+        got = kernel_entry(KernelParams(2.0, 13.0), x, 0.0)
         with mp.workdps(40):
             xm = mp.mpf(x)
             want = 1 / (mp.pi * (1 + xm**2 + 13 * (xm**2) ** 2))
@@ -97,12 +104,12 @@ class TestEvalKernel:
     @given(params_st, finite_floats, finite_floats)
     @settings(max_examples=80, deadline=None)
     def test_symmetry_bitwise(self, params, x, y):
-        assert eval_kernel(params, x, y) == eval_kernel(params, y, x)
+        assert kernel_entry(params, x, y) == kernel_entry(params, y, x)
 
     @given(params_st, finite_floats, finite_floats)
     @settings(max_examples=80, deadline=None)
     def test_range(self, params, x, y):
-        v = eval_kernel(params, x, y)
+        v = kernel_entry(params, x, y)
         assert 0.0 < v <= INV_PI
         # equality only where the distance form vanishes at working
         # precision (exactly at the origin; underflow can add more)
@@ -111,9 +118,9 @@ class TestEvalKernel:
 
     def test_strict_maximum_only_at_origin(self):
         params = KernelParams(1.0, 1.0)
-        assert eval_kernel(params, 0.0, 0.0) == INV_PI
+        assert kernel_entry(params, 0.0, 0.0) == INV_PI
         for (x, y) in ((1e-6, 0.0), (0.0, -1e-6), (0.5, 0.5), (3.0, -2.0)):
-            assert eval_kernel(params, x, y) < INV_PI
+            assert kernel_entry(params, x, y) < INV_PI
 
 
 class TestDistanceForm:
@@ -134,16 +141,34 @@ class TestDistanceForm:
     @example(KernelParams(1.0, 1.0), 2.3838313829684797e-156)
     @settings(max_examples=60, deadline=None)
     def test_diagonal_matches_power(self, params, x):
-        # d(x, x) = a * (x^2 + x^2)^t >= 0; summed as in the definition, since
-        # 2.0 * x * x rounds differently once x^2 is subnormal
+        # d(x, x) = a * (x^2 + x^2)^t >= 0 with distance_matrix's array
+        # power; summed as in the definition, since 2.0 * x * x rounds
+        # differently once x^2 is subnormal
         got = distance_form(params, x, x)
-        assert got == params.a * nonneg_power(x * x + x * x, params.t)
+        assert got == params.a * np.power(np.array([x * x + x * x]), params.t)[0]
         assert got >= 0.0
 
     def test_zero_power_convention(self):
-        assert nonneg_power(0.0, 0.5) == 0.0
-        with pytest.raises(DomainError):
-            nonneg_power(-1.0, 0.5)
+        # 0**s = 0 for s > 0, however small s is
+        for t in (1e-3, 0.5, 1.0, 4.5):
+            assert distance_matrix(KernelParams(t, 3.0), [0.0], [0.0])[0, 0] == 0.0
+            assert distance_form(KernelParams(t, 3.0), 0.0, 0.0) == 0.0
+
+    @given(params_st, finite_floats, finite_floats)
+    @example(KernelParams(2.0026073774223874, 1.0), 897090.78125, 897090.78125)
+    @settings(max_examples=80, deadline=None)
+    def test_is_the_distance_matrix_entry(self, params, x, y):
+        # bit for bit, in a larger grid too; Python's scalar ** may differ
+        # from numpy's array power by an ulp (as at the example)
+        got = distance_form(params, x, y)
+        want = distance_matrix(params, [0.0, x, 1.5], [y, -2.0])[1, 0]
+        assert got.hex() == float(want).hex()
+
+    def test_overflow_is_inf_without_warning(self):
+        # 4**1e6 overflows binary64: the distance is its limit inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert distance_form(KernelParams(1e6, 2.0), 2.0, 0.0) == math.inf
 
 
 class TestGramMatrix:
@@ -196,8 +221,8 @@ class TestGramMatrix:
         d = distance_matrix(params, x, x)
         for i, xi in enumerate(x):
             for j, xj in enumerate(x):
-                assert m[i, j] == pytest.approx(eval_kernel(params, xi, xj), rel=1e-15)
-                assert d[i, j] == pytest.approx(distance_form(params, xi, xj), rel=1e-15)
+                assert d[i, j] == distance_form(params, xi, xj)
+                assert m[i, j] == 1 / ((1 + distance_form(params, xi, xj)) * math.pi)
 
 
 class TestQuadraticForm:
@@ -209,7 +234,7 @@ class TestQuadraticForm:
         cfg = PointConfig((3.0,), (1.0,))
         params = KernelParams(1.0, 1.0)
         assert quadratic_form(params, cfg) == pytest.approx(
-            eval_kernel(params, 3.0, 3.0), rel=1e-15
+            kernel_entry(params, 3.0, 3.0), rel=1e-15
         )
 
     def test_eigenvector_direction_negative(self):
@@ -239,7 +264,7 @@ class TestQuadraticForm:
         scale = 0.0
         for j in range(len(pts)):
             for k in range(len(pts)):
-                term = cs[j] * cs[k] * eval_kernel(params, pts[j], pts[k])
+                term = cs[j] * cs[k] * kernel_entry(params, pts[j], pts[k])
                 naive += term
                 scale += abs(term)
         # 8 units of accumulated rounding across n^2 terms
