@@ -26,13 +26,22 @@ Conventions
   mpmath precisions, until the enclosure excludes the threshold in
   question.  The ladder is kpd's one precision policy: no caller picks
   digits, so a replay climbs the rungs its producer climbed.
+* Every rung evaluates a form with one loop (:func:`_matrix` and
+  :func:`_dot`) in its own arithmetic (:func:`_arith`): Python floats in
+  binary64, libmp values rounding to nearest in mpmath.  numpy serves the
+  grids of :func:`distance_matrix` and :func:`kernel_matrix` (the Gram,
+  Nystrom and grid-search paths), never a sign claim.
 * Every certificate that the kernel is not positive definite is made by
   :func:`certify_negative`: a :class:`Certificate` exists only where
   :func:`resolve_form_sign` resolved the kernel form negative (or the
   distance form above a CND tolerance).
 """
 
+import contextlib
+import functools
 import math
+import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -40,7 +49,7 @@ from numbers import Rational
 import mpmath as mp
 import numpy as np
 from mpmath import libmp
-from mpmath.libmp import fone, mpf_abs, mpf_add, mpf_mul, mpf_pow, mpf_rdiv_int, mpf_sub
+from mpmath.libmp import fone, mpf_abs, mpf_add, mpf_div, mpf_mul, mpf_pow, mpf_sub
 
 from .errors import DomainError, PreconditionError, ToleranceError
 
@@ -130,12 +139,6 @@ class PointConfig:
     def n(self) -> int:
         return len(self.points)
 
-    def as_float_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            np.array([float(p) for p in self.points], dtype=float),
-            np.array([float(c) for c in self.coeffs], dtype=float),
-        )
-
 
 def distance_form(params: KernelParams, x: float, y: float) -> float:
     """The anisotropic distance form (x-y)^2 + a*(x^2+y^2)^t, zero exactly
@@ -180,48 +183,79 @@ def kernel_matrix(params: KernelParams, x, y) -> np.ndarray:
         return 1 / ((1 + d) * np.pi)
 
 
-def _libmp_matrix(params: KernelParams, x: list, prec: int, distance: bool) -> list:
+# One rung's arithmetic, rounding to nearest (see _arith): ``of`` is an
+# input in the rung's format, ``num`` a result as a float or an mpf,
+# power(s, x, y) is s^t for s = x^2 + y^2, and u the bound's unit roundoff.
+_Arith = namedtuple("_Arith", "of num add sub mul div abs power pi u")
+
+
+def _arith(params: KernelParams, prec: int | None = None) -> _Arith:
+    """Binary64 on Python floats, or with ``prec`` libmp values at ``prec``
+    bits (its mpf conversions and ``u`` read mpmath's working precision,
+    which the caller sets to ``prec``)."""
+    if prec is None:
+        def power(s, x, y):
+            t = params.t
+            if s == math.inf:  # where x^2 + y^2 overflows, hypot(x, y)^(2t) may be finite
+                s, t = math.hypot(x, y), 2 * t
+            try:
+                return s**t
+            except OverflowError:  # inf, as in distance_matrix
+                return math.inf
+
+        ops = operator.add, operator.sub, operator.mul, operator.truediv
+        return _Arith(float, float, *ops, abs, power, math.pi, UNIT_ROUNDOFF)
+
+    def rounded(op):
+        return lambda v, w: op(v, w, prec, _RND)
+
+    t = libmp.from_float(params.t)
+    return _Arith(
+        lambda v: _as_mpf(v)._mpf_,
+        mp.make_mpf,
+        *map(rounded, (mpf_add, mpf_sub, mpf_mul, mpf_div)),
+        lambda v: mpf_abs(v, prec, _RND),
+        lambda s, x, y: mpf_pow(s, t, prec, _RND),
+        libmp.mpf_pi(prec, _RND),
+        mp.ldexp(1, 1 - prec),
+    )
+
+
+def _matrix(params: KernelParams, x: list, ar: _Arith, distance: bool) -> list:
     """:func:`distance_matrix` (or with ``distance`` false
-    :func:`kernel_matrix`) of the libmp values ``x`` against themselves,
-    as a symmetric list of rows, in libmp at ``prec`` bits rounding to
-    nearest.  Each entry runs the binary64 functions' operations in their
-    order, as mpfs would; the n(n+1)/2 upper-triangle entries are evaluated
-    once and mirrored, which holds the full grid's entries, as sub and add
-    round correctly."""
-    t, a = libmp.from_float(params.t), libmp.from_float(params.a)
-    pi = libmp.mpf_pi(prec, _RND)
-    squares = [mpf_mul(v, v, prec, _RND) for v in x]
+    :func:`kernel_matrix`) of the points ``x`` against themselves, as a
+    symmetric list of rows, in the arithmetic ``ar``.  Each entry runs
+    those functions' operations in their order; the n(n+1)/2 upper-triangle
+    entries are evaluated once and mirrored, which holds the full grid's
+    entries, as sub and add round correctly."""
+    add, sub, mul, div, power, pi = ar.add, ar.sub, ar.mul, ar.div, ar.power, ar.pi
+    a, one = ar.of(params.a), ar.of(1)
+    squares = [mul(v, v) for v in x]
     m = [[None] * len(x) for _ in x]
     for j, xj in enumerate(x):
         for k in range(j, len(x)):
-            diff = mpf_sub(xj, x[k], prec, _RND)
-            d = mpf_pow(mpf_add(squares[j], squares[k], prec, _RND), t, prec, _RND)
-            d = mpf_add(mpf_mul(d, a, prec, _RND), mpf_mul(diff, diff, prec, _RND), prec, _RND)
+            diff = sub(xj, x[k])
+            d = power(add(squares[j], squares[k]), xj, x[k])
+            d = add(mul(d, a), mul(diff, diff))
             if not distance:
-                d = mpf_mul(mpf_add(d, fone, prec, _RND), pi, prec, _RND)
-                d = mpf_rdiv_int(1, d, prec, _RND)
+                d = div(one, mul(add(d, one), pi))
             m[j][k] = m[k][j] = d
     return m
 
 
-def _libmp_dot(u: list, v: list, prec: int):
-    """sum_j u_j v_j of libmp values, left to right from the first product
-    (numpy's order for arrays of mpfs), rounding to nearest at ``prec`` bits."""
-    total = mpf_mul(u[0], v[0], prec, _RND)
+def _dot(u: list, v: list, ar: _Arith):
+    """sum_j u_j v_j in the arithmetic ``ar``, left to right from the first
+    product."""
+    add, mul = ar.add, ar.mul
+    total = mul(u[0], v[0])
     for uj, vj in zip(u[1:], v[1:]):
-        total = mpf_add(total, mpf_mul(uj, vj, prec, _RND), prec, _RND)
+        total = add(total, mul(uj, vj))
     return total
 
 
 def _gamma(k, u=UNIT_ROUNDOFF):
     """Higham's gamma_k = k u / (1 - k u)."""
     return k * u / (1 - k * u)
-
-
-def _underflows(values, rounded: np.ndarray) -> bool:
-    """True if a nonzero input rounds to binary64 below _TINY in magnitude."""
-    tiny = (rounded != 0) & (np.abs(rounded) < _TINY)
-    return bool(np.any(tiny)) or np.count_nonzero(rounded) < sum(v != 0 for v in values)
 
 
 def form_enclosure(
@@ -235,12 +269,14 @@ def form_enclosure(
 
     Returns ``(value, bound)`` with |value - F| <= bound, where F is the
     exact form of the configuration as given: the real numbers its floats,
-    Fractions or mpfs denote.  With ``dps=None`` the form is ``c @ M @ c``
-    in binary64, in numpy; with an integer ``dps`` the same operations run
-    in the same order on libmp values at that many digits, rounding to
-    nearest, where M's n(n+1)/2 upper-triangle entries are evaluated once
-    and mirrored (see :func:`_libmp_matrix`).  Each rung passes the same
-    few scalars to one bound derivation (:func:`_bound`).
+    Fractions or mpfs denote.  Every rung runs one loop: M's n(n+1)/2
+    upper-triangle entries are evaluated once and mirrored
+    (:func:`_matrix`), the dot product of c with each row of M runs left to
+    right, and so does the dot product of those n sums with c
+    (:func:`_dot`).  With ``dps=None`` the loop runs on Python floats in
+    binary64; with an integer ``dps``, on libmp values at that many
+    digits, rounding to nearest.  Each rung passes the same few scalars to
+    one bound derivation (:func:`_bound`).
 
     The bound is a-priori (Higham, *Accuracy and Stability of Numerical
     Algorithms*, ch. 3).  Let u = 2^-53, or 2^(1-prec) in mpmath, and
@@ -260,9 +296,11 @@ def form_enclosure(
       1, pi, its product and the reciprocal take gamma_4 more:
       |K' - K| <= kappa K <= kappa K' / (1 - kappa) with
       kappa = (gamma_4 + phi) / (1 - phi).
-    * Sum.  ``c @ M @ c`` is two dot products of length n, each within
-      gamma_n of its sum of absolute terms (in any summation order, with
-      or without FMA).  Collecting the three sources, with
+    * Sum.  The form is n dot products of length n and one more over
+      their results.  Each is within gamma_n of its sum of absolute terms
+      in any summation order, with or without FMA, so gamma_(2n+8) below
+      holds for the left-to-right loop and for any other order.
+      Collecting the three sources, with
       S_M = sum_jk |c'_j| |M'_jk| |c'_k| and S = sum_j |c'_j|,
       |value - F| <= gamma_(2n+8) S_M + (kappa / (1 - kappa) S_M, or for d
       g / (1 - g) S_M + (1 + 2g) r S^2) / (1 - gamma_4).
@@ -280,39 +318,34 @@ def form_enclosure(
     absolute error of 2^-1075 by underflow; 2^-1020 ((1 + a) S^2 +
     n (S + 1)) covers it as long as no nonzero input falls below 2^-511 in
     magnitude (its square would underflow and pow amplifies that), and
-    such inputs get an infinite bound.  Overflow makes the value or the
-    bound infinite or NaN, which excludes nothing.
+    such inputs get an infinite bound.  A binary64 power that overflows is
+    inf (Python's float power raises OverflowError there; the rung maps it
+    to inf), and where x^2 + y^2 overflows the power is hypot(x, y)^(2t),
+    as in :func:`distance_matrix`.  Overflow makes the value or the bound
+    infinite or NaN, which excludes nothing: every term of the value is
+    bounded by a term of S_M.
     """
     n = config.n
-    if dps is None:
-        x, c = config.as_float_arrays()
-        ac = np.abs(c)
-        with np.errstate(invalid="ignore", over="ignore"):  # inf and NaN exclude nothing
-            m = (distance_matrix if distance else kernel_matrix)(params, x, x)
-            value, scale = c @ m @ c, ac @ np.abs(m) @ ac
-            scalars = np.abs(x).max(), x.max() - x.min(), ac.sum()
-            bound = _bound(params, n, UNIT_ROUNDOFF, distance, scale, *scalars)
-        if _underflows(config.points, x) or _underflows(config.coeffs, c):
-            return float(value), math.inf
-        s = float(scalars[2])
-        slack = 2.0**-1020 * ((1.0 + params.a) * s * s + n * (s + 1.0))
-        return float(value), float(bound) + slack
-    with mp.workdps(dps):
-        prec = mp.mp.prec
-        xs = [_as_mpf(p) for p in config.points]
-        x = [v._mpf_ for v in xs]
-        c = [_as_mpf(v)._mpf_ for v in config.coeffs]
-        ac = [mpf_abs(v, prec, _RND) for v in c]
-        # entries are >= 0 and exact at prec, so |m| is m
-        m = _libmp_matrix(params, x, prec, distance)
-        value = _libmp_dot([_libmp_dot(c, row, prec) for row in m], c, prec)
-        scale = _libmp_dot([_libmp_dot(ac, row, prec) for row in m], ac, prec)
-        # mpf abs rounds a wider point to the working precision; sum adds
-        # left to right from the first term, as numpy sums mpf arrays
-        scalars = max(map(abs, xs)), max(xs) - min(xs), sum(map(mp.make_mpf, ac))
-        u = mp.ldexp(1, 1 - prec)
-        bound = _bound(params, n, u, distance, mp.make_mpf(scale), *scalars)
-        return mp.make_mpf(value), bound
+    with contextlib.nullcontext() if dps is None else mp.workdps(dps):
+        ar = _arith(params, None if dps is None else mp.mp.prec)
+        x = [ar.of(v) for v in config.points]
+        c = [ar.of(v) for v in config.coeffs]
+        ac = [ar.abs(v) for v in c]
+        # entries are >= 0 and exact in the rung's arithmetic, so |m| is m
+        m = _matrix(params, x, ar, distance)
+        value = ar.num(_dot([_dot(c, row, ar) for row in m], c, ar))
+        scale = ar.num(_dot([_dot(ac, row, ar) for row in m], ac, ar))
+        # S adds left to right, not by sum(), which compensates floats from
+        # Python 3.12; an mpf's abs rounds a wider point to the working precision
+        xs, sum_c = [ar.num(v) for v in x], ar.num(functools.reduce(ar.add, ac))
+        scalars = scale, max(map(abs, xs)), max(xs) - min(xs), sum_c
+        bound = _bound(params, n, ar.u, distance, *scalars)
+    if dps is not None:
+        return value, bound
+    inputs = zip((*config.points, *config.coeffs), (*x, *c))
+    if any(v != 0 and abs(r) < _TINY for v, r in inputs):
+        return value, math.inf
+    return value, bound + 2.0**-1020 * ((1.0 + params.a) * sum_c * sum_c + n * (sum_c + 1.0))
 
 
 def _bound(params: KernelParams, n: int, u, distance: bool, scale, big_x, width, sum_c):
@@ -328,7 +361,7 @@ def _bound(params: KernelParams, n: int, u, distance: bool, scale, big_x, width,
     g, g4 = _gamma(k, u), _gamma(4, u)
     if distance:
         rel = g / (1 - g)
-        absolute = e * (2 * width + e) * (1 + 2 * g) * sum_c**2
+        absolute = e * (2 * width + e) * (1 + 2 * g) * (sum_c * sum_c)
     else:
         phi = g + (1 + g) * e * (1 + e)
         if not 2 * phi + g4 < 0.5:  # kappa would reach 1/2

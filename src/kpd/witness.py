@@ -59,8 +59,9 @@ from .kernel import (
     Certificate,
     KernelParams,
     PointConfig,
+    _arith,
     _as_mpf,
-    _libmp_matrix,
+    _matrix,
     _ratio,
     certify_negative,
     form_enclosure,
@@ -276,13 +277,12 @@ def _clear(params: KernelParams, config: PointConfig, q, dps: int):
     ``config``, whose kernel form is ``q`` and distance matrix D.  The
     product runs over the n^2 entries in row order, in libmp."""
     with mp.workdps(dps):
-        prec, rnd = mp.mp.prec, libmp.round_nearest
-        product = libmp.fone
-        for row in _libmp_matrix(params, [_as_mpf(p)._mpf_ for p in config.points], prec, True):
+        ar = _arith(params, mp.mp.prec)
+        product = one = ar.of(1)
+        for row in _matrix(params, [ar.of(p) for p in config.points], ar, True):
             for d in row:
-                product = libmp.mpf_mul(product, libmp.mpf_add(d, libmp.fone, prec, rnd), prec, rnd)
-        pi_q = libmp.mpf_mul(libmp.mpf_pi(prec, rnd), q._mpf_, prec, rnd)
-        return mp.make_mpf(libmp.mpf_mul(pi_q, product, prec, rnd))
+                product = ar.mul(product, ar.add(d, one))
+        return mp.make_mpf(ar.mul(ar.mul(ar.pi, q._mpf_), product))
 
 
 def t_power_coefficient(params: KernelParams, w: WitnessConfig):

@@ -113,7 +113,7 @@ class TestCndCheck:
         for _ in range(25):
             cfg = random_zero_sum_config(rng, int(rng.integers(2, 7)))
             got = -cnd_check(params, cfg, tolerance=1e-6).statistic
-            pts, c = cfg.as_float_arrays()
+            pts, c = [float(p) for p in cfg.points], [float(v) for v in cfg.coeffs]
             want = math.fsum(
                 c[j] * c[k] * (pts[j] - pts[k]) ** 2
                 for j in range(len(c))

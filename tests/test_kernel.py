@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import kpd.kernel
 import object_reference
 from kpd.definiteness import cnd_check, pd_check
 from kpd.errors import DomainError, ToleranceError
@@ -388,7 +389,8 @@ class TestFormEnclosure:
         # unless an input is tiny, the binary64 bound is within twice the
         # leading terms of its derivation, plus an underflow allowance below
         # 1e-290 here
-        x, c = cfg.as_float_arrays()
+        x = np.array([float(p) for p in cfg.points])
+        c = np.array([float(v) for v in cfg.coeffs])
         if any(0 < abs(v) < 2.0**-511 for v in (*x, *c)):
             return
         m = (distance_matrix if distance else kernel_matrix)(params, x, x)
@@ -408,6 +410,50 @@ class TestFormEnclosure:
         value, bound = form_enclosure(params, cfg, distance=True)
         assert math.isnan(value) and bound == math.inf
         assert cnd_check(params, cfg, 1e-10).failed
+
+    def test_overflowing_power_is_inf_without_warning(self):
+        # 100^200 and 200^200 overflow binary64: the kernel entries are 0
+        # and the form resolves in binary64, while the distance form's
+        # inf - inf excludes nothing
+        params, cfg = KernelParams(200.0, 1.0), PointConfig((0.0, 10.0), (1.0, -1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert form_enclosure(params, cfg) == (0.3183098861837907, 4.473980251927185e-14)
+            assert resolve_form_sign(params, cfg)[1] == 17
+            value, bound = form_enclosure(params, cfg, distance=True)
+            # where x^2 + y^2 overflows, the entry is distance_matrix's
+            # finite hypot(x, y)^(2t)
+            huge = form_enclosure(KernelParams(0.5, 1.0), PointConfig((1e155,), (1.0,)), distance=True)
+        assert math.isnan(value) and bound == math.inf
+        assert huge[0] == distance_form(KernelParams(0.5, 1.0), 1e155, 1e155) < math.inf
+
+    def test_binary64_rung_is_the_libmp_loop_at_53_bits(self):
+        # dps 15 is 53 bits, rounding to nearest even as binary64 does; with
+        # points k/8 and t in {1, 2, 3} every power is exact, so both rungs
+        # run the same operations in the same order and agree bit for bit
+        rng = np.random.default_rng(30)
+        for _ in range(3000):
+            n = int(rng.integers(1, 7))
+            cfg = PointConfig(
+                [int(k) / 8 for k in rng.integers(-64, 65, n)],
+                [int(k) / 2**16 for k in rng.integers(-(2**16), 2**16 + 1, n)],
+            )
+            params = KernelParams(float(rng.integers(1, 4)), float(rng.uniform(0.01, 20)))
+            for distance in (False, True):
+                value = form_enclosure(params, cfg, distance=distance)[0]
+                wide = form_enclosure(params, cfg, dps=15, distance=distance)[0]
+                assert mp.mpf(value) == wide, (params, cfg, distance)
+
+    def test_rungs_call_no_numpy(self, monkeypatch):
+        # every rung evaluates its form in Python loops: the sign primitive
+        # runs with kpd.kernel's numpy gone
+        monkeypatch.setattr(kpd.kernel, "np", None)
+        params = KernelParams(1.5, 1.0)
+        r = math.sqrt(2.0**-30)
+        cert = certify_negative(params, PointConfig((0.0, r, 2.0 * r), (1.0, -2.0, 1.0)))
+        assert cert is not None and cert.dps >= 50
+        zero_sum = PointConfig((0.0, 0.5, 1.5), (1.0, -2.0, 1.0))
+        assert resolve_form_sign(params, zero_sum, distance=True, threshold=1e-10)[0] > 0
 
     @pytest.mark.parametrize("kind", ["mpf", "wide", "float", "fraction", "dyadic"])
     def test_triangle_stage_equals_full_grid(self, kind):
