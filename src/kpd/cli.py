@@ -33,6 +33,9 @@ any other verdict, such as a gram eigenvalue below -tol whose eigenvector
 is not certified (a PASS with ``boundary: true``), has
 ``"certificate": null``.
 
+Each command imports its library modules, and numpy, when it runs, so
+that ``kpd verify`` loads neither.
+
 Exit status: 0 for a completed analysis (a mathematical FAIL is still a
 completed analysis), 2 for configuration errors, 3 for numerical
 diagnostics or a replay that is not CONFIRMED.
@@ -51,26 +54,11 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import mpmath as mp
-import numpy as np
 
 from . import __version__
 from .certificate import dec, encode, verify_certificate
 from .errors import KpdError, ToleranceError
 from .kernel import KernelParams, PointConfig, check_zero_sum
-from .definiteness import cnd_check, pd_check
-from .boundary import boundary_report, find_schwarz_violation
-from .witness import (
-    SERIES_DPS,
-    build_binomial_witness,
-    check_moments,
-    difference_power_sum,
-    find_negative_scale,
-    predict_t_coefficient_sign,
-    subset_product_identity,
-    t_power_coefficient,
-)
-from .fracpow import validate_representation
-from .spectral import min_operator_eigenvalue
 
 SCHEMA_VERSION = 1
 CSV_HEADER = ["t", "a", "level", "node_count", "L", "min_eigenvalue", "verdict"]
@@ -179,6 +167,7 @@ def _parse_nodes(text: str) -> tuple[int, ...]:
 
 
 def _cmd_gram(cfg: RunConfig) -> dict:
+    from .definiteness import pd_check
     p = cfg.params
     params = KernelParams(t=p["t"], a=p["a"])
     points = _parse_floats(p["points"])
@@ -194,6 +183,7 @@ def _cmd_gram(cfg: RunConfig) -> dict:
 
 
 def _cmd_cnd(cfg: RunConfig) -> dict:
+    from .definiteness import cnd_check
     p = cfg.params
     params = KernelParams(t=p["t"], a=p["a"])
     config = PointConfig(_parse_floats(p["points"]), _parse_floats(p["coeffs"]))
@@ -209,6 +199,7 @@ def _cmd_cnd(cfg: RunConfig) -> dict:
 
 
 def _cmd_boundary(cfg: RunConfig) -> dict:
+    from .boundary import boundary_report, find_schwarz_violation
     p = cfg.params
     report = boundary_report(p["t"])
     payload = {
@@ -239,6 +230,8 @@ def _cmd_boundary(cfg: RunConfig) -> dict:
 
 
 def _cmd_witness(cfg: RunConfig) -> dict:
+    from .witness import SERIES_DPS, build_binomial_witness, check_moments, find_negative_scale
+    from .witness import predict_t_coefficient_sign, t_power_coefficient
     p = cfg.params
     params = KernelParams(t=p["t"], a=p["a"])
     order = math.floor(params.t)
@@ -280,6 +273,9 @@ def _cmd_witness(cfg: RunConfig) -> dict:
 
 
 def _cmd_identities(cfg: RunConfig) -> dict:
+    import numpy as np
+    from .witness import build_binomial_witness, check_moments, difference_power_sum
+    from .witness import subset_product_identity
     # Fixed sizes: n <= 3 points, m <= 3, three seeded draws of each; witness
     # orders up to 6 for the difference sums and up to 12 for the moments.
     # inputs_sha256 digests the drawn points, so the payload records the seed.
@@ -329,6 +325,7 @@ def _cmd_identities(cfg: RunConfig) -> dict:
 
 
 def _cmd_fracpow(cfg: RunConfig) -> dict:
+    from .fracpow import validate_representation
     w_grid = (0.1, 1.0, 4.0, 10.0, 1.0 + 1.0j)
     pairs = [(w, s) for s in (0.5, 1.5, 2.5, 3.7) for w in w_grid]
     tol = cfg.params["tolerance"]
@@ -379,6 +376,7 @@ def _report_dict(report) -> dict:
 
 
 def _cmd_spectrum(cfg: RunConfig) -> dict:
+    from .spectral import min_operator_eigenvalue
     p = cfg.params
     params = KernelParams(t=p["t"], a=p["a"])
     report = min_operator_eigenvalue(params, p["nodes"], p["half_width"])
@@ -393,6 +391,7 @@ def _cmd_sweep(cfg: RunConfig) -> dict:
     """One spectral report per weight, in grid order, and its evidence-table
     rows (the CSV_HEADER columns): one per rung, the verdict on the last.
     Any error ends the sweep, as it ends ``kpd spectrum``."""
+    from .spectral import min_operator_eigenvalue
     p = cfg.params
     t, rows, reports = p["t"], [], []
     for a in p["a_grid"]:

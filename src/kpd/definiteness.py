@@ -16,7 +16,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import EigensolverError, DomainError, PreconditionError
-from .kernel import Certificate, KernelParams, PointConfig, certify_negative, kernel_matrix
+from .kernel import Certificate, KernelParams, PointConfig, _arith, _matrix, certify_negative
 from .kernel import check_zero_sum, resolve_form_sign
 
 
@@ -36,7 +36,8 @@ class DefinitenessVerdict:
     the zero eigenvalues of duplicated points, which read slightly
     negative, and uncertified eigenvalues below -tolerance.
 
-    ``gram`` is the Gram matrix a PD check read its eigenvalues from.
+    ``gram`` is the Gram matrix a PD check read its eigenvalues from: the
+    entries that its eigenvector's binary64 form reads.
     """
 
     statistic: float | mp.mpf
@@ -65,8 +66,8 @@ def pd_check(params: KernelParams, points, tolerance: float) -> DefinitenessVerd
     certificate is the verdict's."""
     if not 0 <= tolerance < math.inf:
         raise DomainError(f"tolerance must be finite and >= 0, got {tolerance}")
-    x = np.array(points, dtype=float)
-    entries = kernel_matrix(params, x, x)
+    x = [float(v) for v in points]
+    entries = np.array(_matrix(params, x, _arith(params), False))
     if np.any(np.diag(entries) <= 0.0):
         raise DomainError("Gram diagonal must be strictly positive")
     try:
@@ -75,7 +76,7 @@ def pd_check(params: KernelParams, points, tolerance: float) -> DefinitenessVerd
         raise EigensolverError(f"symmetric eigensolver failed: {exc}") from exc
     min_eig, certificate = float(vals[0]), None
     if min_eig < -tolerance:
-        lowest = PointConfig(tuple(x.tolist()), tuple(float(v) for v in vecs[:, 0]))
+        lowest = PointConfig(tuple(x), tuple(float(v) for v in vecs[:, 0]))
         certificate = certify_negative(params, lowest)
     return DefinitenessVerdict(min_eig, tolerance, certificate, gram=entries)
 

@@ -26,11 +26,12 @@ Conventions
   mpmath precisions, until the enclosure excludes the threshold in
   question.  The ladder is kpd's one precision policy: no caller picks
   digits, so a replay climbs the rungs its producer climbed.
-* Every rung evaluates a form with one loop (:func:`_matrix` and
-  :func:`_dot`) in its own arithmetic (:func:`_arith`): Python floats in
-  binary64, libmp values rounding to nearest in mpmath.  numpy serves the
-  grids of :func:`distance_matrix` and :func:`kernel_matrix` (the Gram,
-  Nystrom and grid-search paths), never a sign claim.
+* Every finite point set takes its entries from one loop (:func:`_matrix`,
+  with :func:`_dot` for forms) in a rung's arithmetic (:func:`_arith`):
+  Python floats in binary64, libmp values rounding to nearest in mpmath.
+  A Gram matrix's entries are its binary64 rung's.  numpy serves only the
+  spectral evidence grids of :func:`kernel_matrix` (Nystrom matrices and
+  the grid search), and is imported when that is first called.
 * Every certificate that the kernel is not positive definite is made by
   :func:`certify_negative`: a :class:`Certificate` exists only where
   :func:`resolve_form_sign` resolved the kernel form negative (or the
@@ -47,7 +48,6 @@ from fractions import Fraction
 from numbers import Rational
 
 import mpmath as mp
-import numpy as np
 from mpmath import libmp
 from mpmath.libmp import fone, mpf_abs, mpf_add, mpf_div, mpf_mul, mpf_pow, mpf_sub
 
@@ -59,8 +59,8 @@ UNIT_ROUNDOFF = 2.0**-53
 # 17 digits), then mpmath at these many decimal digits, up to DPS_CAP.
 DPS_LADDER = (None, 50, 100, 200, 400, 800)
 DPS_CAP = DPS_LADDER[-1]
-# np.power and mpmath's pow need not be correctly rounded; the error bound
-# allows them this many ulps.
+# The platform's pow (Python's float **), numpy's and mpmath's need not be
+# correctly rounded; the error bound allows them this many ulps.
 POW_ULPS = 4
 # Nonzero binary64 inputs below this magnitude could underflow when squared.
 _TINY = 2.0**-511
@@ -141,25 +141,33 @@ class PointConfig:
 
 
 def distance_form(params: KernelParams, x: float, y: float) -> float:
-    """The anisotropic distance form (x-y)^2 + a*(x^2+y^2)^t, zero exactly
-    at x = y = 0: the :func:`distance_matrix` entry of finite x and y.
+    """The anisotropic distance form (x-y)^2 + a*(x^2+y^2)^t of finite x
+    and y in binary64, zero exactly at x = y = 0: the entry that
+    :func:`form_enclosure`'s binary64 rung reads.
 
     Kept, like :func:`quadratic_form`, because ``perfbench/tracing.py``
     and ``tests/test_bench_contract.py`` look it up by name.
     """
     x = _require_finite("x", x)
     y = _require_finite("y", y)
-    return float(distance_matrix(params, [x], [y])[0, 0])
+    return _matrix(params, [x, y], _arith(params), True)[0][1]
 
 
-def distance_matrix(params: KernelParams, x, y) -> np.ndarray:
-    """Vectorized distance form d(x_i, y_j) in binary64 on the grid ``x``
-    (rows) by ``y`` (cols), broadcast over any leading axes: stacks of
-    point sets give stacks of matrices."""
+def kernel_matrix(params: KernelParams, x, y):
+    """Vectorized kernel 1 / (pi (1 + d)) in binary64 on the grid ``x``
+    (rows) by ``y`` (cols), as a numpy array, broadcast over any leading
+    axes: stacks of point sets give stacks of matrices.  Each entry runs
+    :func:`_matrix`'s operations with numpy's power, which may differ from
+    Python's in the last bit; the spectral grids use it, no finite point
+    set does.
+
+    Bit-symmetric: swapping x and y gives the transpose exactly."""
+    import numpy as np  # here, so that kpd verify never loads it
+
     x = np.asarray(x, dtype=float)[..., :, None]
     y = np.asarray(y, dtype=float)[..., None, :]
-    # At large t or |x - y| the binary64 result overflows to inf on purpose:
-    # inf is the right limit, as the kernel entry 1 / (pi (1 + d)) becomes 0.
+    # At large t or |x - y| the distance overflows to inf on purpose: inf is
+    # the right limit, as the kernel entry 1 / (pi (1 + d)) becomes 0.
     with np.errstate(over="ignore"):
         diff, xx, yy = x - y, x * x, y * y
         d = np.power(xx + yy, params.t)
@@ -169,17 +177,6 @@ def distance_matrix(params: KernelParams, x, y) -> np.ndarray:
             d[big] = np.power(np.hypot(x, y)[big], 2 * params.t)
         d *= params.a  # d = a power + (x - y)^2, in place to spare an n^2 buffer
         d += diff * diff
-        return d
-
-
-def kernel_matrix(params: KernelParams, x, y) -> np.ndarray:
-    """Vectorized kernel 1 / (pi (1 + d)) on the grid ``x`` by ``y``.
-
-    Bit-symmetric: swapping x and y gives the transpose exactly."""
-    d = distance_matrix(params, x, y)
-    # a finite d near the binary64 maximum overflows to inf, whose entry is
-    # 0 as in distance_matrix
-    with np.errstate(over="ignore"):
         return 1 / ((1 + d) * np.pi)
 
 
@@ -200,7 +197,7 @@ def _arith(params: KernelParams, prec: int | None = None) -> _Arith:
                 s, t = math.hypot(x, y), 2 * t
             try:
                 return s**t
-            except OverflowError:  # inf, as in distance_matrix
+            except OverflowError:  # inf, as in kernel_matrix
                 return math.inf
 
         ops = operator.add, operator.sub, operator.mul, operator.truediv
@@ -222,12 +219,11 @@ def _arith(params: KernelParams, prec: int | None = None) -> _Arith:
 
 
 def _matrix(params: KernelParams, x: list, ar: _Arith, distance: bool) -> list:
-    """:func:`distance_matrix` (or with ``distance`` false
-    :func:`kernel_matrix`) of the points ``x`` against themselves, as a
-    symmetric list of rows, in the arithmetic ``ar``.  Each entry runs
-    those functions' operations in their order; the n(n+1)/2 upper-triangle
-    entries are evaluated once and mirrored, which holds the full grid's
-    entries, as sub and add round correctly."""
+    """The distance form (or with ``distance`` false the kernel) of the
+    points ``x`` against themselves, as a symmetric list of rows, in the
+    arithmetic ``ar``: the entries of every finite point set.  The n(n+1)/2
+    upper-triangle entries are evaluated once and mirrored, which holds the
+    full grid's entries, as sub and add round correctly."""
     add, sub, mul, div, power, pi = ar.add, ar.sub, ar.mul, ar.div, ar.power, ar.pi
     a, one = ar.of(params.a), ar.of(1)
     squares = [mul(v, v) for v in x]
@@ -321,7 +317,7 @@ def form_enclosure(
     such inputs get an infinite bound.  A binary64 power that overflows is
     inf (Python's float power raises OverflowError there; the rung maps it
     to inf), and where x^2 + y^2 overflows the power is hypot(x, y)^(2t),
-    as in :func:`distance_matrix`.  Overflow makes the value or the bound
+    as in :func:`kernel_matrix`.  Overflow makes the value or the bound
     infinite or NaN, which excludes nothing: every term of the value is
     bounded by a term of S_M.
     """

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import kpd.cli
 import kpd.definiteness
 import kpd.kernel
+import kpd.spectral
 import kpd.witness
 import object_reference
 from kpd.cli import RunConfig, _build_parser, main, run, verify_certificate
@@ -20,8 +21,9 @@ from kpd.kernel import (
     DPS_CAP,
     KernelParams,
     PointConfig,
+    _arith,
+    _matrix,
     form_enclosure,
-    kernel_matrix,
     resolve_form_sign,
 )
 
@@ -131,20 +133,22 @@ class TestGramCommand:
 
     @pytest.mark.parametrize("points", ["0,1,2,3", f"{math.sqrt(0.2)!r},0"], ids=["pass", "fail"])
     def test_gram_matrix_is_built_once(self, capsys, monkeypatch, points):
-        # the payload's entries are the matrix pd_check read; a FAIL's
-        # certificate builds none, as every rung of its form is a Python loop
-        calls = []
+        # the payload's entries are the matrix pd_check read, built once by
+        # the loop whose binary64 entries a FAIL's certificate reads; no
+        # numpy grid is built
+        calls, grids = [], []
 
         def counted(*args):
             calls.append(args)
-            return kernel_matrix(*args)
+            return _matrix(*args)
 
-        for module in (kpd.kernel, kpd.definiteness, kpd.cli):
-            monkeypatch.setattr(module, "kernel_matrix", counted, raising=False)
+        monkeypatch.setattr(kpd.definiteness, "_matrix", counted)
+        monkeypatch.setattr(kpd.kernel, "kernel_matrix", lambda *args: grids.append(args))
         code, out = run_cli(capsys, "gram", "--t", "2", "--a", "13", "--points", points)
-        assert code == 0 and len(calls) == 1
+        assert code == 0 and len(calls) == 1 and grids == []
         x = [float(v) for v in points.split(",")]
-        want = kernel_matrix(KernelParams(2.0, 13.0), x, x).tolist()
+        params = KernelParams(2.0, 13.0)
+        want = _matrix(params, x, _arith(params), False)
         assert json.loads(out)["payload"]["entries"] == want
 
     def test_pass_verdict(self, capsys):
@@ -258,8 +262,7 @@ class TestWitnessCommand:
             calls.append(args)
             return original(*args, **kwargs)
 
-        for module in (kpd.cli, kpd.witness):
-            monkeypatch.setattr(module, "t_power_coefficient", counted)
+        monkeypatch.setattr(kpd.witness, "t_power_coefficient", counted)
         code, out = run_cli(capsys, "witness", "--t", "3.75", "--a", "0.01")
         assert code == 0
         assert json.loads(out)["payload"]["negativity"] == "certified"
@@ -492,7 +495,7 @@ class TestSweepCommand:
         def broken(params, node_counts, half_width):
             raise TypeError("bug")
 
-        monkeypatch.setattr(kpd.cli, "min_operator_eigenvalue", broken)
+        monkeypatch.setattr(kpd.spectral, "min_operator_eigenvalue", broken)
         with pytest.raises(TypeError):
             main(["sweep", "--a-grid", "1", "--nodes", "32", "--half-width", "6"])
 
@@ -576,6 +579,24 @@ class TestDeterminism:
 
 
 class TestVerify:
+    def test_replay_loads_no_numpy(self, tmp_path):
+        # every rung of the sign primitive is a Python loop: replaying a
+        # witness record, whose certificate needs mpmath, and a gram record
+        # in a fresh interpreter imports no numpy
+        w, g = tmp_path / "w.json", tmp_path / "g.json"
+        assert main(["witness", "--t", "3.75", "--a", "0.01", "--out", str(w)]) == 0
+        assert main(["gram", "--t", "2", "--a", "13", "--points", "0.4472135954999579,0",
+                     "--out", str(g)]) == 0
+        script = ("import sys; from kpd.cli import main; code = main(['verify', *sys.argv[1:]]); "
+                  "print(code, 'numpy' in sys.modules)")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(w), str(g)], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        lines = proc.stdout.splitlines()
+        assert lines.count("CONFIRMED") == 2 and lines[-1] == "0 False"
+
     def test_several_records(self, capsys, tmp_path):
         # one block per record, each as a lone path prints it; exit 0 only
         # when every record is CONFIRMED; a bad record does not stop the rest

@@ -4,12 +4,13 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import libmp
 
 from kpd.definiteness import cnd_check, pd_check
 from kpd.errors import DomainError, PreconditionError
-from kpd.kernel import KernelParams, PointConfig, distance_form, kernel_matrix, quadratic_form
+from kpd.kernel import KernelParams, PointConfig, _arith, _matrix, distance_form, kernel_matrix
+from kpd.kernel import quadratic_form
 
 INV_PI = 1.0 / math.pi
 
@@ -57,6 +58,21 @@ class TestPdCheck:
     def test_negative_tolerance_rejected(self):
         with pytest.raises(DomainError):
             pd_check(KernelParams(1.0, 1.0), (0.0,), tolerance=-1.0)
+
+    @given(
+        t=st.floats(0.2, 4.0),
+        a=st.floats(1e-2, 1e2),
+        points=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6),
+    )
+    # numpy's power and Python's ** differ in the last bit here
+    @example(t=2.0026073774223874, a=1.0, points=[897090.78125])
+    @settings(max_examples=60, deadline=None)
+    def test_gram_is_the_loop_entries(self, t, a, points):
+        # bit for bit the entries that the binary64 rung of the certificate's
+        # form reads, so a gram record prints the entries its replay reads
+        params = KernelParams(t, a)
+        gram = pd_check(params, points, 1e-10).gram
+        assert gram.tolist() == _matrix(params, [float(v) for v in points], _arith(params), False)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf])
     def test_non_finite_tolerance_rejected(self, tol):

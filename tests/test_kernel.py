@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import kpd.kernel
 import object_reference
 from kpd.definiteness import cnd_check, pd_check
 from kpd.errors import DomainError, ToleranceError
@@ -16,11 +15,14 @@ from kpd.kernel import (
     DPS_LADDER,
     Certificate,
     KernelParams,
+    UNIT_ROUNDOFF,
     PointConfig,
+    _arith,
     _as_mpf,
+    _bound,
+    _matrix,
     certify_negative,
     distance_form,
-    distance_matrix,
     form_enclosure,
     kernel_matrix,
     next_rung,
@@ -142,28 +144,32 @@ class TestDistanceForm:
     @example(KernelParams(1.0, 1.0), 2.3838313829684797e-156)
     @settings(max_examples=60, deadline=None)
     def test_diagonal_matches_power(self, params, x):
-        # d(x, x) = a * (x^2 + x^2)^t >= 0 with distance_matrix's array
-        # power; summed as in the definition, since 2.0 * x * x rounds
+        # d(x, x) = a * (x^2 + x^2)^t >= 0 with Python's float power;
+        # summed as in the definition, since 2.0 * x * x rounds
         # differently once x^2 is subnormal
         got = distance_form(params, x, x)
-        assert got == params.a * np.power(np.array([x * x + x * x]), params.t)[0]
+        assert got == (x * x + x * x) ** params.t * params.a
         assert got >= 0.0
 
     def test_zero_power_convention(self):
         # 0**s = 0 for s > 0, however small s is
         for t in (1e-3, 0.5, 1.0, 4.5):
-            assert distance_matrix(KernelParams(t, 3.0), [0.0], [0.0])[0, 0] == 0.0
+            assert kernel_matrix(KernelParams(t, 3.0), [0.0], [0.0])[0, 0] == INV_PI
             assert distance_form(KernelParams(t, 3.0), 0.0, 0.0) == 0.0
 
     @given(params_st, finite_floats, finite_floats)
     @example(KernelParams(2.0026073774223874, 1.0), 897090.78125, 897090.78125)
     @settings(max_examples=80, deadline=None)
-    def test_is_the_distance_matrix_entry(self, params, x, y):
-        # bit for bit, in a larger grid too; Python's scalar ** may differ
-        # from numpy's array power by an ulp (as at the example)
+    def test_is_the_loop_entry(self, params, x, y):
+        # bit for bit the entry of the binary64 rung's loop, in a larger
+        # point set too, and of the form of one point; at the example numpy's
+        # array power differs from Python's ** by an ulp
         got = distance_form(params, x, y)
-        want = distance_matrix(params, [0.0, x, 1.5], [y, -2.0])[1, 0]
-        assert got.hex() == float(want).hex()
+        want = _matrix(params, [0.0, x, 1.5, y, -2.0], _arith(params), True)[1][3]
+        assert got.hex() == want.hex()
+        if x == y:
+            one_point = form_enclosure(params, PointConfig((x,), (1.0,)), distance=True)[0]
+            assert got.hex() == one_point.hex()
 
     def test_overflow_is_inf_without_warning(self):
         # 4**1e6 overflows binary64: the distance is its limit inf
@@ -173,7 +179,7 @@ class TestDistanceForm:
 
 
 class TestGramMatrix:
-    """The Gram matrix of kernel values at a point set: kernel_matrix(x, x)."""
+    """The numpy kernel grid of the spectral evidence: kernel_matrix(x, x)."""
 
     def test_single_point(self):
         g = kernel_matrix(KernelParams(0.7, 2.0), [0.0], [0.0])
@@ -216,14 +222,18 @@ class TestGramMatrix:
         assert (got[0, 0], got[0, 1], got[1, 0]) == (INV_PI, 0.0, 0.0)
 
     def test_vectorized_matches_scalar(self):
+        # numpy's power may differ from Python's ** by an ulp, so the grid
+        # matches the loop's entries within the error the form_enclosure
+        # bound allows each of them (the one-term form of the entry)
         params = KernelParams(1.7, 0.3)
-        x = np.array([-2.0, 0.0, 0.5, 3.0])
+        x = [-2.0, 0.0, 0.5, 3.0]
         m = kernel_matrix(params, x, x)
-        d = distance_matrix(params, x, x)
+        loop = _matrix(params, x, _arith(params), False)
         for i, xi in enumerate(x):
             for j, xj in enumerate(x):
-                assert d[i, j] == distance_form(params, xi, xj)
-                assert m[i, j] == 1 / ((1 + distance_form(params, xi, xj)) * math.pi)
+                assert loop[i][j] == 1 / ((1 + distance_form(params, xi, xj)) * math.pi)
+                allowed = _bound(params, 1, UNIT_ROUNDOFF, False, loop[i][j], 3.0, 5.0, 1.0)
+                assert abs(m[i, j] - loop[i][j]) <= 2 * allowed
 
 
 class TestQuadraticForm:
@@ -393,7 +403,7 @@ class TestFormEnclosure:
         c = np.array([float(v) for v in cfg.coeffs])
         if any(0 < abs(v) < 2.0**-511 for v in (*x, *c)):
             return
-        m = (distance_matrix if distance else kernel_matrix)(params, x, x)
+        m = np.array(_matrix(params, list(x), _arith(params), distance))
         scale = np.abs(c) @ np.abs(m) @ np.abs(c)
         big_x, width = np.abs(x).max(), x.max() - x.min()
         u = 2.0**-53
@@ -421,8 +431,8 @@ class TestFormEnclosure:
             assert form_enclosure(params, cfg) == (0.3183098861837907, 4.473980251927185e-14)
             assert resolve_form_sign(params, cfg)[1] == 17
             value, bound = form_enclosure(params, cfg, distance=True)
-            # where x^2 + y^2 overflows, the entry is distance_matrix's
-            # finite hypot(x, y)^(2t)
+            # where x^2 + y^2 overflows, the entry is the finite
+            # hypot(x, y)^(2t)
             huge = form_enclosure(KernelParams(0.5, 1.0), PointConfig((1e155,), (1.0,)), distance=True)
         assert math.isnan(value) and bound == math.inf
         assert huge[0] == distance_form(KernelParams(0.5, 1.0), 1e155, 1e155) < math.inf
@@ -443,17 +453,6 @@ class TestFormEnclosure:
                 value = form_enclosure(params, cfg, distance=distance)[0]
                 wide = form_enclosure(params, cfg, dps=15, distance=distance)[0]
                 assert mp.mpf(value) == wide, (params, cfg, distance)
-
-    def test_rungs_call_no_numpy(self, monkeypatch):
-        # every rung evaluates its form in Python loops: the sign primitive
-        # runs with kpd.kernel's numpy gone
-        monkeypatch.setattr(kpd.kernel, "np", None)
-        params = KernelParams(1.5, 1.0)
-        r = math.sqrt(2.0**-30)
-        cert = certify_negative(params, PointConfig((0.0, r, 2.0 * r), (1.0, -2.0, 1.0)))
-        assert cert is not None and cert.dps >= 50
-        zero_sum = PointConfig((0.0, 0.5, 1.5), (1.0, -2.0, 1.0))
-        assert resolve_form_sign(params, zero_sum, distance=True, threshold=1e-10)[0] > 0
 
     @pytest.mark.parametrize("kind", ["mpf", "wide", "float", "fraction", "dyadic"])
     def test_triangle_stage_equals_full_grid(self, kind):
