@@ -229,10 +229,11 @@ class TestGramMatrix:
         x = [-2.0, 0.0, 0.5, 3.0]
         m = kernel_matrix(params, x, x)
         loop = _matrix(params, x, _arith(params), False)
+        big_x, width = max(map(abs, x)), max(x) - min(x)
         for i, xi in enumerate(x):
             for j, xj in enumerate(x):
                 assert loop[i][j] == 1 / ((1 + distance_form(params, xi, xj)) * math.pi)
-                allowed = _bound(params, 1, UNIT_ROUNDOFF, False, loop[i][j], 3.0, 5.0, 1.0)
+                allowed = _bound(params, 1, UNIT_ROUNDOFF, False, loop[i][j], big_x, width, 1.0)
                 assert abs(m[i, j] - loop[i][j]) <= 2 * allowed
 
 
@@ -403,7 +404,7 @@ class TestFormEnclosure:
         c = np.array([float(v) for v in cfg.coeffs])
         if any(0 < abs(v) < 2.0**-511 for v in (*x, *c)):
             return
-        m = np.array(_matrix(params, list(x), _arith(params), distance))
+        m = np.array(_matrix(params, x.tolist(), _arith(params), distance))
         scale = np.abs(c) @ np.abs(m) @ np.abs(c)
         big_x, width = np.abs(x).max(), x.max() - x.min()
         u = 2.0**-53
