@@ -101,7 +101,9 @@ def verify_certificate(record_path: str) -> dict:
     claim, MISMATCH when either contradicts it or a cnd certificate's
     coefficients fail :func:`~kpd.kernel.check_zero_sum`, and UNRESOLVED
     when the stored value makes the claim but no precision up to the cap
-    separates the replay from the threshold.  The record's verdict is the
+    separates the replay from the threshold.  Each result names the rung
+    the replay resolved at, ``replayed_dps`` (17 for binary64, None where
+    unresolved or rejected).  The record's verdict is the
     first of MISMATCH, UNRESOLVED and CONFIRMED that any certificate has.
     A record that is not JSON, a malformed certificate, or a cnd
     certificate whose tolerance is not finite and >= 0 (as
@@ -142,10 +144,11 @@ def verify_certificate(record_path: str) -> dict:
                 raise ValueError(f"tolerance {threshold} is not finite and >= 0")
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise KpdError(f"certificate at {path} is malformed: {exc!r}") from exc
+        rung = None
         try:
             if distance:
                 check_zero_sum(config.coeffs)
-            replayed = resolve_form_sign(params, config, distance=distance, threshold=threshold)[0]
+            replayed, rung, _ = resolve_form_sign(params, config, distance=distance, threshold=threshold)
         except ToleranceError:
             replayed = None
         except PreconditionError:
@@ -160,6 +163,7 @@ def verify_certificate(record_path: str) -> dict:
                 "kind": cert["kind"],
                 "stored_value": float(stored),
                 "replayed_value": math.nan if replayed is None else float(replayed),
+                "replayed_dps": rung,
                 "verdict": verdict,
             }
         )

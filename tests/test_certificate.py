@@ -167,9 +167,10 @@ class TestReplay:
                 assert main(["witness", "--t", t, "--a", a, "--out", path]) == 0
             with open(path, encoding="utf-8") as fh:
                 dps_used = json.load(fh)["payload"]["certificate"]["dps_used"]
-            assert verify_certificate(path)["verdict"] == "CONFIRMED"
+            outcome = verify_certificate(path)
+            assert outcome["verdict"] == "CONFIRMED"
         rung = next(c for c in reversed(certified) if c is not None).dps
-        assert [r[1] for r in replayed] == [rung]
+        assert [r[1] for r in replayed] == [r["replayed_dps"] for r in outcome["results"]] == [rung]
         assert rung <= dps_used
 
     def test_cli_replays_through_this_module(self):

@@ -3,15 +3,17 @@
 ``payload_hashes.json`` holds, for every distinct kpd command line that
 ``perfbench/jobs.build`` makes for its three workloads at seeds 1-5, the
 exit code, the sha256 of the record's compact payload (its keys sorted, no
-whitespace) and the ``kpd verify`` verdict of the record (null where it
-holds no certificate); and for every series expansion of those rounds the
+whitespace), the ``kpd verify`` verdict of the record and the rung each of
+its certificates replayed at, in digits with 17 for binary64 (both null
+where it holds no certificate); and for every series expansion of those rounds the
 sha256 of its terms.  The tests below recompute all of it in a fresh
 interpreter with one BLAS thread and compare.
 
 Exit codes and replay verdicts are compared everywhere.  Payloads and
 series hold binary64 eigenvalues, powers and quadrature sums whose last
-bits vary with the Python, numpy, BLAS build and machine, so their hashes
-are compared only on the environment the file records.
+bits vary with the Python, numpy, BLAS build and machine, so their hashes,
+and the replay rungs that those last bits can move, are compared only on
+the environment the file records.
 
 A change that alters payloads on purpose regenerates the file with
 
@@ -82,13 +84,15 @@ def compute() -> dict:
         for key, argv in sorted(argvs.items()):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv + ["--out", path])
-            entry = {"exit": code, "payload_sha256": None, "replay": None}
+            entry = {"exit": code, "payload_sha256": None, "replay": None, "replay_dps": None}
             if code == 0:
                 with open(path, encoding="utf-8") as fh:
                     payload = json.load(fh)["payload"]
                 entry["payload_sha256"] = _sha256(json.dumps(payload, sort_keys=True, separators=(",", ":")))
                 with contextlib.suppress(KpdError):  # a record with no certificate
-                    entry["replay"] = verify_certificate(path)["verdict"]
+                    outcome = verify_certificate(path)
+                    entry["replay"] = outcome["verdict"]
+                    entry["replay_dps"] = [r["replayed_dps"] for r in outcome["results"]]
             commands[key] = entry
     expansions = {}
     for t, a, order in sorted(series):
