@@ -28,6 +28,7 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath import libmp
 
 from .errors import KpdError, PreconditionError, ToleranceError
 from .kernel import Certificate, KernelParams, PointConfig, check_zero_sum, resolve_form_sign
@@ -101,9 +102,8 @@ def verify_certificate(record_path: str) -> dict:
     claim, MISMATCH when either contradicts it or a cnd certificate's
     coefficients fail :func:`~kpd.kernel.check_zero_sum`, and UNRESOLVED
     when the stored value makes the claim but no precision up to the cap
-    separates the replay from the threshold.  Each result names the rung
-    the replay resolved at, ``replayed_dps`` (17 for binary64, None where
-    unresolved or rejected).  The record's verdict is the
+    separates the replay from the threshold; ``replayed_dps`` is the rung
+    it resolved at.  The record's verdict is the
     first of MISMATCH, UNRESOLVED and CONFIRMED that any certificate has.
     A record that is not JSON, a malformed certificate, or a cnd
     certificate whose tolerance is not finite and >= 0 (as
@@ -137,20 +137,23 @@ def verify_certificate(record_path: str) -> dict:
             config = PointConfig(
                 tuple(map(_read, cert["points"])), tuple(map(_read, cert["coeffs"]))
             )
-            stored = mp.mpf(cert["value"])  # only its sign and magnitude matter
+            # only its sign and magnitude matter: 53 bits, whatever mp.prec is
+            stored = mp.make_mpf(libmp.from_str(cert["value"], 53, libmp.round_nearest))
             distance, side = CLAIMS[cert["kind"]]
             threshold = cnd_tolerance if distance else 0.0
             if not 0 <= threshold < math.inf:
                 raise ValueError(f"tolerance {threshold} is not finite and >= 0")
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise KpdError(f"certificate at {path} is malformed: {exc!r}") from exc
-        rung = None
+        replayed = rung = None
         try:
             if distance:
                 check_zero_sum(config.coeffs)
-            replayed, rung, _ = resolve_form_sign(params, config, distance=distance, threshold=threshold)
+            replayed, rung, _ = resolve_form_sign(
+                params, config, distance=distance, threshold=threshold
+            )
         except ToleranceError:
-            replayed = None
+            pass
         except PreconditionError:
             replayed = math.nan  # a claim on no side: MISMATCH
         if not all(side * (v - threshold) > 0 for v in (stored, replayed) if v is not None):

@@ -16,7 +16,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import EigensolverError, DomainError, PreconditionError
-from .kernel import Certificate, KernelParams, PointConfig, _arith, _matrix, certify_negative
+from .kernel import Certificate, KernelParams, PointConfig, _matrix, certify_negative
 from .kernel import check_zero_sum, resolve_form_sign
 
 
@@ -67,7 +67,7 @@ def pd_check(params: KernelParams, points, tolerance: float) -> DefinitenessVerd
     if not 0 <= tolerance < math.inf:
         raise DomainError(f"tolerance must be finite and >= 0, got {tolerance}")
     x = [float(v) for v in points]
-    entries = np.array(_matrix(params, x, _arith(params), False))
+    entries = np.array(_matrix(params, x, False))
     if np.any(np.diag(entries) <= 0.0):
         raise DomainError("Gram diagonal must be strictly positive")
     try:

@@ -16,40 +16,36 @@ Conventions
 -----------
 * Powers of a nonnegative base use the convention 0**s = 0 for s > 0;
   this is applied globally.
-* All operations are functions of immutable inputs, but the mpmath rungs
-  (:func:`form_enclosure`, :func:`resolve_form_sign`, and the witness layer
-  above them) set mpmath's process-global precision: results are
-  deterministic only while no other thread changes that precision.
+* All operations are functions of immutable inputs, and the sign
+  primitive reads no mpmath working precision.  Only the witness layer's
+  ``SERIES_DPS`` work sets that process-global precision, so its results
+  are deterministic only while no other thread changes it.
 * A form's sign is claimed only from an enclosure: :func:`form_enclosure`
-  returns the form together with an a-priori bound on its rounding error,
-  and :func:`resolve_form_sign` climbs ``DPS_LADDER``, from binary64 through
-  mpmath precisions, until the enclosure excludes the threshold in
-  question.  The ladder is kpd's one precision policy: no caller picks
-  digits, so a replay climbs the rungs its producer climbed.
-* Every finite point set takes its entries from one loop (:func:`_matrix`,
-  with :func:`_dot` for forms) in a rung's arithmetic (:func:`_arith`):
-  Python floats in binary64, libmp values rounding to nearest in mpmath.
-  A Gram matrix's entries are its binary64 rung's.  numpy serves only the
-  spectral evidence grids of :func:`kernel_matrix` (Nystrom matrices and
-  the grid search), and is imported when that is first called.
+  returns the form together with an a-priori bound on its error, and
+  :func:`resolve_form_sign` climbs ``DPS_LADDER``, from binary64 through
+  fixed-point rungs at mpmath's digit counts, until the enclosure excludes
+  the threshold in question.  The ladder is kpd's one precision policy: no
+  caller picks digits, so a replay climbs the rungs its producer climbed.
+* Every finite point set takes its binary64 entries, a Gram matrix's too,
+  from one loop on floats (:func:`_matrix`, with :func:`_dot`); the rungs
+  above binary64 sum exact integer entries (:func:`_fixed_point`).  numpy
+  serves only the spectral grids of :func:`kernel_matrix` (Nystrom matrices
+  and the grid search), and is imported when that is first called.
 * Every certificate that the kernel is not positive definite is made by
   :func:`certify_negative`: a :class:`Certificate` exists only where
   :func:`resolve_form_sign` resolved the kernel form negative (or the
   distance form above a CND tolerance).
 """
 
-import contextlib
 import functools
 import math
 import operator
-from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
 import mpmath as mp
 from mpmath import libmp
-from mpmath.libmp import fone, mpf_abs, mpf_add, mpf_div, mpf_mul, mpf_pow, mpf_sub
 
 from .errors import DomainError, PreconditionError, ToleranceError
 
@@ -62,9 +58,11 @@ DPS_CAP = DPS_LADDER[-1]
 # The platform's pow (Python's float **), numpy's and mpmath's need not be
 # correctly rounded; the error bound allows them this many ulps.
 POW_ULPS = 4
+# The fixed-point rungs' guard bits and error units per entry (form_enclosure).
+GUARD, ENTRY_UNITS = 8, 2
 # Nonzero binary64 inputs below this magnitude could underflow when squared.
 _TINY = 2.0**-511
-_RND = libmp.round_nearest  # the mpmath rungs' rounding, as mpf arithmetic's
+_RND = libmp.round_nearest
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -77,6 +75,18 @@ def _require_finite(name: str, value: float) -> float:
 def _ratio(num: int, den: int) -> mp.mpf:
     """num / den correctly rounded at the working precision."""
     return mp.make_mpf(libmp.from_rational(num, den, mp.mp.prec, libmp.round_nearest))
+
+
+def _fraction(value) -> Fraction:
+    """The rational an int, float, Fraction or mpf denotes, exactly."""
+    return Fraction(*libmp.to_rational(value._mpf_) if isinstance(value, mp.mpf) else (value,))
+
+
+def _scaled(values) -> tuple[list[int], int]:
+    """Integers N_j and the lcm L of the denominators, values[j] = N_j / L."""
+    values = [_fraction(v) for v in values]
+    L = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (L // v.denominator) for v in values], L
 
 
 def _as_mpf(value) -> mp.mpf:
@@ -150,7 +160,7 @@ def distance_form(params: KernelParams, x: float, y: float) -> float:
     """
     x = _require_finite("x", x)
     y = _require_finite("y", y)
-    return _matrix(params, [x, y], _arith(params), True)[0][1]
+    return _matrix(params, [x, y], True)[0][1]
 
 
 def kernel_matrix(params: KernelParams, x, y):
@@ -180,78 +190,98 @@ def kernel_matrix(params: KernelParams, x, y):
         return 1 / ((1 + d) * np.pi)
 
 
-# One rung's arithmetic, rounding to nearest (see _arith): ``of`` is an
-# input in the rung's format, ``num`` a result as a float or an mpf,
-# power(s, x, y) is s^t for s = x^2 + y^2, and u the bound's unit roundoff.
-_Arith = namedtuple("_Arith", "of num add sub mul div abs power pi u")
-
-
-def _arith(params: KernelParams, prec: int | None = None) -> _Arith:
-    """Binary64 on Python floats, or with ``prec`` libmp values at ``prec``
-    bits (its mpf conversions and ``u`` read mpmath's working precision,
-    which the caller sets to ``prec``)."""
-    if prec is None:
-        def power(s, x, y):
-            t = params.t
-            if s == math.inf:  # where x^2 + y^2 overflows, hypot(x, y)^(2t) may be finite
-                s, t = math.hypot(x, y), 2 * t
-            try:
-                return s**t
-            except OverflowError:  # inf, as in kernel_matrix
-                return math.inf
-
-        ops = operator.add, operator.sub, operator.mul, operator.truediv
-        return _Arith(float, float, *ops, abs, power, math.pi, UNIT_ROUNDOFF)
-
-    def rounded(op):
-        return lambda v, w: op(v, w, prec, _RND)
-
-    t = libmp.from_float(params.t)
-    return _Arith(
-        lambda v: _as_mpf(v)._mpf_,
-        mp.make_mpf,
-        *map(rounded, (mpf_add, mpf_sub, mpf_mul, mpf_div)),
-        lambda v: mpf_abs(v, prec, _RND),
-        lambda s, x, y: mpf_pow(s, t, prec, _RND),
-        libmp.mpf_pi(prec, _RND),
-        mp.ldexp(1, 1 - prec),
-    )
-
-
-def _matrix(params: KernelParams, x: list, ar: _Arith, distance: bool) -> list:
+def _matrix(params: KernelParams, x: list, distance: bool) -> list:
     """The distance form (or with ``distance`` false the kernel) of the
-    points ``x`` against themselves, as a symmetric list of rows, in the
-    arithmetic ``ar``: the entries of every finite point set.  The n(n+1)/2
-    upper-triangle entries are evaluated once and mirrored, which holds the
-    full grid's entries, as sub and add round correctly."""
-    add, sub, mul, div, power, pi = ar.add, ar.sub, ar.mul, ar.div, ar.power, ar.pi
-    a, one = ar.of(params.a), ar.of(1)
-    squares = [mul(v, v) for v in x]
+    float points ``x`` against themselves in binary64, as a symmetric list
+    of rows; the upper triangle is evaluated once and mirrored."""
+    t, a, pi = params.t, params.a, math.pi
+    squares = [v * v for v in x]
     m = [[None] * len(x) for _ in x]
     for j, xj in enumerate(x):
         for k in range(j, len(x)):
-            diff = sub(xj, x[k])
-            d = power(add(squares[j], squares[k]), xj, x[k])
-            d = add(mul(d, a), mul(diff, diff))
+            diff, s, p = xj - x[k], squares[j] + squares[k], t
+            if s == math.inf:  # where x^2 + y^2 overflows, hypot(x, y)^(2t) may be finite
+                s, p = math.hypot(xj, x[k]), 2 * t
+            try:
+                d = s**p * a + diff * diff
+            except OverflowError:  # inf, as in kernel_matrix
+                d = math.inf
             if not distance:
-                d = div(one, mul(add(d, one), pi))
+                d = 1.0 / ((d + 1.0) * pi)
             m[j][k] = m[k][j] = d
     return m
 
 
-def _dot(u: list, v: list, ar: _Arith):
-    """sum_j u_j v_j in the arithmetic ``ar``, left to right from the first
-    product."""
-    add, mul = ar.add, ar.mul
-    total = mul(u[0], v[0])
+def _dot(u: list, v: list) -> float:
+    """sum_j u_j v_j in binary64, left to right from the first product."""
+    total = u[0] * v[0]
     for uj, vj in zip(u[1:], v[1:]):
-        total = add(total, mul(uj, vj))
+        total += uj * vj
     return total
 
 
 def _gamma(k, u=UNIT_ROUNDOFF):
     """Higham's gamma_k = k u / (1 - k u)."""
     return k * u / (1 - k * u)
+
+
+def _powers(params: KernelParams, squares: list, L: int, wp: int) -> dict:
+    """S -> (N, M) with N / M = a (S / L^2)^t for each distinct S = X_j^2 +
+    X_k^2 of the points X / L: exact for integer t, else from one mpf_pow of
+    S / L^2 rounded to t's bit length more bits than ``wp``, as mpf_log needs
+    fewer input bits than it works at: within a relative 2^(4 - wp)."""
+    (A, B), t = params.a.as_integer_ratio(), params.t
+    sums = {sj + sk for j, sj in enumerate(squares) for sk in squares[j:]}
+    if t.is_integer():
+        return {s: (A * s ** int(t), B * L ** (2 * int(t))) for s in sums}
+    tt, out, dyadic = libmp.from_float(t), {0: (0, 1)}, not L & (L - 1)  # L = 2^(bits - 1)
+    wp += math.ceil(t).bit_length() + 1
+    for s in sums - {0}:
+        arg = (libmp.from_man_exp(s, 2 - 2 * L.bit_length(), wp, _RND) if dyadic
+               else libmp.from_rational(s, L * L, wp, _RND))
+        _, man, exp, _ = libmp.mpf_pow(arg, tt, wp, _RND)
+        out[s] = A * man << max(exp, 0), B << max(-exp, 0)
+    return out
+
+
+def _one_plus_d(params: KernelParams, X: list, L: int, wp: int) -> list:
+    """Rows j of the integers (1 + d_jk) L^2 2^wp, k >= j, of the points
+    X / L, each power term floored to 2^-wp."""
+    L2, sq = L * L, [v * v for v in X]
+    scaled = {s: (n << wp) // m * L2 for s, (n, m) in _powers(params, sq, L, wp).items()}
+    return [[(L2 + (xj - xk) ** 2 << wp) + scaled[sj + sk] for xk, sk in zip(X[j:], sq[j:])]
+            for j, (xj, sj) in enumerate(zip(X, sq))]
+
+
+def _pi(wp: int) -> int:
+    """pi 2^wp within 2 (floored from 20 guard bits)."""
+    return libmp.pi_fixed(wp + 20) >> 20
+
+
+def _fixed_point(params: KernelParams, config: PointConfig, prec: int, distance: bool) -> tuple:
+    """The fixed-point rung of :func:`form_enclosure` at ``prec`` bits."""
+    W, wp = prec + GUARD, prec + 2 * GUARD
+    (X, L), (C, D) = _scaled(config.points), _scaled(config.coeffs)
+    if distance:
+        sq = [v * v for v in X]
+        powers = _powers(params, sq, L, wp)
+        E = max((n.bit_length() - m.bit_length() + 1 for n, m in powers.values() if n), default=0)
+        p = {s: (n << max(W - E, 0)) // (m << max(E - W, 0)) for s, (n, m) in powers.items()}
+        rows = [[p[sj + sk] for sk in sq[j:]] for j, sj in enumerate(sq)]
+        cx = sum(map(operator.mul, C, X))
+        exact = Fraction(2 * (sum(C) * sum(map(operator.mul, C, sq)) - cx * cx), D * D * L * L)
+    else:
+        E, R = 0, (L * L << W + 2 * wp) // _pi(wp)
+        rows, exact = [[R // v for v in row] for row in _one_plus_d(params, X, L, wp)], 0
+    # sum_jk C_j C_k M_jk, exactly, from the upper rows of the symmetric M
+    total = sum(cj * (2 * sum(map(operator.mul, C[j:], row)) - cj * row[0])
+                for j, (cj, row) in enumerate(zip(C, rows)))
+    unit = Fraction(2) ** (E - W) / (D * D)
+    exact += total * unit
+    value = libmp.from_rational(exact.numerator, exact.denominator, prec, _RND)
+    bound = ENTRY_UNITS * sum(map(abs, C)) ** 2 * unit + abs(_fraction(mp.make_mpf(value)) - exact)
+    bound = libmp.from_rational(bound.numerator, bound.denominator, prec, libmp.round_up)
+    return mp.make_mpf(value), mp.make_mpf(bound)
 
 
 def form_enclosure(
@@ -263,98 +293,86 @@ def form_enclosure(
     """The kernel form sum_jk c_j c_k K(x_j, x_k), or with ``distance`` the
     distance form sum_jk c_j c_k d(x_j, x_k), with a bound on its error.
 
-    Returns ``(value, bound)`` with |value - F| <= bound, where F is the
-    exact form of the configuration as given: the real numbers its floats,
-    Fractions or mpfs denote.  Every rung runs one loop: M's n(n+1)/2
-    upper-triangle entries are evaluated once and mirrored
-    (:func:`_matrix`), the dot product of c with each row of M runs left to
-    right, and so does the dot product of those n sums with c
-    (:func:`_dot`).  With ``dps=None`` the loop runs on Python floats in
-    binary64; with an integer ``dps``, on libmp values at that many
-    digits, rounding to nearest.  Each rung passes the same few scalars to
-    one bound derivation (:func:`_bound`).
+    Returns ``(value, bound)`` with |value - F| <= bound, F the exact form
+    of the configuration as given: the reals its floats, Fractions or mpfs
+    denote.  With ``dps=None`` in binary64; with an integer ``dps`` in fixed
+    point at its prec bits (:func:`_fixed_point`), ``value`` an mpf rounded
+    to nearest at prec bits and ``bound`` one rounded up.
 
-    The bound is a-priori (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, ch. 3).  Let u = 2^-53, or 2^(1-prec) in mpmath, and
-    gamma_k = k u / (1 - k u); X = max |x_j|, W = max x_j - min x_j.
+    Binary64 (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 3; :func:`_bound`): the dot products of c with the rows of M
+    (:func:`_matrix`), and of those sums with c, run left to right
+    (:func:`_dot`).  Let u = 2^-53, gamma_k = k u / (1 - k u), X = max |x_j|
+    and W = max x_j - min x_j.
+    * Inputs rounded to binary64 move by a relative delta <= u < gamma_2:
+      x - y by at most e = 2 X delta, (x - y)^2 by r = e (2W + e), and
+      c_j c_k by gamma_4.
+    * Entries.  x^2 + y^2 carries gamma_6, its t-th power gamma_(6 ceil(t)),
+      pow POW_ULPS ulps, and the product with a and the sum with (x - y)^2
+      round once each: with g = gamma_(6 ceil(t) + 2 POW_ULPS + 2),
+      |d' - d| <= g d' / (1 - g) + (1 + 2g) r.  For the kernel, 2|x - y| <=
+      1 + d gives 1 + d' = (1 + d)(1 + phi), |phi| <= g + (1 + g) e (1 + e);
+      adding 1, pi, the product and the reciprocal take gamma_4 more:
+      |K' - K| <= kappa K' / (1 - kappa), kappa = (gamma_4 + phi) / (1 - phi).
+    * Sum.  Each of the n + 1 dot products is within gamma_n of its sum of
+      absolute terms, in any order and with or without FMA.  With S_M =
+      sum_jk |c'_j| |M'_jk| |c'_k| and S = sum_j |c'_j|, |value - F| <=
+      gamma_(2n+8) S_M + (kappa / (1 - kappa) S_M, or for d g / (1 - g) S_M
+      + (1 + 2g) r S^2) / (1 - gamma_4); evaluating it in binary64 loses
+      less than gamma_(2n+16), which a final division covers.  Where kappa
+      would reach 1/2 (points so large that e is not small) it is infinite.
+    * Underflow adds at most 2^-1075 per operation, which 2^-1020 ((1 + a)
+      S^2 + n (S + 1)) covers unless a nonzero input is below 2^-511; such
+      inputs get an infinite bound.  Overflow (a power is inf, or
+      hypot(x, y)^(2t) where x^2 + y^2 is) makes the bound inf or NaN.
 
-    * Inputs.  Rounding a point or coefficient to the working format (at
-      most once) moves it by a relative delta <= u; the bound allows
-      delta <= gamma_2.  So x - y moves by at most e = 2 X delta,
-      (x - y)^2 by at most r = e (2W + e), and c_j c_k by gamma_4.
-    * Entries.  x^2 + y^2 carries gamma_6 (the input roundings, the squares,
-      the sum), its t-th power gamma_(6 ceil(t)); pow is allowed POW_ULPS
-      ulps, and the product with a and the sum with (x - y)^2 round once
-      each.  With g = gamma_(6 ceil(t) + 2 POW_ULPS + 2) the computed d'
-      satisfies |d' - d| <= g d + (1 + g) r <= g d' / (1 - g) + (1 + 2g) r.
-      For the kernel, 2|x - y| <= 1 + d gives r / (1 + d) <= e (1 + e), so
-      1 + d' = (1 + d)(1 + phi) with |phi| <= g + (1 + g) e (1 + e).  Adding
-      1, pi, its product and the reciprocal take gamma_4 more:
-      |K' - K| <= kappa K <= kappa K' / (1 - kappa) with
-      kappa = (gamma_4 + phi) / (1 - phi).
-    * Sum.  The form is n dot products of length n and one more over
-      their results.  Each is within gamma_n of its sum of absolute terms
-      in any summation order, with or without FMA, so gamma_(2n+8) below
-      holds for the left-to-right loop and for any other order.
-      Collecting the three sources, with
-      S_M = sum_jk |c'_j| |M'_jk| |c'_k| and S = sum_j |c'_j|,
-      |value - F| <= gamma_(2n+8) S_M + (kappa / (1 - kappa) S_M, or for d
-      g / (1 - g) S_M + (1 + 2g) r S^2) / (1 - gamma_4).
-    * Evaluating that nonnegative sum in the same arithmetic loses less
-      than gamma_(2n+16), which the final division covers.
-    * The derivation needs every gamma_k and, for the kernel, kappa below
-      1; the code asks for 1/3 and 1/2, so that the few roundings in the
-      bound itself stay small.  Where that fails (too few digits for n or
-      t, or points so large that e is not small) the bound is infinite.
-
-    The rounding of inputs is the only term beyond the floating-point
-    model; it is what lets 17-digit decimal points, mpf points and
-    Fraction coefficients be certified as given.  mpmath neither
-    underflows nor overflows.  In binary64 each operation may also add an
-    absolute error of 2^-1075 by underflow; 2^-1020 ((1 + a) S^2 +
-    n (S + 1)) covers it as long as no nonzero input falls below 2^-511 in
-    magnitude (its square would underflow and pow amplifies that), and
-    such inputs get an infinite bound.  A binary64 power that overflows is
-    inf (Python's float power raises OverflowError there; the rung maps it
-    to inf), and where x^2 + y^2 overflows the power is hypot(x, y)^(2t),
-    as in :func:`kernel_matrix`.  Overflow makes the value or the bound
-    infinite or NaN, which excludes nothing: every term of the value is
-    bounded by a term of S_M.
+    Fixed point, at W = prec + GUARD and wp = W + GUARD bits.  Read exactly,
+    x_j = X_j / L, c_j = C_j / D and a = A / B, with integers and L, D the
+    lcms of the denominators (floats and mpfs are binary fractions).  So
+    (x_j - x_k)^2 = Delta_jk / L^2 and x_j^2 + x_k^2 = S / L^2 are exact,
+    and so is a p = a (S / L^2)^t for integer t; else one mpf_pow per
+    distinct S makes it within a relative 2^(4 - wp) (:func:`_powers`).
+    * Kernel.  With floor(a p 2^wp) for a p, N_jk = (1 + d_jk) L^2 2^wp
+      (1 + rho), |rho| <= 2^(4 - wp) + 2^-wp as a p <= 1 + d
+      (:func:`_one_plus_d`).  Pi is pi 2^wp within 2 (a relative theta <
+      2^-wp), R = floor(L^2 2^(W + 2 wp) / Pi), and the entry floor(R /
+      N_jk) (floors nest) is within 1 + 2^-wp + 2^W K (theta + rho)(1 +
+      2^-wp) < 1.03 of 2^W K_jk, as K <= 1/pi.
+    * Distance.  Its entries are unbounded, so the power terms share one
+      block scale 2^E, E the least exponent with every computed a p below
+      2^E, and are floored in units of 2^(E - W): each within 1 + 2^(4 -
+      GUARD) units.  The Delta terms sum exactly, as 2 (sum C)(sum C X^2) -
+      2 (sum C X)^2 over L^2.
+    * Sum.  sum_jk C_j C_k times the integer entries is exact, so with
+      ENTRY_UNITS = 2 units per entry the error is at most ENTRY_UNITS
+      (sum |C_j|)^2 units over D^2; ``bound`` adds the rounding of ``value``.
     """
-    n = config.n
-    with contextlib.nullcontext() if dps is None else mp.workdps(dps):
-        ar = _arith(params, None if dps is None else mp.mp.prec)
-        x = [ar.of(v) for v in config.points]
-        c = [ar.of(v) for v in config.coeffs]
-        ac = [ar.abs(v) for v in c]
-        # entries are >= 0 and exact in the rung's arithmetic, so |m| is m
-        m = _matrix(params, x, ar, distance)
-        value = ar.num(_dot([_dot(c, row, ar) for row in m], c, ar))
-        scale = ar.num(_dot([_dot(ac, row, ar) for row in m], ac, ar))
-        # S adds left to right, not by sum(), which compensates floats from
-        # Python 3.12; an mpf's abs rounds a wider point to the working precision
-        xs, sum_c = [ar.num(v) for v in x], ar.num(functools.reduce(ar.add, ac))
-        scalars = scale, max(map(abs, xs)), max(xs) - min(xs), sum_c
-        bound = _bound(params, n, ar.u, distance, *scalars)
     if dps is not None:
-        return value, bound
+        return _fixed_point(params, config, libmp.dps_to_prec(dps), distance)
+    x, c = [float(v) for v in config.points], [float(v) for v in config.coeffs]
+    ac = [abs(v) for v in c]
+    # entries are >= 0, so |m| is m
+    m = _matrix(params, x, distance)
+    value = _dot([_dot(c, row) for row in m], c)
+    scale = _dot([_dot(ac, row) for row in m], ac)
+    # S adds left to right, not by sum(), which compensates floats from Python 3.12
+    sum_c = functools.reduce(operator.add, ac)
+    bound = _bound(params, config.n, distance, scale, max(map(abs, x)), max(x) - min(x), sum_c)
     inputs = zip((*config.points, *config.coeffs), (*x, *c))
     if any(v != 0 and abs(r) < _TINY for v, r in inputs):
         return value, math.inf
-    return value, bound + 2.0**-1020 * ((1.0 + params.a) * sum_c * sum_c + n * (sum_c + 1.0))
+    return value, bound + 2.0**-1020 * ((1 + params.a) * sum_c * sum_c + config.n * (sum_c + 1))
 
 
-def _bound(params: KernelParams, n: int, u, distance: bool, scale, big_x, width, sum_c):
-    """The error bound of :func:`form_enclosure` for a form of ``n``
-    points, from the scalars its rung computed in its own arithmetic
-    (binary64, or mpfs at the working precision, with unit roundoff ``u``):
-    scale = sum_jk |c_j| |M_jk| |c_k|, big_x = max |x_j|, width = max x_j -
-    min x_j and sum_c = sum |c_j|."""
+def _bound(params: KernelParams, n: int, distance: bool, scale, big_x, width, sum_c):
+    """:func:`form_enclosure`'s binary64 bound for ``n`` points: scale = sum_jk
+    |c_j| |M_jk| |c_k|, big_x = max |x_j|, width = max - min x_j, sum_c = sum |c_j|."""
+    u = UNIT_ROUNDOFF
     k = 6 * math.ceil(params.t) + 2 * POW_ULPS + 2
     if max(k, 2 * n + 16) >= 1 / (4 * u):  # some gamma_j would reach 1/3
         return math.inf
-    e = 2 * big_x * _gamma(2, u)
-    g, g4 = _gamma(k, u), _gamma(4, u)
+    e = 2 * big_x * _gamma(2)
+    g, g4 = _gamma(k), _gamma(4)
     if distance:
         rel = g / (1 - g)
         absolute = e * (2 * width + e) * (1 + 2 * g) * (sum_c * sum_c)
@@ -364,8 +382,8 @@ def _bound(params: KernelParams, n: int, u, distance: bool, scale, big_x, width,
             return math.inf
         kappa = (g4 + phi) / (1 - phi)
         rel, absolute = kappa / (1 - kappa), 0
-    bound = _gamma(2 * n + 8, u) * scale + (rel * scale + absolute) / (1 - g4)
-    return bound / (1 - _gamma(2 * n + 16, u))
+    bound = _gamma(2 * n + 8) * scale + (rel * scale + absolute) / (1 - g4)
+    return bound / (1 - _gamma(2 * n + 16))
 
 
 def quadratic_form(
@@ -390,11 +408,12 @@ def resolve_form_sign(
     """
     for dps in DPS_LADDER:
         value, bound = form_enclosure(params, config, dps, distance)
-        # Rounding is monotone and the bound is representable at the rung's
-        # precision, so a rounded difference above it is a true one.
-        with mp.workdps(dps or 15):
-            if abs(value - threshold) > bound:
-                return value, dps or 17, bound
+        if dps is None:  # rounding is monotone and the bound a float
+            resolved = abs(value - threshold) > bound
+        else:  # binary fractions, compared exactly
+            resolved = abs(_fraction(value) - Fraction(threshold)) > _fraction(bound)
+        if resolved:
+            return value, dps or 17, bound
     raise ToleranceError(
         f"form {mp.nstr(value, 8)} is within its error bound "
         f"{mp.nstr(bound, 3)} of {threshold} at dps {DPS_CAP}"
@@ -410,8 +429,7 @@ def next_rung(dps: int) -> int:
 def check_zero_sum(coeffs) -> None:
     """Raise PreconditionError unless |sum c| <= 1e-12 sum |c| in exact
     rationals: the zero-sum precondition of a distance-form (CND) claim."""
-    c = [Fraction(*libmp.to_rational(v._mpf_)) if isinstance(v, mp.mpf) else Fraction(v)
-         for v in coeffs]
+    c = [_fraction(v) for v in coeffs]
     residual, scale = abs(sum(c)), sum(map(abs, c))
     if residual > scale / 10**12:
         raise PreconditionError(
@@ -423,7 +441,8 @@ def check_zero_sum(coeffs) -> None:
 class Certificate:
     """A configuration whose form is certified on the side it claims:
     ``value`` is the form at ``dps`` digits (17 for binary64), within
-    ``error_bound`` of the exact form of ``config``.  Made by
+    ``error_bound`` of the exact form of ``config``; above binary64 ``dps``
+    is the fixed-point rung's, and ``error_bound`` is rounded up.  Made by
     :func:`certify_negative`, it claims value + error_bound < 0 for the
     kernel form; by :func:`~kpd.definiteness.cnd_check`, value -
     error_bound > tolerance for the distance form."""

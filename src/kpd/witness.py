@@ -47,7 +47,7 @@ too and keeps kappa's sign, so f ~ kappa z^t + O(z^(t+1)).
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Literal, NamedTuple
 
 import mpmath as mp
@@ -56,13 +56,15 @@ from mpmath import libmp
 from .errors import DomainError, PreconditionError, SizeCapError, ToleranceError
 from .kernel import (
     DPS_CAP,
+    GUARD,
     Certificate,
     KernelParams,
     PointConfig,
-    _arith,
     _as_mpf,
-    _matrix,
+    _one_plus_d,
+    _pi,
     _ratio,
+    _scaled,
     certify_negative,
     form_enclosure,
     next_rung,
@@ -87,13 +89,6 @@ def _as_fraction(v) -> Fraction:
             "(pass a Fraction instead)"
         )
     return Fraction(v)
-
-
-def _scaled(values) -> tuple[list[int], int]:
-    """Integers N_j and the lcm L of the denominators of the Fractions
-    ``values``, with values[j] = N_j / L exactly."""
-    L = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (L // v.denominator) for v in values], L
 
 
 def _check_noninteger_t(t: float) -> int:
@@ -274,15 +269,19 @@ def cleared_form_series(params: KernelParams, w: WitnessConfig) -> PowerSeries:
 
 def _clear(params: KernelParams, config: PointConfig, q, dps: int):
     """pi * q * prod_pq (1 + D_pq) at ``dps`` digits: the cleared form of
-    ``config``, whose kernel form is ``q`` and distance matrix D.  The
-    product runs over the n^2 entries in row order, in libmp."""
-    with mp.workdps(dps):
-        ar = _arith(params, mp.mp.prec)
-        product = one = ar.of(1)
-        for row in _matrix(params, [ar.of(p) for p in config.points], ar, True):
-            for d in row:
-                product = ar.mul(product, ar.add(d, one))
-        return mp.make_mpf(ar.mul(ar.mul(ar.pi, q._mpf_), product))
+    ``config``, whose kernel form is the mpf ``q`` and distance matrix D.
+    Over the n^2 integers (1 + D_pq) U, U = L^2 2^wp, of the kernel's
+    fixed-point rung at ``dps`` (:func:`~kpd.kernel._one_plus_d`), in row
+    order, P <- floor(P (1 + D_pq) U / U) from P = 2^wp loses at most 2^-wp
+    relative per factor (each is >= 1); pi q P 2^-wp is rounded once."""
+    prec = libmp.dps_to_prec(dps)
+    wp, (X, L) = prec + 2 * GUARD, _scaled(config.points)
+    rows, P = _one_plus_d(params, X, L, wp), 1 << wp
+    for j, k in product(range(len(X)), repeat=2):
+        P = P * rows[min(j, k)][abs(k - j)] // (L * L << wp)
+    sign, man, exp, _ = q._mpf_
+    f = (-1) ** sign * man * _pi(wp) * P
+    return mp.make_mpf(libmp.from_man_exp(f, exp - 2 * wp, prec, libmp.round_nearest))
 
 
 def t_power_coefficient(params: KernelParams, w: WitnessConfig):

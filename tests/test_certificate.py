@@ -18,7 +18,7 @@ import kpd.kernel
 import kpd.witness
 from kpd.certificate import _read, encode, verify_certificate
 from kpd.cli import main
-from kpd.kernel import Certificate, PointConfig, resolve_form_sign
+from kpd.kernel import DPS_LADDER, Certificate, KernelParams, PointConfig, form_enclosure, resolve_form_sign
 
 
 def _reads_back(text, x):
@@ -172,6 +172,44 @@ class TestReplay:
         rung = next(c for c in reversed(certified) if c is not None).dps
         assert [r[1] for r in replayed] == [r["replayed_dps"] for r in outcome["results"]] == [rung]
         assert rung <= dps_used
+
+    def test_independent_of_mpmath_working_precision(self, capsys, tmp_path):
+        # the sign primitive and the replay read no working precision and
+        # set none: forms that resolve at 100 digits (a witness scale), at
+        # 50 (a distance form) and in binary64, and the records of the first
+        # two, give the same bits at 5 and at 500 digits
+        w = kpd.witness.build_binomial_witness(3)
+        cases = [
+            (KernelParams(3.75, 0.01), PointConfig([y / 2**50 for y in w.y], w.c), False, 0.0),
+            (KernelParams(2.0, 1.0), PointConfig((0.0, 1e200), (1.0, -1.0)), True, 1e-10),
+            (KernelParams(2.0, 13.0), PointConfig((0.4472135954999579, 0.0), (-0.6, 0.8)), False, 0.0),
+        ]
+        records = []
+        for name, argv in (
+            ("w", ("witness", "--t", "3.75", "--a", "0.01")),
+            ("c", ("cnd", "--t", "2", "--a", "1", "--points", "0,1e200", "--coeffs", "1,-1")),
+        ):
+            (tmp_path / name).mkdir()
+            records.append(_record(capsys, tmp_path / name, argv)[0])
+
+        def bits(x):
+            if isinstance(x, (list, tuple)):
+                return [bits(v) for v in x]
+            if isinstance(x, dict):
+                return {k: bits(v) for k, v in x.items()}
+            return x._mpf_ if isinstance(x, mp.mpf) else x.hex() if isinstance(x, float) else x
+
+        seen = []
+        for dps in (5, 500):
+            with mp.workdps(dps):
+                prec, out = mp.mp.prec, []
+                for params, config, distance, threshold in cases:
+                    out += [form_enclosure(params, config, d, distance) for d in DPS_LADDER]
+                    out.append(resolve_form_sign(params, config, distance=distance, threshold=threshold))
+                out += [verify_certificate(str(path)) for path in records]
+                assert mp.mp.prec == prec
+            seen.append(bits(out))
+        assert seen[0] == seen[1]
 
     def test_cli_replays_through_this_module(self):
         # the benchmark's tracer wraps kpd.cli.verify_certificate by name

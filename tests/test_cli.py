@@ -21,7 +21,6 @@ from kpd.kernel import (
     DPS_CAP,
     KernelParams,
     PointConfig,
-    _arith,
     _matrix,
     form_enclosure,
     resolve_form_sign,
@@ -148,7 +147,7 @@ class TestGramCommand:
         assert code == 0 and len(calls) == 1 and grids == []
         x = [float(v) for v in points.split(",")]
         params = KernelParams(2.0, 13.0)
-        want = _matrix(params, x, _arith(params), False)
+        want = _matrix(params, x, False)
         assert json.loads(out)["payload"]["entries"] == want
 
     def test_pass_verdict(self, capsys):

@@ -9,7 +9,7 @@ from mpmath import libmp
 
 from kpd.definiteness import cnd_check, pd_check
 from kpd.errors import DomainError, PreconditionError
-from kpd.kernel import KernelParams, PointConfig, _arith, _matrix, distance_form, kernel_matrix
+from kpd.kernel import KernelParams, PointConfig, _matrix, distance_form, kernel_matrix
 from kpd.kernel import quadratic_form
 
 INV_PI = 1.0 / math.pi
@@ -72,7 +72,7 @@ class TestPdCheck:
         # form reads, so a gram record prints the entries its replay reads
         params = KernelParams(t, a)
         gram = pd_check(params, points, 1e-10).gram
-        assert gram.tolist() == _matrix(params, [float(v) for v in points], _arith(params), False)
+        assert gram.tolist() == _matrix(params, [float(v) for v in points], False)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf])
     def test_non_finite_tolerance_rejected(self, tol):

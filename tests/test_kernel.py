@@ -15,11 +15,10 @@ from kpd.kernel import (
     DPS_LADDER,
     Certificate,
     KernelParams,
-    UNIT_ROUNDOFF,
     PointConfig,
-    _arith,
     _as_mpf,
     _bound,
+    _fraction,
     _matrix,
     certify_negative,
     distance_form,
@@ -165,7 +164,7 @@ class TestDistanceForm:
         # point set too, and of the form of one point; at the example numpy's
         # array power differs from Python's ** by an ulp
         got = distance_form(params, x, y)
-        want = _matrix(params, [0.0, x, 1.5, y, -2.0], _arith(params), True)[1][3]
+        want = _matrix(params, [0.0, x, 1.5, y, -2.0], True)[1][3]
         assert got.hex() == want.hex()
         if x == y:
             one_point = form_enclosure(params, PointConfig((x,), (1.0,)), distance=True)[0]
@@ -228,12 +227,12 @@ class TestGramMatrix:
         params = KernelParams(1.7, 0.3)
         x = [-2.0, 0.0, 0.5, 3.0]
         m = kernel_matrix(params, x, x)
-        loop = _matrix(params, x, _arith(params), False)
+        loop = _matrix(params, x, False)
         big_x, width = max(map(abs, x)), max(x) - min(x)
         for i, xi in enumerate(x):
             for j, xj in enumerate(x):
                 assert loop[i][j] == 1 / ((1 + distance_form(params, xi, xj)) * math.pi)
-                allowed = _bound(params, 1, UNIT_ROUNDOFF, False, loop[i][j], big_x, width, 1.0)
+                allowed = _bound(params, 1, False, loop[i][j], big_x, width, 1.0)
                 assert abs(m[i, j] - loop[i][j]) <= 2 * allowed
 
 
@@ -404,7 +403,7 @@ class TestFormEnclosure:
         c = np.array([float(v) for v in cfg.coeffs])
         if any(0 < abs(v) < 2.0**-511 for v in (*x, *c)):
             return
-        m = np.array(_matrix(params, x.tolist(), _arith(params), distance))
+        m = np.array(_matrix(params, x.tolist(), distance))
         scale = np.abs(c) @ np.abs(m) @ np.abs(c)
         big_x, width = np.abs(x).max(), x.max() - x.min()
         u = 2.0**-53
@@ -413,6 +412,48 @@ class TestFormEnclosure:
             e = 2 * big_x * (2 * u / (1 - 2 * u))  # input rounding of x - y
             terms += (8 * big_x * width + e * e / u) * np.abs(c).sum() ** 2
         assert form_enclosure(params, cfg, distance=distance)[1] <= 2 * terms * u + 1e-290
+
+    @given(
+        st.one_of(st.integers(1, 6).map(float), st.floats(0.1, 6.0)),
+        st.floats(1e-3, 1e3),
+        st.lists(
+            st.tuples(
+                st.one_of(st.just(0.0), st.builds(math.ldexp, st.floats(-2, 2), st.integers(-500, 497))),
+                st.floats(-3, 3),
+                st.sampled_from(["float", "dyadic", "fraction", "mpf"]),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    @example(1.75, 1.0, [(0.5, 1.0, "float"), (6.166184593152453e-33, 1.0, "float")], False)
+    def test_fixed_point_rungs_contain_the_reference(self, t, a, triples, distance):
+        # points from 2^-500 up to 1e150 as floats, dyadic and non-dyadic
+        # Fractions and 60-digit mpfs: every rung above binary64 encloses a
+        # 1000-digit evaluation of the full grid of mpfs, or for integer t
+        # the exact form (a Fraction, times 1/pi for the kernel)
+        def convert(v, kind):
+            with mp.workdps(60):
+                return {"float": v, "dyadic": Fraction(v), "fraction": Fraction(v) / 3,
+                        "mpf": mp.mpf(v) / 3}[kind]
+
+        params = KernelParams(t, a)
+        cfg = PointConfig([convert(x, k) for x, _, k in triples], [convert(c, k) for _, c, k in triples])
+        if t.is_integer():
+            x, c = [_fraction(v) for v in cfg.points], [_fraction(v) for v in cfg.coeffs]
+            d = [[(xj - xk) ** 2 + Fraction(a) * (xj * xj + xk * xk) ** int(t) for xk in x] for xj in x]
+            exact = sum(cj * ck * (djk if distance else 1 / (1 + djk))
+                        for cj, row in zip(c, d) for ck, djk in zip(c, row))
+            with mp.workdps(1100):
+                ref = mp.mpf(exact.numerator) / exact.denominator / (1 if distance else mp.pi)
+                ref, ref_bound = _fraction(ref), abs(_fraction(ref)) / 10**1090
+        else:
+            ref, ref_bound = map(_fraction, object_reference.form_enclosure(params, cfg, 1000, distance))
+        for dps in DPS_LADDER[1:]:
+            value, bound = form_enclosure(params, cfg, dps, distance)
+            assert abs(_fraction(value) - ref) <= _fraction(bound) + ref_bound, (dps, value, bound)
 
     def test_overflowing_binary64_stage_is_silent(self):
         # d(0, 1e200) overflows binary64: the stage's NaN value and infinite
@@ -440,8 +481,10 @@ class TestFormEnclosure:
 
     def test_binary64_rung_is_the_libmp_loop_at_53_bits(self):
         # dps 15 is 53 bits, rounding to nearest even as binary64 does; with
-        # points k/8 and t in {1, 2, 3} every power is exact, so both rungs
-        # run the same operations in the same order and agree bit for bit
+        # points k/8 and t in {1, 2, 3} every power is exact, so the binary64
+        # rung and the earlier libmp loop, kept as the mpf object-array
+        # reference, run the same operations in the same order and agree
+        # bit for bit
         rng = np.random.default_rng(30)
         for _ in range(3000):
             n = int(rng.integers(1, 7))
@@ -452,16 +495,17 @@ class TestFormEnclosure:
             params = KernelParams(float(rng.integers(1, 4)), float(rng.uniform(0.01, 20)))
             for distance in (False, True):
                 value = form_enclosure(params, cfg, distance=distance)[0]
-                wide = form_enclosure(params, cfg, dps=15, distance=distance)[0]
+                wide = object_reference.form_enclosure(params, cfg, 15, distance)[0]
                 assert mp.mpf(value) == wide, (params, cfg, distance)
 
     @pytest.mark.parametrize("kind", ["mpf", "wide", "float", "fraction", "dyadic"])
     def test_triangle_stage_equals_full_grid(self, kind):
-        # the mpmath rungs evaluate the upper triangle once, in libmp; their
-        # value and bound must be exactly those of the full n x n grid of
-        # mpf object arrays.  "mpf" inputs carry 60 digits, between the
-        # rungs; "wide" ones 1000, more than any rung, so abs must round
-        # them; "dyadic" points are the witness scan's y_j / 2^m.
+        # the fixed-point rungs evaluate the upper triangle once and sum it
+        # exactly; their enclosure must meet the one of the full n x n grid
+        # of mpf object arrays, the earlier libmp rungs, at the same digits.
+        # "mpf" inputs carry 60 digits, between the rungs; "wide" ones
+        # 1000, more than any rung; "dyadic" points are the witness scan's
+        # y_j / 2^m.
         def convert(v):
             with mp.workdps(1000 if kind == "wide" else 60):
                 return mp.mpf(v) / 3 if kind in ("mpf", "wide") else _as_kind(kind, v)
@@ -481,9 +525,10 @@ class TestFormEnclosure:
                 params = KernelParams(t, 0.7)
                 for dps in (30, 120, (50, 200, 400, 800)[n % 4]):
                     for distance in (False, True):
-                        got = form_enclosure(params, cfg, dps=dps, distance=distance)
-                        want = object_reference.form_enclosure(params, cfg, dps, distance)
-                        assert got == want, (n, t, dps, distance)
+                        value, bound = form_enclosure(params, cfg, dps=dps, distance=distance)
+                        want, want_bound = object_reference.form_enclosure(params, cfg, dps, distance)
+                        gap = abs(_fraction(value) - _fraction(want))
+                        assert gap <= _fraction(bound) + _fraction(want_bound), (n, t, dps, distance)
 
     def test_fraction_converts_with_one_rounding(self):
         # a wide Fraction is the nearest mpf: within half an ulp, checked
@@ -502,15 +547,22 @@ class TestFormEnclosure:
     def test_void_derivation_gets_infinite_bound(self):
         params = KernelParams(2.0, 1.0)
         cfg = PointConfig((0.0, 2.0), (1.0, 1.0))
-        # 7 bits or fewer: gamma_k or kappa would reach 1
+        # the fixed-point rungs' derivation holds at any precision: at 7 bits
+        # or fewer the bound is finite and encloses the form 1/pi + 2/(21 pi)
+        # + 1/(65 pi)
+        exact = Fraction(1) + Fraction(2, 21) + Fraction(1, 65)
         for dps in (-1, 0, 1):
-            assert form_enclosure(params, cfg, dps=dps)[1] == math.inf
+            value, bound = form_enclosure(params, cfg, dps=dps)
+            with mp.workdps(50):
+                assert abs(value - mp.mpf(exact.numerator) / exact.denominator / mp.pi) <= bound < 1
         # binary64 rounding of points near 2e15 moves x - y by about 1:
         # the float value is -2.2e-78, the form +4.5e-85
         far = PointConfig((2000000000000031.0, 2000000000007837.0), (-1.0, 1.0))
         assert form_enclosure(params, far)[1] == math.inf
-        value, bound = form_enclosure(params, far, dps=50)
-        assert value > bound
+        # its entries are below 1e-62, under the 50-digit rung's fixed-point
+        # unit 2^-177, so the 100-digit rung resolves it
+        value, dps, bound = resolve_form_sign(params, far)
+        assert value > bound and dps == 100
 
     def test_tiny_inputs_get_no_float_bound(self):
         # 1e-200 squared underflows, so only the mpmath stages can certify

@@ -15,10 +15,15 @@ import object_reference
 from object_reference import cleared_form_value
 from kpd.errors import DomainError, PreconditionError, SizeCapError, ToleranceError
 from kpd.kernel import (
+    GUARD,
     Certificate,
     KernelParams,
     PointConfig,
     _as_mpf,
+    _fraction,
+    _one_plus_d,
+    _pi,
+    _scaled,
     form_enclosure,
     quadratic_form,
 )
@@ -482,10 +487,10 @@ class TestFindNegativeScale:
     @pytest.mark.parametrize(
         "t, a, z, dps, q_value, mp_calls",
         [
-            (3.75, 0.01, 2.0**-50, 100, "-1.338625418689734758040744981324833785651764990663912068155838690604752061428807329519996451848483860e-57", 45),
-            (1.481906, 0.010063, 2.0**-22, 50, "-0.00000000000012121260631323255162752274242026287045421224023232", 1),
-            (3.354057, 0.014399, 2.0**-24, 50, "-4.2206961374242013735311577257577656758808753044919e-26", 11),
-            (1.267167, 7.895252, 2.0**-8, 50, "-0.000056652636869077020254335351606415680249198909141738", 1),
+            (3.75, 0.01, 2.0**-50, 100, "-1.338625418689734758040744981324833785651764913869446716377988322981794909663711616344793674691698809e-57", 45),
+            (1.481906, 0.010063, 2.0**-22, 50, "-0.00000000000012121260631323255162752274242026287045566868818958", 1),
+            (3.354057, 0.014399, 2.0**-24, 50, "-4.2206961374242013735311562593913456272524436621546e-26", 11),
+            (1.267167, 7.895252, 2.0**-8, 50, "-0.000056652636869077020254335351606415680249198909142584", 1),
         ],
         ids=["t3.75", "t1.48", "t3.35", "t1.27"],
     )
@@ -650,10 +655,26 @@ class TestIntegerArithmetic:
     )
     @settings(max_examples=40, deadline=None)
     def test_cleared_form_is_the_full_grid_product_bit_for_bit(self, w, t, a, m, dps):
-        # the libmp rungs against the full grid of mpf object arrays
+        # q's fixed-point enclosure meets the full grid of mpf object arrays
+        # (the earlier libmp rung); f is the product over the full n x n
+        # grid of that rung's integer entries (1 + D_pq) L^2 2^wp, exact up
+        # to its floors, times pi and q, rounded once, and within two ulps
+        # of a product 40 digits wider
         params = KernelParams(t, a)
         config = PointConfig(tuple(yj / 2**m for yj in w.y), w.c)
-        q = form_enclosure(params, config, dps)[0]
-        assert q == object_reference.form_enclosure(params, config, dps)[0]
-        want = object_reference.cleared_form(params, config, q, dps)
-        assert _clear(params, config, q, dps)._mpf_ == want._mpf_
+        q, bound = form_enclosure(params, config, dps)
+        want, want_bound = object_reference.form_enclosure(params, config, dps)
+        assert abs(_fraction(q) - _fraction(want)) <= _fraction(bound) + _fraction(want_bound)
+        prec = libmp.dps_to_prec(dps)
+        wp = prec + 2 * GUARD
+        X, L = _scaled(config.points)
+        rows = _one_plus_d(params, X, L, wp)
+        product = Fraction(1)
+        for v in (rows[min(j, k)][abs(k - j)] for j in range(w.n) for k in range(w.n)):
+            product = Fraction(math.floor(product * v / (L * L)), 2**wp)
+        exact = _fraction(q) * Fraction(_pi(wp), 2**wp) * product
+        f = _clear(params, config, q, dps)
+        assert f._mpf_ == libmp.from_rational(exact.numerator, exact.denominator, prec, libmp.round_nearest)
+        ref = object_reference.cleared_form(params, config, q, dps + 40)
+        with mp.workdps(dps + 40):
+            assert abs(f - ref) <= abs(ref) * mp.ldexp(1, 2 - prec)
