@@ -225,22 +225,32 @@ def _gamma(k, u=UNIT_ROUNDOFF):
     return k * u / (1 - k * u)
 
 
+def _floor(n: int, m: int, s: int) -> int:
+    """floor(n 2^s / m) for n >= 0 and m > 0, without forming 2^-s."""
+    return (n << s if s >= 0 else n >> -s) // m
+
+
 def _powers(params: KernelParams, squares: list, L: int, wp: int) -> dict:
-    """S -> (N, M) with N / M = a (S / L^2)^t for each distinct S = X_j^2 +
-    X_k^2 of the points X / L: exact for integer t, else from one mpf_pow of
-    S / L^2 rounded to t's bit length more bits than ``wp``, as mpf_log needs
-    fewer input bits than it works at: within a relative 2^(4 - wp)."""
+    """S -> (N, M, e), N / M 2^e = a (S / L^2)^t, for each distinct S = X_j^2
+    + X_k^2 of the points X / L: exact for integer t <= 64, else one mpf_pow
+    of S / L^2 rounded to t's bit length more bits than ``wp`` (mpf_log needs
+    fewer input bits than it works at), within a relative 2^(4 - wp).  A
+    power past 2^(2^22) raises OverflowError."""
     (A, B), t = params.a.as_integer_ratio(), params.t
+    f = 1 - B.bit_length()  # a = A 2^f
     sums = {sj + sk for j, sj in enumerate(squares) for sk in squares[j:]}
-    if t.is_integer():
-        return {s: (A * s ** int(t), B * L ** (2 * int(t))) for s in sums}
-    tt, out, dyadic = libmp.from_float(t), {0: (0, 1)}, not L & (L - 1)  # L = 2^(bits - 1)
-    wp += math.ceil(t).bit_length() + 1
-    for s in sums - {0}:
-        arg = (libmp.from_man_exp(s, 2 - 2 * L.bit_length(), wp, _RND) if dyadic
-               else libmp.from_rational(s, L * L, wp, _RND))
-        _, man, exp, _ = libmp.mpf_pow(arg, tt, wp, _RND)
-        out[s] = A * man << max(exp, 0), B << max(-exp, 0)
+    if t.is_integer() and t <= 64:  # an exact power has t times the bits of S
+        out = {s: (A * s ** int(t), L ** (2 * int(t)), f) for s in sums}
+    else:
+        tt, out, dyadic = libmp.from_float(t), {0: (0, 1, 0)}, not L & (L - 1)  # L = 2^(bits - 1)
+        wp += math.ceil(t).bit_length() + 1
+        for s in sums - {0}:
+            arg = (libmp.from_man_exp(s, 2 - 2 * L.bit_length(), wp, _RND) if dyadic
+                   else libmp.from_rational(s, L * L, wp, _RND))
+            _, man, exp, _ = libmp.mpf_pow(arg, tt, wp, _RND)
+            out[s] = A * man, 1, exp + f
+    if any(e + n.bit_length() - m.bit_length() > 2**22 for n, m, e in out.values()):
+        raise OverflowError("a power past 2^(2^22) has no fixed-point enclosure")
     return out
 
 
@@ -248,14 +258,9 @@ def _one_plus_d(params: KernelParams, X: list, L: int, wp: int) -> list:
     """Rows j of the integers (1 + d_jk) L^2 2^wp, k >= j, of the points
     X / L, each power term floored to 2^-wp."""
     L2, sq = L * L, [v * v for v in X]
-    scaled = {s: (n << wp) // m * L2 for s, (n, m) in _powers(params, sq, L, wp).items()}
+    scaled = {s: _floor(n, m, e + wp) * L2 for s, (n, m, e) in _powers(params, sq, L, wp).items()}
     return [[(L2 + (xj - xk) ** 2 << wp) + scaled[sj + sk] for xk, sk in zip(X[j:], sq[j:])]
             for j, (xj, sj) in enumerate(zip(X, sq))]
-
-
-def _pi(wp: int) -> int:
-    """pi 2^wp within 2 (floored from 20 guard bits)."""
-    return libmp.pi_fixed(wp + 20) >> 20
 
 
 def _fixed_point(params: KernelParams, config: PointConfig, prec: int, distance: bool) -> tuple:
@@ -265,13 +270,14 @@ def _fixed_point(params: KernelParams, config: PointConfig, prec: int, distance:
     if distance:
         sq = [v * v for v in X]
         powers = _powers(params, sq, L, wp)
-        E = max((n.bit_length() - m.bit_length() + 1 for n, m in powers.values() if n), default=0)
-        p = {s: (n << max(W - E, 0)) // (m << max(E - W, 0)) for s, (n, m) in powers.items()}
+        tops = [e + n.bit_length() - m.bit_length() + 1 for n, m, e in powers.values() if n]
+        E = max(tops + [-(2**16)])  # finer units would only shrink a bound below 2^-65536
+        p = {s: _floor(n, m, e + W - E) for s, (n, m, e) in powers.items()}
         rows = [[p[sj + sk] for sk in sq[j:]] for j, sj in enumerate(sq)]
         cx = sum(map(operator.mul, C, X))
         exact = Fraction(2 * (sum(C) * sum(map(operator.mul, C, sq)) - cx * cx), D * D * L * L)
     else:
-        E, R = 0, (L * L << W + 2 * wp) // _pi(wp)
+        E, R = 0, (L * L << W + 2 * wp) // libmp.pi_fixed(wp)
         rows, exact = [[R // v for v in row] for row in _one_plus_d(params, X, L, wp)], 0
     # sum_jk C_j C_k M_jk, exactly, from the upper rows of the symmetric M
     total = sum(cj * (2 * sum(map(operator.mul, C[j:], row)) - cj * row[0])
@@ -300,55 +306,50 @@ def form_enclosure(
     to nearest at prec bits and ``bound`` one rounded up.
 
     Binary64 (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    ch. 3; :func:`_bound`): the dot products of c with the rows of M
-    (:func:`_matrix`), and of those sums with c, run left to right
-    (:func:`_dot`).  Let u = 2^-53, gamma_k = k u / (1 - k u), X = max |x_j|
-    and W = max x_j - min x_j.
-    * Inputs rounded to binary64 move by a relative delta <= u < gamma_2:
-      x - y by at most e = 2 X delta, (x - y)^2 by r = e (2W + e), and
-      c_j c_k by gamma_4.
-    * Entries.  x^2 + y^2 carries gamma_6, its t-th power gamma_(6 ceil(t)),
-      pow POW_ULPS ulps, and the product with a and the sum with (x - y)^2
-      round once each: with g = gamma_(6 ceil(t) + 2 POW_ULPS + 2),
-      |d' - d| <= g d' / (1 - g) + (1 + 2g) r.  For the kernel, 2|x - y| <=
-      1 + d gives 1 + d' = (1 + d)(1 + phi), |phi| <= g + (1 + g) e (1 + e);
-      adding 1, pi, the product and the reciprocal take gamma_4 more:
-      |K' - K| <= kappa K' / (1 - kappa), kappa = (gamma_4 + phi) / (1 - phi).
-    * Sum.  Each of the n + 1 dot products is within gamma_n of its sum of
-      absolute terms, in any order and with or without FMA.  With S_M =
-      sum_jk |c'_j| |M'_jk| |c'_k| and S = sum_j |c'_j|, |value - F| <=
-      gamma_(2n+8) S_M + (kappa / (1 - kappa) S_M, or for d g / (1 - g) S_M
-      + (1 + 2g) r S^2) / (1 - gamma_4); evaluating it in binary64 loses
-      less than gamma_(2n+16), which a final division covers.  Where kappa
-      would reach 1/2 (points so large that e is not small) it is infinite.
-    * Underflow adds at most 2^-1075 per operation, which 2^-1020 ((1 + a)
-      S^2 + n (S + 1)) covers unless a nonzero input is below 2^-511; such
-      inputs get an infinite bound.  Overflow (a power is inf, or
-      hypot(x, y)^(2t) where x^2 + y^2 is) makes the bound inf or NaN.
+    ch. 3; :func:`_bound`): dot products of c with the rows of M
+    (:func:`_matrix`), then with c, run left to right (:func:`_dot`).  With
+    u = 2^-53, gamma_k = k u / (1 - k u), X = max |x_j|, W = max - min x_j:
+    * inputs move by delta <= u < gamma_2: x - y by e = 2 X delta, (x - y)^2
+      by r = e (2W + e), and c_j c_k by gamma_4;
+    * x^2 + y^2 carries gamma_6, its power gamma_(6 ceil(t)) and POW_ULPS
+      ulps, and two more roundings: with g = gamma_(6 ceil(t) + 2 POW_ULPS
+      + 2), |d' - d| <= g d' / (1 - g) + (1 + 2g) r.  For the kernel 2|x - y|
+      <= 1 + d gives 1 + d' = (1 + d)(1 + phi), |phi| <= g + (1 + g) e (1 +
+      e), and four more roundings |K' - K| <= kappa K' / (1 - kappa), kappa
+      = (gamma_4 + phi) / (1 - phi);
+    * each of the n + 1 dot products is within gamma_n of its absolute terms
+      in any order: with S_M = sum |c'_j| |M'_jk| |c'_k| and S = sum |c'_j|,
+      |value - F| <= gamma_(2n+8) S_M + (kappa / (1 - kappa) S_M, or for d
+      g / (1 - g) S_M + (1 + 2g) r S^2) / (1 - gamma_4), computed within
+      gamma_(2n+16), which a final division covers; infinite where kappa
+      would reach 1/2 (points so large that e is not small);
+    * 2^-1020 ((1 + a) S^2 + n (S + 1)) covers underflow unless a nonzero
+      input is below 2^-511 (infinite bound); overflow makes it inf or NaN.
 
     Fixed point, at W = prec + GUARD and wp = W + GUARD bits.  Read exactly,
-    x_j = X_j / L, c_j = C_j / D and a = A / B, with integers and L, D the
-    lcms of the denominators (floats and mpfs are binary fractions).  So
-    (x_j - x_k)^2 = Delta_jk / L^2 and x_j^2 + x_k^2 = S / L^2 are exact,
-    and so is a p = a (S / L^2)^t for integer t; else one mpf_pow per
-    distinct S makes it within a relative 2^(4 - wp) (:func:`_powers`).
-    * Kernel.  With floor(a p 2^wp) for a p, N_jk = (1 + d_jk) L^2 2^wp
-      (1 + rho), |rho| <= 2^(4 - wp) + 2^-wp as a p <= 1 + d
-      (:func:`_one_plus_d`).  Pi is pi 2^wp within 2 (a relative theta <
-      2^-wp), R = floor(L^2 2^(W + 2 wp) / Pi), and the entry floor(R /
-      N_jk) (floors nest) is within 1 + 2^-wp + 2^W K (theta + rho)(1 +
-      2^-wp) < 1.03 of 2^W K_jk, as K <= 1/pi.
-    * Distance.  Its entries are unbounded, so the power terms share one
-      block scale 2^E, E the least exponent with every computed a p below
-      2^E, and are floored in units of 2^(E - W): each within 1 + 2^(4 -
-      GUARD) units.  The Delta terms sum exactly, as 2 (sum C)(sum C X^2) -
-      2 (sum C X)^2 over L^2.
-    * Sum.  sum_jk C_j C_k times the integer entries is exact, so with
-      ENTRY_UNITS = 2 units per entry the error is at most ENTRY_UNITS
-      (sum |C_j|)^2 units over D^2; ``bound`` adds the rounding of ``value``.
+    x_j = X_j / L, c_j = C_j / D, a = A / B (L, D the denominators' lcms),
+    so Delta_jk = (X_j - X_k)^2 and S = X_j^2 + X_k^2 are exact integers,
+    and so is a p = a (S / L^2)^t for integer t <= 64; else one mpf_pow per
+    distinct S gives it within a relative 2^(4 - wp) (:func:`_powers`).
+    * Kernel: with floor(a p 2^wp), N_jk = (1 + d_jk) L^2 2^wp (1 + rho),
+      |rho| <= 17 2^-wp as a p <= 1 + d (:func:`_one_plus_d`); with Pi =
+      pi_fixed(wp) within 2 of pi 2^wp and R = floor(L^2 2^(W + 2 wp) / Pi),
+      floor(R / N_jk) (floors nest) is within 1 + 2^W K 19 2^-wp < 1.03 of
+      2^W K_jk, as K <= 1/pi.
+    * Distance: the unbounded power terms share one block scale 2^E, the
+      least power of two above every computed a p (at least 2^-65536), and
+      are floored in units of 2^(E - W), each within 1 + 2^(4 - GUARD); the
+      Delta terms sum exactly, as 2 (sum C)(sum C X^2) - 2 (sum C X)^2.
+    * sum_jk C_j C_k times the entries is exact: with ENTRY_UNITS = 2 units
+      per entry the error is ENTRY_UNITS (sum |C_j|)^2 units over D^2, and
+      ``bound`` adds the rounding of ``value``.  A power past 2^(2^22) (t in
+      the millions) gets no enclosure: a NaN value and an infinite bound.
     """
     if dps is not None:
-        return _fixed_point(params, config, libmp.dps_to_prec(dps), distance)
+        try:
+            return _fixed_point(params, config, libmp.dps_to_prec(dps), distance)
+        except OverflowError:  # no enclosure at this rung, as in binary64
+            return mp.make_mpf(libmp.fnan), mp.make_mpf(libmp.finf)
     x, c = [float(v) for v in config.points], [float(v) for v in config.coeffs]
     ac = [abs(v) for v in c]
     # entries are >= 0, so |m| is m
@@ -408,7 +409,7 @@ def resolve_form_sign(
     """
     for dps in DPS_LADDER:
         value, bound = form_enclosure(params, config, dps, distance)
-        if dps is None:  # rounding is monotone and the bound a float
+        if dps is None or bound == math.inf:  # rounding is monotone, a float bound exact
             resolved = abs(value - threshold) > bound
         else:  # binary fractions, compared exactly
             resolved = abs(_fraction(value) - Fraction(threshold)) > _fraction(bound)

@@ -62,7 +62,6 @@ from .kernel import (
     PointConfig,
     _as_mpf,
     _one_plus_d,
-    _pi,
     _ratio,
     _scaled,
     certify_negative,
@@ -280,7 +279,7 @@ def _clear(params: KernelParams, config: PointConfig, q, dps: int):
     for j, k in product(range(len(X)), repeat=2):
         P = P * rows[min(j, k)][abs(k - j)] // (L * L << wp)
     sign, man, exp, _ = q._mpf_
-    f = (-1) ** sign * man * _pi(wp) * P
+    f = (-1) ** sign * man * libmp.pi_fixed(wp) * P
     return mp.make_mpf(libmp.from_man_exp(f, exp - 2 * wp, prec, libmp.round_nearest))
 
 

@@ -1,11 +1,13 @@
 """Earlier evaluations in kpd.kernel and kpd.witness, kept as the
-references that the current ones must match bit for bit.
+references that the current ones must match bit for bit, or enclose.
 
 The mpmath rungs as numpy object arrays of mpfs, as those modules ran
-them before their mpmath rungs moved to libmp values: the full n x n grid
-of entries, ``c @ M @ c`` by numpy's object matmul, and the form_enclosure
-bound from the arrays.  Every operation is an mpf operation at the working
-precision.
+them before their mpmath rungs moved to libmp values and then to fixed
+point: the full n x n grid of entries, ``c @ M @ c`` by numpy's object
+matmul, and the form_enclosure bound from the arrays.  Every operation is
+an mpf operation at the working precision; at 53 bits it is the binary64
+rung's loop, and at any precision its enclosure must meet the fixed-point
+rung's.
 
 The witness series as a dict keyed by (i, j), as kpd.witness expanded it
 before it moved to dense integer tables, and the cleared form evaluated

@@ -429,6 +429,9 @@ class TestFormEnclosure:
     )
     @settings(max_examples=80, deadline=None)
     @example(1.75, 1.0, [(0.5, 1.0, "float"), (6.166184593152453e-33, 1.0, "float")], False)
+    # past t = 64 integer powers go through mpf_pow too
+    @example(100.0, 0.5, [(0.75, 1.0, "float"), (1.125, -2.0, "fraction"), (0.0, 1.0, "mpf")], False)
+    @example(100.0, 0.5, [(0.75, 1.0, "float"), (1.125, -2.0, "fraction"), (0.0, 1.0, "mpf")], True)
     def test_fixed_point_rungs_contain_the_reference(self, t, a, triples, distance):
         # points from 2^-500 up to 1e150 as floats, dyadic and non-dyadic
         # Fractions and 60-digit mpfs: every rung above binary64 encloses a
@@ -454,6 +457,17 @@ class TestFormEnclosure:
         for dps in DPS_LADDER[1:]:
             value, bound = form_enclosure(params, cfg, dps, distance)
             assert abs(_fraction(value) - ref) <= _fraction(bound) + ref_bound, (dps, value, bound)
+
+    def test_astronomic_powers_get_no_fixed_point_enclosure(self):
+        # 2.42^(1e9) has a binary exponent past 2^22: the rungs above
+        # binary64 return NaN and an infinite bound instead of building
+        # billion-bit integers, and the ladder ends unresolved
+        params, cfg = KernelParams(1e9, 1.0), PointConfig((1.1, 1.3), (1.0, -1.0))
+        for distance in (False, True):
+            value, bound = form_enclosure(params, cfg, 50, distance)
+            assert mp.isnan(value) and bound == mp.inf
+            with pytest.raises(ToleranceError):
+                resolve_form_sign(params, cfg, distance=distance)
 
     def test_overflowing_binary64_stage_is_silent(self):
         # d(0, 1e200) overflows binary64: the stage's NaN value and infinite

@@ -22,7 +22,6 @@ from kpd.kernel import (
     _as_mpf,
     _fraction,
     _one_plus_d,
-    _pi,
     _scaled,
     form_enclosure,
     quadratic_form,
@@ -672,7 +671,7 @@ class TestIntegerArithmetic:
         product = Fraction(1)
         for v in (rows[min(j, k)][abs(k - j)] for j in range(w.n) for k in range(w.n)):
             product = Fraction(math.floor(product * v / (L * L)), 2**wp)
-        exact = _fraction(q) * Fraction(_pi(wp), 2**wp) * product
+        exact = _fraction(q) * Fraction(libmp.pi_fixed(wp), 2**wp) * product
         f = _clear(params, config, q, dps)
         assert f._mpf_ == libmp.from_rational(exact.numerator, exact.denominator, prec, libmp.round_nearest)
         ref = object_reference.cleared_form(params, config, q, dps + 40)
