@@ -234,8 +234,7 @@ def _powers(params: KernelParams, squares: list, L: int, wp: int) -> dict:
     """S -> (N, M, e), N / M 2^e = a (S / L^2)^t, for each distinct S = X_j^2
     + X_k^2 of the points X / L: exact for integer t <= 64, else one mpf_pow
     of S / L^2 rounded to t's bit length more bits than ``wp`` (mpf_log needs
-    fewer input bits than it works at), within a relative 2^(4 - wp).  A
-    power past 2^(2^22) raises OverflowError."""
+    fewer input bits than it works at), within a relative 2^(4 - wp)."""
     (A, B), t = params.a.as_integer_ratio(), params.t
     f = 1 - B.bit_length()  # a = A 2^f
     sums = {sj + sk for j, sj in enumerate(squares) for sk in squares[j:]}
@@ -249,16 +248,15 @@ def _powers(params: KernelParams, squares: list, L: int, wp: int) -> dict:
                    else libmp.from_rational(s, L * L, wp, _RND))
             _, man, exp, _ = libmp.mpf_pow(arg, tt, wp, _RND)
             out[s] = A * man, 1, exp + f
-    if any(e + n.bit_length() - m.bit_length() > 2**22 for n, m, e in out.values()):
-        raise OverflowError("a power past 2^(2^22) has no fixed-point enclosure")
     return out
 
 
 def _one_plus_d(params: KernelParams, X: list, L: int, wp: int) -> list:
-    """Rows j of the integers (1 + d_jk) L^2 2^wp, k >= j, of the points
-    X / L, each power term floored to 2^-wp."""
-    L2, sq = L * L, [v * v for v in X]
-    scaled = {s: _floor(n, m, e + wp) * L2 for s, (n, m, e) in _powers(params, sq, L, wp).items()}
+    """Rows j of the integers (1 + d_jk) L^2 2^wp, k >= j, of the points X / L; power
+    terms are floored to 2^-wp, and cut past the kernel's R and any witness's D."""
+    L2, sq, cap = L * L, [v * v for v in X], 2**12 + 2 * L.bit_length() + 3 * wp
+    powers = _powers(params, sq, L, wp)
+    scaled = {s: _floor(n, m, min(e + wp, cap)) * L2 for s, (n, m, e) in powers.items()}
     return [[(L2 + (xj - xk) ** 2 << wp) + scaled[sj + sk] for xk, sk in zip(X[j:], sq[j:])]
             for j, (xj, sj) in enumerate(zip(X, sq))]
 
@@ -272,6 +270,8 @@ def _fixed_point(params: KernelParams, config: PointConfig, prec: int, distance:
         powers = _powers(params, sq, L, wp)
         tops = [e + n.bit_length() - m.bit_length() + 1 for n, m, e in powers.values() if n]
         E = max(tops + [-(2**16)])  # finer units would only shrink a bound below 2^-65536
+        if E > 2**22:
+            raise OverflowError("a power past 2^(2^22) has no fixed-point enclosure")
         p = {s: _floor(n, m, e + W - E) for s, (n, m, e) in powers.items()}
         rows = [[p[sj + sk] for sk in sq[j:]] for j, sj in enumerate(sq)]
         cx = sum(map(operator.mul, C, X))
@@ -335,15 +335,15 @@ def form_enclosure(
       |rho| <= 17 2^-wp as a p <= 1 + d (:func:`_one_plus_d`); with Pi =
       pi_fixed(wp) within 2 of pi 2^wp and R = floor(L^2 2^(W + 2 wp) / Pi),
       floor(R / N_jk) (floors nest) is within 1 + 2^W K 19 2^-wp < 1.03 of
-      2^W K_jk, as K <= 1/pi.
+      2^W K_jk, as K <= 1/pi; a power term cut past R leaves the entry 0.
     * Distance: the unbounded power terms share one block scale 2^E, the
       least power of two above every computed a p (at least 2^-65536), and
       are floored in units of 2^(E - W), each within 1 + 2^(4 - GUARD); the
       Delta terms sum exactly, as 2 (sum C)(sum C X^2) - 2 (sum C X)^2.
     * sum_jk C_j C_k times the entries is exact: with ENTRY_UNITS = 2 units
       per entry the error is ENTRY_UNITS (sum |C_j|)^2 units over D^2, and
-      ``bound`` adds the rounding of ``value``.  A power past 2^(2^22) (t in
-      the millions) gets no enclosure: a NaN value and an infinite bound.
+      ``bound`` adds the rounding of ``value``.  A distance power past
+      2^(2^22) (t in the millions) gets no enclosure: NaN, bound infinite.
     """
     if dps is not None:
         try:

@@ -458,16 +458,24 @@ class TestFormEnclosure:
             value, bound = form_enclosure(params, cfg, dps, distance)
             assert abs(_fraction(value) - ref) <= _fraction(bound) + ref_bound, (dps, value, bound)
 
-    def test_astronomic_powers_get_no_fixed_point_enclosure(self):
-        # 2.42^(1e9) has a binary exponent past 2^22: the rungs above
-        # binary64 return NaN and an infinite bound instead of building
-        # billion-bit integers, and the ladder ends unresolved
-        params, cfg = KernelParams(1e9, 1.0), PointConfig((1.1, 1.3), (1.0, -1.0))
-        for distance in (False, True):
-            value, bound = form_enclosure(params, cfg, 50, distance)
-            assert mp.isnan(value) and bound == mp.inf
-            with pytest.raises(ToleranceError):
-                resolve_form_sign(params, cfg, distance=distance)
+    def test_astronomic_powers_stay_small(self):
+        # 2.42^(1e9) has a binary exponent past 2^22.  Kernel entries that
+        # small are 0 in every rung's units, so the power is cut, and a form
+        # of the point 1.1 against the point 0 (K = 1/pi) resolves at 50
+        # digits; the distance form's block scale would need billion-bit
+        # integers, so there the rungs give no enclosure and the ladder ends
+        # unresolved
+        params = KernelParams(1e9, 1.0)
+        cfg = PointConfig((0.0, 1.1), (1.0, 1e-20))
+        # binary64's 1/pi is 2e-17 above it: only the fixed-point rungs see that
+        value, dps, bound = resolve_form_sign(params, cfg, threshold=0.3183098861837907)
+        with mp.workdps(60):
+            assert dps == 50 and abs(value - 1 / mp.pi) < 1e-45
+        cfg = PointConfig((1.1, 1.3), (1.0, -1.0))
+        value, bound = form_enclosure(params, cfg, 50, True)
+        assert mp.isnan(value) and bound == mp.inf
+        with pytest.raises(ToleranceError):
+            resolve_form_sign(params, cfg, distance=True)
 
     def test_overflowing_binary64_stage_is_silent(self):
         # d(0, 1e200) overflows binary64: the stage's NaN value and infinite
