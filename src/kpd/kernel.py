@@ -401,15 +401,15 @@ def resolve_form_sign(
     """Decide on which side of ``threshold`` the kernel form (or with
     ``distance`` the distance form) lies.
 
-    Climbs ``DPS_LADDER``: binary64 first, reported as dps 17, then mpmath
-    from 50 digits, doubling up to ``DPS_CAP``.  Returns ``(value, dps,
+    Climbs ``DPS_LADDER``: binary64 first, reported as dps 17, then fixed
+    point from 50 digits, doubling up to ``DPS_CAP``.  Returns ``(value, dps,
     bound)`` from the first rung whose :func:`form_enclosure` excludes
     ``threshold``; raises ToleranceError if none does, so an unresolved
     value is never read as a sign.
     """
     for dps in DPS_LADDER:
         value, bound = form_enclosure(params, config, dps, distance)
-        if dps is None or bound == math.inf:  # rounding is monotone, a float bound exact
+        if dps is None or bound == math.inf:  # floats round monotonically; inf excludes all
             resolved = abs(value - threshold) > bound
         else:  # binary fractions, compared exactly
             resolved = abs(_fraction(value) - Fraction(threshold)) > _fraction(bound)
@@ -422,7 +422,7 @@ def resolve_form_sign(
 
 
 def next_rung(dps: int) -> int:
-    """The ladder's first mpmath rung above ``dps`` digits (17 for
+    """The ladder's first fixed-point rung above ``dps`` digits (17 for
     binary64), or ``DPS_CAP`` from the top rung."""
     return next((d for d in DPS_LADDER[1:] if d > dps), DPS_CAP)
 

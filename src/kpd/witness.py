@@ -339,7 +339,7 @@ def find_negative_scale(params: KernelParams, w: WitnessConfig, kappa) -> Negati
     precision, and :func:`~kpd.kernel.certify_negative` certifies its
     kernel form Q on the kernel's precision ladder; a z it does not
     certify is skipped, not trusted.  The certificate keeps that enclosure
-    if it is mpmath with a bound of at most 1e-15 |Q|; else it encloses Q
+    if it is fixed point with a bound of at most 1e-15 |Q|; else it encloses Q
     once more at the ladder's next rung (:func:`~kpd.kernel.next_rung`),
     where the bound is about 10^-dps smaller, so its ``dps`` can exceed
     the certifying digits.  Its f(z) = pi Q prod_pq (1 + D_pq), D the
