@@ -137,8 +137,7 @@ def verify_certificate(record_path: str) -> dict:
             config = PointConfig(
                 tuple(map(_read, cert["points"])), tuple(map(_read, cert["coeffs"]))
             )
-            # only its sign and magnitude matter: 53 bits, whatever mp.prec is
-            stored = mp.make_mpf(libmp.from_str(cert["value"], 53, libmp.round_nearest))
+            stored = mp.make_mpf(libmp.from_str(str(cert["value"]), 53, libmp.round_nearest))
             distance, side = CLAIMS[cert["kind"]]
             threshold = cnd_tolerance if distance else 0.0
             if not 0 <= threshold < math.inf:

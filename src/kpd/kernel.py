@@ -226,7 +226,7 @@ def _gamma(k, u=UNIT_ROUNDOFF):
 
 
 def _floor(n: int, m: int, s: int) -> int:
-    """floor(n 2^s / m) for n >= 0 and m > 0, without forming 2^-s."""
+    """floor(n 2^s / m) for m > 0, without forming 2^-s."""
     return (n << s if s >= 0 else n >> -s) // m
 
 
@@ -239,7 +239,8 @@ def _powers(params: KernelParams, squares: list, L: int, wp: int) -> dict:
     f = 1 - B.bit_length()  # a = A 2^f
     sums = {sj + sk for j, sj in enumerate(squares) for sk in squares[j:]}
     if t.is_integer() and t <= 64:  # an exact power has t times the bits of S
-        out = {s: (A * s ** int(t), L ** (2 * int(t)), f) for s in sums}
+        M = L ** (2 * int(t))
+        out = {s: (A * s ** int(t), M, f) for s in sums}
     else:
         tt, out, dyadic = libmp.from_float(t), {0: (0, 1, 0)}, not L & (L - 1)  # L = 2^(bits - 1)
         wp += math.ceil(t).bit_length() + 1
@@ -252,42 +253,44 @@ def _powers(params: KernelParams, squares: list, L: int, wp: int) -> dict:
 
 
 def _one_plus_d(params: KernelParams, X: list, L: int, wp: int) -> list:
-    """Rows j of the integers (1 + d_jk) L^2 2^wp, k >= j, of the points X / L; power
-    terms are floored to 2^-wp, and cut past the kernel's R and any witness's D."""
-    L2, sq, cap = L * L, [v * v for v in X], 2**12 + 2 * L.bit_length() + 3 * wp
-    powers = _powers(params, sq, L, wp)
-    scaled = {s: _floor(n, m, min(e + wp, cap)) * L2 for s, (n, m, e) in powers.items()}
-    return [[(L2 + (xj - xk) ** 2 << wp) + scaled[sj + sk] for xk, sk in zip(X[j:], sq[j:])]
+    """Rows j of pairs (N, x), k >= j, with N 2^x = (1 + d_jk) L^2 2^wp (1 + rho)
+    and N >= L^2 2^wp, of the points X / L: 2^x < a p (or x = 0)."""
+    L2, sq, scaled = L * L, [v * v for v in X], {}
+    for s, (n, m, e) in _powers(params, sq, L, wp).items():
+        x = max(0, e + n.bit_length() - m.bit_length() - 1)  # 0 where n = 0
+        scaled[s] = _floor(n, m, e + wp - x) * L2, x
+    return [[(((L2 + (xj - xk) ** 2 << wp) >> x) + N, x)
+             for xk, (N, x) in zip(X[j:], [scaled[sj + sk] for sk in sq[j:]])]
             for j, (xj, sj) in enumerate(zip(X, sq))]
 
 
 def _fixed_point(params: KernelParams, config: PointConfig, prec: int, distance: bool) -> tuple:
-    """The fixed-point rung of :func:`form_enclosure` at ``prec`` bits."""
+    """The fixed-point rung of :func:`form_enclosure` at ``prec`` bits, and
+    for the kernel the rows of :func:`_one_plus_d` that it read."""
     W, wp = prec + GUARD, prec + 2 * GUARD
     (X, L), (C, D) = _scaled(config.points), _scaled(config.coeffs)
     if distance:
-        sq = [v * v for v in X]
-        powers = _powers(params, sq, L, wp)
-        tops = [e + n.bit_length() - m.bit_length() + 1 for n, m, e in powers.values() if n]
-        E = max(tops + [-(2**16)])  # finer units would only shrink a bound below 2^-65536
-        if E > 2**22:
-            raise OverflowError("a power past 2^(2^22) has no fixed-point enclosure")
-        p = {s: _floor(n, m, e + W - E) for s, (n, m, e) in powers.items()}
-        rows = [[p[sj + sk] for sk in sq[j:]] for j, sj in enumerate(sq)]
+        sq, lam, rows = [v * v for v in X], L * L, None
+        powers, dmax = _powers(params, sq, L, wp), (max(X) - min(X)) ** 2
+        E = max([e + n.bit_length() - m.bit_length() + 1 for n, m, e in powers.values() if n]
+                + [dmax.bit_length() - 2 * L.bit_length() + 2] * (dmax > 0), default=0)
+        p = {s: _floor(lam * n, m, e + W - E) for s, (n, m, e) in powers.items()}
+        entries = [[p[sj + sk] for sk in sq[j:]] for j, sj in enumerate(sq)]
         cx = sum(map(operator.mul, C, X))
-        exact = Fraction(2 * (sum(C) * sum(map(operator.mul, C, sq)) - cx * cx), D * D * L * L)
+        total = _floor(2 * (sum(C) * sum(map(operator.mul, C, sq)) - cx * cx), 1, W - E)
     else:
-        E, R = 0, (L * L << W + 2 * wp) // libmp.pi_fixed(wp)
-        rows, exact = [[R // v for v in row] for row in _one_plus_d(params, X, L, wp)], 0
+        rows, R = _one_plus_d(params, X, L, wp), (L * L << W + 2 * wp + 1) // libmp.pi_fixed(wp)
+        lam, total, x0 = 1, 0, min(x for row in rows for _, x in row)
+        E, entries = -1 - x0, [[(R >> x - x0) // N for N, x in row] for row in rows]
     # sum_jk C_j C_k M_jk, exactly, from the upper rows of the symmetric M
-    total = sum(cj * (2 * sum(map(operator.mul, C[j:], row)) - cj * row[0])
-                for j, (cj, row) in enumerate(zip(C, rows)))
-    unit = Fraction(2) ** (E - W) / (D * D)
-    exact += total * unit
-    value = libmp.from_rational(exact.numerator, exact.denominator, prec, _RND)
-    bound = ENTRY_UNITS * sum(map(abs, C)) ** 2 * unit + abs(_fraction(mp.make_mpf(value)) - exact)
-    bound = libmp.from_rational(bound.numerator, bound.denominator, prec, libmp.round_up)
-    return mp.make_mpf(value), mp.make_mpf(bound)
+    total += sum(cj * (2 * sum(map(operator.mul, C[j:], row)) - cj * row[0])
+                 for j, (cj, row) in enumerate(zip(C, entries)))
+    # F is near total 2^(E - W) / den; libmp at prec 0 is exact
+    exact, den = libmp.from_man_exp(total, E - W), libmp.from_int(lam * D * D)
+    value = libmp.mpf_div(exact, den, prec, _RND)
+    bound = libmp.from_man_exp(ENTRY_UNITS * sum(map(abs, C)) ** 2 * lam, E - W)
+    bound = libmp.mpf_add(bound, libmp.mpf_abs(libmp.mpf_sub(libmp.mpf_mul(value, den), exact)))
+    return mp.make_mpf(value), mp.make_mpf(libmp.mpf_div(bound, den, prec, libmp.round_up)), rows
 
 
 def form_enclosure(
@@ -326,30 +329,26 @@ def form_enclosure(
     * 2^-1020 ((1 + a) S^2 + n (S + 1)) covers underflow unless a nonzero
       input is below 2^-511 (infinite bound); overflow makes it inf or NaN.
 
-    Fixed point, at W = prec + GUARD and wp = W + GUARD bits.  Read exactly,
-    x_j = X_j / L, c_j = C_j / D, a = A / B (L, D the denominators' lcms),
-    so Delta_jk = (X_j - X_k)^2 and S = X_j^2 + X_k^2 are exact integers,
-    and so is a p = a (S / L^2)^t for integer t <= 64; else one mpf_pow per
-    distinct S gives it within a relative 2^(4 - wp) (:func:`_powers`).
-    * Kernel: with floor(a p 2^wp), N_jk = (1 + d_jk) L^2 2^wp (1 + rho),
-      |rho| <= 17 2^-wp as a p <= 1 + d (:func:`_one_plus_d`); with Pi =
-      pi_fixed(wp) within 2 of pi 2^wp and R = floor(L^2 2^(W + 2 wp) / Pi),
-      floor(R / N_jk) (floors nest) is within 1 + 2^W K 19 2^-wp < 1.03 of
-      2^W K_jk, as K <= 1/pi; a power term cut past R leaves the entry 0.
-    * Distance: the unbounded power terms share one block scale 2^E, the
-      least power of two above every computed a p (at least 2^-65536), and
-      are floored in units of 2^(E - W), each within 1 + 2^(4 - GUARD); the
-      Delta terms sum exactly, as 2 (sum C)(sum C X^2) - 2 (sum C X)^2.
-    * sum_jk C_j C_k times the entries is exact: with ENTRY_UNITS = 2 units
-      per entry the error is ENTRY_UNITS (sum |C_j|)^2 units over D^2, and
-      ``bound`` adds the rounding of ``value``.  A distance power past
-      2^(2^22) (t in the millions) gets no enclosure: NaN, bound infinite.
+    Fixed point, at W = prec + GUARD and wp = W + GUARD bits, reads x_j =
+    X_j / L, c_j = C_j / D, a = A / B exactly (L, D the lcms), so Delta_jk =
+    (X_j - X_k)^2, S = X_j^2 + X_k^2 and, for integer t <= 64, a p = a (S /
+    L^2)^t are exact; else one mpf_pow per distinct S gives a p within 2^(4
+    - wp) relative (:func:`_powers`).  Units: 2^(E - W), 2^E above all entries:
+    * Kernel: N 2^x = (1 + d_jk) L^2 2^wp (1 + rho), |rho| <= 18 2^-wp, with
+      2^x <= 1 + d (:func:`_one_plus_d`), so K < 2^E for E = -1 - min x.  With
+      Pi = pi_fixed(wp) within 2 of pi 2^wp and R = floor(L^2 2^(W + 2 wp + 1)
+      / Pi), floor(R 2^(min x - x) / N) (floors nest) is within 1 + 2^W 20
+      2^-wp < 1.08 units of K_jk; entries far below a unit are 0 at no cost.
+    * Distance: 2^E is above Delta_jk / L^2 and each a p, which is floored in
+      units over L^2, within 1 / L^2 + 2^(4 - GUARD) units; sum_jk C_j C_k
+      Delta_jk = 2 (sum C)(sum C X^2) - 2 (sum C X)^2 is exact, or floored
+      once where E > W.  The sum over C_j C_k times the entries is exact, so
+      with ENTRY_UNITS = 2 units per entry the error is at most ENTRY_UNITS
+      (sum |C_j|)^2 units over D^2 (a Delta floor has two C_j nonzero), and
+      ``bound`` adds the exact rounding of ``value``; 2^(E - W) stays apart.
     """
     if dps is not None:
-        try:
-            return _fixed_point(params, config, libmp.dps_to_prec(dps), distance)
-        except OverflowError:  # no enclosure at this rung, as in binary64
-            return mp.make_mpf(libmp.fnan), mp.make_mpf(libmp.finf)
+        return _fixed_point(params, config, libmp.dps_to_prec(dps), distance)[:2]
     x, c = [float(v) for v in config.points], [float(v) for v in config.coeffs]
     ac = [abs(v) for v in c]
     # entries are >= 0, so |m| is m
@@ -391,7 +390,7 @@ def quadratic_form(
     params: KernelParams, config: PointConfig, dps: int | None = None
 ) -> float | mp.mpf:
     """The kernel quadratic form sum_jk c_j c_k K(x_j, x_k): the value of
-    :func:`form_enclosure`, in binary64 or (with ``dps``) in mpmath."""
+    :func:`form_enclosure`, in binary64 or (with ``dps``) in fixed point."""
     return form_enclosure(params, config, dps)[0]
 
 
@@ -409,10 +408,12 @@ def resolve_form_sign(
     """
     for dps in DPS_LADDER:
         value, bound = form_enclosure(params, config, dps, distance)
-        if dps is None or bound == math.inf:  # floats round monotonically; inf excludes all
+        if dps is None:  # floats round monotonically
             resolved = abs(value - threshold) > bound
-        else:  # binary fractions, compared exactly
-            resolved = abs(_fraction(value) - Fraction(threshold)) > _fraction(bound)
+        else:  # value - threshold rounded toward zero, compared with bound exactly
+            thr, prec = libmp.from_float(threshold), 2 * libmp.dps_to_prec(dps)
+            diff = libmp.mpf_sub(value._mpf_, thr, prec, libmp.round_down)
+            resolved = libmp.mpf_cmp(libmp.mpf_abs(diff), bound._mpf_) > 0
         if resolved:
             return value, dps or 17, bound
     raise ToleranceError(

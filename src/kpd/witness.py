@@ -61,11 +61,11 @@ from .kernel import (
     KernelParams,
     PointConfig,
     _as_mpf,
+    _fixed_point,
     _one_plus_d,
     _ratio,
     _scaled,
     certify_negative,
-    form_enclosure,
     next_rung,
 )
 
@@ -266,21 +266,19 @@ def cleared_form_series(params: KernelParams, w: WitnessConfig) -> PowerSeries:
     return PowerSeries(terms)
 
 
-def _clear(params: KernelParams, config: PointConfig, q, dps: int):
-    """pi * q * prod_pq (1 + D_pq) at ``dps`` digits: the cleared form of
-    ``config``, whose kernel form is the mpf ``q`` and distance matrix D.
-    Over the n^2 integers (1 + D_pq) U, U = L^2 2^wp, of the kernel's
-    fixed-point rung at ``dps`` (:func:`~kpd.kernel._one_plus_d`), in row
-    order, P <- floor(P (1 + D_pq) U / U) from P = 2^wp loses at most 2^-wp
-    relative per factor (each is >= 1); pi q P 2^-wp is rounded once."""
-    prec = libmp.dps_to_prec(dps)
-    wp, (X, L) = prec + 2 * GUARD, _scaled(config.points)
-    rows, P = _one_plus_d(params, X, L, wp), 1 << wp
-    for j, k in product(range(len(X)), repeat=2):
-        P = P * rows[min(j, k)][abs(k - j)] // (L * L << wp)
-    sign, man, exp, _ = q._mpf_
-    f = (-1) ** sign * man * libmp.pi_fixed(wp) * P
-    return mp.make_mpf(libmp.from_man_exp(f, exp - 2 * wp, prec, libmp.round_nearest))
+def _clear(config: PointConfig, q, dps: int, rows: list):
+    """pi * q * prod_pq (1 + D_pq) at ``dps`` digits, for ``config`` of kernel
+    form ``q``, from its kernel rung's rows (N, x) at ``dps``, N 2^x = (1 +
+    D_pq) L^2 2^wp within 18 2^-wp (:func:`~kpd.kernel._one_plus_d`): the
+    product is P 2^e with P of wp + 1 bits, and pi q P 2^e is rounded once."""
+    wp, L2, P, e = libmp.dps_to_prec(dps) + 2 * GUARD, _scaled(config.points)[1] ** 2, 1, 0
+    for j, k in product(range(len(rows)), repeat=2):
+        N, x = rows[min(j, k)][abs(k - j)]
+        P = P * N // L2  # at least 2^wp P, as N >= L^2 2^wp
+        s = P.bit_length() - wp - 1
+        P, e = P >> s, e + s + x - wp
+    f = libmp.from_man_exp(libmp.pi_fixed(wp) * P, e - wp)
+    return mp.make_mpf(libmp.mpf_mul(q._mpf_, f, wp - 2 * GUARD, libmp.round_nearest))
 
 
 def t_power_coefficient(params: KernelParams, w: WitnessConfig):
@@ -356,10 +354,12 @@ def find_negative_scale(params: KernelParams, w: WitnessConfig, kappa) -> Negati
         if cert is None:
             continue
         value, bound, dps = cert.value, cert.error_bound, cert.dps
-        if not (isinstance(value, mp.mpf) and bound <= 1e-15 * abs(value)):
+        if isinstance(value, mp.mpf) and bound <= 1e-15 * abs(value):  # rebuild its rung's rows
+            rows = _one_plus_d(params, *_scaled(config.points), libmp.dps_to_prec(dps) + 2 * GUARD)
+        else:
             dps = next_rung(dps)
-            value, bound = form_enclosure(params, config, dps)
-        f_value = _clear(params, config, value, dps)
+            value, bound, rows = _fixed_point(params, config, libmp.dps_to_prec(dps), False)
+        f_value = _clear(config, value, dps, rows)
         return NegativeScaleCertificate(config, value, bound, dps, 4.0**-m, f_value)
     raise ToleranceError(
         f"no negative value found for z down to 4^-{SCAN_STEPS} with up to "

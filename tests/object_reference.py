@@ -139,7 +139,8 @@ def cleared_form_value(params, w, z, dps: int):
     with mp.workdps(dps):
         root = mp.sqrt(_as_mpf(z))
         config = PointConfig(tuple(_as_mpf(yj) * root for yj in w.y), w.c)
-    return _clear(params, config, kpd.kernel.form_enclosure(params, config, dps)[0], dps)
+    q, _, rows = kpd.kernel._fixed_point(params, config, libmp.dps_to_prec(dps), False)
+    return _clear(config, q, dps, rows)
 
 
 def margin(z, t: float, a: float):

@@ -734,6 +734,22 @@ class TestVerify:
         }))
         assert verify_certificate(str(rec))["verdict"] == "MISMATCH"
 
+    def test_numeric_value_reads_as_its_string(self, tmp_path):
+        # a JSON number is the value its repr denotes, as the string form is
+        records = []
+        for value in (-0.5, "-0.5", 0.5):
+            rec = tmp_path / f"{len(records)}.json"
+            rec.write_text(json.dumps({
+                "config": {"command": "gram", "params": {"t": 2.0, "a": 13.0}},
+                "payload": {"certificate": {
+                    "kind": "gram", "points": ["0.4472135954999579", "0"],
+                    "coeffs": ["-0.86666666", "0.49888766"], "value": value,
+                }},
+            }))
+            records.append(verify_certificate(str(rec)))
+        assert records[0]["results"] == records[1]["results"]
+        assert [r["verdict"] for r in records] == ["CONFIRMED", "CONFIRMED", "MISMATCH"]
+
     def test_far_points_replay_beyond_binary64(self, capsys, tmp_path):
         # binary64 reads this form as -2.2e-78; it is +4.5e-85
         rec = tmp_path / "far.json"
@@ -754,8 +770,10 @@ class TestVerify:
             {"kind": "gram", "points": ["0", "1"], "value": "-0.5"},
             {"kind": "gram", "points": ["x", "1"], "coeffs": ["1", "-1"], "value": "-0.5"},
             {"kind": "gram", "points": ["1e400", "1"], "coeffs": ["1", "-1"], "value": "-0.5"},
+            {"kind": "gram", "points": ["0", "1"], "coeffs": ["1", "-1"], "value": None},
+            {"kind": "gram", "points": ["0", "1"], "coeffs": ["1", "-1"], "value": True},
         ],
-        ids=["no-coeffs", "bad-point", "huge-point"],
+        ids=["no-coeffs", "bad-point", "huge-point", "null-value", "true-value"],
     )
     def test_malformed_certificate_errors(self, capsys, tmp_path, cert):
         rec = tmp_path / "m.json"

