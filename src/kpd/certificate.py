@@ -53,8 +53,9 @@ def _point(x, dps: int) -> str:
         return dec(x)
     if x.denominator & (x.denominator - 1):
         raise ValueError(f"certificate point {x} is not dyadic")
-    digits = len(str(abs(x.numerator) * 5 ** (x.denominator.bit_length() - 1)))
-    return dec(mp.mpf(x.numerator) / x.denominator, max(dps, digits))
+    e = x.denominator.bit_length() - 1
+    digits = len(str(abs(x.numerator) * 5**e))
+    return dec(mp.make_mpf(libmp.from_man_exp(x.numerator, -e)), max(dps, digits))
 
 
 def encode(kind: str, cert: Certificate | None, **provenance) -> dict | None:
@@ -155,7 +156,9 @@ def verify_certificate(record_path: str) -> dict:
             pass
         except PreconditionError:
             replayed = math.nan  # a claim on no side: MISMATCH
-        if not all(side * (v - threshold) > 0 for v in (stored, replayed) if v is not None):
+        # compared exactly: an mpf difference would round at the caller's precision
+        signs = [(v > threshold) - (v < threshold) for v in (stored, replayed) if v is not None]
+        if any(sign != side for sign in signs):
             verdict = "MISMATCH"
         else:
             verdict = "UNRESOLVED" if replayed is None else "CONFIRMED"

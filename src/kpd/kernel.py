@@ -16,10 +16,10 @@ Conventions
 -----------
 * Powers of a nonnegative base use the convention 0**s = 0 for s > 0;
   this is applied globally.
-* All operations are functions of immutable inputs, and the sign
-  primitive reads no mpmath working precision.  Only the witness layer's
-  ``SERIES_DPS`` work sets that process-global precision, so its results
-  are deterministic only while no other thread changes it.
+* All operations are functions of immutable inputs.  No kpd code reads
+  or sets mpmath's process-global working precision: every rounding names
+  its bits in libmp, so results do not depend on the caller's precision
+  or on other threads.
 * A form's sign is claimed only from an enclosure: :func:`form_enclosure`
   returns the form together with an a-priori bound on its error, and
   :func:`resolve_form_sign` climbs ``DPS_LADDER``, from binary64 through
@@ -42,7 +42,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 import mpmath as mp
 from mpmath import libmp
@@ -72,11 +71,6 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
-def _ratio(num: int, den: int) -> mp.mpf:
-    """num / den correctly rounded at the working precision."""
-    return mp.make_mpf(libmp.from_rational(num, den, mp.mp.prec, libmp.round_nearest))
-
-
 def _fraction(value) -> Fraction:
     """The rational an int, float, Fraction or mpf denotes, exactly."""
     return Fraction(*libmp.to_rational(value._mpf_) if isinstance(value, mp.mpf) else (value,))
@@ -87,15 +81,6 @@ def _scaled(values) -> tuple[list[int], int]:
     values = [_fraction(v) for v in values]
     L = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (L // v.denominator) for v in values], L
-
-
-def _as_mpf(value) -> mp.mpf:
-    # One correctly rounded conversion for rationals; floats convert exactly.
-    if isinstance(value, Rational):
-        return _ratio(value.numerator, value.denominator)
-    if isinstance(value, mp.mpf):
-        return value
-    return mp.mpf(value)
 
 
 @dataclass(frozen=True)

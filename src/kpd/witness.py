@@ -29,13 +29,16 @@ a > 0.
 The series expansion (:func:`cleared_form_series`) keeps coefficients of
 pure integer powers as exact Fractions, so the cancellation is exact;
 those involving z^t are mpfs at ``SERIES_DPS`` digits, each rounded once.
-The exact work runs in integers: y and c are scaled by the lcms of their
-denominators (:func:`_scaled`), so the moments, difference sums, series
-and z^t weights are integer sums with one division at the end, and the
-symmetric sum of kappa and the distance grid of f take each unordered pair
-once.  At small z the kernel form is dominated by cancellation, so the
-certificate search takes z = 4^-m, where the points y_j / 2^m are exact
-dyadic rationals, and settles the sign with
+Its weights B_pq = a (y_p^2 + y_q^2)^t are the kernel's own powers
+(:func:`~kpd.kernel._powers`), each rounded once to ``SERIES_DPS`` digits
+(:func:`_weights`), and kappa is their exact sum rounded the same way, so
+it is the series' z^t coefficient bit for bit.  The exact work runs in
+integers: y and c are scaled by the lcms of their denominators
+(:func:`_scaled`), so the moments, difference sums, series and kappa are
+integer sums with one division at the end, and the distance grid of f
+takes each unordered pair once.  At small z the kernel form is dominated by
+cancellation, so the certificate search takes z = 4^-m, where the points
+y_j / 2^m are exact dyadic rationals, and settles the sign with
 :func:`~kpd.kernel.certify_negative` (see :func:`find_negative_scale`).
 
 With f ~ kappa z^t + C z^(T+1), f < 0 only for z < (|kappa| / C)^(1/(T+1-t)),
@@ -60,10 +63,10 @@ from .kernel import (
     Certificate,
     KernelParams,
     PointConfig,
-    _as_mpf,
     _fixed_point,
+    _fraction,
     _one_plus_d,
-    _ratio,
+    _powers,
     _scaled,
     certify_negative,
     next_rung,
@@ -164,20 +167,17 @@ def check_moments(w: WitnessConfig, l_max: int) -> list[Fraction]:
     ]
 
 
-def _pair_data(params: KernelParams, w: WitnessConfig):
-    """Y and L with y = Y / L (:func:`_scaled`), and B_pq = a (y_p^2 +
-    y_q^2)^t, mpfs at the ambient precision keyed by the ordered pair (p, q).
-    B is symmetric: each distinct y_p^2 + y_q^2 is raised to the power t once."""
-    Y, L = _scaled(w.y)
-    a, powers = _as_mpf(params.a), _square_sum_powers(Y, L, _as_mpf(params.t))
-    B = {(p, q): a * powers[yp**2 + yq**2] for p, yp in enumerate(Y) for q, yq in enumerate(Y)}
-    return Y, L, B
-
-
-def _square_sum_powers(Y: list[int], L: int, t: mp.mpf) -> dict:
-    """S -> (S / L^2)^t = (y_j^2 + y_k^2)^t, an mpf at the ambient precision,
-    for each distinct S = Y_j^2 + Y_k^2 of the points y = Y / L."""
-    return {s: _ratio(s, L * L) ** t for s in {yj**2 + yk**2 for yj in Y for yk in Y}}
+def _weights(params: KernelParams, Y: list, L: int) -> tuple:
+    """e0 <= 0 and S -> b, the integer with b 2^e0 = B = a (S / L^2)^t, for
+    each distinct S = Y_p^2 + Y_q^2 of the points y = Y / L.  B is the
+    kernel's power (:func:`~kpd.kernel._powers`) at the 50-digit rung's
+    working bits, within 2^(4 - wp) relative, rounded once to the prec bits
+    of ``SERIES_DPS``: |B - a (S / L^2)^t| <= 2^(1 - prec) B."""
+    prec = libmp.dps_to_prec(SERIES_DPS)
+    B = {s: libmp.mpf_shift(libmp.from_rational(n, m, prec, libmp.round_nearest), e)
+         for s, (n, m, e) in _powers(params, [v * v for v in Y], L, prec + 2 * GUARD).items()}
+    e0 = min(0, *(exp for _, _, exp, _ in B.values()))
+    return e0, {s: man << exp - e0 for s, (_, man, exp, _) in B.items()}
 
 
 def _times(P: list, D: list, rows: int, cols: int, g: tuple, weight: int) -> None:
@@ -225,13 +225,14 @@ def cleared_form_series(params: KernelParams, w: WitnessConfig) -> PowerSeries:
     j at most n^2, multiplied in place (:func:`_times`): O(n^4) entries
     instead of the 3^(n^2) raw products.
 
-    The pass runs in integers.  Each B_pq, an mpf at ``SERIES_DPS``
-    digits, is exactly man * 2^exp; over one 2^e0, and with y = Y / L and
-    c = c' / C (:func:`_scaled`), every factor and weight is an integer,
-    and the coefficient of z^(i + j*t) is N_ij * 2^(j*e0) / (L^(2i) C^2).
-    A j = 0 coefficient is that Fraction, so the cancellation of z^0..z^T
-    is exact; a j >= 1 coefficient is that value rounded once to
-    ``SERIES_DPS`` digits.  The only other error is each B_pq's own rounding.
+    The pass runs in integers.  Each B_pq is the kernel's power a (y_p^2 +
+    y_q^2)^t rounded once to ``SERIES_DPS`` digits, an integer b_pq over
+    one 2^e0 (:func:`_weights`); with y = Y / L and c = c' / C
+    (:func:`_scaled`) every factor and weight is an integer, and the
+    coefficient of z^(i + j*t) is N_ij * 2^(j*e0) / (L^(2i) C^2).  A j = 0
+    coefficient is that Fraction, so the cancellation of z^0..z^T is exact;
+    a j >= 1 coefficient is that value rounded once to ``SERIES_DPS``
+    digits.  The only other error is each B_pq's own, 2^(1 - prec) B_pq.
     """
     _check_noninteger_t(params.t)
     n = w.n
@@ -241,17 +242,14 @@ def cleared_form_series(params: KernelParams, w: WitnessConfig) -> PowerSeries:
             f"witness has n={n} points (> cap {DEFAULT_MAX_POINTS}): the "
             f"ordered-pair product would carry ~{keys} expansion keys"
         )
-    with mp.workdps(SERIES_DPS):
-        Y, L, B = _pair_data(params, w)
-    c, C = _scaled(w.c)
-    # each B_pq >= 0 is exactly man * 2^exp (0 * 2^0 when zero)
-    e0 = min(0, *(b.exp for b in B.values()))
+    (Y, L), (c, C) = _scaled(w.y), _scaled(w.c)
+    e0, b = _weights(params, Y, L)
     # n^2 factors reach n^2 + 1 rows and columns; one more of each reads zero
     size = n * n + 2
     P, D = [[0] * size for _ in range(size)], [[0] * size for _ in range(size)]
     P[0][0] = rows = cols = 1
-    for (p, q), b in B.items():
-        g = (Y[p] - Y[q]) ** 2, b.man << (b.exp - e0)
+    for (p, yp), (q, yq) in product(enumerate(Y), repeat=2):
+        g = (yp - yq) ** 2, b[yp * yp + yq * yq]
         rows, cols = rows + (g[0] != 0), cols + (g[1] != 0)
         _times(P, D, rows, cols, g, c[p] * c[q])
     prec, terms = libmp.dps_to_prec(SERIES_DPS), {}
@@ -282,9 +280,12 @@ def _clear(config: PointConfig, q, dps: int, rows: list):
 
 
 def t_power_coefficient(params: KernelParams, w: WitnessConfig):
-    """The coefficient of z^t: -a * sum_jk c_j c_k (y_j^2 + y_k^2)^t, in
-    mpmath at ``SERIES_DPS`` digits.  It sums j <= k with weight 2 - delta_jk,
-    which is exact in binary, and ``mp.fsum`` rounds once: the n^2 sum.
+    """The coefficient of z^t: kappa = -a * sum_jk c_j c_k (y_j^2 + y_k^2)^t,
+    an mpf at ``SERIES_DPS`` digits.  It is the exact integer sum -sum_jk
+    c'_j c'_k b_jk over the weights of :func:`_weights`, rounded once as
+    :func:`cleared_form_series` rounds its z^t coefficient, which it equals
+    bit for bit; so |kappa - exact| <= 2^(1 - prec) sum_jk |c_j c_k| B_jk +
+    2^-prec |kappa|.
 
     Requires the witness moments to vanish through T = floor(t), which
     ``w.moment_order`` certifies exactly; otherwise the closed form above
@@ -297,14 +298,10 @@ def t_power_coefficient(params: KernelParams, w: WitnessConfig):
             "coefficient closed form"
         )
     (Y, L), (c, C) = _scaled(w.y), _scaled(w.c)
-    with mp.workdps(SERIES_DPS):
-        powers = _square_sum_powers(Y, L, _as_mpf(params.t))
-        total = mp.fsum(
-            _ratio((2 - (j == k)) * c[j] * c[k], C * C) * powers[Y[j] ** 2 + Y[k] ** 2]
-            for j in range(w.n)
-            for k in range(j, w.n)
-        )
-        return -_as_mpf(params.a) * total
+    e0, b = _weights(params, Y, L)
+    N = -sum(cj * ck * b[yj * yj + yk * yk] for cj, yj in zip(c, Y) for ck, yk in zip(c, Y))
+    rounded = libmp.from_rational(N, C * C, libmp.dps_to_prec(SERIES_DPS), libmp.round_nearest)
+    return mp.make_mpf(libmp.mpf_shift(rounded, e0))
 
 
 def predict_t_coefficient_sign(t: float) -> Literal["nonnegative", "nonpositive"]:
@@ -354,7 +351,8 @@ def find_negative_scale(params: KernelParams, w: WitnessConfig, kappa) -> Negati
         if cert is None:
             continue
         value, bound, dps = cert.value, cert.error_bound, cert.dps
-        if isinstance(value, mp.mpf) and bound <= 1e-15 * abs(value):  # rebuild its rung's rows
+        # bound <= 1e-15 |Q| in exact rationals; a kept rung's rows are rebuilt
+        if isinstance(value, mp.mpf) and _fraction(bound) * 10**15 <= abs(_fraction(value)):
             rows = _one_plus_d(params, *_scaled(config.points), libmp.dps_to_prec(dps) + 2 * GUARD)
         else:
             dps = next_rung(dps)

@@ -17,8 +17,10 @@ The two-point margin in float literals, as kpd.boundary evaluated floats
 and arrays before one integer-literal formula also served Fractions.
 """
 
+import itertools
 import math
 from fractions import Fraction
+from numbers import Rational
 
 import mpmath as mp
 import numpy as np
@@ -26,8 +28,17 @@ from mpmath import libmp
 
 import kpd.kernel
 from kpd.errors import DomainError
-from kpd.kernel import POW_ULPS, PointConfig, _as_mpf, _gamma
-from kpd.witness import SERIES_DPS, ExponentKey, _clear, _pair_data, _scaled
+from kpd.kernel import POW_ULPS, PointConfig, _gamma
+from kpd.witness import SERIES_DPS, ExponentKey, _clear, _scaled, _weights
+
+
+def _as_mpf(value) -> mp.mpf:
+    """A value as an mpf at the working precision: a rational rounded once,
+    a float or an mpf exactly."""
+    if isinstance(value, Rational):
+        num, den = value.numerator, value.denominator
+        return mp.make_mpf(libmp.from_rational(num, den, mp.mp.prec, libmp.round_nearest))
+    return value if isinstance(value, mp.mpf) else mp.mpf(value)
 
 
 def mpf_array(values) -> np.ndarray:
@@ -102,16 +113,14 @@ def _times(poly: dict, A: int, B: int) -> dict:
 def keyed_series(params, w) -> dict:
     """The terms of :func:`kpd.witness.cleared_form_series`, from the same
     integers accumulated in dicts keyed by (i, j)."""
-    with mp.workdps(SERIES_DPS):
-        Y, L, B = _pair_data(params, w)
-    c, C = _scaled(w.c)
-    e0 = min(0, *(b.exp for b in B.values()))
+    (Y, L), (c, C) = _scaled(w.y), _scaled(w.c)
+    e0, b = _weights(params, Y, L)
     P: dict = {(0, 0): 1}
     D: dict = {}
-    for (p, q), b in B.items():
-        g = (Y[p] - Y[q]) ** 2, b.man << (b.exp - e0)
+    for (yp, cp), (yq, cq) in itertools.product(zip(Y, c), repeat=2):
+        g = (yp - yq) ** 2, b[yp * yp + yq * yq]
         D = _times(D, *g)
-        weight = c[p] * c[q]
+        weight = cp * cq
         if weight:
             for key, co in P.items():
                 D[key] = D.get(key, 0) + weight * co

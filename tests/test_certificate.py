@@ -94,6 +94,16 @@ class TestEncoder:
         assert all(len(p.lstrip("-").replace(".", "")) >= 50 for p in stored["points"])
         assert stored["coeffs"] == ["1/3", "-1/3"]
 
+    def test_wide_dyadic_point_is_exact_at_any_caller_precision(self):
+        # a numerator of 61 bits, encoded under a 5-digit working precision
+        point = Fraction(2**60 + 1, 2**70)
+        config = PointConfig((point, Fraction(0)), (Fraction(1), Fraction(-1)))
+        cert = Certificate(config, mp.mpf(-1), mp.mpf(0), 30)
+        with mp.workdps(5):
+            stored = encode("f", cert)
+        assert Fraction(stored["points"][0]) == point
+        assert stored == encode("f", cert)
+
     def test_float_fields_are_their_repr(self):
         config = PointConfig((0.1, 0.0), (1.0, -0.7))
         stored = encode("gram", Certificate(config, -1e-17, 1e-30, 17), t=2.0)

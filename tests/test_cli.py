@@ -25,6 +25,7 @@ from kpd.kernel import (
     form_enclosure,
     resolve_form_sign,
 )
+from kpd.witness import build_binomial_witness, cleared_form_series
 
 
 def run_cli(capsys, *argv):
@@ -554,6 +555,8 @@ class TestDeterminism:
     def test_payload_independent_of_caller_precision(self):
         configs = (
             RunConfig(command="witness", params={"t": 1.5, "a": 1.0}),
+            # a form of -1.3e-57, certified on the fixed-point rungs
+            RunConfig(command="witness", params={"t": 3.75, "a": 0.01}),
             RunConfig(
                 command="gram",
                 params={
@@ -575,6 +578,51 @@ class TestDeterminism:
             with mp.workdps(200):
                 high = run(cfg).payload_json()
             assert low == high
+
+
+    def test_no_mpmath_precision_is_read_or_set(self, monkeypatch, tmp_path):
+        # with every way of setting mpmath's precision made to raise, and that
+        # precision left at 12 or at 2000 bits, the records, verdicts and
+        # series terms are the same bytes
+        commands = (
+            ["witness", "--t", "3.5", "--a", "1"],
+            ["witness", "--t", "3.75", "--a", "0.01"],
+            ["witness", "--t", "2.5", "--a", "1"],
+            ["cnd", "--t", "2", "--a", "1", "--points", "0,1e200", "--coeffs", "1,-1"],
+        )
+        path = str(tmp_path / "record.json")
+
+        def outcomes():
+            out = []
+            for argv in commands:
+                code = main([*argv, "--out", path])
+                with open(path, encoding="utf-8") as fh:
+                    payload = json.load(fh)["payload"]
+                out.append((code, json.dumps(payload, sort_keys=True)))
+                if payload.get("certificate"):
+                    out.append(verify_certificate(path))
+            terms = cleared_form_series(KernelParams(3.5, 1.0), build_binomial_witness(3)).terms
+            return out + [repr(sorted((k, getattr(v, "_mpf_", v)) for k, v in terms.items()))]
+
+        def forbidden(*args, **kwargs):
+            raise RuntimeError("kpd set mpmath's working precision")
+
+        context = type(mp.mp)
+        results = []
+        for prec in (12, 2000):
+            mp.mp.prec = prec
+            try:
+                with monkeypatch.context() as patch:
+                    patch.setattr(context, "prec", property(context.prec.fget, forbidden))
+                    patch.setattr(context, "dps", property(context.dps.fget, forbidden))
+                    for name in ("workdps", "workprec", "extradps", "extraprec"):
+                        patch.setattr(mp, name, forbidden)
+                    results.append(outcomes())
+                    assert mp.mp.prec == prec
+            finally:
+                mp.mp.prec = 53
+        assert results[0] == results[1]
+        assert [r["verdict"] for r in results[0] if isinstance(r, dict)] == ["CONFIRMED"] * 3
 
 
 class TestVerify:

@@ -16,7 +16,6 @@ from kpd.kernel import (
     Certificate,
     KernelParams,
     PointConfig,
-    _as_mpf,
     _bound,
     _fraction,
     _matrix,
@@ -565,7 +564,7 @@ class TestFormEnclosure:
                 num = int("".join(map(str, rng.integers(0, 10, 40)))) + 1
                 den = int("".join(map(str, rng.integers(0, 10, 30)))) + 1
                 q = Fraction(int(rng.choice((-1, 1))) * num, den)
-                sign, man, exp, bits = _as_mpf(q)._mpf_
+                sign, man, exp, bits = object_reference._as_mpf(q)._mpf_
                 x = (-1) ** sign * Fraction(man) * Fraction(2) ** exp
                 assert abs(q - x) <= Fraction(2) ** (exp + bits - 1 - prec), q
 

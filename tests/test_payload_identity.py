@@ -6,7 +6,7 @@ exit code, the sha256 of the record's compact payload (its keys sorted, no
 whitespace), the ``kpd verify`` verdict of the record and the rung each of
 its certificates replayed at, in digits with 17 for binary64 (both null
 where it holds no certificate); and for every series expansion of those rounds the
-sha256 of its terms.  The tests below recompute all of it in a fresh
+sha256 of its terms' exact values.  The tests below recompute all of it in a fresh
 interpreter with one BLAS thread and compare.
 
 Exit codes and replay verdicts are compared everywhere.  Payloads and
@@ -97,7 +97,9 @@ def compute() -> dict:
     expansions = {}
     for t, a, order in sorted(series):
         terms = cleared_form_series(KernelParams(t, a), build_binomial_witness(order)).terms
-        expansions[f"{t!r} {a!r} {order}"] = _sha256(repr(sorted((k, str(v)) for k, v in terms.items())))
+        # each coefficient's exact value: a Fraction, or an mpf's bits
+        exact = sorted((k, getattr(v, "_mpf_", v)) for k, v in terms.items())
+        expansions[f"{t!r} {a!r} {order}"] = _sha256(repr(exact))
     return {"environment": environment(), "commands": commands, "series": expansions}
 
 

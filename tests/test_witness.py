@@ -1,7 +1,7 @@
 import hashlib
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import mpmath as mp
 import numpy as np
@@ -19,7 +19,6 @@ from kpd.kernel import (
     Certificate,
     KernelParams,
     PointConfig,
-    _as_mpf,
     _fixed_point,
     _fraction,
     _one_plus_d,
@@ -32,7 +31,7 @@ from kpd.witness import (
     ExponentKey,
     WitnessConfig,
     _clear,
-    _pair_data,
+    _weights,
     build_binomial_witness,
     check_moments,
     cleared_form_series,
@@ -88,14 +87,16 @@ def rational_witnesses(draw):
     return WitnessConfig(y=tuple(y), c=(*c, -sum(c, Fraction(0))), moment_order=0)
 
 
-def exact_expansion(params, w, dps=SERIES_DPS):
+def exact_expansion(params, w):
     """sum_jk c_j c_k prod_{pq != jk} (1 + A_pq z + B_pq z^t) in exact
     Fractions, one trinomial product per (j, k), with each B_pq taken as
-    the exact value of its mpf at ``dps`` digits; zero terms dropped."""
-    with mp.workdps(dps):
-        _, _, B = _pair_data(params, w)
-    B = {pq: Fraction(int(b.man)) * Fraction(2) ** int(b.exp) for pq, b in B.items()}
-    A = {(p, q): (w.y[p] - w.y[q]) ** 2 for p, q in B}
+    the exact value of its weight b 2^e0 (:func:`kpd.witness._weights`);
+    zero terms dropped."""
+    Y, L = _scaled(w.y)
+    e0, b = _weights(params, Y, L)
+    pairs = [(p, q) for p in range(w.n) for q in range(w.n)]
+    B = {(p, q): b[Y[p] ** 2 + Y[q] ** 2] * Fraction(2) ** e0 for p, q in pairs}
+    A = {(p, q): (w.y[p] - w.y[q]) ** 2 for p, q in pairs}
     total = {}
     for j, k in A:
         weight = w.c[j] * w.c[k]
@@ -113,6 +114,40 @@ def exact_expansion(params, w, dps=SERIES_DPS):
         for key, co in poly.items():
             total[key] = total.get(key, 0) + co
     return {key: co for key, co in total.items() if co}
+
+
+def assert_within_stated_bounds(params, w):
+    """Each weight B = b 2^e0 of :func:`kpd.witness._weights` is within
+    2^(1 - prec) B of a (S / L^2)^t, and kappa within 2^(1 - prec) sum |c_j
+    c_k| B_jk + 2^-prec |kappa| of -a sum c_j c_k (y_j^2 + y_k^2)^t, both
+    taken at 120 digits, whose own error the slack 10^-110 covers."""
+    (Y, L), (c, C) = _scaled(w.y), _scaled(w.c)
+    e0, b = _weights(params, Y, L)
+    prec, kappa = libmp.dps_to_prec(SERIES_DPS), t_power_coefficient(params, w)
+    with mp.workdps(120):
+        a, t, slack = mp.mpf(params.a), mp.mpf(params.t), mp.mpf(10) ** -110
+        B = {s: mp.ldexp(bs, e0) for s, bs in b.items()}
+        for s, bs in B.items():
+            want = a * (mp.mpf(s) / L**2) ** t if s else 0
+            assert abs(bs - want) <= mp.ldexp(bs, 1 - prec) * (1 + slack), s
+        pairs = [(cj * ck, yj * yj + yk * yk) for cj, yj in zip(c, Y) for ck, yk in zip(c, Y)]
+        want = -a * mp.fsum(cc * (mp.mpf(s) / L**2) ** t for cc, s in pairs if s) / C**2
+        scale = mp.fsum(abs(cc) * B[s] for cc, s in pairs) / C**2
+        bound = mp.ldexp(scale, 1 - prec) + mp.ldexp(abs(kappa), -prec)
+        assert abs(kappa - want) <= bound + slack * scale
+
+
+def rounded_full_sum(params, w):
+    """-sum_jk c_j c_k B_jk over all n^2 ordered pairs in exact Fractions,
+    B_jk the weight b 2^e0 of y_j^2 + y_k^2 (:func:`kpd.witness._weights`),
+    rounded once to nearest at the prec bits of SERIES_DPS."""
+    Y, L = _scaled(w.y)
+    e0, b = _weights(params, Y, L)
+    pairs = product(zip(w.c, Y), repeat=2)
+    total = -sum((cj * ck * b[yj * yj + yk * yk] for (cj, yj), (ck, yk) in pairs), Fraction(0))
+    total *= Fraction(2) ** e0
+    prec = libmp.dps_to_prec(SERIES_DPS)
+    return libmp.from_rational(total.numerator, total.denominator, prec, libmp.round_nearest)
 
 
 class TestBinomialWitness:
@@ -275,11 +310,11 @@ class TestSeriesExpansion:
         "witness,digest",
         [
             pytest.param(1, "58510732e153f872d3e4fd4cee92da53ce6b89b185e20a5a3e190ae04a2fb008", id="1"),
-            pytest.param(2, "16e6ccbd9f77c4977b7b2ebb7b5b85e6491571a81b4cdab87fdda34530ed99cd", id="2"),
-            pytest.param(3, "5f12410d622dc44d805ba80c03437d5796d82c3766b45d70de0700f114b38342", id="3"),
-            pytest.param(4, "500a5c9cf16cb6a3e42f972f0685746a2ceab2645e693dc8aa41867b9568d9cd", id="4"),
+            pytest.param(2, "641fee9f622891199935f61fa6ed8f60d0ea83a9d2d36d745a926dda612cb6da", id="2"),
+            pytest.param(3, "6f80aa952ba61dd8e900a5845508467101489542d0dc8c9597c8bc87990a4fb8", id="3"),
+            pytest.param(4, "e8a34897741462331bf02c823e527ff07f65db8681c8912f2d4a030780999193", id="4"),
             pytest.param(
-                RATIONAL_WITNESS, "fb9474a67df78ef94d91df45b2a955abc56348245a017f1d8125bd200e861678", id="rational"
+                RATIONAL_WITNESS, "4710959294bdefb5cfc873b83203f4d17e508b29a09a3809c4b5eedadb62ee41", id="rational"
             ),
         ],
     )
@@ -325,6 +360,8 @@ class TestSeriesExpansion:
         assert all((i, 0) not in s.terms for i in range(7))
         kappa = t_power_coefficient(params, w)
         assert abs(s.coefficient(0, 1) - kappa) < mp.mpf("1e-40") * abs(kappa)
+        assert_within_stated_bounds(params, w)
+        assert_within_stated_bounds(KernelParams(6.4, 1e3), w)
         z = 0.3
         direct = cleared_form_value(params, w, z, dps=60)
         with mp.workdps(60):
@@ -401,17 +438,12 @@ class TestTPowerCoefficient:
 
     @pytest.mark.parametrize("t,order", [(1.5, 1), (2.5, 2), (3.75, 3), (4.5, 5)])
     def test_equals_loop_over_all_pairs(self, t, order):
-        # the reference raises every ordered pair's y_j^2 + y_k^2 to the
-        # power t itself; the sums take the same terms in the same order
+        # the reference loops over every ordered pair's weight in exact
+        # Fractions and rounds once; both lie within kappa's stated bound of
+        # the 120-digit sum of every pair's power
         w, params = build_binomial_witness(order), KernelParams(t, 0.3)
-        pairs = [(j, k) for j in range(w.n) for k in range(w.n)]
-        sums = [w.y[j] ** 2 + w.y[k] ** 2 for j, k in pairs]
-        weights = [w.c[j] * w.c[k] for j, k in pairs]
-        with mp.workdps(SERIES_DPS):
-            want = -_as_mpf(params.a) * mp.fsum(
-                _as_mpf(c) * _as_mpf(s) ** _as_mpf(t) for c, s in zip(weights, sums) if s
-            )
-        assert t_power_coefficient(params, w) == want
+        assert t_power_coefficient(params, w)._mpf_ == rounded_full_sum(params, w)
+        assert_within_stated_bounds(params, w)
 
 
 class TestPrecisionArgument:
@@ -425,14 +457,15 @@ class TestPrecisionArgument:
 class TestPairData:
     @pytest.mark.parametrize("order", [0, 1, 3, 5])
     def test_b_is_symmetric_and_exact(self, order):
-        w, params = build_binomial_witness(order), KernelParams(3.75, 0.01)
-        with mp.workdps(50):
-            Y, L, B = _pair_data(params, w)
-            assert [Fraction(v, L) for v in Y] == list(w.y)
-            for (p, q), b in B.items():
-                assert b == B[q, p]
-                s = w.y[p] ** 2 + w.y[q] ** 2
-                assert b == (_as_mpf(params.a) * _as_mpf(s) ** _as_mpf(params.t) if s else 0)
+        # y = Y / L exactly; B_pq = B_qp is one weight per y_p^2 + y_q^2,
+        # within its stated bound of the power at 120 digits
+        w, params = build_binomial_witness(order), KernelParams(order + 0.75, 0.01)
+        Y, L = _scaled(w.y)
+        assert [Fraction(v, L) for v in Y] == list(w.y)
+        e0, b = _weights(params, Y, L)
+        assert set(b) == {yp * yp + yq * yq for yp in Y for yq in Y} and e0 <= 0
+        assert b[0] == 0 and all(v > 0 for s, v in b.items() if s)
+        assert_within_stated_bounds(params, w)
 
 
 class TestSignPrediction:
@@ -638,18 +671,22 @@ class TestIntegerArithmetic:
         total = sum((weight * d ** (2 * v) for weight, d in pairs), Fraction(0))
         assert difference_power_sum(v, w) == (-1) ** v * total
 
-    @given(rational_witnesses(), st.floats(0.05, 0.95), st.floats(0.01, 13.0))
+    @given(rational_witnesses(), st.floats(0.05, 0.95), st.floats(1e-3, 1e3))
     @settings(max_examples=60, deadline=None)
     def test_t_power_coefficient_is_the_full_sum_bit_for_bit(self, w, frac, a):
+        # one set of weights, one exact sum, one rounding: kappa is the n^2
+        # sum rounded once and the z^t coefficient of the series, which
+        # stores no zero coefficient
         params = KernelParams(w.moment_order + frac, a)
-        with mp.workdps(SERIES_DPS):
-            want = -_as_mpf(a) * mp.fsum(
-                _as_mpf(w.c[j] * w.c[k]) * _as_mpf(w.y[j] ** 2 + w.y[k] ** 2) ** _as_mpf(params.t)
-                for j in range(w.n)
-                for k in range(w.n)
-                if w.y[j] ** 2 + w.y[k] ** 2
-            )
-        assert t_power_coefficient(params, w)._mpf_ == want._mpf_
+        kappa = t_power_coefficient(params, w)
+        assert kappa._mpf_ == rounded_full_sum(params, w)
+        co = cleared_form_series(params, w).coefficient(0, 1)
+        assert kappa._mpf_ == co._mpf_ if kappa else co == 0
+
+    @given(rational_witnesses(), st.floats(0.05, 0.95), st.floats(1e-3, 1e3))
+    @settings(max_examples=60, deadline=None)
+    def test_weights_and_kappa_within_their_bounds(self, w, frac, a):
+        assert_within_stated_bounds(KernelParams(w.moment_order + frac, a), w)
 
     @given(
         rational_witnesses(),
