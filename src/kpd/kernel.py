@@ -16,10 +16,11 @@ Conventions
 -----------
 * Powers of a nonnegative base use the convention 0**s = 0 for s > 0;
   this is applied globally.
-* All operations are functions of immutable inputs.  No kpd code reads
-  or sets mpmath's process-global working precision: every rounding names
-  its bits in libmp, so results do not depend on the caller's precision
-  or on other threads.
+* All operations are functions of immutable inputs; the one memo, of pure
+  values, is the powers one :class:`KernelParams` keeps (:func:`_powers`),
+  so it never changes a result.  No kpd code reads or sets mpmath's
+  process-global working precision: every rounding names its bits in libmp,
+  so results do not depend on the caller's precision or on other threads.
 * A form's sign is claimed only from an enclosure: :func:`form_enclosure`
   returns the form together with an a-priori bound on its error, and
   :func:`resolve_form_sign` climbs ``DPS_LADDER``, from binary64 through
@@ -40,7 +41,7 @@ Conventions
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath as mp
@@ -92,6 +93,7 @@ class KernelParams:
 
     t: float
     a: float
+    _pows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "t", _require_finite("t", self.t))
@@ -217,24 +219,34 @@ def _floor(n: int, m: int, s: int) -> int:
 
 def _powers(params: KernelParams, squares: list, L: int, wp: int) -> dict:
     """S -> (N, M, e), N / M 2^e = a (S / L^2)^t, for each distinct S = X_j^2
-    + X_k^2 of the points X / L: exact for integer t <= 64, else one mpf_pow
-    of S / L^2 rounded to t's bit length more bits than ``wp`` (mpf_log needs
-    fewer input bits than it works at), within a relative 2^(4 - wp)."""
+    + X_k^2 of the points X / L: exact for integer t <= 64, else a S^t /
+    (L^2)^t within a relative 2^(4 - wp), with one mpf_pow per distinct S per
+    params and rung (``params._pows``).  At bits = wp + q, mpf_pow gives s^t
+    (exp(t log s), the log at 10 more bits, or sqrt(s)^(2t)) within 2^-bits
+    (1.13 + 2 t bitlen(s) 2^-10); (L^2)^t is another, or (4^t)^k if L = 2^k:
+    mpf_pow_int's k roundings at 4 bitlen(k) + 4 more bits put it within
+    2^-bits (1.06 + 1.15 k (1 + 5.3 t 2^-10)).  With b = max(bitlen(S), 2
+    bitlen(L)) >= 2k + 2, T = ceil(t), a S^t / (L^2)^t is within 2^(-7 - bits)
+    b (T + 512), so q = max(2 GUARD, bitlen(b (T + 512)) - 11) suffices; the
+    floor keeps q, and the memo's keys, fixed over a scan while b (T + 512) <
+    2^27 (t |log S| peaks near 1e150, k near 2^-500: b near 2^11)."""
     (A, B), t = params.a.as_integer_ratio(), params.t
     f = 1 - B.bit_length()  # a = A 2^f
     sums = {sj + sk for j, sj in enumerate(squares) for sk in squares[j:]}
     if t.is_integer() and t <= 64:  # an exact power has t times the bits of S
         M = L ** (2 * int(t))
-        out = {s: (A * s ** int(t), M, f) for s in sums}
-    else:
-        tt, out, dyadic = libmp.from_float(t), {0: (0, 1, 0)}, not L & (L - 1)  # L = 2^(bits - 1)
-        wp += math.ceil(t).bit_length() + 1
-        for s in sums - {0}:
-            arg = (libmp.from_man_exp(s, 2 - 2 * L.bit_length(), wp, _RND) if dyadic
-                   else libmp.from_rational(s, L * L, wp, _RND))
-            _, man, exp, _ = libmp.mpf_pow(arg, tt, wp, _RND)
-            out[s] = A * man, 1, exp + f
-    return out
+        return {s: (A * s ** int(t), M, f) for s in sums}
+    k, tt, memo = L.bit_length() - 1, libmp.from_float(t), params._pows
+    b = max(max(sums).bit_length(), 2 * k + 2)
+    bits = wp + max(2 * GUARD, (b * (math.ceil(t) + 512)).bit_length() - 11)
+
+    def power(s):
+        if (s, bits) not in memo:
+            memo[s, bits] = libmp.mpf_pow(libmp.from_int(s), tt, bits, _RND)
+        return memo[s, bits]
+    _, M, d, _ = libmp.mpf_pow_int(power(4), k, bits, _RND) if L == 1 << k else power(L * L)
+    pows = {s: power(s) for s in sums - {0}}
+    return {0: (0, 1, 0), **{s: (A * man, M, exp - d + f) for s, (_, man, exp, _) in pows.items()}}
 
 
 def _one_plus_d(params: KernelParams, X: list, L: int, wp: int) -> list:
@@ -317,8 +329,9 @@ def form_enclosure(
     Fixed point, at W = prec + GUARD and wp = W + GUARD bits, reads x_j =
     X_j / L, c_j = C_j / D, a = A / B exactly (L, D the lcms), so Delta_jk =
     (X_j - X_k)^2, S = X_j^2 + X_k^2 and, for integer t <= 64, a p = a (S /
-    L^2)^t are exact; else one mpf_pow per distinct S gives a p within 2^(4
-    - wp) relative (:func:`_powers`).  Units: 2^(E - W), 2^E above all entries:
+    L^2)^t are exact; else a S^t / (L^2)^t is within 2^(4 - wp) relative, by
+    one mpf_pow per distinct S per params and rung (:func:`_powers`).  Units:
+    2^(E - W), 2^E above all entries:
     * Kernel: N 2^x = (1 + d_jk) L^2 2^wp (1 + rho), |rho| <= 18 2^-wp, with
       2^x <= 1 + d (:func:`_one_plus_d`), so K < 2^E for E = -1 - min x.  With
       Pi = pi_fixed(wp) within 2 of pi 2^wp and R = floor(L^2 2^(W + 2 wp + 1)

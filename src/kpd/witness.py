@@ -40,6 +40,7 @@ takes each unordered pair once.  At small z the kernel form is dominated by
 cancellation, so the certificate search takes z = 4^-m, where the points
 y_j / 2^m are exact dyadic rationals, and settles the sign with
 :func:`~kpd.kernel.certify_negative` (see :func:`find_negative_scale`).
+The steps and kappa share one power per y_j^2 + y_k^2 and rung.
 
 With f ~ kappa z^t + C z^(T+1), f < 0 only for z < (|kappa| / C)^(1/(T+1-t)),
 which closes as t -> T + 1.  Where the order-T scan certifies no scale,
@@ -65,7 +66,6 @@ from .kernel import (
     PointConfig,
     _fixed_point,
     _fraction,
-    _one_plus_d,
     _powers,
     _scaled,
     certify_negative,
@@ -333,12 +333,12 @@ def find_negative_scale(params: KernelParams, w: WitnessConfig, kappa) -> Negati
     dyadic Fractions y_j / 2^m, so one configuration serves every
     precision, and :func:`~kpd.kernel.certify_negative` certifies its
     kernel form Q on the kernel's precision ladder; a z it does not
-    certify is skipped, not trusted.  The certificate keeps that enclosure
-    if it is fixed point with a bound of at most 1e-15 |Q|; else it encloses Q
-    once more at the ladder's next rung (:func:`~kpd.kernel.next_rung`),
-    where the bound is about 10^-dps smaller, so its ``dps`` can exceed
-    the certifying digits.  Its f(z) = pi Q prod_pq (1 + D_pq), D the
-    distance matrix of the same points, has Q's certified sign.
+    certify is skipped, not trusted.  The certificate keeps that rung if it
+    is fixed point with a bound of at most 1e-15 |Q|, else takes the next
+    (:func:`~kpd.kernel.next_rung`), about 10^-dps smaller in bound, so its
+    ``dps`` can exceed the certifying digits.  One fixed-point form there
+    gives Q, its bound and the rows of f(z) = pi Q prod_pq (1 + D_pq), D the
+    distance matrix of the same points, which has Q's certified sign.
     """
     if not (kappa < 0):
         raise PreconditionError(
@@ -351,12 +351,9 @@ def find_negative_scale(params: KernelParams, w: WitnessConfig, kappa) -> Negati
         if cert is None:
             continue
         value, bound, dps = cert.value, cert.error_bound, cert.dps
-        # bound <= 1e-15 |Q| in exact rationals; a kept rung's rows are rebuilt
-        if isinstance(value, mp.mpf) and _fraction(bound) * 10**15 <= abs(_fraction(value)):
-            rows = _one_plus_d(params, *_scaled(config.points), libmp.dps_to_prec(dps) + 2 * GUARD)
-        else:
+        if not (isinstance(value, mp.mpf) and _fraction(bound) * 10**15 <= abs(_fraction(value))):
             dps = next_rung(dps)
-            value, bound, rows = _fixed_point(params, config, libmp.dps_to_prec(dps), False)
+        value, bound, rows = _fixed_point(params, config, libmp.dps_to_prec(dps), False)
         f_value = _clear(config, value, dps, rows)
         return NegativeScaleCertificate(config, value, bound, dps, 4.0**-m, f_value)
     raise ToleranceError(

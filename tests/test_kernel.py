@@ -1,6 +1,7 @@
 import math
 import warnings
 from fractions import Fraction
+from itertools import product
 
 import mpmath as mp
 import numpy as np
@@ -353,6 +354,31 @@ class TestCertifyNegative:
         assert certify_negative(KernelParams(1.5, 1.0), zero) is None
 
 
+# the fixed-point rungs' inputs: integer and non-integer t, and 1-6 points
+# from 2^-500 up to 1e150 (and 0) as floats, dyadic and non-dyadic Fractions
+# and 60-digit mpfs, with their coefficients
+rung_t = st.one_of(st.integers(1, 6).map(float), st.floats(0.1, 6.0))
+rung_triples = st.lists(
+    st.tuples(
+        st.one_of(st.just(0.0), st.builds(math.ldexp, st.floats(-2, 2), st.integers(-500, 497))),
+        st.floats(-3, 3),
+        st.sampled_from(["float", "dyadic", "fraction", "mpf"]),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def rung_config(triples):
+    """The PointConfig of (point, coefficient, kind) triples."""
+    def convert(v, kind):
+        with mp.workdps(60):
+            return {"float": v, "dyadic": Fraction(v), "fraction": Fraction(v) / 3,
+                    "mpf": mp.mpf(v) / 3}[kind]
+
+    return PointConfig([convert(x, k) for x, _, k in triples], [convert(c, k) for _, c, k in triples])
+
+
 def _as_kind(kind, value):
     """A float input as a Fraction near it, or as the mpf of a 17-digit
     decimal string."""
@@ -412,20 +438,7 @@ class TestFormEnclosure:
             terms += (8 * big_x * width + e * e / u) * np.abs(c).sum() ** 2
         assert form_enclosure(params, cfg, distance=distance)[1] <= 2 * terms * u + 1e-290
 
-    @given(
-        st.one_of(st.integers(1, 6).map(float), st.floats(0.1, 6.0)),
-        st.floats(1e-3, 1e3),
-        st.lists(
-            st.tuples(
-                st.one_of(st.just(0.0), st.builds(math.ldexp, st.floats(-2, 2), st.integers(-500, 497))),
-                st.floats(-3, 3),
-                st.sampled_from(["float", "dyadic", "fraction", "mpf"]),
-            ),
-            min_size=1,
-            max_size=6,
-        ),
-        st.booleans(),
-    )
+    @given(rung_t, st.floats(1e-3, 1e3), rung_triples, st.booleans())
     @settings(max_examples=80, deadline=None)
     @example(1.75, 1.0, [(0.5, 1.0, "float"), (6.166184593152453e-33, 1.0, "float")], False)
     # past t = 64 integer powers go through mpf_pow too
@@ -439,13 +452,7 @@ class TestFormEnclosure:
         # Fractions and 60-digit mpfs: every rung above binary64 encloses a
         # 1000-digit evaluation of the full grid of mpfs, or for integer t
         # the exact form (a Fraction, times 1/pi for the kernel)
-        def convert(v, kind):
-            with mp.workdps(60):
-                return {"float": v, "dyadic": Fraction(v), "fraction": Fraction(v) / 3,
-                        "mpf": mp.mpf(v) / 3}[kind]
-
-        params = KernelParams(t, a)
-        cfg = PointConfig([convert(x, k) for x, _, k in triples], [convert(c, k) for _, c, k in triples])
+        params, cfg = KernelParams(t, a), rung_config(triples)
         if t.is_integer():
             x, c = [_fraction(v) for v in cfg.points], [_fraction(v) for v in cfg.coeffs]
             d = [[(xj - xk) ** 2 + Fraction(a) * (xj * xj + xk * xk) ** int(t) for xk in x] for xj in x]
@@ -459,6 +466,32 @@ class TestFormEnclosure:
         for dps in DPS_LADDER[1:]:
             value, bound = form_enclosure(params, cfg, dps, distance)
             assert abs(_fraction(value) - ref) <= _fraction(bound) + ref_bound, (dps, value, bound)
+
+    @given(rung_t, st.floats(1e-3, 1e3), st.lists(rung_triples, min_size=1, max_size=3))
+    @settings(max_examples=30, deadline=None)
+    # past t = 64 integer powers go through the memo too
+    @example(100.0, 0.5, [[(0.75, 1.0, "float"), (1.125, -2.0, "fraction")], [(0.0, 1.0, "mpf")]])
+    @example(2.5, 1.0, [[(1e150, -1.0, "mpf"), (1.0000001e150, 1.0, "dyadic")], [(1e150, 1.0, "float")]])
+    @example(3.75, 0.01, [[(2.0**-500, 1.0, "dyadic"), (1.5, -1.0, "float")], [(2.0**-499, 2.0, "mpf")]])
+    def test_power_memo_never_changes_a_result(self, t, a, triples):
+        # a KernelParams that has served other configurations, the last one
+        # halved (its sums of squares at another L, as a witness scan's next
+        # step), every rung and both forms encloses the last configuration
+        # bit for bit as a fresh KernelParams does
+        *served, last = map(rung_config, triples)
+        halved = PointConfig([v / 2 for v in last.points], last.coeffs)
+        params = KernelParams(t, a)
+        for cfg, dps, distance in product([*served, halved, last], DPS_LADDER[1:], (False, True)):
+            form_enclosure(params, cfg, dps, distance)
+        for dps, distance in product(DPS_LADDER[1:], (False, True)):
+            got = form_enclosure(params, last, dps, distance)
+            want = form_enclosure(KernelParams(t, a), last, dps, distance)
+            assert [v._mpf_ for v in got] == [v._mpf_ for v in want], (dps, distance)
+        # the memo takes no part in equality, hashing or repr
+        fresh = KernelParams(t, a)
+        assert params._pows or (t.is_integer() and t <= 64)
+        assert params == fresh and hash(params) == hash(fresh)
+        assert repr(params) == repr(fresh) == f"KernelParams(t={t!r}, a={a!r})"
 
     def test_astronomic_powers_stay_small(self):
         # 2.42^(1e9) has a binary exponent past 2^30.  The kernel entries of

@@ -513,6 +513,29 @@ class TestFindNegativeScale:
         with pytest.raises(PreconditionError):
             find_negative_scale(KernelParams(1.5, 1.0), build_binomial_witness(1), 0.0)
 
+    def test_each_sum_is_powered_once_per_rung(self, monkeypatch):
+        # kpd witness --t 3.75 --a 0.01: kappa and the scan, which climbs to
+        # 100 digits, read one mpf_pow of each nonzero y_j^2 + y_k^2 per rung
+        # (14 of them, 4 among them), plus at most one of 4^t; powering at
+        # every scan step made 336
+        params, w, keys, precs = KernelParams(3.75, 0.01), build_binomial_witness(3), [], set()
+        mpf_pow = libmp.mpf_pow
+
+        def counted_pow(s, t, prec, rnd):
+            keys.append((libmp.to_int(s), prec))
+            return mpf_pow(s, t, prec, rnd)
+
+        def counted_rung(params, config, prec, distance):
+            precs.add(prec)
+            return _fixed_point(params, config, prec, distance)
+
+        monkeypatch.setattr(kpd.kernel.libmp, "mpf_pow", counted_pow)
+        monkeypatch.setattr(kpd.kernel, "_fixed_point", counted_rung)
+        monkeypatch.setattr(kpd.witness, "_fixed_point", counted_rung)
+        assert scan(params, w).dps == 100 and len(precs) == 2
+        sums = {yj * yj + yk * yk for yj in w.y for yk in w.y} - {0}
+        assert len(keys) == len(set(keys)) <= len(precs) * (len(sums) + 1), len(keys)
+
     # (t, a) -> the first z certified negative, its dps, its q_value as the
     # record stores it, and a ceiling on the mpmath form enclosures, made
     # inside resolve_form_sign or by the scan itself; a scan over z = 2^-k
