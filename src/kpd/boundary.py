@@ -33,7 +33,7 @@ from .errors import DomainError
 from .kernel import Certificate, KernelParams
 from .definiteness import pd_check
 
-# 2^(t^2 - 1) grows too fast for floats well before this cap bites.
+# The threshold, near 2^(-(t-1)(t-2)), is 1e-245 here and subnormal from t = 34.
 T_CAP = 30.0
 # The size of the violation search's log-spaced margin scan over
 # (0, z_tangent].
@@ -112,19 +112,14 @@ def tangency_z(t: float) -> float:
 
 def threshold_weight(t: float) -> float:
     """Closed-form weight threshold above which a two-point violation is
-    guaranteed.  Evaluated in log space once the direct powers would
-    overflow; rejected above ``T_CAP`` where even the log-space exponents
-    degrade."""
+    guaranteed, as 2^(-(t-1)(t-2)) (1 + h) / (b h)^(2t-1) with h = 2^(1-t)
+    and b = 2^(t-1) - 1: no factor overflows on (1, ``T_CAP``], and t = 2
+    gives exactly 12."""
     t = _check_t(t)
     if t > T_CAP:
         raise DomainError(f"t={t} exceeds the supported cap {T_CAP}")
-    base = _pow2m1(t - 1.0)
-    log_num = (t * t - 1.0) * math.log(2.0) + math.log1p(2.0 ** (1.0 - t))
-    log_den = (2.0 * t - 1.0) * math.log(base)
-    if abs(log_num) < 700 and abs(log_den) < 700:
-        # Prefer direct arithmetic while it is exactly representable.
-        return (2.0 ** (t * t - 1.0) + 2.0 ** (t * t - t)) / base ** (2.0 * t - 1.0)
-    return math.exp(log_num - log_den)
+    h = 2.0 ** (1.0 - t)
+    return 2.0 ** (-(t - 1.0) * (t - 2.0)) * (1.0 + h) / (_pow2m1(t - 1.0) * h) ** (2.0 * t - 1.0)
 
 
 @dataclass(frozen=True)

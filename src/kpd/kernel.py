@@ -38,7 +38,6 @@ Conventions
   distance form above a CND tolerance).
 """
 
-import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -108,8 +107,8 @@ class KernelParams:
 class PointConfig:
     """A finite configuration: evaluation points plus real coefficients.
 
-    Entries may be ints, floats, Fractions, or mpmath floats; they are
-    validated to be finite.  Duplicated points are permitted.
+    Entries may be ints, floats, Fractions or mpmath floats, finite, and
+    points may repeat; binary64 bounds only entries it holds exactly.
     """
 
     points: tuple
@@ -219,11 +218,11 @@ def _floor(n: int, m: int, s: int) -> int:
 
 def _powers(params: KernelParams, squares: list, L: int, wp: int) -> dict:
     """S -> (N, M, e), N / M 2^e = a (S / L^2)^t, for each distinct S = X_j^2
-    + X_k^2 of the points X / L: exact for integer t <= 64, else a S^t /
-    (L^2)^t within a relative 2^(4 - wp), with one mpf_pow per distinct S per
-    params and rung (``params._pows``).  At bits = wp + q, mpf_pow gives s^t
-    (exp(t log s), the log at 10 more bits, or sqrt(s)^(2t)) within 2^-bits
-    (1.13 + 2 t bitlen(s) 2^-10); (L^2)^t is another, or (4^t)^k if L = 2^k:
+    + X_k^2 of the points X / L: a S^t / (L^2)^t within a relative 2^(4 -
+    wp), with one mpf_pow per distinct S per params and rung (``params._pows``).
+    At bits = wp + q, mpf_pow gives s^t (exp(t log s), the log at 10 more
+    bits, sqrt(s)^(2t), or for integer t mpf_pow_int) within 2^-bits (1.13 +
+    2 t bitlen(s) 2^-10); (L^2)^t is another, or (4^t)^k if L = 2^k:
     mpf_pow_int's k roundings at 4 bitlen(k) + 4 more bits put it within
     2^-bits (1.06 + 1.15 k (1 + 5.3 t 2^-10)).  With b = max(bitlen(S), 2
     bitlen(L)) >= 2k + 2, T = ceil(t), a S^t / (L^2)^t is within 2^(-7 - bits)
@@ -233,9 +232,6 @@ def _powers(params: KernelParams, squares: list, L: int, wp: int) -> dict:
     (A, B), t = params.a.as_integer_ratio(), params.t
     f = 1 - B.bit_length()  # a = A 2^f
     sums = {sj + sk for j, sj in enumerate(squares) for sk in squares[j:]}
-    if t.is_integer() and t <= 64:  # an exact power has t times the bits of S
-        M = L ** (2 * int(t))
-        return {s: (A * s ** int(t), M, f) for s in sums}
     k, tt, memo = L.bit_length() - 1, libmp.from_float(t), params._pows
     b = max(max(sums).bit_length(), 2 * k + 2)
     bits = wp + max(2 * GUARD, (b * (math.ceil(t) + 512)).bit_length() - 11)
@@ -306,31 +302,31 @@ def form_enclosure(
     to nearest at prec bits and ``bound`` one rounded up.
 
     Binary64 (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    ch. 3; :func:`_bound`): dot products of c with the rows of M
-    (:func:`_matrix`), then with c, run left to right (:func:`_dot`).  With
-    u = 2^-53, gamma_k = k u / (1 - k u), X = max |x_j|, W = max - min x_j:
-    * inputs move by delta <= u < gamma_2: x - y by e = 2 X delta, (x - y)^2
-      by r = e (2W + e), and c_j c_k by gamma_4;
-    * x^2 + y^2 carries gamma_6, its power gamma_(6 ceil(t)) and POW_ULPS
-      ulps, and two more roundings: with g = gamma_(6 ceil(t) + 2 POW_ULPS
-      + 2), |d' - d| <= g d' / (1 - g) + (1 + 2g) r.  For the kernel 2|x - y|
-      <= 1 + d gives 1 + d' = (1 + d)(1 + phi), |phi| <= g + (1 + g) e (1 +
-      e), and four more roundings |K' - K| <= kappa K' / (1 - kappa), kappa
-      = (gamma_4 + phi) / (1 - phi);
+    ch. 3; :func:`_bound`) bounds only inputs it holds exactly: a point or
+    coefficient that differs from its float, or a nonzero one below 2^-511
+    (its square could underflow), gets an infinite bound.  Dot products of c
+    with the rows of M (:func:`_matrix`), then with c, run left to right
+    (:func:`_dot`).  With u = 2^-53, gamma_k = k u / (1 - k u), T = ceil(t):
+    * x^2 + y^2 carries gamma_2, its power gamma_(2T) (hypot(x, y), within
+      an ulp, to the power 2t: gamma_(4T)) and POW_ULPS ulps, (x - y)^2
+      gamma_3, and a p and d two more: both terms are >= 0, so |d' - d| <= g
+      d' / (1 - g), g = gamma_(6T + 2 POW_ULPS + 2) (2T to spare).  For the
+      kernel 1 + d' = (1 + d)(1 + phi), |phi| <= g, and four more roundings
+      give K' = K (1 + theta_4) / (1 + phi), so |K' - K| <= kappa K' / (1 -
+      kappa), kappa = (gamma_4 + g) / (1 - g); for d kappa is g;
     * each of the n + 1 dot products is within gamma_n of its absolute terms
-      in any order: with S_M = sum |c'_j| |M'_jk| |c'_k| and S = sum |c'_j|,
-      |value - F| <= gamma_(2n+8) S_M + (kappa / (1 - kappa) S_M, or for d
-      g / (1 - g) S_M + (1 + 2g) r S^2) / (1 - gamma_4), computed within
-      gamma_(2n+16), which a final division covers; infinite where kappa
-      would reach 1/2 (points so large that e is not small);
-    * 2^-1020 ((1 + a) S^2 + n (S + 1)) covers underflow unless a nonzero
-      input is below 2^-511 (infinite bound); overflow makes it inf or NaN.
+      in any order: |value - F| <= (gamma_(2n+8) + kappa / (1 - kappa)) S_M,
+      S_M = sum |c_j| |M'_jk| |c_k|, computed within gamma_(2n+16), which a
+      final division covers.  The one guard is gamma_k < 1/3 for every k
+      used (else the bound is infinite): then g < 1/3, so kappa < 1;
+    * 2^-1020 ((1 + a) S^2 + n (S + 1)), S = sum |c_j|, covers underflow;
+      overflow makes the bound inf or NaN.
 
     Fixed point, at W = prec + GUARD and wp = W + GUARD bits, reads x_j =
     X_j / L, c_j = C_j / D, a = A / B exactly (L, D the lcms), so Delta_jk =
-    (X_j - X_k)^2, S = X_j^2 + X_k^2 and, for integer t <= 64, a p = a (S /
-    L^2)^t are exact; else a S^t / (L^2)^t is within 2^(4 - wp) relative, by
-    one mpf_pow per distinct S per params and rung (:func:`_powers`).  Units:
+    (X_j - X_k)^2 and S = X_j^2 + X_k^2 are exact, and a p = a S^t / (L^2)^t
+    is within 2^(4 - wp) relative, by one mpf_pow per distinct S per params
+    and rung (:func:`_powers`).  Units:
     2^(E - W), 2^E above all entries:
     * Kernel: N 2^x = (1 + d_jk) L^2 2^wp (1 + rho), |rho| <= 18 2^-wp, with
       2^x <= 1 + d (:func:`_one_plus_d`), so K < 2^E for E = -1 - min x.  With
@@ -348,40 +344,28 @@ def form_enclosure(
     if dps is not None:
         return _fixed_point(params, config, libmp.dps_to_prec(dps), distance)[:2]
     x, c = [float(v) for v in config.points], [float(v) for v in config.coeffs]
-    ac = [abs(v) for v in c]
     # entries are >= 0, so |m| is m
     m = _matrix(params, x, distance)
     value = _dot([_dot(c, row) for row in m], c)
-    scale = _dot([_dot(ac, row) for row in m], ac)
-    # S adds left to right, not by sum(), which compensates floats from Python 3.12
-    sum_c = functools.reduce(operator.add, ac)
-    bound = _bound(params, config.n, distance, scale, max(map(abs, x)), max(x) - min(x), sum_c)
-    inputs = zip((*config.points, *config.coeffs), (*x, *c))
-    if any(v != 0 and abs(r) < _TINY for v, r in inputs):
+    inputs = zip(config.points + config.coeffs, x + c)  # Fraction != float is slow: compare ratios
+    if any((v.as_integer_ratio() != r.as_integer_ratio() if type(v) is Fraction else v != r)
+           or 0 < abs(r) < _TINY for v, r in inputs):
         return value, math.inf
+    ac = [abs(v) for v in c]
+    bound = _bound(params, config.n, distance, _dot([_dot(ac, row) for row in m], ac))
+    sum_c = _dot(ac, [1.0] * config.n)  # not sum(), which compensates floats from Python 3.12
     return value, bound + 2.0**-1020 * ((1 + params.a) * sum_c * sum_c + config.n * (sum_c + 1))
 
 
-def _bound(params: KernelParams, n: int, distance: bool, scale, big_x, width, sum_c):
-    """:func:`form_enclosure`'s binary64 bound for ``n`` points: scale = sum_jk
-    |c_j| |M_jk| |c_k|, big_x = max |x_j|, width = max - min x_j, sum_c = sum |c_j|."""
-    u = UNIT_ROUNDOFF
+def _bound(params: KernelParams, n: int, distance: bool, scale):
+    """:func:`form_enclosure`'s binary64 bound for ``n`` exact points:
+    scale = sum_jk |c_j| |M_jk| |c_k|."""
     k = 6 * math.ceil(params.t) + 2 * POW_ULPS + 2
-    if max(k, 2 * n + 16) >= 1 / (4 * u):  # some gamma_j would reach 1/3
+    if max(k, 2 * n + 16) >= 1 / (4 * UNIT_ROUNDOFF):  # some gamma_j would reach 1/3
         return math.inf
-    e = 2 * big_x * _gamma(2)
-    g, g4 = _gamma(k), _gamma(4)
-    if distance:
-        rel = g / (1 - g)
-        absolute = e * (2 * width + e) * (1 + 2 * g) * (sum_c * sum_c)
-    else:
-        phi = g + (1 + g) * e * (1 + e)
-        if not 2 * phi + g4 < 0.5:  # kappa would reach 1/2
-            return math.inf
-        kappa = (g4 + phi) / (1 - phi)
-        rel, absolute = kappa / (1 - kappa), 0
-    bound = _gamma(2 * n + 8) * scale + (rel * scale + absolute) / (1 - g4)
-    return bound / (1 - _gamma(2 * n + 16))
+    g = _gamma(k)
+    kappa = g if distance else (_gamma(4) + g) / (1 - g)
+    return (_gamma(2 * n + 8) * scale + kappa / (1 - kappa) * scale) / (1 - _gamma(2 * n + 16))
 
 
 def quadratic_form(

@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import ToleranceError
 
-# Nodes per Gauss-Legendre panel, in composite rules and adaptive steps.
-PANEL_DEGREE = 16
+# Nodes per Gauss-Legendre panel (composite rules, adaptive steps); bisections per adaptive panel.
+PANEL_DEGREE, MAX_DEPTH = 16, 40
 
 
 @functools.cache
@@ -73,13 +73,13 @@ def fixed_quad(f, a: float, b: float):
     return total
 
 
-def adaptive_quad(f, a: float, b: float, tol: float, max_depth: int = 40):
+def adaptive_quad(f, a: float, b: float, tol: float):
     """Adaptive bisection Gauss-Legendre integration to absolute tolerance.
 
     Works for complex integrands; the error indicator is the modulus of
     the difference between one- and two-panel estimates.  Each panel is
     integrated once: a half's estimate is handed to the step that bisects
-    it.  Raises :class:`ToleranceError` if the depth budget is exhausted.
+    it.  Raises :class:`ToleranceError` after ``MAX_DEPTH`` bisections.
     """
 
     def recurse(lo, hi, whole, budget, depth):
@@ -89,14 +89,13 @@ def adaptive_quad(f, a: float, b: float, tol: float, max_depth: int = 40):
         err = abs(halves - whole)
         if err <= budget:
             return halves
-        if depth >= max_depth:
+        if depth >= MAX_DEPTH:
             raise ToleranceError(
                 f"adaptive quadrature stalled on [{lo}, {hi}]: "
                 f"error estimate {err:.3e} > budget {budget:.3e}"
             )
-        return recurse(lo, mid, left, budget / 2, depth + 1) + recurse(
-            mid, hi, right, budget / 2, depth + 1
-        )
+        half = budget / 2
+        return recurse(lo, mid, left, half, depth + 1) + recurse(mid, hi, right, half, depth + 1)
 
     a, b = float(a), float(b)
     return recurse(a, b, fixed_quad(f, a, b), float(tol), 0)

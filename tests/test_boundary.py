@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,6 +143,19 @@ class TestBoundaryReport:
         assert threshold_weight(5.0) == pytest.approx(
             Fraction(2**24 + 2**20, 15**9), rel=1e-15
         )
+
+    def test_threshold_is_exact_at_t2_and_accurate_to_the_cap(self):
+        # one formula on all of (1, T_CAP]: 2303 values of t against the
+        # closed form in 50-digit mpmath
+        assert threshold_weight(2.0) == 12.0
+        worst = 0.0
+        with mp.workdps(50):
+            for k in range(1, 2304):
+                t = 1 + 29 * k / 2303
+                tt = mp.mpf(t)
+                want = (2 ** (tt * tt - 1) + 2 ** (tt * tt - tt)) / (2 ** (tt - 1) - 1) ** (2 * tt - 1)
+                worst = max(worst, abs(threshold_weight(t) - want) / want)
+        assert worst < 1e-13
 
     @pytest.mark.parametrize("t", [1.2, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0, 30.0])
     def test_cross_check_identity(self, t):

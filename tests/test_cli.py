@@ -15,6 +15,7 @@ import kpd.kernel
 import kpd.spectral
 import kpd.witness
 import object_reference
+from kpd.certificate import _read
 from kpd.cli import RunConfig, _build_parser, main, run, verify_certificate
 from kpd.errors import KpdError
 from kpd.kernel import (
@@ -88,9 +89,9 @@ class TestStoredValueIsTheReplayedForm:
         cert = json.loads(out)["payload"]
         for key in where:
             cert = cert[key]
+        # read as kpd verify reads them: a float's shortest repr as that float
         config = PointConfig(
-            tuple(Fraction(p) for p in cert["points"]),
-            tuple(Fraction(c) for c in cert["coeffs"]),
+            tuple(map(_read, cert["points"])), tuple(map(_read, cert["coeffs"]))
         )
         t, a = float(argv[2]), float(argv[4])
         value, dps = resolve_form_sign(KernelParams(t, a), config)[:2]
@@ -310,6 +311,11 @@ class TestWitnessCommand:
         assert payload["certificate"]["z"] == repr(4.0**-8)
         assert main(["verify", str(out_path)]) == 0
         assert capsys.readouterr().out.endswith("CONFIRMED\n")
+
+    def test_witness_past_the_order_cap_exits_3(self, capsys):
+        # t = 1e6 would ask for a million-point witness
+        assert main(["witness", "--t", "1000000.5", "--a", "1"]) == 3
+        assert "SizeCapError" in capsys.readouterr().err
 
     def test_even_integer_part_is_inconclusive(self, capsys):
         code, out = run_cli(capsys, "witness", "--t", "2.5", "--a", "1")

@@ -228,11 +228,10 @@ class TestGramMatrix:
         x = [-2.0, 0.0, 0.5, 3.0]
         m = kernel_matrix(params, x, x)
         loop = _matrix(params, x, False)
-        big_x, width = max(map(abs, x)), max(x) - min(x)
         for i, xi in enumerate(x):
             for j, xj in enumerate(x):
                 assert loop[i][j] == 1 / ((1 + distance_form(params, xi, xj)) * math.pi)
-                allowed = _bound(params, 1, False, loop[i][j], big_x, width, 1.0)
+                allowed = _bound(params, 1, False, loop[i][j])
                 assert abs(m[i, j] - loop[i][j]) <= 2 * allowed
 
 
@@ -407,7 +406,7 @@ class TestFormEnclosure:
         st.booleans(),
     )
     @settings(max_examples=30, deadline=None)
-    # coincident points: the distance bound is the input-rounding term e^2 S^2
+    # coincident points: a distance form of 2e-304, beside the underflow term
     @example(KernelParams(2.0, 1.0), [(8.520522545335498e-77, 1.0)], "float", True)
     def test_enclosure_contains_high_precision_form(self, params, pairs, kind, distance):
         cfg = PointConfig(
@@ -421,22 +420,21 @@ class TestFormEnclosure:
             value, bound = form_enclosure(params, cfg, dps=dps, distance=distance)
             with mp.workdps(130):  # compare without rounding the difference
                 assert abs(value - exact) <= bound + exact_bound, (dps, value, bound)
-        # unless an input is tiny, the binary64 bound is within twice the
-        # leading terms of its derivation, plus an underflow allowance below
-        # 1e-290 here
-        x = np.array([float(p) for p in cfg.points])
-        c = np.array([float(v) for v in cfg.coeffs])
-        if any(0 < abs(v) < 2.0**-511 for v in (*x, *c)):
+        # binary64 bounds only inputs it holds exactly; unless one of those is
+        # tiny, its bound is within twice the leading terms of its
+        # derivation, plus an underflow allowance below 1e-290 here
+        bound = form_enclosure(params, cfg, distance=distance)[1]
+        inputs = (*cfg.points, *cfg.coeffs)
+        if any(v != float(v) for v in inputs):
+            assert bound == math.inf
+            return
+        x, c = np.array(cfg.points, dtype=float), np.array(cfg.coeffs, dtype=float)
+        if any(0 < abs(v) < 2.0**-511 for v in inputs):
             return
         m = np.array(_matrix(params, x.tolist(), distance))
         scale = np.abs(c) @ np.abs(m) @ np.abs(c)
-        big_x, width = np.abs(x).max(), x.max() - x.min()
-        u = 2.0**-53
-        terms = (2 * cfg.n + 6 * math.ceil(params.t) + 22 + 4 * big_x) * scale
-        if distance:
-            e = 2 * big_x * (2 * u / (1 - 2 * u))  # input rounding of x - y
-            terms += (8 * big_x * width + e * e / u) * np.abs(c).sum() ** 2
-        assert form_enclosure(params, cfg, distance=distance)[1] <= 2 * terms * u + 1e-290
+        terms = (2 * cfg.n + 6 * math.ceil(params.t) + 22) * scale
+        assert bound <= 2 * terms * 2.0**-53 + 1e-290
 
     @given(rung_t, st.floats(1e-3, 1e3), rung_triples, st.booleans())
     @settings(max_examples=80, deadline=None)
@@ -489,7 +487,7 @@ class TestFormEnclosure:
             assert [v._mpf_ for v in got] == [v._mpf_ for v in want], (dps, distance)
         # the memo takes no part in equality, hashing or repr
         fresh = KernelParams(t, a)
-        assert params._pows or (t.is_integer() and t <= 64)
+        assert params._pows
         assert params == fresh and hash(params) == hash(fresh)
         assert repr(params) == repr(fresh) == f"KernelParams(t={t!r}, a={a!r})"
 
@@ -527,7 +525,7 @@ class TestFormEnclosure:
         params, cfg = KernelParams(200.0, 1.0), PointConfig((0.0, 10.0), (1.0, -1.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert form_enclosure(params, cfg) == (0.3183098861837907, 4.473980251927185e-14)
+            assert form_enclosure(params, cfg) == (0.3183098861837907, 4.332622266084263e-14)
             assert resolve_form_sign(params, cfg)[1] == 17
             value, bound = form_enclosure(params, cfg, distance=True)
             # where x^2 + y^2 overflows, the entry is the finite
@@ -612,12 +610,18 @@ class TestFormEnclosure:
             value, bound = form_enclosure(params, cfg, dps=dps)
             with mp.workdps(50):
                 assert abs(value - mp.mpf(exact.numerator) / exact.denominator / mp.pi) <= bound < 1
-        # binary64 rounding of points near 2e15 moves x - y by about 1:
-        # the float value is -2.2e-78, the form +4.5e-85
+        # points near 2e15 that binary64 holds exactly: the float value is
+        # -2.2e-78 within a bound of 8.4e-77, which resolves no sign; the
+        # form, +4.5e-85, resolves at 50 digits
         far = PointConfig((2000000000000031.0, 2000000000007837.0), (-1.0, 1.0))
-        assert form_enclosure(params, far)[1] == math.inf
-        value, bound = form_enclosure(params, far, dps=50)
-        assert value > bound
+        value, bound = form_enclosure(params, far)
+        assert abs(value) < bound < 1e-76
+        # a third off each point, binary64 holds neither: no float bound
+        off = PointConfig([Fraction(x) + Fraction(1, 3) for x in far.points], far.coeffs)
+        assert form_enclosure(params, off)[1] == math.inf
+        value, dps, bound = resolve_form_sign(params, far)
+        with mp.workdps(50):
+            assert dps == 50 and abs(value - mp.mpf("4.5458856421161611e-85")) < 1e-100
 
     def test_tiny_inputs_get_no_float_bound(self):
         # 1e-200 squared underflows, so only the mpmath stages can certify

@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 from mpmath import libmp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import kpd.kernel
 import kpd.witness
@@ -183,6 +183,14 @@ class TestBinomialWitness:
     def test_malformed_witness_rejected(self, y, c, order):
         with pytest.raises(DomainError):
             WitnessConfig(y=y, c=c, moment_order=order)
+
+    def test_order_cap(self):
+        cap = kpd.witness.MAX_WITNESS_ORDER
+        assert cap >= 12  # kpd identities builds up to order 12
+        # refused before a binomial is taken, at any size
+        for order in (cap + 1, 10**9):
+            with pytest.raises(SizeCapError):
+                build_binomial_witness(order)
 
     def test_negative_arguments_rejected(self):
         w = build_binomial_witness(1)
@@ -446,6 +454,27 @@ class TestTPowerCoefficient:
         assert_within_stated_bounds(params, w)
 
 
+    @pytest.mark.parametrize("t", [49.9, 51.1, 55.5, 63.5])
+    def test_sign_survives_the_cancellation(self, t):
+        # the binomial witness cancels about 1.1 T digits, more than
+        # SERIES_DPS holds from T = 45: the weights climb the ladder until
+        # their bound excludes zero, and kappa has the sign of (-1)^T
+        w = build_binomial_witness(math.floor(t))
+        assert t_power_coefficient(KernelParams(t, 1.0), w) < 0
+
+    def test_equals_series_coefficient_bit_for_bit(self):
+        params, w = KernelParams(5.5, 1.0), build_binomial_witness(5)
+        kappa = t_power_coefficient(params, w)
+        assert kappa._mpf_ == cleared_form_series(params, w).coefficient(0, 1)._mpf_
+
+    def test_unresolved_sign_raises(self, monkeypatch):
+        # weights of an exactly cancelling sum resolve at no rung
+        params, w = KernelParams(1.5, 1.0), build_binomial_witness(1)
+        monkeypatch.setattr(kpd.witness, "_weights", lambda *args: (0, {s: 1 for s in (0, 1, 2, 4, 5, 8)}))
+        with pytest.raises(ToleranceError):
+            t_power_coefficient(params, w)
+
+
 class TestPrecisionArgument:
     @pytest.mark.parametrize("dps", [0, -5, 2.5, 50.0, None])
     def test_invalid_dps_rejected(self, dps):
@@ -696,6 +725,8 @@ class TestIntegerArithmetic:
 
     @given(rational_witnesses(), st.floats(0.05, 0.95), st.floats(1e-3, 1e3))
     @settings(max_examples=60, deadline=None)
+    # y = +-2 share one y^2: kappa is exactly 0, which no rung's bound excludes
+    @example(WitnessConfig((2, -2), (Fraction(1, 4), Fraction(-1, 4)), 0), 0.5, 1.0)
     def test_t_power_coefficient_is_the_full_sum_bit_for_bit(self, w, frac, a):
         # one set of weights, one exact sum, one rounding: kappa is the n^2
         # sum rounded once and the z^t coefficient of the series, which
@@ -708,6 +739,7 @@ class TestIntegerArithmetic:
 
     @given(rational_witnesses(), st.floats(0.05, 0.95), st.floats(1e-3, 1e3))
     @settings(max_examples=60, deadline=None)
+    @example(WitnessConfig((2, -2), (Fraction(1, 4), Fraction(-1, 4)), 0), 0.5, 1.0)
     def test_weights_and_kappa_within_their_bounds(self, w, frac, a):
         assert_within_stated_bounds(KernelParams(w.moment_order + frac, a), w)
 
