@@ -49,9 +49,9 @@ from mpmath import libmp
 from .errors import DomainError, PreconditionError, ToleranceError
 
 UNIT_ROUNDOFF = 2.0**-53
-# The rungs of resolve_form_sign, the one escalation in kpd (every sign
-# claim and every kpd verify replay climbs it): binary64 (None, reported as
-# 17 digits), then mpmath at these many decimal digits, up to DPS_CAP.
+# The rungs of resolve_form_sign, which every sign claim and kpd verify replay
+# climbs, as witness.t_power_coefficient's kappa weights do: binary64 (None,
+# reported as 17 digits), then fixed point at these many digits, up to DPS_CAP.
 DPS_LADDER = (None, 50, 100, 200, 400, 800)
 DPS_CAP = DPS_LADDER[-1]
 # The platform's pow (Python's float **), numpy's and mpmath's need not be
@@ -64,10 +64,13 @@ _TINY = 2.0**-511
 _RND = libmp.round_nearest
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
+def _require_finite(name: str, value) -> float:
+    try:
+        value = float(value)
+    except OverflowError:  # an int or Fraction beyond binary64's range
+        value = math.inf
     if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
+        raise DomainError(f"{name} must be finite in binary64, got {value!r}")
     return value
 
 
@@ -126,10 +129,9 @@ class PointConfig:
             )
         if len(points) < 1:
             raise DomainError("a configuration needs at least one point")
-        for v in points:
-            _require_finite("point", float(v))
-        for v in coeffs:
-            _require_finite("coefficient", float(v))
+        for name, values in (("point", points), ("coefficient", coeffs)):
+            for j, v in enumerate(values):
+                _require_finite(f"{name} {j}", v)
 
     @property
     def n(self) -> int:

@@ -824,10 +824,14 @@ class TestVerify:
             {"kind": "gram", "points": ["0", "1"], "value": "-0.5"},
             {"kind": "gram", "points": ["x", "1"], "coeffs": ["1", "-1"], "value": "-0.5"},
             {"kind": "gram", "points": ["1e400", "1"], "coeffs": ["1", "-1"], "value": "-0.5"},
+            {"kind": "gram", "points": ["1" + "0" * 400, "1"], "coeffs": ["1", "-1"], "value": "-0.5"},
+            {"kind": "gram", "points": ["0", "1"], "coeffs": ["1", "-1" + "0" * 400 + "/7"],
+             "value": "-0.5"},
             {"kind": "gram", "points": ["0", "1"], "coeffs": ["1", "-1"], "value": None},
             {"kind": "gram", "points": ["0", "1"], "coeffs": ["1", "-1"], "value": True},
         ],
-        ids=["no-coeffs", "bad-point", "huge-point", "null-value", "true-value"],
+        ids=["no-coeffs", "bad-point", "huge-point", "huge-int-point", "huge-fraction-coeff",
+             "null-value", "true-value"],
     )
     def test_malformed_certificate_errors(self, capsys, tmp_path, cert):
         rec = tmp_path / "m.json"

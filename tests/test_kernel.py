@@ -7,19 +7,24 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from mpmath import libmp
 
+import kpd.kernel
 import object_reference
 from kpd.definiteness import cnd_check, pd_check
 from kpd.errors import DomainError, ToleranceError
 from kpd.kernel import (
     DPS_CAP,
     DPS_LADDER,
+    GUARD,
     Certificate,
     KernelParams,
     PointConfig,
     _bound,
     _fraction,
     _matrix,
+    _one_plus_d,
+    _scaled,
     certify_negative,
     distance_form,
     form_enclosure,
@@ -66,6 +71,20 @@ class TestValidation:
             distance_form(KernelParams(1.0, 1.0), float("nan"), 0.0)
         with pytest.raises(DomainError):
             distance_form(KernelParams(1.0, 1.0), 0.0, float("inf"))
+
+    @pytest.mark.parametrize(
+        "points, coeffs, entry",
+        [
+            ((10**400,), (1,), "point 0"),
+            ((Fraction(10**400, 3),), (1,), "point 0"),
+            ((0.0, 1.0), (1, -Fraction(10**400, 7)), "coefficient 1"),
+        ],
+        ids=["int-point", "fraction-point", "fraction-coeff"],
+    )
+    def test_entries_beyond_binary64_rejected(self, points, coeffs, entry):
+        # float() of these overflows: a domain error that names the entry
+        with pytest.raises(DomainError, match=f"^{entry} must be finite in binary64"):
+            PointConfig(points, coeffs)
 
     def test_config_length_mismatch(self):
         with pytest.raises(DomainError):
@@ -311,6 +330,16 @@ class TestQuadraticForm:
         # distance and threshold are keywords: a third positional is refused
         with pytest.raises(TypeError):
             resolve_form_sign(KernelParams(2.0, 13.0), PointConfig((0.0,), (1.0,)), 30)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_claim_needs_value_beyond_bound(self, monkeypatch, sign):
+        # at 50 digits |value - 0| equals the bound, 1 + 2^-168, exactly: no
+        # claim there, however the difference is rounded; 100 digits resolves
+        edge, width = (mp.make_mpf(libmp.from_man_exp(m * (2**168 + 1), -168)) for m in (sign, 1))
+        enclosures = {None: (1.0, math.inf), 50: (edge, width), 100: (edge, mp.mpf(0.5))}
+        monkeypatch.setattr(kpd.kernel, "form_enclosure", lambda p, c, dps, d: enclosures[dps])
+        value, dps, bound = resolve_form_sign(KernelParams(2.0, 13.0), PointConfig((0.0,), (1.0,)))
+        assert (value, dps, bound) == (edge, 100, 0.5)
 
 
 class TestCertifyNegative:
@@ -622,6 +651,25 @@ class TestFormEnclosure:
         value, dps, bound = resolve_form_sign(params, far)
         with mp.workdps(50):
             assert dps == 50 and abs(value - mp.mpf("4.5458856421161611e-85")) < 1e-100
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 3.3, 7.9])
+    def test_one_plus_d_rows(self, t):
+        # each entry (N, x) of the kernel rungs' rows: N 2^x = (1 + d) L^2
+        # 2^wp (1 + rho), |rho| <= 18 2^-wp, with N >= L^2 2^wp and 2^x <= 1 + d,
+        # against d at 4000 bits, from 2^-500 to 1e150 and at every rung
+        params = KernelParams(t, 1.7)
+        X, L = _scaled((1e150, 2.0**-500, Fraction(1, 3), Fraction(-7, 5), 0.0, 2.5))
+        with mp.workprec(4000):
+            x = [mp.mpf(v) / L for v in X]
+            one_d = [[1 + (xj - xk) ** 2 + params.a * (xj**2 + xk**2) ** mp.mpf(t) for xk in x[j:]]
+                     for j, xj in enumerate(x)]
+            for dps in DPS_LADDER[1:]:
+                wp = libmp.dps_to_prec(dps) + 2 * GUARD
+                for row, exact in zip(_one_plus_d(params, X, L, wp), one_d):
+                    for (N, e), v in zip(row, exact):
+                        assert N >= L * L << wp and mp.mpf(2) ** e <= v, (t, dps, N, e)
+                        rho = mp.ldexp(N, e) / (v * L * L * mp.mpf(2) ** wp) - 1
+                        assert abs(rho) <= mp.ldexp(18, -wp), (t, dps, N, e)
 
     def test_tiny_inputs_get_no_float_bound(self):
         # 1e-200 squared underflows, so only the mpmath stages can certify
