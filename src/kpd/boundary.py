@@ -129,16 +129,15 @@ class SchwarzSearchResult:
     A found violation carries z, the margin value there, and the
     certificate of the 2-point configuration (sqrt(z), 0) with the
     negative-eigenvalue direction as coefficients.  A not-found outcome is
-    *not* a PD certificate; it records the scan so the report is auditable.
+    *not* a PD certificate; it records the scan's minimum, over the
+    ``SCAN_POINTS`` log-spaced z in [1e-12 z_tangent, z_tangent], so the
+    report is auditable.
     """
 
     z: float | None = None
     g_value: float | None = None
     certificate: Certificate | None = None
     min_eigenvalue: float | None = None
-    scan_lo: float | None = None
-    scan_hi: float | None = None
-    scan_points: int = 0
     scan_min_g: float | None = None
     scan_argmin_z: float | None = None
 
@@ -151,7 +150,6 @@ class SchwarzSearchResult:
 class BoundaryReport:
     """Closed-form boundary data at a given t."""
 
-    t: float
     z_tangent: float
     a_threshold: float
 
@@ -167,7 +165,7 @@ def boundary_report(t: float) -> BoundaryReport:
             f"boundary cross-check failed at t={t}: closed form {a0!r} vs "
             f"critical_weight(z_tangent) {cross!r}"
         )
-    return BoundaryReport(t=float(t), z_tangent=z0, a_threshold=a0)
+    return BoundaryReport(z_tangent=z0, a_threshold=a0)
 
 
 def _violation_from_z(t: float, a: float, z: float, scan_meta: dict) -> SchwarzSearchResult:
@@ -209,9 +207,6 @@ def find_schwarz_violation(t: float, a: float) -> SchwarzSearchResult:
     gs[np.isnan(gs)] = np.inf  # inf - inf: both terms overflowed, no violation
     argmin = int(np.argmin(gs))
     scan_meta = dict(
-        scan_lo=float(zs[0]),
-        scan_hi=float(zs[-1]),
-        scan_points=SCAN_POINTS,
         scan_min_g=float(gs[argmin]),
         scan_argmin_z=float(zs[argmin]),
     )

@@ -10,10 +10,14 @@ set whose form is certified on the side it claims.  A record stores it as
   at least ``cert.dps`` digits (the witness scan's y_j / 2^m);
 * ``value`` is the form at ``cert.dps`` digits.
 
-Provenance is the producer's: ``t`` and ``a`` on spectral records, ``z``
-on boundary records; witness records add ``z``, ``q_value`` (the kernel
-form) and ``dps_used``, and store the cleared form f(z) as ``value``.
-The replay reads no provenance but ``t`` and ``a``.
+Provenance is the producer's, and only what the rest of the record does
+not state: ``t`` and ``a`` on spectral certificates (a sweep holds one
+weight per report); on f certificates ``z``, ``q_value`` (the kernel
+form) and ``dps_used``, with the cleared form f(z) as ``value``.  A g
+certificate's z is its boundary payload's ``violation.z``.  The replay
+reads no provenance but ``t`` and ``a``, and takes them from the record's
+config where the certificate has none.  Schema-1 records, which also gave
+g certificates a ``z``, replay the same way.
 
 Each kind claims a side of a threshold (``CLAIMS``): the kernel form of a
 gram, g or f certificate is below 0, the distance form of a cnd

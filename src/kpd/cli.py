@@ -26,6 +26,13 @@ Timestamps and wall time live only in the metadata block.  Numeric
 payload values carry both a decimal string at full working precision and
 a binary64 convenience field, null where the value is not finite, so
 records are strict JSON.
+
+A record states each fact once (payload ``schema`` 2): the payload
+repeats no config value (``t``, ``a``, gram ``points``, a verdict's
+tolerance) and nothing that another key gives, such as a witness's point
+count, ``len(y)``.  Records are written compactly, keys sorted and no
+whitespace, as their payload hashes are; ``python -m json.tool`` prints
+one readably.  ``kpd verify`` also reads the indented schema-1 records.
 A negative verdict (FAIL, a found violation or witness, NEGATIVE_FOUND)
 is the presence of a :class:`kpd.kernel.Certificate`, which
 :mod:`kpd.certificate` writes into the payload and ``kpd verify`` replays;
@@ -60,8 +67,14 @@ from .certificate import dec, encode, verify_certificate
 from .errors import KpdError, ToleranceError
 from .kernel import KernelParams, PointConfig, check_zero_sum
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 CSV_HEADER = ["t", "a", "level", "node_count", "L", "min_eigenvalue", "verdict"]
+
+
+def _dumps(obj) -> str:
+    """Compact, key-sorted strict JSON: one encoding for records and the
+    payload hashes."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 @dataclass(frozen=True)
@@ -95,22 +108,16 @@ class RunRecord:
     timestamp: str
     version: str = field(default=__version__)
 
-    def as_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "config": asdict(self.config),
-            "metadata": {
-                "wall_ms": self.wall_ms,
-                "timestamp": self.timestamp,
-            },
-            "payload": self.payload,
-        }
-
     def payload_json(self) -> str:
-        return json.dumps(self.payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        return _dumps(self.payload)
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2, allow_nan=False)
+        return _dumps({
+            "version": self.version,
+            "config": asdict(self.config),
+            "metadata": {"wall_ms": self.wall_ms, "timestamp": self.timestamp},
+            "payload": self.payload,
+        })
 
 
 def _num(x, dps: int = 30) -> dict:
@@ -125,7 +132,6 @@ def _verdict_dict(verdict) -> dict:
     return {
         "verdict": verdict.verdict,
         "statistic": _num(verdict.statistic, verdict.dps),
-        "tolerance": _num(verdict.tolerance),
         "boundary": verdict.boundary,
     }
 
@@ -170,12 +176,8 @@ def _cmd_gram(cfg: RunConfig) -> dict:
     from .definiteness import pd_check
     p = cfg.params
     params = KernelParams(t=p["t"], a=p["a"])
-    points = _parse_floats(p["points"])
-    verdict = pd_check(params, points, tolerance=p["tolerance"])
+    verdict = pd_check(params, _parse_floats(p["points"]), tolerance=p["tolerance"])
     return {
-        "t": _num(params.t),
-        "a": _num(params.a),
-        "points": [_num(x) for x in points],
         "entries": [[float(v) for v in row] for row in verdict.gram],
         "pd": _verdict_dict(verdict),
         "certificate": encode("gram", verdict.certificate),
@@ -190,8 +192,6 @@ def _cmd_cnd(cfg: RunConfig) -> dict:
     verdict = cnd_check(params, config, tolerance=p["tolerance"])
     s = verdict.statistic  # negated exactly, as cnd_check does
     return {
-        "t": _num(params.t),
-        "a": _num(params.a),
         "cnd": _verdict_dict(verdict),
         "form_value": _num(-s if isinstance(s, float) else mp.fneg(s, exact=True), verdict.dps),
         "certificate": encode("cnd", verdict.certificate),
@@ -203,7 +203,6 @@ def _cmd_boundary(cfg: RunConfig) -> dict:
     p = cfg.params
     report = boundary_report(p["t"])
     payload = {
-        "t": _num(report.t),
         "z_tangent": _num(report.z_tangent),
         "a_threshold": _num(report.a_threshold),
         "violation": None,
@@ -213,9 +212,6 @@ def _cmd_boundary(cfg: RunConfig) -> dict:
         violation = {
             "found": result.found,
             "scan": {
-                "lo": _num(result.scan_lo),
-                "hi": _num(result.scan_hi),
-                "points": result.scan_points,
                 "min_g": _num(result.scan_min_g),
                 "argmin_z": _num(result.scan_argmin_z),
             },
@@ -224,7 +220,7 @@ def _cmd_boundary(cfg: RunConfig) -> dict:
             violation["z"] = _num(result.z)
             violation["g_value"] = _num(result.g_value)
             violation["min_eigenvalue"] = _num(result.min_eigenvalue)
-            violation["certificate"] = encode("g", result.certificate, z=dec(result.z))
+            violation["certificate"] = encode("g", result.certificate)
         payload["violation"] = violation
     return payload
 
@@ -246,10 +242,7 @@ def _cmd_witness(cfg: RunConfig) -> dict:
             kappa = t_power_coefficient(params, w)
             cert = find_negative_scale(params, w, kappa)
     payload = {
-        "t": _num(params.t),
-        "a": _num(params.a),
         "witness": {
-            "n": w.n,
             "moment_order": w.moment_order,
             "y": [dec(v) for v in w.y],
             "c": [dec(v) for v in w.c],
@@ -379,12 +372,7 @@ def _cmd_spectrum(cfg: RunConfig) -> dict:
     from .spectral import min_operator_eigenvalue
     p = cfg.params
     params = KernelParams(t=p["t"], a=p["a"])
-    report = min_operator_eigenvalue(params, p["nodes"], p["half_width"])
-    return {
-        "t": _num(params.t),
-        "a": _num(params.a),
-        **_report_dict(report),
-    }
+    return _report_dict(min_operator_eigenvalue(params, p["nodes"], p["half_width"]))
 
 
 def _cmd_sweep(cfg: RunConfig) -> dict:
@@ -402,7 +390,7 @@ def _cmd_sweep(cfg: RunConfig) -> dict:
             rows.append(dict(zip(CSV_HEADER, (t, a, i, n, L, _num(me), verdict))))
         # the open region of t = 2 is 0 < a <= a_threshold(2) = 12
         reports.append({"a": a, "control": not (0.0 < a <= 12.0), **_report_dict(report)})
-    return {"t": _num(t), "rows": rows, "reports": reports}
+    return {"rows": rows, "reports": reports}
 
 
 _COMMANDS = {

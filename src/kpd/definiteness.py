@@ -41,7 +41,6 @@ class DefinitenessVerdict:
     """
 
     statistic: float | mp.mpf
-    tolerance: float
     certificate: Certificate | None = None
     dps: int = 17
     gram: np.ndarray | None = field(default=None, compare=False, repr=False)
@@ -78,7 +77,7 @@ def pd_check(params: KernelParams, points, tolerance: float) -> DefinitenessVerd
     if min_eig < -tolerance:
         lowest = PointConfig(tuple(x), tuple(float(v) for v in vecs[:, 0]))
         certificate = certify_negative(params, lowest)
-    return DefinitenessVerdict(min_eig, tolerance, certificate, gram=entries)
+    return DefinitenessVerdict(min_eig, certificate, gram=entries)
 
 
 def cnd_check(
@@ -101,5 +100,5 @@ def cnd_check(
     certificate = Certificate(config, value, bound, dps) if value > tolerance else None
     # an mpf's unary minus would round it to the caller's precision
     statistic = -value if isinstance(value, float) else mp.fneg(value, exact=True)
-    return DefinitenessVerdict(statistic, tolerance, certificate, dps)
+    return DefinitenessVerdict(statistic, certificate, dps)
 

@@ -79,7 +79,12 @@ def adaptive_quad(f, a: float, b: float, tol: float):
     Works for complex integrands; the error indicator is the modulus of
     the difference between one- and two-panel estimates.  Each panel is
     integrated once: a half's estimate is handed to the step that bisects
-    it.  Raises :class:`ToleranceError` after ``MAX_DEPTH`` bisections.
+    it.  A panel's budget goes to its halves in proportion to max(1/2, the
+    half's share of |left| + |right|): rounding in the indicator grows with
+    the integrand's mass, not the panel's width, so where the mass gathers
+    (the fracpow ray near 0 at large s) so does the budget, and no half gets
+    less than a third, so a kink in a light part still converges.  Raises
+    :class:`ToleranceError` after ``MAX_DEPTH`` bisections.
     """
 
     def recurse(lo, hi, whole, budget, depth):
@@ -94,8 +99,11 @@ def adaptive_quad(f, a: float, b: float, tol: float):
                 f"adaptive quadrature stalled on [{lo}, {hi}]: "
                 f"error estimate {err:.3e} > budget {budget:.3e}"
             )
-        half = budget / 2
-        return recurse(lo, mid, left, half, depth + 1) + recurse(mid, hi, right, half, depth + 1)
+        mass = abs(left) + abs(right)
+        wl, wr = (max(0.5, abs(left) / mass), max(0.5, abs(right) / mass)) if mass else (0.5, 0.5)
+        share = budget * wl / (wl + wr)
+        return (recurse(lo, mid, left, share, depth + 1)
+                + recurse(mid, hi, right, budget - share, depth + 1))
 
     a, b = float(a), float(b)
     return recurse(a, b, fixed_quad(f, a, b), float(tol), 0)

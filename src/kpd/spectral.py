@@ -162,10 +162,6 @@ class SpectralReport:
     def verdict(self) -> str:
         return NO_NEGATIVE_AT_RESOLUTION if self.certificate is None else NEGATIVE_FOUND
 
-    @property
-    def min_eigenvalue(self) -> float:
-        return self.levels[-1][2]
-
 
 def min_operator_eigenvalue(
     params: KernelParams, node_counts, half_width: float

@@ -152,7 +152,7 @@ class TestReplay:
         assert after["results"] == before["results"]
 
     @given(st.sampled_from((1, 3)), st.floats(0.1, 0.75), st.floats(-2.0, math.log10(13.0)))
-    # certified at 50 digits, recorded at 100 for a bound below 1e-15 |Q|
+    # certified at 50 digits with a bound of 4e-18 |Q|, which the record keeps
     @example(3, 0.532644, math.log10(0.010993))
     @settings(max_examples=60, deadline=None)
     def test_replay_resolves_at_the_certifying_rung(self, floor, frac, log_a):

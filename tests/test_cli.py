@@ -303,7 +303,7 @@ class TestWitnessCommand:
         code, _ = run_cli(capsys, "witness", "--t", "1.999", "--a", "1", "--out", str(out_path))
         assert code == 0
         payload = json.loads(out_path.read_text())["payload"]
-        assert payload["witness"]["moment_order"] == 2 and payload["witness"]["n"] == 4
+        assert payload["witness"]["moment_order"] == 2 and len(payload["witness"]["y"]) == 4
         assert payload["moments"] == ["0/1"] * 3
         assert payload["t_power_coefficient"]["f64"] < 0
         assert payload["negativity"] == "certified"
@@ -518,9 +518,45 @@ class TestSweepCommand:
             code, out = run_cli(capsys, "spectrum", "--t", "2.5", "--a", a, *ladder)
             assert code == 0
             spectrum = json.loads(out)["payload"]
-            for key in ("schema", "t", "a"):
-                spectrum.pop(key)
+            spectrum.pop("schema")
             assert entry == spectrum
+
+
+class TestRecordLayout:
+    @pytest.mark.parametrize("argv", [
+        ["gram", "--t", "2", "--a", "13", "--points", "0.4472135954999579,0"],
+        ["cnd", "--t", "3", "--a", "1", "--points", "0,1,4", "--coeffs", "1,-2,1"],
+        ["boundary", "--t", "2", "--a", "13"],
+        ["witness", "--t", "1.5", "--a", "1"],
+        ["spectrum", "--t", "2", "--a", "13", "--nodes", "32", "--half-width", "5"],
+        ["sweep", "--a-grid", "1,13", "--nodes", "32", "--half-width", "5"],
+        ["fracpow", "--tol", "1e-6"],
+    ])
+    def test_compact_record_states_each_fact_once(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        record = strict_json(out)
+        assert out == json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        payload = record["payload"]
+        assert payload["schema"] == 2
+        assert not set(payload) & set(record["config"]["params"])
+        keys = set()
+
+        def walk(node):
+            if isinstance(node, dict):
+                keys.update(node)
+                for child in node.values():
+                    walk(child)
+            elif isinstance(node, list):
+                for child in node:
+                    walk(child)
+
+        walk(payload)
+        assert not keys & {"tolerance", "n", "lo", "hi"}
+        violation = payload.get("violation")
+        if violation:
+            assert set(violation["scan"]) == {"min_g", "argmin_z"}
+            assert "z" not in violation["certificate"]
 
 
 class TestDeterminism:
@@ -1002,6 +1038,18 @@ class TestVerify:
         assert cert is not None and cert["a"] == 13.0
         outcome = verify_certificate(str(rec))
         assert outcome["verdict"] == "CONFIRMED"
+
+    @pytest.mark.parametrize("name", ["boundary", "cnd", "gram", "spectrum", "witness"])
+    def test_schema_1_record_confirms(self, capsys, name):
+        # written before payloads stopped echoing the config: indented, with
+        # t, a, gram points, verdict tolerances, the witness's n, the
+        # boundary scan's range and the g certificate's z
+        path = os.path.join(os.path.dirname(__file__), "schema1", f"{name}.json")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        assert text.startswith('{\n  "config"') and '"schema": 1,' in text
+        assert main(["verify", path]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "CONFIRMED"
 
 
 class TestConfigValidation:

@@ -173,6 +173,16 @@ class TestIntegralPower:
         want = mp_power(w, s)
         assert abs(got - want) <= tol * abs(want)
 
+    @pytest.mark.parametrize(
+        "w, s, tol", [(1 + 1j, 12.3, 1e-6), (0.01 + 1j, 12.3, 1e-6), (3 - 1j, 10.7, 1e-8)]
+    )
+    def test_large_powers_return_within_tol(self, w, s, tol):
+        # the ray's mass gathers near r = 0; a budget split by width left the
+        # panels there below the rounding of the integrand, and they stalled
+        got = integral_power(w, split_power(s), tol=tol)
+        want = mp_power(w, s)
+        assert abs(got - want) <= tol * abs(want)
+
     def test_pure_imaginary_rejected(self):
         with pytest.raises(DomainError):
             integral_power(1.0j, split_power(0.5))

@@ -520,6 +520,24 @@ class TestFormEnclosure:
         assert params == fresh and hash(params) == hash(fresh)
         assert repr(params) == repr(fresh) == f"KernelParams(t={t!r}, a={a!r})"
 
+    def test_entry_units_cover_the_floored_difference_sum(self, monkeypatch):
+        # at 50 digits these points put E above W, so the fixed-point distance
+        # rung floors its three power entries and the one exact sum of the
+        # (X_j - X_k)^2 terms, each by up to a unit of 2^(E - W): 4.58 units
+        # here, against (sum |C|)^2 = 4.  No entry alone loses a whole unit
+        # (pi_fixed truncates and N's floors only raise a kernel entry), so
+        # ENTRY_UNITS = 2 is what covers that extra floor; with 1 the bound
+        # misses the reference at twice the bits
+        params = KernelParams(0.5, 2.0)
+        cfg = PointConfig((6215857975466475940313149788, -8241707963997428993049633488), (1, 1))
+        value, bound = form_enclosure(params, cfg, 50, distance=True)
+        with mp.workprec(2 * libmp.dps_to_prec(50)):
+            x = [mp.mpf(v) for v in cfg.points]
+            ref = sum((xj - xk) ** 2 + params.a * (xj * xj + xk * xk) ** params.t for xj in x for xk in x)
+        monkeypatch.setattr(kpd.kernel, "ENTRY_UNITS", 1)
+        _, one_unit = form_enclosure(params, cfg, 50, distance=True)
+        assert _fraction(one_unit) < abs(_fraction(value) - _fraction(ref)) <= _fraction(bound)
+
     def test_astronomic_powers_stay_small(self):
         # 2.42^(1e9) has a binary exponent past 2^30.  The kernel entries of
         # a power that large are far below the form's units, so they are 0

@@ -220,7 +220,7 @@ class TestLadder:
         assert rep.verdict == NEGATIVE_FOUND
         assert rep.certificate is not None
         assert rep.certificate.value + rep.certificate.error_bound < 0
-        assert rep.min_eigenvalue < -1e-3
+        assert rep.levels[-1][2] < -1e-3
 
     def test_open_region_report_only_at_coarse_resolution(self):
         # min eigenvalue ~ -1e-10 at this resolution: evidence, no claim

@@ -531,6 +531,18 @@ class TestFindNegativeScale:
         assert cert.f_value < 0
         assert cert.value < 0
 
+    # certified at 50 (100) digits with an error bound of 2.8e-9 |Q|
+    # (7.6e-14 |Q|): above 1e-15 |Q|, so the record takes the next rung
+    @pytest.mark.parametrize(
+        "t, a, certified, kept", [(3.6788, 0.0193, 50, 100), (3.7583, 0.000173, 100, 200)]
+    )
+    def test_bound_above_1e_15_q_takes_the_next_rung(self, t, a, certified, kept):
+        params = KernelParams(t, a)
+        cert = scan(params, build_binomial_witness(3))
+        first = kpd.kernel.certify_negative(params, cert.config)
+        assert first.dps == certified and first.error_bound > abs(first.value) / 10**15
+        assert cert.dps == kept and cert.error_bound <= abs(cert.value) / 10**15
+
     def test_no_certified_scale_raises(self, monkeypatch):
         monkeypatch.setattr(kpd.witness, "certify_negative", lambda *args: None)
         with pytest.raises(ToleranceError, match="no negative value"):
